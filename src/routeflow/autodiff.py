@@ -296,6 +296,35 @@ def segment_sum(x, owner: np.ndarray, n: int):
     return buf
 
 
+def segment_logsumexp(x, owner: np.ndarray, n: int):
+    """Per-bucket log-sum-exp: out[v] = log(sum(exp(x[owner == v]))).
+
+    Each bucket is shifted by its own maximum, so a one-entry bucket returns
+    that entry exactly. Every bucket must own at least one entry.
+    """
+    data = value(x)
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, owner, data)
+    ex = np.exp(data - top[owner])
+    total = np.zeros(n)
+    np.add.at(total, owner, ex)
+    lse = top + np.log(total)
+    if isinstance(x, Tensor):
+        out = Tensor(lse, (x,))
+        out.bw = lambda g: x._accumulate(g[owner] * ex / total[owner])
+        return out
+    return lse
+
+
+def matvec(a, v):
+    """(m, k) matrix times (k,) vector. On raw arrays every output reads only
+    its own row in a fixed order, so the result for a row never depends on
+    which other rows share the call (BLAS blocks rows together)."""
+    if isinstance(a, Tensor) or isinstance(v, Tensor):
+        return as_tensor(a) @ v
+    return np.einsum("ij,j->i", a, v)
+
+
 def concat(xs, axis=0):
     if any(isinstance(x, Tensor) for x in xs):
         xs = [as_tensor(x) for x in xs]

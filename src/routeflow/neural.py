@@ -3,9 +3,16 @@
 The encoder stacks sparse multi-head attention layers (additive scores over
 projected node pairs plus a projected edge term, residual + batch-norm per
 layer). The decoder scores (current, candidate) embedding pairs with an MLP
-and constructs routes autoregressively under capacity/visitation masks. The
-discriminator reuses the encoder architecture and scores every sparse edge
-with a sigmoid head.
+and constructs routes autoregressively under capacity/visitation masks. Its
+first layer is split over the pair, so each encode computes two node
+projections once and a step's logits are a gather, an add, a LeakyReLU and
+a dot product. Batched rollouts advance all rollouts together on array state
+(current node, residual load, visited mask); ``batch_log_pf`` replays fixed
+trajectories once, in numpy, into flat (step, candidate) index arrays and
+scores them with one gather and a segment log-sum-exp on the tape. The
+single-state API (``initial_state``, ``valid_actions``, ``decode_step``,
+``apply_action``) is the reference both reproduce. The discriminator reuses
+the encoder architecture and scores every sparse edge with a sigmoid head.
 
 Parameters live in plain float64 arrays; ``lift_*`` mirrors a container into
 autodiff Tensors for training, and the same forward code serves both modes.
@@ -19,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as F
-from .core import DistanceMatrix, Instance, Route, Solution, SparseGraph, build_distance_matrix
+from .core import (
+    DistanceMatrix, Instance, Solution, SparseGraph, build_distance_matrix, make_solution,
+)
 from .io import derive_seed
 
 LEAKY_SLOPE = 0.2
@@ -99,20 +108,21 @@ class EdgeIndex:
 
 
 def build_edge_index(graph: SparseGraph) -> EdgeIndex:
-    dmap: dict[tuple[int, int], float] = {}
-    for i in range(graph.n):
-        for j, dij in zip(graph.neighbors[i], graph.edge_dist[i]):
-            dmap[(int(i), int(j))] = float(dij)
-            dmap[(int(j), int(i))] = float(dij)
-    pairs = sorted(dmap)
-    src = np.array([p[0] for p in pairs], dtype=np.int64)
-    dst = np.array([p[1] for p in pairs], dtype=np.int64)
-    dist = np.array([dmap[p] for p in pairs], dtype=np.float64)
-    adj: list[tuple[int, ...]] = []
-    for i in range(graph.n):
-        adj.append(tuple(int(j) for (a, j) in pairs if a == i))
-    lookup = {p: e for e, p in enumerate(pairs)}
-    return EdgeIndex(graph.n, src, dst, dist, adj, lookup)
+    """Symmetrize the k-NN arcs, dedupe them and sort by (src, dst), in
+    O(E log E). Of duplicate arcs the last written wins, in the order
+    (i, j), (j, i) over each row i's neighbours."""
+    n = graph.n
+    fwd = np.repeat(np.arange(n, dtype=np.int64), graph.neighbors.shape[1])
+    bwd = graph.neighbors.ravel().astype(np.int64)
+    src = np.stack([fwd, bwd], axis=1).ravel()
+    dst = np.stack([bwd, fwd], axis=1).ravel()
+    dist = np.repeat(graph.edge_dist.ravel().astype(np.float64), 2)
+    keys, last = np.unique((src * n + dst)[::-1], return_index=True)
+    src, dst, dist = keys // n, keys % n, dist[::-1][last]
+    offsets = np.searchsorted(src, np.arange(n + 1))
+    adj = tuple(tuple(dst[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:]))
+    lookup = {p: e for e, p in enumerate(zip(src.tolist(), dst.tolist()))}
+    return EdgeIndex(n, src, dst, dist, adj, lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -263,61 +273,29 @@ def parameter_count(container) -> int:
 # -- Tensor mirrors for training --------------------------------------------
 
 
-def _lift_gat(gat: GatParams) -> GatParams:
-    out = object.__new__(GatParams)
-    out.dims = gat.dims
-    out.w_node = F.parameter(gat.w_node)
-    out.b_node = F.parameter(gat.b_node)
-    out.w_edge = F.parameter(gat.w_edge)
-    out.b_edge = F.parameter(gat.b_edge)
-    out.layers = [
-        GatLayer(
-            [
-                AttentionHead(
-                    F.parameter(h.w),
-                    F.parameter(h.a_src),
-                    F.parameter(h.a_dst),
-                    F.parameter(h.w_edge),
-                )
-                for h in layer.heads
-            ],
-            F.parameter(layer.gamma),
-            F.parameter(layer.beta),
-            layer.run_mean,  # running stats stay shared, not differentiated
-            layer.run_var,
-        )
-        for layer in gat.layers
-    ]
+def _lift(container):
+    """Mirror of a parameter container: each trained array becomes a copied
+    Tensor and each sub-container a mirror; the dims and the batch-norm
+    running statistics stay shared, not differentiated."""
+    out = object.__new__(type(container))
+    for key, val in vars(container).items():
+        if key in ("dims", "run_mean", "run_var"):
+            setattr(out, key, val)
+        elif isinstance(val, np.ndarray):
+            setattr(out, key, F.parameter(val))
+        elif isinstance(val, list):
+            setattr(out, key, [_lift(v) for v in val])
+        else:
+            setattr(out, key, _lift(val))
     return out
 
 
 def lift_policy(policy: PolicyParams) -> PolicyParams:
-    out = object.__new__(PolicyParams)
-    out.dims = policy.dims
-    out.gat = _lift_gat(policy.gat)
-    dec = object.__new__(DecoderParams)
-    dec.w1 = F.parameter(policy.dec.w1)
-    dec.b1 = F.parameter(policy.dec.b1)
-    dec.w2 = F.parameter(policy.dec.w2)
-    dec.b2 = F.parameter(policy.dec.b2)
-    out.dec = dec
-    out.log_z = F.parameter(policy.log_z)
-    return out
+    return _lift(policy)
 
 
 def lift_disc(disc: DiscParams) -> DiscParams:
-    out = object.__new__(DiscParams)
-    out.dims = disc.dims
-    out.gat = _lift_gat(disc.gat)
-    out.w1 = F.parameter(disc.w1)
-    out.b1 = F.parameter(disc.b1)
-    out.w2 = F.parameter(disc.w2)
-    out.b2 = F.parameter(disc.b2)
-    return out
-
-
-def lifted_tensors(lifted) -> list:
-    return [t for _, t in lifted.named_arrays()]
+    return _lift(disc)
 
 
 def backward_grads(lifted) -> dict[str, np.ndarray]:
@@ -414,22 +392,32 @@ class RolloutState:
 
 @dataclass
 class DecodeContext:
-    """Static data a rollout needs: embeddings, adjacency, demands, costs."""
+    """Static data a rollout needs: embeddings, their decoder projections
+    (see ``_project``), adjacency, demands, costs."""
 
     instance: Instance
     ei: EdgeIndex
     emb: np.ndarray
     dm: DistanceMatrix
+    proj: tuple[np.ndarray, np.ndarray]
+
+
+def _project(dec: DecoderParams, emb):
+    """Node projections of the decoder's first layer, split over the pair:
+    [h_i, h_j] @ W1 + b1 = (h_i @ W1[:d] + b1) + h_j @ W1[d:]. Returns the
+    (current, candidate) halves, (n, mlp_hidden) each; generic over modes."""
+    d = F.value(emb).shape[1]
+    return emb @ dec.w1[:d] + dec.b1, emb @ dec.w1[d:]
 
 
 def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
            dm: DistanceMatrix | None = None, training: bool = False) -> DecodeContext:
     ei = build_edge_index(graph)
     feats = node_features(instance)
-    emb = gat_embed(policy.gat, ei, feats, training)
+    emb = F.value(gat_embed(policy.gat, ei, feats, training))
     if dm is None:
         dm = build_distance_matrix(instance)
-    return DecodeContext(instance, ei, F.value(emb), dm)
+    return DecodeContext(instance, ei, emb, dm, _project(policy.dec, emb))
 
 
 def initial_state(instance: Instance) -> RolloutState:
@@ -474,19 +462,28 @@ def apply_action(instance: Instance, state: RolloutState, action: int,
     )
 
 
-def _pair_logits(dec: DecoderParams, emb, current: int, cands):
-    cands = np.asarray(cands, dtype=np.int64)
-    hi = F.take(emb, np.full(len(cands), current, dtype=np.int64))
-    hj = F.take(emb, cands)
-    hidden = F.leaky_relu(F.concat([hi, hj], axis=1) @ dec.w1 + dec.b1, LEAKY_SLOPE)
-    return hidden @ dec.w2 + dec.b2
+def _pair_logits(dec: DecoderParams, proj, cur: np.ndarray, cands: np.ndarray):
+    p, q = proj
+    hidden = F.leaky_relu(F.take(p, cur) + F.take(q, cands), LEAKY_SLOPE)
+    return F.matvec(hidden, dec.w2) + dec.b2
+
+
+def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Softmax within consecutive runs of ``sizes`` entries. Each run is
+    reduced on its own, so its result never depends on the others."""
+    starts = sizes.cumsum() - sizes
+    ex = np.exp(logits - np.maximum.reduceat(logits, starts).repeat(sizes))
+    return ex / np.add.reduceat(ex, starts).repeat(sizes)
 
 
 def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -> np.ndarray:
     """Action distribution over all nodes; masked entries are exactly zero.
 
-    Only valid candidates ever receive a logit, so masked-out actions carry
-    no probability mass and no gradient.
+    A logit is LeakyReLU(P[current] + Q[candidate]) @ w2 + b2 on the
+    context's node projections, so ``ctx`` must come from ``encode`` with
+    this policy. Only valid candidates ever receive a logit, so masked-out
+    actions carry no probability mass and no gradient. This single-state
+    step is the reference the batched decoder reproduces bit for bit.
     """
     cands = valid_actions(ctx.instance, ctx.ei, state)
     probs = np.zeros(ctx.instance.n_nodes, dtype=np.float64)
@@ -494,10 +491,9 @@ def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -
         if is_terminal(ctx.instance, state):
             return probs
         raise RuntimeError("no valid action in a non-terminal state")
-    logits = F.value(_pair_logits(policy.dec, ctx.emb, state.current, cands))
-    shifted = logits - logits.max()
-    ex = np.exp(shifted)
-    probs[cands] = ex / ex.sum()
+    cur = np.full(len(cands), state.current)
+    logits = _pair_logits(policy.dec, ctx.proj, cur, np.asarray(cands))
+    probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
     return probs
 
 
@@ -515,17 +511,123 @@ class Trajectory:
     log_pb: float = 0.0
 
     def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        prev = 0
-        for a in self.actions:
-            out.append((prev, a))
-            prev = a
-        return out
+        return list(zip((0,) + self.actions, self.actions))
 
 
 GREEDY = "greedy"
 EPSILON_GREEDY = "epsilon_greedy"
 SAMPLE = "sample"
+# candidate entries a batched step scores at once, so that its
+# (entries, mlp_hidden) temporaries stay small and in cache
+_SLICE = 512
+
+
+class _Runs:
+    """Array state of several runs of the decoder on one instance: current
+    node, residual load and visited mask per run, and the dense adjacency
+    mask read by the same candidate rule as ``valid_actions``."""
+
+    def __init__(self, instance: Instance, ei: EdgeIndex, count: int):
+        n = instance.n_nodes
+        self.adj = np.zeros((n, n), dtype=bool)
+        self.adj[ei.src, ei.dst] = True
+        self.adj[:, 0] = False  # the depot has its own rule
+        self.demand = np.array((0, *instance.demands), dtype=np.int64)
+        self.capacity = instance.capacity
+        self.current = np.zeros(count, dtype=np.int64)
+        self.residual = np.full(count, instance.capacity, dtype=np.int64)
+        self.visited = np.zeros((count, n), dtype=bool)
+
+    def candidates(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), n) mask of each run's valid actions; its nonzero
+        entries come in row order, as ``valid_actions`` sorts them."""
+        cur = self.current[rows]
+        mask = self.adj[cur] & ~self.visited[rows] & (self.demand <= self.residual[rows, None])
+        mask[:, 0] = cur != 0
+        return mask
+
+    def apply(self, rows: np.ndarray, actions: np.ndarray) -> None:
+        loaded = self.residual[rows] - self.demand[actions]
+        self.residual[rows] = np.where(actions == 0, self.capacity, loaded)
+        self.current[rows] = actions
+        self.visited[rows, actions] = True  # the depot's column is never read
+
+    def finished(self, rows: np.ndarray) -> np.ndarray:
+        return (self.current[rows] == 0) & self.visited[rows, 1:].all(axis=1)
+
+
+def _split_routes(actions: list[int]) -> list[list[int]]:
+    ends = [i for i, a in enumerate(actions) if a == 0]
+    return [actions[i + 1 : j] for i, j in zip([-1] + ends, ends)]
+
+
+def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: str,
+            epsilon: float) -> list[Trajectory]:
+    """One rollout per seed, all advanced together on ``_Runs`` state.
+
+    Rollout t reads ``default_rng(seeds[t])`` as one stream of doubles, as
+    a lone rollout would: a sample takes one draw and compares it with the
+    step's cdf (``Generator.choice`` with ``p``), an epsilon test takes one
+    before it. A rollout takes at most 2 * n_customers steps, so its
+    largest possible share of the stream is drawn up front.
+    """
+    if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
+        raise ValueError(f"unknown mode {mode!r}")
+    instance = ctx.instance
+    count, n, max_steps = len(seeds), instance.n_nodes, 2 * instance.n_customers
+    per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
+    draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
+    used = np.zeros(count, dtype=np.int64)
+    runs = _Runs(instance, ctx.ei, count)
+    paths = np.zeros((count, max_steps), dtype=np.int64)
+    lengths = np.zeros(count, dtype=np.int64)
+    log_pf = np.zeros(count)
+    rows = np.arange(count)
+    step = 0
+    while rows.size:
+        mask = runs.candidates(rows)
+        sizes = mask.sum(axis=1)
+        if not sizes.all():
+            raise RuntimeError("no valid action in a non-terminal state")
+        r, c = mask.nonzero()
+        cur = runs.current[rows][r]
+        logits = np.concatenate([
+            _pair_logits(policy.dec, ctx.proj, cur[i : i + _SLICE], c[i : i + _SLICE])
+            for i in range(0, c.size, _SLICE)
+        ])
+        probs = np.zeros(mask.shape)
+        probs[r, c] = _softmax_runs(logits, sizes)
+        pick = probs.argmax(axis=1)
+        explore = np.arange(rows.size if mode == SAMPLE else 0)
+        if mode == EPSILON_GREEDY:
+            explore = np.flatnonzero(draws[rows, used[rows]] < epsilon)
+            used[rows] += 1
+        if explore.size:
+            sampled = rows[explore]
+            cdf = probs[explore].cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            pick[explore] = (cdf <= draws[sampled, used[sampled], None]).sum(axis=1)
+            used[sampled] += 1
+        log_pf[rows] += np.log(probs[np.arange(rows.size), pick])
+        runs.apply(rows, pick)
+        paths[rows, step] = pick
+        step += 1
+        done = runs.finished(rows)
+        lengths[rows[done]] = step
+        rows = rows[~done]
+    out = []
+    for t in range(count):
+        actions = paths[t, : lengths[t]].tolist()
+        solution = make_solution(instance, ctx.dm, _split_routes(actions))
+        out.append(Trajectory(tuple(actions), solution, float(log_pf[t])))
+    return out
+
+
+def _context(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
+             training_bn: bool) -> DecodeContext:
+    if isinstance(graph, DecodeContext):
+        return graph
+    return encode(policy, instance, graph, training=training_bn)
 
 
 def rollout(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
@@ -535,61 +637,28 @@ def rollout(policy: PolicyParams, instance: Instance, graph: SparseGraph | Decod
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
     sample; the recorded log-probability is always the policy's own, not the
-    behaviour distribution's.
+    behaviour distribution's. A batch of one of ``batch_rollouts``.
     """
-    ctx = graph if isinstance(graph, DecodeContext) else encode(
-        policy, instance, graph, training=training_bn
-    )
-    rng = np.random.default_rng(seed)
-    state = initial_state(instance)
-    actions: list[int] = []
-    n = instance.n_nodes
-    while not is_terminal(instance, state):
-        probs = decode_step(policy, ctx, state)
-        if mode == GREEDY:
-            a = int(np.argmax(probs))
-        elif mode == EPSILON_GREEDY:
-            if rng.random() < epsilon:
-                a = int(rng.choice(n, p=probs))
-            else:
-                a = int(np.argmax(probs))
-        elif mode == SAMPLE:
-            a = int(rng.choice(n, p=probs))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        actions.append(a)
-        state = apply_action(instance, state, a, float(np.log(probs[a])))
-    routes = tuple(
-        Route(r, sum(instance.demand_of(c) for c in r)) for r in state.routes if r
-    )
-    cost = sum(_np_route_cost(ctx.dm.dist, r.nodes) for r in routes)
-    solution = Solution(routes, cost)
-    return Trajectory(tuple(actions), solution, state.log_pf)
-
-
-def _np_route_cost(d: np.ndarray, nodes) -> float:
-    prev = 0
-    total = 0.0
-    for c in nodes:
-        total += d[prev, c]
-        prev = c
-    return total + d[prev, 0]
+    ctx = _context(policy, instance, graph, training_bn)
+    return _decode(policy, ctx, [seed], mode, epsilon)[0]
 
 
 def batch_rollouts(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
                    count: int, mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05,
                    training_bn: bool = False) -> list[Trajectory]:
     """Independent rollouts with per-index derived seeds (prefix-shared, so a
-    larger count extends rather than reshuffles a smaller one)."""
+    larger count extends rather than reshuffles a smaller one).
+
+    All rollouts advance together on array state (current node, residual
+    load, visited mask), one gather of the node projections per step for
+    every (rollout, candidate) pair. Each rollout's arithmetic reads only its
+    own rows, so rollout t equals ``rollout(seed=derive_seed(seed, t))``
+    bit for bit.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ctx = graph if isinstance(graph, DecodeContext) else encode(
-        policy, instance, graph, training=training_bn
-    )
-    return [
-        rollout(policy, instance, ctx, mode, derive_seed(seed, t), epsilon)
-        for t in range(count)
-    ]
+    ctx = _context(policy, instance, graph, training_bn)
+    return _decode(policy, ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
 
 
 def best_of(trajectories: list[Trajectory]) -> Trajectory:
@@ -601,22 +670,65 @@ def best_of(trajectories: list[Trajectory]) -> Trajectory:
     return best
 
 
+@dataclass(frozen=True)
+class _Tape:
+    """Fixed action sequences replayed into flat index arrays: one entry per
+    (step, candidate) pair, one step per (trajectory, action)."""
+
+    cur: np.ndarray  # (K,) current node of each entry
+    cand: np.ndarray  # (K,) candidate node of each entry
+    step: np.ndarray  # (K,) step of each entry
+    pick: np.ndarray  # (S,) entry of each step's action; -1 if not admissible
+    owner: np.ndarray  # (S,) trajectory of each step
+
+
+def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
+    """Replay every sequence once, in lockstep on ``_Runs`` state."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    actions = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.int64)
+    for t, seq in enumerate(sequences):
+        actions[t, : len(seq)] = seq
+    runs = _Runs(instance, ei, len(sequences))
+    parts = [(np.zeros(0, dtype=np.int64),) * 5]  # so that no steps still concatenate
+    n_steps = n_entries = 0
+    for k in range(actions.shape[1]):
+        rows = np.flatnonzero(lengths > k)
+        mask = runs.candidates(rows)
+        r, c = mask.nonzero()
+        a = actions[rows, k]
+        at = np.arange(rows.size)
+        sizes = mask.sum(axis=1)
+        first = n_entries + sizes.cumsum() - sizes  # each run's first entry
+        pick = np.where(mask[at, a], first + mask.cumsum(axis=1)[at, a] - 1, -1)
+        parts.append((runs.current[rows][r], c, n_steps + r, pick, rows))
+        n_steps += rows.size
+        n_entries += r.size
+        runs.apply(rows, a)
+    return _Tape(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def _tape_log_pf(dec: DecoderParams, proj, tape: _Tape, count: int):
+    """(count,) log-probabilities of a tape's trajectories: every logit from
+    one gather of the projections, one segment log-sum-exp over the steps,
+    one segment sum into the trajectories (generic over both modes)."""
+    logits = _pair_logits(dec, proj, tape.cur, tape.cand)
+    steps = F.take(logits, tape.pick) - F.segment_logsumexp(logits, tape.step, len(tape.pick))
+    return F.segment_sum(steps, tape.owner, count)
+
+
 def trajectory_from_solution(policy: PolicyParams, ctx: DecodeContext,
                              solution: Solution) -> Trajectory:
     """Re-express a solution as an action sequence, scoring it under the
-    current policy (used to book expert-refined positives)."""
+    current policy (used to book expert-refined positives). The score is
+    -inf when an action is not admissible, e.g. an arc off the sparse graph."""
     actions: list[int] = []
     for route in solution.routes:
         actions.extend(route.nodes)
         actions.append(0)
-    state = initial_state(ctx.instance)
-    log_pf = 0.0
-    for a in actions:
-        probs = decode_step(policy, ctx, state)
-        p = probs[a]
-        log_p = float(np.log(p)) if p > 0 else -np.inf
-        state = apply_action(ctx.instance, state, a, log_p)
-        log_pf += log_p
+    tape = _replay(ctx.instance, ctx.ei, [actions])
+    log_pf = -np.inf
+    if (tape.pick >= 0).all():
+        log_pf = float(_tape_log_pf(policy.dec, ctx.proj, tape, 1)[0])
     return Trajectory(tuple(actions), solution, log_pf)
 
 
@@ -625,27 +737,16 @@ def batch_log_pf(lifted: PolicyParams, ei: EdgeIndex, feats: NodeFeatures,
                  training: bool = True, update_running: bool = False) -> F.Tensor:
     """Differentiable forward log-probabilities of fixed action sequences.
 
-    Shares one encoder pass across the batch; returns a (T,) tensor.
+    One encoder pass and one projection serve the batch. The trajectories
+    are replayed once, in numpy, into a flat tape of (step, candidate)
+    entries, so the tape grows by O(encoder layers) nodes, not by steps.
+    Returns a (T,) tensor.
     """
     emb = gat_embed(lifted.gat, ei, feats, training, update_running)
-    totals = []
-    for traj in trajectories:
-        state = initial_state(instance)
-        terms = []
-        for a in traj.actions:
-            cands = valid_actions(instance, ei, state)
-            logits = _pair_logits(lifted.dec, emb, state.current, cands)
-            shift = F.value(logits).max()
-            centered = logits - shift
-            lse = F.log(F.asum(F.exp(centered)))
-            pick = cands.index(a)
-            terms.append(centered[pick] - lse)
-            state = apply_action(instance, state, a)
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        totals.append(total)
-    return F.stack_scalars(totals)
+    tape = _replay(instance, ei, [t.actions for t in trajectories])
+    if (tape.pick < 0).any():
+        raise ValueError("a trajectory takes an action that is not admissible")
+    return _tape_log_pf(lifted.dec, _project(lifted.dec, emb), tape, len(trajectories))
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +847,7 @@ class CheckpointError(ValueError):
     pass
 
 
-def _container_payload(kind: str, container) -> dict:
+def container_payload(kind: str, container) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
@@ -756,7 +857,7 @@ def _container_payload(kind: str, container) -> dict:
     }
 
 
-def _fill_container(container, payload: dict):
+def fill_container(container, payload: dict):
     arrays = dict(payload["arrays"])
     for name, arr in container.named_arrays():
         if name not in arrays:
@@ -787,25 +888,25 @@ def _load_payload(path: str, kind: str) -> dict:
 
 def save_policy(policy: PolicyParams, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(_container_payload("policy", policy), fh)
+        json.dump(container_payload("policy", policy), fh)
 
 
 def load_policy(path: str) -> PolicyParams:
     payload = _load_payload(path, "policy")
     policy = init_params(Dims(**payload["dims"]), seed=0)
-    _fill_container(policy, payload)
+    fill_container(policy, payload)
     return policy
 
 
 def save_disc(disc: DiscParams, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(_container_payload("discriminator", disc), fh)
+        json.dump(container_payload("discriminator", disc), fh)
 
 
 def load_disc(path: str) -> DiscParams:
     payload = _load_payload(path, "discriminator")
     disc = init_disc(Dims(**payload["dims"]), seed=0)
-    _fill_container(disc, payload)
+    fill_container(disc, payload)
     return disc
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import Instance, build_distance_matrix, check_feasible, knn_sparsify
 from .expert import HgsConfig, expert_refine
 from .io import derive_seed, generate_uniform
 from .neural import (
+    CheckpointError,
     Dims,
     DiscParams,
     EPSILON_GREEDY,
@@ -31,11 +32,13 @@ from .neural import (
     batch_rollouts,
     best_of,
     build_edge_index,
+    container_payload,
     default_knn,
     disc_forward,
     disc_score,
     disc_traj_scores_t,
     encode,
+    fill_container,
     init_disc,
     init_params,
     lift_disc,
@@ -142,15 +145,6 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
 # losses
 
 
-def tb_loss(policy: PolicyParams, trajectories: list[Trajectory], disc_scores) -> float:
-    """Mean squared trajectory-balance residual, (logZ + logPF - logPB - D)^2."""
-    log_z = float(policy.log_z)
-    residuals = [
-        log_z + t.log_pf - t.log_pb - d for t, d in zip(trajectories, disc_scores)
-    ]
-    return float(np.mean(np.square(residuals)))
-
-
 def disc_loss(neg_rewards, pos_rewards):
     """Least-squares adversarial loss: E[r_neg^2] + E[(1 - r_pos)^2].
 
@@ -186,19 +180,13 @@ def make_training_pair(policy: PolicyParams, instance: Instance, cfg: TrainConfi
         policy, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon
     )
     seed_sol = best_of(neg).solution
-    expert_cfg = HgsConfig(
-        **{**_hgs_dict(cfg.expert_hgs), "seed": derive_seed(seed, 7)}
-    )
+    expert_cfg = replace(cfg.expert_hgs, seed=derive_seed(seed, 7))
     refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, dm)
     report = check_feasible(instance, refined)
     if not report.feasible:
         raise TrainingDivergedError(f"expert produced infeasible solution: {report.violations}")
     pos = [trajectory_from_solution(policy, ctx, refined)]
     return neg, pos
-
-
-def _hgs_dict(cfg: HgsConfig) -> dict:
-    return {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +215,6 @@ def generator_update(state: TrainState, instances, cfg: TrainConfig, seed: int) 
     """One TB-loss gradient step on the generator; discriminator frozen."""
     lifted = lift_policy(state.policy)
     residual_parts = []
-    traj_count = 0
     for idx, instance in enumerate(instances):
         dm, graph = _graph_for(instance, cfg)
         ctx = encode(state.policy, instance, graph, dm, training=True)
@@ -244,7 +231,6 @@ def generator_update(state: TrainState, instances, cfg: TrainConfig, seed: int) 
             lifted, ctx.ei, feats, instance, trajs, training=True, update_running=True
         )
         residual_parts.append(lifted.log_z + log_pf - d_scores)
-        traj_count += len(trajs)
     pooled = F.concat(residual_parts, axis=0)
     loss = F.mean(F.square(pooled))
     loss_val = float(F.value(loss))
@@ -320,14 +306,12 @@ def _instance_for(cfg: TrainConfig, epoch: int, idx: int) -> Instance:
 
 
 def save_train_state(state: TrainState, cfg: TrainConfig, path: str) -> None:
-    from .neural import _container_payload
-
     payload = {
         "format_version": 1,
         "kind": "train_state",
         "epoch": state.epoch,
-        "policy": _container_payload("policy", state.policy),
-        "disc": _container_payload("discriminator", state.disc),
+        "policy": container_payload("policy", state.policy),
+        "disc": container_payload("discriminator", state.disc),
         "opt_policy": state.opt_policy.to_dict(),
         "opt_disc": state.opt_disc.to_dict(),
         "history": state.history,
@@ -338,17 +322,15 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path: str) -> None:
 
 
 def load_train_state(path: str) -> TrainState:
-    from .neural import CheckpointError, _fill_container
-
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("kind") != "train_state":
         raise CheckpointError(f"not a training checkpoint: {payload.get('kind')}")
     dims = Dims(**payload["dims"])
     policy = init_params(dims, 0)
-    _fill_container(policy, payload["policy"])
+    fill_container(policy, payload["policy"])
     disc = init_disc(dims, 0)
-    _fill_container(disc, payload["disc"])
+    fill_container(disc, payload["disc"])
     shapes_p = [(n, a.shape) for n, a in policy.named_arrays()]
     shapes_d = [(n, a.shape) for n, a in disc.named_arrays()]
     state = TrainState(

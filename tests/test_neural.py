@@ -3,17 +3,23 @@ import os
 import numpy as np
 import pytest
 
-from routeflow.core import Instance, build_distance_matrix, check_feasible, knn_sparsify
+from routeflow import autodiff as F
+from routeflow.core import (
+    Instance, SparseGraph, build_distance_matrix, check_feasible, knn_sparsify, make_solution,
+)
 from routeflow.io import derive_seed, generate_uniform
 from routeflow.neural import (
     BN_EPS,
     CheckpointError,
     Dims,
+    EPSILON_GREEDY,
     EdgeProbMatrix,
     GREEDY,
     SAMPLE,
     Trajectory,
     apply_action,
+    backward_grads,
+    batch_log_pf,
     batch_rollouts,
     best_of,
     build_edge_index,
@@ -25,6 +31,8 @@ from routeflow.neural import (
     init_disc,
     init_params,
     initial_state,
+    is_terminal,
+    lift_policy,
     load_policy,
     node_features,
     parameter_count,
@@ -77,6 +85,60 @@ def straight_line_embed(gat, ei, feats):
         var = ((act - mu) ** 2).mean(axis=0)
         h = h + ((act - mu) / np.sqrt(var + BN_EPS)) * layer.gamma + layer.beta
     return h
+
+
+def dict_edge_index(graph):
+    """Loop-and-dict reference for build_edge_index."""
+    dmap = {}
+    for i in range(graph.n):
+        for j, dij in zip(graph.neighbors[i], graph.edge_dist[i]):
+            dmap[(int(i), int(j))] = float(dij)
+            dmap[(int(j), int(i))] = float(dij)
+    pairs = sorted(dmap)
+    adj = tuple(tuple(j for (a, j) in pairs if a == i) for i in range(graph.n))
+    return pairs, [dmap[p] for p in pairs], adj
+
+
+def step_replay_log_pf(policy, ctx, actions):
+    """Sum of log decode_step probabilities along an action sequence."""
+    state = initial_state(ctx.instance)
+    total = 0.0
+    for a in actions:
+        total += np.log(decode_step(policy, ctx, state)[a])
+        state = apply_action(ctx.instance, state, a)
+    return total
+
+
+def step_reference_rollout(policy, ctx, mode, seed, epsilon):
+    """The single-step API driven one state at a time: each draw of the
+    rollout's generator is a ``choice`` over decode_step's distribution,
+    preceded in epsilon-greedy mode by the exploration test."""
+    rng = np.random.default_rng(seed)
+    state = initial_state(ctx.instance)
+    actions = []
+    while not is_terminal(ctx.instance, state):
+        probs = decode_step(policy, ctx, state)
+        explore = mode == SAMPLE or (mode == EPSILON_GREEDY and rng.random() < epsilon)
+        a = int(rng.choice(len(probs), p=probs)) if explore else int(np.argmax(probs))
+        actions.append(a)
+        state = apply_action(ctx.instance, state, a, float(np.log(probs[a])))
+    return tuple(actions), state.log_pf
+
+
+class TestEdgeIndex:
+    @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (6, 2, 1), (15, 4, 2), (40, 10, 3), (40, 39, 4)])
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_matches_dict_reference(self, n, k, seed, skew):
+        graph = knn_sparsify(build_distance_matrix(generate_uniform(n, seed)), k)
+        if skew:  # (i, j) and (j, i) disagree: the arc written last wins
+            noise = np.random.default_rng(seed).random(graph.edge_dist.shape)
+            graph = SparseGraph(graph.neighbors.copy(), graph.edge_dist + noise, k)
+        ei = build_edge_index(graph)
+        pairs, dist, adj = dict_edge_index(graph)
+        assert list(zip(ei.src.tolist(), ei.dst.tolist())) == pairs
+        assert ei.dist.tolist() == dist
+        assert ei.adj == adj
+        assert ei.lookup == {p: e for e, p in enumerate(pairs)}
 
 
 class TestInit:
@@ -280,6 +342,59 @@ class TestBatchRollouts:
         b = batch_rollouts(policy, inst, graph, 5, SAMPLE, seed=8)
         assert [t.actions for t in a] == [t.actions for t in b]
 
+    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
+    def test_each_index_is_its_single_rollout(self, mode):
+        inst, dm, graph, policy = small_setup(n=12, seed=23, k=4)
+        ctx = encode(policy, inst, graph, dm)
+        batch = batch_rollouts(policy, inst, ctx, 8, mode, seed=5, epsilon=0.5)
+        for t, traj in enumerate(batch):
+            single = rollout(policy, inst, ctx, mode, seed=derive_seed(5, t), epsilon=0.5)
+            assert traj.actions == single.actions
+            assert traj.log_pf == single.log_pf
+            assert traj.solution.total_cost == single.solution.total_cost
+            replay = step_replay_log_pf(policy, ctx, traj.actions)
+            assert traj.log_pf == pytest.approx(replay, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
+    def test_matches_the_step_reference(self, mode):
+        for seed in range(3):
+            inst, dm, graph, policy = small_setup(n=10, seed=seed, k=4)
+            ctx = encode(policy, inst, graph, dm)
+            trajs = batch_rollouts(policy, inst, ctx, 4, mode, seed=seed, epsilon=0.3)
+            for t, traj in enumerate(trajs):
+                actions, log_pf = step_reference_rollout(policy, ctx, mode, derive_seed(seed, t), 0.3)
+                assert traj.actions == actions
+                assert traj.log_pf == log_pf
+
+    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
+    def test_capacity_tight_instance_forces_the_depot(self, mode):
+        # every pair of customers overflows the vehicle, so each visit is
+        # followed by a forced return
+        inst = Instance(
+            (0.5, 0.5),
+            ((0.1, 0.2), (0.9, 0.8), (0.3, 0.7), (0.6, 0.1), (0.8, 0.4)),
+            (7, 7, 8, 6, 9),
+            12,
+        )
+        dm = build_distance_matrix(inst)
+        policy = init_params(SMALL, 3)
+        ctx = encode(policy, inst, knn_sparsify(dm, 3), dm)
+        for traj in batch_rollouts(policy, inst, ctx, 6, mode, seed=2, epsilon=0.5):
+            assert traj.actions[1::2] == (0,) * 5
+            assert traj.solution.n_routes == 5
+            assert check_feasible(inst, traj.solution).feasible
+            assert traj.log_pf == pytest.approx(step_replay_log_pf(policy, ctx, traj.actions), abs=1e-12)
+
+    def test_count_beyond_distinct_trajectories_extends_the_prefix(self):
+        inst, dm, graph, policy = small_setup(n=2, seed=7, k=2)
+        ctx = encode(policy, inst, graph, dm)
+        many = batch_rollouts(policy, inst, ctx, 40, SAMPLE, seed=3)
+        few = batch_rollouts(policy, inst, ctx, 9, SAMPLE, seed=3)
+        assert len({t.actions for t in many}) < 40
+        assert [(t.actions, t.log_pf) for t in many[:9]] == [(t.actions, t.log_pf) for t in few]
+        for t in (0, 17, 39):
+            assert many[t].actions == rollout(policy, inst, ctx, SAMPLE, seed=derive_seed(3, t)).actions
+
 
 class TestDiscriminator:
     def test_outputs_strictly_inside_unit_interval(self):
@@ -365,6 +480,68 @@ class TestTrajectoryFromSolution:
         replay = trajectory_from_solution(policy, ctx, traj.solution)
         assert replay.solution is traj.solution
         assert replay.log_pf == pytest.approx(traj.log_pf, abs=1e-9)
+
+    def test_arc_off_the_sparse_graph_scores_minus_infinity(self):
+        inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
+        ctx = encode(policy, inst, graph, dm)
+        i = next(j for j in range(1, inst.n_nodes) if len(ctx.ei.adj[j]) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ctx.ei.adj[i])
+        rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
+        solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
+        assert trajectory_from_solution(policy, ctx, solution).log_pf == -np.inf
+
+
+class TestBatchLogPf:
+    @pytest.mark.parametrize("n,seed,k", [(6, 1, 3), (11, 2, 4), (16, 3, 5)])
+    def test_equals_sum_of_decode_step_log_probs(self, n, seed, k):
+        inst, dm, graph, policy = small_setup(n=n, seed=seed, k=k)
+        ctx = encode(policy, inst, graph, dm, training=True)
+        trajs = batch_rollouts(policy, inst, ctx, 6, SAMPLE, seed=seed)
+        got = batch_log_pf(lift_policy(policy), ctx.ei, node_features(inst), inst, trajs)
+        ref = [step_replay_log_pf(policy, ctx, t.actions) for t in trajs]
+        assert np.allclose(got.data, ref, rtol=0, atol=1e-9)
+        assert np.allclose(got.data, [t.log_pf for t in trajs], rtol=0, atol=1e-9)
+
+    def test_rejects_an_inadmissible_action(self):
+        inst, dm, graph, policy = small_setup(n=4, seed=5, k=3)
+        bad = Trajectory((1, 1, 0), None, 0.0)
+        with pytest.raises(ValueError):
+            batch_log_pf(lift_policy(policy), build_edge_index(graph), node_features(inst), inst, [bad])
+
+    def test_gradients_match_central_differences(self):
+        dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)
+        inst = generate_uniform(6, 9)
+        dm = build_distance_matrix(inst)
+        graph = knn_sparsify(dm, 3)
+        ei, feats = build_edge_index(graph), node_features(inst)
+        policy = init_params(dims, 5)
+        policy.log_z[...] = 0.7
+        trajs = batch_rollouts(policy, inst, graph, 5, SAMPLE, seed=1, training_bn=True)
+        target = np.linspace(-3.0, -1.0, len(trajs))
+
+        def tb_loss(params):
+            # batch_log_pf is generic over modes: raw arrays give the value
+            log_pf = batch_log_pf(params, ei, feats, inst, trajs)
+            return F.mean(F.square(params.log_z + log_pf - target))
+
+        lifted = lift_policy(policy)
+        F.backward(tb_loss(lifted))
+        grads = backward_grads(lifted)
+        arrays = dict(policy.named_arrays())
+        rng = np.random.default_rng(0)
+        eps = 1e-6
+        for name in ("dec.w1", "dec.b1", "dec.w2", "dec.b2", "log_z", "gat.layers.0.heads.1.w"):
+            arr = arrays[name]
+            for flat in rng.choice(arr.size, size=min(4, arr.size), replace=False):
+                idx = np.unravel_index(flat, arr.shape)
+                keep = arr[idx]
+                arr[idx] = keep + eps
+                hi = float(tb_loss(policy))
+                arr[idx] = keep - eps
+                lo = float(tb_loss(policy))
+                arr[idx] = keep
+                fd = (hi - lo) / (2 * eps)
+                assert grads[name][idx] == pytest.approx(fd, rel=1e-5, abs=1e-8), (name, idx)
 
 
 class TestCheckpoint:
