@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,9 +117,6 @@ class SparseGraph:
     def n(self) -> int:
         return self.neighbors.shape[0]
 
-    def neighbor_sets(self) -> list[set[int]]:
-        return [set(row.tolist()) for row in self.neighbors]
-
 
 @dataclass(frozen=True)
 class Route:
@@ -217,12 +215,13 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     return DistanceMatrix(d, instance.distance_mode)
 
 
-def route_cost(dm: DistanceMatrix, route: Route) -> float:
-    """Depot -> nodes -> depot travel cost of one route."""
+def route_cost(dm: DistanceMatrix, route: Route | Sequence[int]) -> float:
+    """Depot -> nodes -> depot travel cost of one route, given as a Route or
+    as its customer sequence."""
     d = dm.dist
     prev = 0
     total = 0.0
-    for c in route.nodes:
+    for c in route.nodes if isinstance(route, Route) else route:
         total += d[prev, c]
         prev = c
     return total + d[prev, 0]
@@ -302,17 +301,17 @@ def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> SparseGraph:
         raise ValueError("k_nn must be >= 1")
     n = dm.n
     k = min(k_nn, n - 1)
-    d = dm.dist
-    idx = np.arange(n)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        others = idx[idx != i]
-        order = others[np.lexsort((others, d[i, others]))][:k]
-        if i != 0 and 0 not in order:
-            order = np.concatenate((order[: k - 1], [0]))
-            order = order[np.lexsort((order, d[i, order]))]
-        neighbors[i] = order
-    edge_dist = d[np.arange(n)[:, None], neighbors]
+    d = dm.dist.copy()
+    np.fill_diagonal(d, np.inf)  # a node is never its own neighbour
+    idx = np.broadcast_to(np.arange(n), (n, n))
+    neighbors = np.lexsort((idx, d), axis=1)[:, :k].astype(np.int64)
+    # A customer row that lacks the depot trades its farthest neighbour for
+    # it. The depot is then strictly the farthest (with the lowest index it
+    # would have won a tie), so the row stays sorted.
+    lacks_depot = ~(neighbors == 0).any(axis=1)
+    lacks_depot[0] = False
+    neighbors[lacks_depot, k - 1] = 0
+    edge_dist = dm.dist[np.arange(n)[:, None], neighbors]
     return SparseGraph(neighbors, edge_dist, k)
 
 

@@ -1,9 +1,15 @@
 """Decomposition-augmented expert solver.
 
 A compact hybrid-genetic-search metaheuristic (giant-tour chromosomes with
-optimal Split decoding, order crossover, and 2-opt/relocate/swap/2-opt*
-local search) plus the route-barycenter clustering pipeline that partitions a
-solution into independent subproblems, solves them concurrently, and merges.
+optimal Split decoding, order crossover, and a granular local search) plus
+the route-barycenter clustering pipeline that partitions a solution into
+independent subproblems, solves them concurrently, and merges.
+
+The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
+2-opt* are tried only between a customer and its GAMMA nearest customers
+(the granular neighbourhood of Toth & Vigo, 2003), and per-route
+modification stamps skip route pairs that have not changed since they were
+last scanned. Intra-route 2-opt runs on the routes a sweep modified.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from .core import (
     Route,
     Solution,
     build_distance_matrix,
+    knn_sparsify,
     make_solution,
+    route_cost,
 )
 from .io import derive_seed
 
@@ -79,10 +87,13 @@ class Subproblem:
 # ---------------------------------------------------------------------------
 # construction + local search
 
+GAMMA = 20  # granular neighbourhood size: nearest customers tried per customer
+
 
 def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix | None = None) -> Solution:
-    """Angular sweep around the depot, greedy capacity fill, one 2-opt pass
-    per route. The seed rotates the sweep's starting customer.
+    """Angular sweep around the depot and greedy capacity fill, then 2-opt on
+    each route to a local optimum. The seed rotates the sweep's starting
+    customer.
 
     Always capacity-feasible. With a tight fleet limit the merge/repack repair
     is best-effort; a rare excess route is left for the caller's penalty
@@ -144,15 +155,6 @@ def _two_opt_route(D, route: list[int]) -> list[int]:
     return r
 
 
-def _route_cost(D, route: list[int]) -> float:
-    prev = 0
-    total = 0.0
-    for c in route:
-        total += D[prev][c]
-        prev = c
-    return total + D[prev][0]
-
-
 def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int) -> list[list[int]]:
     """Reduce the route count toward the fleet limit.
 
@@ -187,7 +189,7 @@ def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int)
 
 def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int):
     """First-fit-decreasing packing into ``limit`` routes, each sequenced by
-    nearest neighbour plus one 2-opt pass; None when packing fails."""
+    nearest neighbour and 2-opt to a local optimum; None when packing fails."""
     order = sorted(customers, key=lambda c: (-demand[c], c))
     bins: list[list[int]] = [[] for _ in range(limit)]
     loads = [0] * limit
@@ -217,150 +219,140 @@ def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int):
     return routes
 
 
-def _local_search(D, demand, capacity: int, routes: list[list[int]], cfg: HgsConfig) -> list[list[int]]:
-    """First-improvement passes over the enabled move set until stable.
+def _neighbour_lists(dm: DistanceMatrix) -> list[list[int]]:
+    """Each customer's GAMMA nearest customers (ties to the lower index),
+    indexed by node.
 
-    Moves: intra-route 2-opt, inter-route relocate and swap, and 2-opt*
-    (tail exchange between route pairs). Scan order is fixed, so the result
-    is deterministic.
+    ``knn_sparsify`` keeps the depot in every customer's list, so asking for
+    GAMMA + 1 neighbours and dropping the depot leaves min(GAMMA, N - 1)
+    customers. Row 0 (the depot) is never read.
+    """
+    rows = knn_sparsify(dm, GAMMA + 1).neighbors.tolist()
+    return [[v for v in row if v != 0] for row in rows]
+
+
+def _local_search(
+    D, demand, capacity: int, routes: list[list[int]], cfg: HgsConfig, neighbours: list[list[int]]
+) -> list[list[int]]:
+    """Granular first-improvement search over the enabled moves until stable.
+
+    Customers u = 1..N are swept in a fixed order, each against v in its
+    granular list ``neighbours[u]``. For each pair the search tries, in this
+    order: relocate u directly before or after v (the better of the two);
+    then, if u and v are in different routes, swap u and v, and 2-opt*,
+    which cuts after u and before v so that (u, v) becomes an arc. The first
+    improving move is applied and the sweep goes on. After each sweep,
+    intra-route 2-opt runs on the routes modified since their last 2-opt.
+    The search stops after a sweep with no move that leaves no route for
+    2-opt to change.
+
+    Stamps skip work exactly: a route records the clock of its last change
+    and a customer the clock of its last test, and (u, v) is skipped when
+    neither route changed since u was tested, because a move's evaluation
+    reads only those two routes. Emptied routes keep their index until the
+    search returns. The scan order is fixed, so the result is deterministic.
     """
     routes = [list(r) for r in routes if r]
-    loads = [sum(demand[c] for c in r) for r in routes]
-    improved = True
-    while improved:
-        improved = False
-        if cfg.use_relocate and _relocate_pass(D, demand, capacity, routes, loads):
-            improved = True
-        if cfg.use_swap and _swap_pass(D, demand, capacity, routes, loads):
-            improved = True
-        if cfg.use_two_opt_star and _two_opt_star_pass(D, demand, capacity, routes, loads):
-            improved = True
-        if cfg.use_two_opt:
-            for idx, r in enumerate(routes):
-                new = _two_opt_route(D, r)
-                if new != r:
-                    routes[idx] = new
-                    improved = True
-        # drop emptied routes
-        keep = [i for i, r in enumerate(routes) if r]
-        if len(keep) != len(routes):
-            routes = [routes[i] for i in keep]
-            loads = [loads[i] for i in keep]
-    return routes
+    # per customer: route, neighbours, and the load of the prefix ending there
+    route_of, pred, succ, pre = ([0] * len(demand) for _ in range(4))
+    loads = [0] * len(routes)
 
+    def index(r: int) -> None:
+        acc = prev = 0
+        for c in routes[r]:
+            route_of[c] = r
+            pred[c] = prev
+            succ[prev] = c
+            acc += demand[c]
+            pre[c] = acc
+            prev = c
+        succ[prev] = 0
+        loads[r] = acc
 
-def _relocate_pass(D, demand, capacity, routes, loads) -> bool:
-    improved = False
-    for a in range(len(routes)):
-        ra = routes[a]
-        i = 0
-        while i < len(ra):
-            c = ra[i]
-            prev = 0 if i == 0 else ra[i - 1]
-            nxt = 0 if i == len(ra) - 1 else ra[i + 1]
-            removal = D[prev][c] + D[c][nxt] - D[prev][nxt]
-            best_delta = -1e-10
-            best = None
-            for b in range(len(routes)):
-                if b != a and loads[b] + demand[c] > capacity:
+    for r in range(len(routes)):
+        index(r)
+    customers = sorted(c for r in routes for c in r)
+    clock = 0
+    modified = [0] * len(routes)
+    two_opted = [-1] * len(routes)
+    tested = [-1] * len(demand)
+    use_relocate, use_swap, use_star = cfg.use_relocate, cfg.use_swap, cfg.use_two_opt_star
+    while True:
+        moved = False
+        for u in customers:
+            last = tested[u]
+            tested[u] = clock
+            du, Du = demand[u], D[u]
+            stale = None  # u's route facts, read again after every move
+            for v in neighbours[u]:
+                if stale is None:
+                    ru, pu, su = route_of[u], pred[u], succ[u]
+                    Dpu = D[pu]
+                    gain = Dpu[u] + Du[su] - Dpu[su]  # saving from removing u
+                    stale = modified[ru] <= last
+                rv = route_of[v]
+                if stale and modified[rv] <= last:
                     continue
-                rb = routes[b]
-                for pos in range(len(rb) + 1):
-                    if b == a and (pos == i or pos == i + 1):
-                        continue
-                    p = 0 if pos == 0 else rb[pos - 1]
-                    q = 0 if pos == len(rb) else rb[pos]
-                    if p == c or q == c:
-                        continue
-                    delta = D[p][c] + D[c][q] - D[p][q] - removal
-                    if delta < best_delta:
-                        best_delta = delta
-                        best = (b, pos)
-            if best is not None:
-                b, pos = best
-                del ra[i]
-                if b == a and pos > i:
-                    pos -= 1
-                routes[b].insert(pos, c)
-                loads[a] -= demand[c]
-                loads[b] += demand[c]
-                improved = True
-            else:
-                i += 1
-    return improved
-
-
-def _swap_pass(D, demand, capacity, routes, loads) -> bool:
-    improved = False
-    for a in range(len(routes)):
-        for b in range(a + 1, len(routes)):
-            ra, rb = routes[a], routes[b]
-            for i in range(len(ra)):
-                c = ra[i]
-                pa = 0 if i == 0 else ra[i - 1]
-                na = 0 if i == len(ra) - 1 else ra[i + 1]
-                for j in range(len(rb)):
-                    d = rb[j]
-                    if loads[a] - demand[c] + demand[d] > capacity:
-                        continue
-                    if loads[b] - demand[d] + demand[c] > capacity:
-                        continue
-                    pb = 0 if j == 0 else rb[j - 1]
-                    nb = 0 if j == len(rb) - 1 else rb[j + 1]
-                    delta = (
-                        D[pa][d] + D[d][na] + D[pb][c] + D[c][nb]
-                        - D[pa][c] - D[c][na] - D[pb][d] - D[d][nb]
-                    )
-                    if delta < -1e-10:
-                        ra[i], rb[j] = d, c
-                        loads[a] += demand[d] - demand[c]
-                        loads[b] += demand[c] - demand[d]
-                        improved = True
-                        c = ra[i]
-                        pa = 0 if i == 0 else ra[i - 1]
-                        na = 0 if i == len(ra) - 1 else ra[i + 1]
-    return improved
-
-
-def _two_opt_star_pass(D, demand, capacity, routes, loads) -> bool:
-    """Exchange route tails: (a_prefix + b_suffix, b_prefix + a_suffix)."""
-    improved = False
-    for a in range(len(routes)):
-        for b in range(a + 1, len(routes)):
-            ra, rb = routes[a], routes[b]
-            pre_a = [0] * (len(ra) + 1)
-            for i, c in enumerate(ra):
-                pre_a[i + 1] = pre_a[i] + demand[c]
-            pre_b = [0] * (len(rb) + 1)
-            for j, c in enumerate(rb):
-                pre_b[j + 1] = pre_b[j] + demand[c]
-            done = False
-            for i in range(len(ra) + 1):
-                if done:
-                    break
-                u = 0 if i == 0 else ra[i - 1]
-                for j in range(len(rb) + 1):
-                    if i == 0 and j == 0:
-                        continue
-                    v = 0 if j == 0 else rb[j - 1]
-                    if pre_a[i] + (pre_b[-1] - pre_b[j]) > capacity:
-                        continue
-                    if pre_b[j] + (pre_a[-1] - pre_a[i]) > capacity:
-                        continue
-                    su = 0 if i == len(ra) else ra[i]
-                    sv = 0 if j == len(rb) else rb[j]
-                    delta = D[u][sv] + D[v][su] - D[u][su] - D[v][sv]
-                    if delta < -1e-10:
-                        new_a = ra[:i] + rb[j:]
-                        new_b = rb[:j] + ra[i:]
-                        routes[a] = new_a
-                        routes[b] = new_b
-                        loads[a] = pre_a[i] + (pre_b[-1] - pre_b[j])
-                        loads[b] = pre_b[j] + (pre_a[-1] - pre_a[i])
-                        improved = True
-                        done = True
-                        break
-    return improved
+                pv, sv, Dv = pred[v], succ[v], D[v]
+                Dpv = D[pv]
+                move = None
+                if use_relocate and (ru == rv or loads[rv] + du <= capacity):
+                    # u already next to v: that insertion restores the route
+                    before = gain if pv == u else Dpv[u] + Du[v] - Dpv[v]
+                    after = gain if sv == u else Dv[u] + Du[sv] - Dv[sv]
+                    if before <= after:
+                        if before - gain < -1e-10:
+                            move = "before"
+                    elif after - gain < -1e-10:
+                        move = "after"
+                if move is None and ru != rv:
+                    dv = demand[v]
+                    if (
+                        use_swap
+                        and loads[ru] - du + dv <= capacity
+                        and loads[rv] - dv + du <= capacity
+                        and Dpu[v] + Dv[su] + Dpv[u] + Du[sv]
+                        - Dpu[u] - Du[su] - Dpv[v] - Dv[sv] < -1e-10
+                    ):
+                        move = "swap"
+                    elif (
+                        use_star
+                        and pre[u] + loads[rv] - pre[v] + dv <= capacity
+                        and pre[v] - dv + loads[ru] - pre[u] <= capacity
+                        and Du[v] + Dpv[su] - Du[su] - Dpv[v] < -1e-10
+                    ):
+                        move = "star"
+                if move is None:
+                    continue
+                a, b = routes[ru], routes[rv]
+                if move == "swap":
+                    a[a.index(u)], b[b.index(v)] = v, u
+                elif move == "star":
+                    i, j = a.index(u) + 1, b.index(v)
+                    routes[ru], routes[rv] = a[:i] + b[j:], b[:j] + a[i:]
+                else:
+                    a.remove(u)
+                    b.insert(b.index(v) + (move == "after"), u)
+                clock += 1
+                for r in {ru, rv}:
+                    modified[r] = clock
+                    index(r)
+                moved = True
+                stale = None
+        if cfg.use_two_opt:
+            for r, route in enumerate(routes):
+                if modified[r] <= two_opted[r]:
+                    continue
+                new = _two_opt_route(D, route)
+                if new != route:
+                    routes[r] = new
+                    clock += 1
+                    modified[r] = clock
+                    index(r)
+                    moved = True
+                two_opted[r] = modified[r]
+        if not moved:
+            return [r for r in routes if r]
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +504,12 @@ def hgs_solve(
     q = instance.capacity
     limit = instance.fleet_limit
     rng = np.random.default_rng(cfg.seed)
+    neighbours = _neighbour_lists(dm)
 
     def evaluate(routes: list[list[int]], educate: bool = True) -> _Individual:
         if educate:
-            routes = _local_search(D, demand, q, routes, cfg)
-        cost = sum(_route_cost(D, r) for r in routes)
+            routes = _local_search(D, demand, q, routes, cfg, neighbours)
+        cost = sum(route_cost(dm, r) for r in routes)
         feasible = limit is None or len(routes) <= limit
         if not feasible:
             cost += _FLEET_PENALTY * (len(routes) - limit)

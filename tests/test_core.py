@@ -95,6 +95,7 @@ class TestRouteCost:
         path = [0, 3, 1, 5, 2, 4, 0]
         naive = sum(dm[path[i], path[i + 1]] for i in range(len(path) - 1))
         assert route_cost(dm, route) == pytest.approx(naive, rel=1e-12)
+        assert route_cost(dm, route.nodes) == route_cost(dm, route)
 
     def test_reversal_invariance(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,11 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeflow.core import (
     Instance,
@@ -9,10 +13,15 @@ from routeflow.core import (
     check_feasible,
     exact_solve_small,
     make_solution,
+    route_cost,
     solution_cost,
 )
 from routeflow.expert import (
+    GAMMA,
     HgsConfig,
+    _local_search,
+    _neighbour_lists,
+    _two_opt_route,
     compute_barycenters,
     decompose,
     expert_refine,
@@ -22,7 +31,7 @@ from routeflow.expert import (
     solve_subproblems,
     split_giant_tour,
 )
-from routeflow.io import generate_uniform
+from routeflow.io import generate_uniform, load_instance
 
 FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
 
@@ -141,6 +150,93 @@ class TestHgs:
             sweep = initial_solution(inst, seed, None)
             sol = hgs_solve(inst, cfg=HgsConfig(population_size=6, max_iterations=20, seed=seed))
             assert sol.total_cost <= sweep.total_cost + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_n32_k5_reaches_bks(self, seed):
+        inst = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp"))
+        sol = hgs_solve(inst, cfg=HgsConfig(max_iterations=200, seed=seed))
+        assert check_feasible(inst, sol).feasible
+        assert sol.total_cost == 784
+
+
+@st.composite
+def split_starts(draw):
+    """A random instance (n <= 30) and the Split of a random giant tour."""
+    n = draw(st.integers(1, 30))
+    grid = st.integers(0, 1000).map(lambda k: k / 1000)
+    coords = draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n))
+    demands = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    capacity = draw(st.integers(max(demands), sum(demands)))
+    inst = Instance((0.5, 0.5), tuple(coords), tuple(demands), capacity)
+    tour = draw(st.permutations(list(range(1, n + 1))))
+    D = build_distance_matrix(inst).dist.tolist()
+    demand = [0] + list(demands)
+    return inst, split_giant_tour(D, demand, capacity, tour)
+
+
+def _granular_moves(routes, u, v, cfg):
+    """Every relocate/swap/2-opt* neighbour of ``routes`` that (u, v) defines."""
+    where = {c: (r, i) for r, route in enumerate(routes) for i, c in enumerate(route)}
+    (ru, i), (rv, j) = where[u], where[v]
+    if cfg.use_relocate:
+        for after in (0, 1):
+            new = [list(r) for r in routes]
+            new[ru].remove(u)
+            new[rv].insert(new[rv].index(v) + after, u)
+            yield new
+    if ru == rv:
+        return
+    if cfg.use_swap:
+        new = [list(r) for r in routes]
+        new[ru][i], new[rv][j] = v, u
+        yield new
+    if cfg.use_two_opt_star:
+        new = [list(r) for r in routes]
+        a, b = routes[ru], routes[rv]
+        new[ru], new[rv] = a[: i + 1] + b[j:], b[:j] + a[i + 1 :]
+        yield new
+
+
+def _check_local_search(inst, start, cfg):
+    """Run ``_local_search`` and check it against brute force over Γ lists."""
+    dm = build_distance_matrix(inst)
+    D = dm.dist.tolist()
+    demand = [0] + list(inst.demands)
+    neighbours = _neighbour_lists(dm)
+    out = _local_search(D, demand, inst.capacity, start, cfg, neighbours)
+    sol = make_solution(inst, dm, out)
+    assert check_feasible(inst, sol).feasible
+    assert sol.total_cost <= solution_cost(dm, make_solution(inst, dm, start).routes) + 1e-9
+    if cfg.use_two_opt:
+        assert all(_two_opt_route(D, r) == r for r in out)
+    n = inst.n_customers
+    for u in range(1, n + 1):
+        # Γ(u): the GAMMA nearest customers, ties toward the lower index
+        gamma = sorted((v for v in range(1, n + 1) if v != u), key=lambda v: (D[u][v], v))[:GAMMA]
+        assert neighbours[u] == gamma
+        for v in gamma:
+            for new in _granular_moves(out, u, v, cfg):
+                if any(sum(demand[c] for c in r) > inst.capacity for r in new):
+                    continue
+                cost = sum(route_cost(dm, r) for r in new if r)
+                assert cost >= sol.total_cost - 1e-9, (u, v, new)
+
+
+class TestLocalSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(split_starts())
+    def test_granular_local_optimum(self, case):
+        inst, start = case
+        _check_local_search(inst, start, HgsConfig())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        split_starts(),
+        st.sampled_from(["use_two_opt", "use_relocate", "use_swap", "use_two_opt_star"]),
+    )
+    def test_each_move_switched_off(self, case, toggle):
+        inst, start = case
+        _check_local_search(inst, start, replace(HgsConfig(), **{toggle: False}))
 
 
 class TestBarycenters:
