@@ -45,9 +45,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -197,11 +194,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node.bw is not None and node.grad is not None:
             node.bw(node.grad)
-
-
-def zero_grad(params) -> None:
-    for p in params:
-        p.grad = None
 
 
 # -- dual-mode math helpers --------------------------------------------------

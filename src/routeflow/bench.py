@@ -1,5 +1,16 @@
 """Benchmark harness: objective/gap/latency measurement over instance sets,
-parameter sweeps, and text report tables."""
+parameter sweeps, and text report tables.
+
+Every entry point solves through :func:`solve`: ``run_bench`` (and so
+``sweep``) times one call per (instance, method), and ``routeflow solve``
+makes one call. Neural methods take their policy from
+:func:`load_checkpoint`. Results are written in the one CSV format of
+:mod:`routeflow.io` (``CSV_HEADER``; floats as ``repr(float(x))``; an empty
+field for a missing gap): per-instance rows sorted by (instance, method),
+then one ``(mean)`` row per method in spec order. ``sweep`` writes the same
+rows behind ``param,value`` columns, and ``report_table`` reads results back
+through ``io.read_results_csv``.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +19,23 @@ import glob as globlib
 import json
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Instance, Solution, build_distance_matrix, exact_solve_small, knn_sparsify
 from .expert import HgsConfig, expert_refine, hgs_solve, initial_solution
-from .io import CSV_HEADER, RunRecord, derive_seed, generate_batch, load_instance
+from .io import (
+    AGGREGATE,
+    CSV_HEADER,
+    RunRecord,
+    derive_seed,
+    format_record,
+    generate_batch,
+    load_instance,
+    read_results_csv,
+    write_results_csv,
+)
 from .neural import GREEDY, SAMPLE, batch_rollouts, best_of, default_knn, encode, load_policy, rollout
 
 
@@ -26,6 +47,9 @@ class MissingArtifactError(FileNotFoundError):
     """A required file (checkpoint, instance) does not exist."""
 
 
+DEFAULT_HGS = HgsConfig(max_iterations=200)
+
+
 @dataclass(frozen=True)
 class BenchSpec:
     methods: tuple[str, ...]
@@ -35,9 +59,7 @@ class BenchSpec:
     ref_table: dict | None = None  # instance name -> fixed reference objective
     checkpoint: str | None = None
     k_nn: int | None = None
-    n_rollouts: int = 100  # best-of count when the method omits one
-    hgs: HgsConfig = field(default_factory=lambda: HgsConfig(max_iterations=200))
-    m: int = 200
+    hgs: HgsConfig = DEFAULT_HGS
     seed: int = 0
     out_csv: str = "results.csv"
 
@@ -61,16 +83,15 @@ class BenchSpec:
         except json.JSONDecodeError as exc:
             raise SpecError(f"malformed spec file {path}: {exc}") from None
         kwargs = dict(raw)
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
-        if "files" in kwargs:
-            kwargs["files"] = tuple(kwargs["files"])
-        if "hgs" in kwargs:
-            kwargs["hgs"] = HgsConfig(**kwargs["hgs"])
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
             raise SpecError(f"unknown spec fields {sorted(unknown)}")
+        for name in ("methods", "files"):
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
         try:
+            if "hgs" in kwargs:
+                kwargs["hgs"] = HgsConfig(**kwargs["hgs"])
             return cls(**kwargs)
         except TypeError as exc:
             raise SpecError(str(exc)) from None
@@ -113,29 +134,45 @@ def _load_instances(spec: BenchSpec) -> list[Instance]:
     return instances
 
 
-def _solve(method: str, spec: BenchSpec, instance: Instance, seed: int, policy) -> Solution:
-    """Run one method inside the timed section (matrix + sparsification
-    included; file parsing already happened)."""
+def solve(
+    method: str,
+    instance: Instance,
+    seed: int,
+    policy=None,
+    hgs: HgsConfig = DEFAULT_HGS,
+    k_nn: int | None = None,
+) -> Solution:
+    """Solve one instance with one method at ``seed``, which replaces
+    ``hgs.seed``. Builds the distance matrix and sparsification itself, so a
+    caller timing it times those too. Neural methods need ``policy`` and
+    sparsify to ``k_nn`` neighbours, or ``default_knn`` when it is None."""
     kind, arg = _parse_method(method)
     if kind == "exact":
         return exact_solve_small(instance)
     if kind == "hgs":
-        return hgs_solve(instance, cfg=replace(spec.hgs, seed=seed))
-    if kind == "expert-refine":
-        dm = build_distance_matrix(instance)
-        start = initial_solution(instance, seed, dm)
-        return expert_refine(instance, start, arg, replace(spec.hgs, seed=seed), dm)
-    if policy is None:
-        raise MissingArtifactError("neural method requires --checkpoint")
+        return hgs_solve(instance, cfg=replace(hgs, seed=seed))
     dm = build_distance_matrix(instance)
-    k = spec.k_nn if spec.k_nn is not None else default_knn(instance.n_nodes)
-    graph = knn_sparsify(dm, k)
+    if kind == "expert-refine":
+        start = initial_solution(instance, seed, dm)
+        return expert_refine(instance, start, arg, replace(hgs, seed=seed), dm)
+    if policy is None:
+        raise MissingArtifactError("neural methods need a checkpoint")
+    graph = knn_sparsify(dm, k_nn if k_nn is not None else default_knn(instance.n_nodes))
     ctx = encode(policy, instance, graph, dm, training=False)
     if kind == "neural-greedy":
         return rollout(policy, instance, ctx, GREEDY, seed).solution
-    count = arg if arg is not None else spec.n_rollouts
-    trajs = batch_rollouts(policy, instance, ctx, count, SAMPLE, seed)
-    return best_of(trajs).solution
+    return best_of(batch_rollouts(policy, instance, ctx, arg, SAMPLE, seed)).solution
+
+
+def load_checkpoint(path: str | None):
+    """The policy of the neural methods; MissingArtifactError when no path is
+    given or the file does not exist."""
+    if path is None:
+        raise MissingArtifactError("neural methods need a checkpoint")
+    try:
+        return load_policy(path)
+    except FileNotFoundError:
+        raise MissingArtifactError(f"checkpoint not found: {path}") from None
 
 
 def run_bench(spec: BenchSpec, write_csv: bool = True) -> list[RunRecord]:
@@ -144,19 +181,14 @@ def run_bench(spec: BenchSpec, write_csv: bool = True) -> list[RunRecord]:
     instances = _load_instances(spec)
     policy = None
     if any(m.startswith("neural") for m in spec.methods):
-        if spec.checkpoint is None:
-            raise MissingArtifactError("neural methods need a checkpoint path")
-        try:
-            policy = load_policy(spec.checkpoint)
-        except FileNotFoundError:
-            raise MissingArtifactError(spec.checkpoint) from None
+        policy = load_checkpoint(spec.checkpoint)
     objectives: dict[tuple[str, str], float] = {}
     times: dict[tuple[str, str], float] = {}
     for idx, instance in enumerate(instances):
         seed = derive_seed(spec.seed, idx)
         for method in spec.methods:
             t0 = time.monotonic()
-            solution = _solve(method, spec, instance, seed, policy)
+            solution = solve(method, instance, seed, policy, spec.hgs, spec.k_nn)
             elapsed = time.monotonic() - t0
             objectives[(instance.name, method)] = solution.total_cost
             times[(instance.name, method)] = elapsed
@@ -175,10 +207,10 @@ def run_bench(spec: BenchSpec, write_csv: bool = True) -> list[RunRecord]:
                     seed=derive_seed(spec.seed, idx),
                 )
             )
-    aggregates = _aggregate(records, spec.methods)
+    records += _aggregate(records, spec.methods)
     if write_csv:
-        _write_with_aggregates(records, aggregates, spec.out_csv)
-    return records + aggregates
+        write_results_csv(records, spec.out_csv)
+    return records
 
 
 def _reference_for(spec: BenchSpec, name: str, objectives) -> float | None:
@@ -197,7 +229,7 @@ def _aggregate(records: list[RunRecord], methods) -> list[RunRecord]:
         gaps = [r.gap_pct for r in rows if r.gap_pct is not None]
         out.append(
             RunRecord(
-                instance="(mean)",
+                instance=AGGREGATE,
                 method=method,
                 obj=float(np.mean([r.obj for r in rows])),
                 gap_pct=float(np.mean(gaps)) if gaps else None,
@@ -208,66 +240,31 @@ def _aggregate(records: list[RunRecord], methods) -> list[RunRecord]:
     return out
 
 
-def _write_with_aggregates(records, aggregates, path: str) -> None:
-    rows = sorted(records, key=lambda r: (r.instance, r.method))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows + aggregates:
-            gap = "" if r.gap_pct is None else repr(r.gap_pct)
-            writer.writerow([r.instance, r.method, repr(r.obj), gap, repr(r.time_s), r.seed])
-
-
 SWEEPABLE = ("nhat", "k_nn", "m")
+_SWEPT_METHOD = {"nhat": "neural-best-of", "m": "expert-refine"}  # whose count the value sets
 
 
-def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -> list[dict]:
-    """Repeat run_bench varying one parameter; emits long-format rows."""
+def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -> list[tuple]:
+    """Repeat run_bench once per value of one parameter: ``nhat`` and ``m``
+    set the count of every ``neural-best-of-N`` or ``expert-refine-N``
+    method, ``k_nn`` the spec field. Returns (value, record) pairs, written
+    to ``out_csv`` as ``param,value`` followed by the results columns."""
     if parameter not in SWEEPABLE:
         raise SpecError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     rows = []
     for value in values:
-        if parameter == "nhat":
-            varied = replace(
-                spec,
-                n_rollouts=int(value),
-                methods=tuple(
-                    f"neural-best-of-{int(value)}" if m.startswith("neural-best-of") else m
-                    for m in spec.methods
-                ),
-            )
-        elif parameter == "k_nn":
+        if parameter == "k_nn":
             varied = replace(spec, k_nn=int(value))
         else:
-            varied = replace(
-                spec,
-                m=int(value),
-                methods=tuple(
-                    f"expert-refine-{int(value)}" if m.startswith("expert-refine") else m
-                    for m in spec.methods
-                ),
-            )
-        for r in run_bench(varied, write_csv=False):
-            rows.append(
-                {
-                    "param": parameter,
-                    "value": value,
-                    "instance": r.instance,
-                    "method": r.method,
-                    "obj": r.obj,
-                    "gap_pct": r.gap_pct,
-                    "time_s": r.time_s,
-                    "seed": r.seed,
-                }
-            )
+            prefix = _SWEPT_METHOD[parameter]
+            methods = tuple(f"{prefix}-{int(value)}" if m.startswith(prefix) else m for m in spec.methods)
+            varied = replace(spec, methods=methods)
+        rows.extend((value, r) for r in run_bench(varied, write_csv=False))
     if out_csv:
         with open(out_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["param", "value", "instance", "method", "obj", "gap_pct", "time_s", "seed"]
-            )
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({**row, "gap_pct": "" if row["gap_pct"] is None else row["gap_pct"]})
+            writer = csv.writer(fh)
+            writer.writerow(["param", "value", *CSV_HEADER])
+            writer.writerows([parameter, value, *format_record(r)] for value, r in rows)
     return rows
 
 
@@ -280,18 +277,12 @@ def report_table(csv_paths: list[str]) -> str:
     for path in csv_paths:
         label = path.rsplit("/", 1)[-1].removesuffix(".csv")
         columns.append(label)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_HEADER:
-                raise SpecError(f"{path}: unexpected header {reader.fieldnames}")
-            for row in reader:
-                if row["instance"] != "(mean)":
-                    continue
-                method = row["method"]
-                if method not in methods_order:
-                    methods_order.append(method)
-                gap = float(row["gap_pct"]) if row["gap_pct"] else None
-                cells[(method, label)] = (float(row["obj"]), gap, float(row["time_s"]))
+        for r in read_results_csv(path):
+            if r.instance != AGGREGATE:
+                continue
+            if r.method not in methods_order:
+                methods_order.append(r.method)
+            cells[(r.method, label)] = (r.obj, r.gap_pct, r.time_s)
     header = ["method"] + [f"{c} Obj | Gap% | Time(s)" for c in columns]
     lines = []
     body = []

@@ -1,6 +1,10 @@
 """Command-line entry points: gen, train, solve, bench, sweep, report.
 
 Exit codes: 0 success, 2 specification/usage error, 3 missing artifact.
+``main`` maps them in one place: any missing input file (instance, spec,
+config, checkpoint, results CSV, ``--resume`` state) exits 3, and any
+``ValueError`` (``bench.SpecError``, ``io.ParseError``, malformed JSON)
+exits 2.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import BenchSpec, MissingArtifactError, SpecError, report_table, run_bench, sweep
+from .bench import SWEEPABLE, BenchSpec, load_checkpoint, report_table, run_bench, solve, sweep
 from .core import check_feasible
 from .expert import HgsConfig
-from .io import ParseError, derive_seed, generate_uniform, write_vrplib
+from .io import derive_seed, generate_uniform, load_instance, write_vrplib
 from .neural import Dims
 from .training import TrainConfig, train
 
@@ -35,12 +39,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            print(f"config not found: {args.config}", file=sys.stderr)
-            return EXIT_MISSING
+        with open(args.config) as fh:
+            raw = json.load(fh)
         if "dims" in raw:
             raw["dims"] = Dims(**raw["dims"])
         if "expert_hgs" in raw:
@@ -61,44 +61,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .io import load_instance
-
-    if args.instance:
-        try:
-            instance = load_instance(args.instance)
-        except FileNotFoundError:
-            print(f"instance not found: {args.instance}", file=sys.stderr)
-            return EXIT_MISSING
-    else:
-        instance = generate_uniform(args.n, args.seed)
-    spec = BenchSpec(
-        methods=(args.method,),
-        synthetic=None,
-        files=(),
-        checkpoint=args.checkpoint,
-        k_nn=args.k_nn,
-        hgs=HgsConfig(
-            max_iterations=args.iterations,
-            time_budget_s=args.time_budget,
-            seed=args.seed,
-        ),
-        seed=args.seed,
-    )
-    from .bench import _solve
-
-    policy = None
-    if args.method.startswith("neural"):
-        from .neural import load_policy
-
-        if not args.checkpoint:
-            print("neural methods need --checkpoint", file=sys.stderr)
-            return EXIT_MISSING
-        try:
-            policy = load_policy(args.checkpoint)
-        except FileNotFoundError:
-            print(f"checkpoint not found: {args.checkpoint}", file=sys.stderr)
-            return EXIT_MISSING
-    solution = _solve(args.method, spec, instance, args.seed, policy)
+    instance = load_instance(args.instance) if args.instance else generate_uniform(args.n, args.seed)
+    policy = load_checkpoint(args.checkpoint) if args.method.startswith("neural") else None
+    hgs = HgsConfig(max_iterations=args.iterations, time_budget_s=args.time_budget)
+    solution = solve(args.method, instance, args.seed, policy, hgs, args.k_nn)
     report = check_feasible(instance, solution)
     print(f"instance: {instance.name or '(unnamed)'}")
     print(f"objective: {solution.total_cost:.6f}")
@@ -126,10 +92,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    for path in args.csvs:
-        if not os.path.exists(path):
-            print(f"csv not found: {path}", file=sys.stderr)
-            return EXIT_MISSING
     print(report_table(args.csvs))
     return 0
 
@@ -173,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter over a benchmark")
     p.add_argument("--spec", required=True)
-    p.add_argument("--param", required=True, choices=("nhat", "k_nn", "m"))
+    p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(fn=_cmd_sweep)
@@ -190,10 +152,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MissingArtifactError as exc:
+    except FileNotFoundError as exc:  # bench.MissingArtifactError included
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (SpecError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # bench.SpecError and io.ParseError included
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

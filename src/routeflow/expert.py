@@ -3,7 +3,7 @@
 A compact hybrid-genetic-search metaheuristic (giant-tour chromosomes with
 optimal Split decoding, order crossover, and a granular local search) plus
 the route-barycenter clustering pipeline that partitions a solution into
-independent subproblems, solves them concurrently, and merges.
+independent subproblems, solves them in turn, and merges.
 
 The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
 2-opt* are tried only between a customer and its GAMMA nearest customers
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,12 +366,11 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
     list, or None when no split satisfies the cap.
     """
     n = len(tour)
-    if max_routes is None:
-        dp = [math.inf] * (n + 1)
-        dp[0] = 0.0
-        pred = [0] * (n + 1)
+
+    def relax(src: list[float], dst: list[float], pred: list[int]) -> None:
+        # extend each reachable prefix i of src by one route tour[i:j+1]
         for i in range(n):
-            if dp[i] == math.inf:
+            if src[i] == math.inf:
                 continue
             load = 0
             inner = 0.0
@@ -384,10 +382,18 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
                     break
                 inner += D[0][c] if prev is None else D[prev][c]
                 prev = c
-                total = dp[i] + inner + D[c][0]
-                if total < dp[j + 1]:
-                    dp[j + 1] = total
+                total = src[i] + inner + D[c][0]
+                if total < dst[j + 1]:
+                    dst[j + 1] = total
                     pred[j + 1] = i
+
+    if max_routes is None:
+        # one row relaxed in place: prefix i is final when i is reached,
+        # because only prefixes before i extend to it
+        dp = [math.inf] * (n + 1)
+        dp[0] = 0.0
+        pred = [0] * (n + 1)
+        relax(dp, dp, pred)
         cut = n
         cuts = []
         while cut > 0:
@@ -400,24 +406,7 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
     pred = [[-1] * (n + 1) for _ in range(max_routes + 1)]
     dp[0][0] = 0.0
     for v in range(1, max_routes + 1):
-        row_prev = dp[v - 1]
-        for i in range(n):
-            if row_prev[i] == math.inf:
-                continue
-            load = 0
-            inner = 0.0
-            prev = None
-            for j in range(i, n):
-                c = tour[j]
-                load += demand[c]
-                if load > capacity:
-                    break
-                inner += D[0][c] if prev is None else D[prev][c]
-                prev = c
-                total = row_prev[i] + inner + D[c][0]
-                if total < dp[v][j + 1]:
-                    dp[v][j + 1] = total
-                    pred[v][j + 1] = i
+        relax(dp[v - 1], dp[v], pred[v])
     best_v = None
     best_cost = math.inf
     for v in range(1, max_routes + 1):
@@ -690,10 +679,11 @@ def _solve_one(sub: Subproblem, cfg: HgsConfig) -> Solution:
 
 
 def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig) -> list[Solution]:
-    """Solve each cluster concurrently with an even share of the budget.
+    """Solve each cluster in turn with an even share of the budget.
 
-    Results are returned in input order with per-index derived seeds, so the
-    outcome does not depend on scheduling.
+    Each cluster gets a seed derived from its index, so its result does not
+    depend on the order the clusters are solved in. The local search is pure
+    Python, so threads would run under the interpreter lock and gain nothing.
     """
     k = max(1, len(subproblems))
     per_iter = max(1, cfg.max_iterations // k)
@@ -702,8 +692,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig) -> list[Sol
         replace(cfg, max_iterations=per_iter, time_budget_s=per_time, seed=derive_seed(cfg.seed, i))
         for i in range(len(subproblems))
     ]
-    with ThreadPoolExecutor(max_workers=min(8, k)) as pool:
-        return list(pool.map(_solve_one, subproblems, configs))
+    return [_solve_one(sub, c) for sub, c in zip(subproblems, configs)]
 
 
 def expert_refine(
@@ -713,7 +702,7 @@ def expert_refine(
     cfg: HgsConfig | None = None,
     dm: DistanceMatrix | None = None,
 ) -> Solution:
-    """Decompose, solve clusters concurrently, and merge.
+    """Decompose, solve the clusters, and merge.
 
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum

@@ -272,17 +272,25 @@ class RunRecord:
 
 
 CSV_HEADER = ["instance", "method", "obj", "gap_pct", "time_s", "seed"]
+AGGREGATE = "(mean)"  # pseudo-instance name of the per-method aggregate rows
+
+
+def format_record(r: RunRecord) -> list:
+    """One CSV row under ``CSV_HEADER``: floats as ``repr(float(x))``, which
+    reads back exactly, and a missing gap as an empty field."""
+    gap = "" if r.gap_pct is None else repr(float(r.gap_pct))
+    return [r.instance, r.method, repr(float(r.obj)), gap, repr(float(r.time_s)), r.seed]
 
 
 def write_results_csv(records: list[RunRecord], path: str) -> None:
-    """Write records sorted by (instance, method) under the fixed header."""
-    rows = sorted(records, key=lambda r: (r.instance, r.method))
+    """Write per-instance records sorted by (instance, method), then the
+    ``AGGREGATE`` records in the order given, under the fixed header."""
+    rows = sorted((r for r in records if r.instance != AGGREGATE), key=lambda r: (r.instance, r.method))
+    rows += [r for r in records if r.instance == AGGREGATE]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in rows:
-            gap = "" if r.gap_pct is None else repr(r.gap_pct)
-            writer.writerow([r.instance, r.method, repr(r.obj), gap, repr(r.time_s), r.seed])
+        writer.writerows(format_record(r) for r in rows)
 
 
 def read_results_csv(path: str) -> list[RunRecord]:
@@ -290,7 +298,7 @@ def read_results_csv(path: str) -> list[RunRecord]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER:
-            raise ParseError(f"unexpected CSV header {reader.fieldnames}")
+            raise ParseError(f"{path}: unexpected CSV header {reader.fieldnames}")
         for row in reader:
             records.append(
                 RunRecord(

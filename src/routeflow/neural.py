@@ -499,16 +499,15 @@ def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One complete construction episode and its log-probabilities.
+    """One complete construction episode and its forward log-probability.
 
     Construction states are action prefixes with a unique parent each, so the
-    backward probability is identically 1 (log_pb = 0).
+    backward probability is identically 1 and needs no field.
     """
 
     actions: tuple[int, ...]
     solution: Solution
     log_pf: float
-    log_pb: float = 0.0
 
     def arcs(self) -> list[tuple[int, int]]:
         return list(zip((0,) + self.actions, self.actions))

@@ -1,0 +1,140 @@
+"""The benchmark layer: one solve path for every method, the checkpoint
+loader, the spec fields, and the results and sweep CSVs."""
+
+import dataclasses
+import json
+
+import pytest
+
+from routeflow import bench
+from routeflow.core import build_distance_matrix, check_feasible, exact_solve_small, knn_sparsify
+from routeflow.expert import HgsConfig, expert_refine, hgs_solve, initial_solution
+from routeflow.io import AGGREGATE, generate_batch, generate_uniform, read_results_csv
+from routeflow.neural import GREEDY, Dims, encode, init_params, rollout, save_policy
+
+FAST = HgsConfig(max_iterations=15)
+
+
+@pytest.fixture
+def policy():
+    return init_params(Dims(n_layers=1, n_heads=2, d_units=8), 4)
+
+
+class TestSolve:
+    def test_methods_match_their_solvers(self, policy):
+        inst = generate_uniform(8, 3)
+        dm = build_distance_matrix(inst)
+        expected = {
+            "exact": exact_solve_small(inst),
+            "hgs": hgs_solve(inst, cfg=dataclasses.replace(FAST, seed=7)),
+            "expert-refine-4": expert_refine(
+                inst, initial_solution(inst, 7, dm), 4, dataclasses.replace(FAST, seed=7), dm
+            ),
+            "neural-greedy": rollout(
+                policy, inst, encode(policy, inst, knn_sparsify(dm, 3), dm, training=False), GREEDY, 7
+            ).solution,
+        }
+        for method, solution in expected.items():
+            assert bench.solve(method, inst, 7, policy, FAST, k_nn=3) == solution, method
+
+    @pytest.mark.parametrize("method", ["hgs", "exact", "expert-refine-3", "neural-greedy", "neural-best-of-5"])
+    def test_feasible(self, method, policy):
+        inst = generate_uniform(7, 11)
+        solution = bench.solve(method, inst, 2, policy, FAST)
+        assert check_feasible(inst, solution).feasible
+
+    def test_neural_method_needs_a_policy(self):
+        with pytest.raises(bench.MissingArtifactError):
+            bench.solve("neural-greedy", generate_uniform(5, 0), 0)
+
+    @pytest.mark.parametrize("method", ["neural-best-of", "expert-refine-", "2-opt"])
+    def test_unknown_method(self, method):
+        with pytest.raises(bench.SpecError):
+            bench.solve(method, generate_uniform(5, 0), 0)
+
+
+class TestLoadCheckpoint:
+    def test_no_path(self):
+        with pytest.raises(bench.MissingArtifactError):
+            bench.load_checkpoint(None)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(bench.MissingArtifactError):
+            bench.load_checkpoint(str(tmp_path / "no.json"))
+
+    def test_round_trip(self, policy, tmp_path):
+        path = str(tmp_path / "p.json")
+        save_policy(policy, path)
+        loaded = bench.load_checkpoint(path)
+        inst = generate_uniform(6, 1)
+        assert bench.solve("neural-greedy", inst, 0, loaded) == bench.solve("neural-greedy", inst, 0, policy)
+
+
+class TestSpec:
+    def test_fields(self):
+        assert set(bench.BenchSpec.__dataclass_fields__) == {
+            "methods", "synthetic", "files", "reference", "ref_table",
+            "checkpoint", "k_nn", "hgs", "seed", "out_csv",
+        }
+        assert bench.BenchSpec(methods=("hgs",), synthetic={"n": 3, "count": 1}).hgs == bench.DEFAULT_HGS
+
+    def test_from_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "methods": ["hgs", "exact"], "files": ["a.vrp"], "hgs": {"max_iterations": 9}, "k_nn": 4,
+        }))
+        spec = bench.BenchSpec.from_json(str(path))
+        assert spec.methods == ("hgs", "exact") and spec.files == ("a.vrp",)
+        assert spec.hgs == HgsConfig(max_iterations=9) and spec.k_nn == 4
+
+
+class TestRunBench:
+    def spec(self, tmp_path, **fields):
+        base = dict(
+            methods=("hgs", "exact"), synthetic={"n": 6, "count": 3, "seed": 5},
+            hgs=FAST, seed=2, out_csv=str(tmp_path / "r.csv"),
+        )
+        return bench.BenchSpec(**{**base, **fields})
+
+    def test_records_and_csv_agree(self, tmp_path):
+        spec = self.spec(tmp_path, reference="exact")
+        records = bench.run_bench(spec)
+        assert read_results_csv(spec.out_csv) == sorted(
+            records[:-2], key=lambda r: (r.instance, r.method)
+        ) + records[-2:]
+        assert [(r.instance, r.method) for r in records[-2:]] == [(AGGREGATE, "hgs"), (AGGREGATE, "exact")]
+        for r in records[:-2]:
+            assert r.gap_pct == bench.gap_percent(r.obj, next(
+                x.obj for x in records if x.instance == r.instance and x.method == "exact"
+            ))
+        names = [inst.name for inst in generate_batch(6, 3, 5)]
+        assert [r.instance for r in records[:-2]] == [n for n in names for _ in range(2)]
+
+    def test_ref_table_gaps(self, tmp_path):
+        name = generate_batch(6, 1, 5)[0].name
+        spec = self.spec(tmp_path, methods=("hgs",), synthetic={"n": 6, "count": 1, "seed": 5},
+                         ref_table={name: 2.0})
+        record, mean = bench.run_bench(spec, write_csv=False)
+        assert record.gap_pct == bench.gap_percent(record.obj, 2.0) == mean.gap_pct
+
+    def test_sweep_returns_the_rows_it_writes(self, tmp_path):
+        spec = self.spec(tmp_path, methods=("expert-refine-2", "hgs"))
+        out = tmp_path / "sweep.csv"
+        rows = bench.sweep(spec, "m", [2, 4], out_csv=str(out))
+        assert [(v, r.method) for v, r in rows if r.instance == AGGREGATE] == [
+            (2, "expert-refine-2"), (2, "hgs"), (4, "expert-refine-4"), (4, "hgs"),
+        ]
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + len(rows) == 1 + 2 * (3 * 2 + 2)
+        assert lines[1].startswith(f"m,2,{rows[0][1].instance},{rows[0][1].method},{float(rows[0][1].obj)!r},")
+
+    def test_sweep_rejects_other_parameters(self, tmp_path):
+        with pytest.raises(bench.SpecError):
+            bench.sweep(self.spec(tmp_path), "population_size", [2])
+
+    def test_report_reads_the_aggregates(self, tmp_path):
+        spec = self.spec(tmp_path, methods=("exact",), reference="exact")
+        (mean,) = [r for r in bench.run_bench(spec) if r.instance == AGGREGATE]
+        table = bench.report_table([spec.out_csv]).splitlines()
+        assert table[0].startswith("method  r Obj | Gap% | Time(s)")
+        assert table[2].split()[:4] == ["exact", f"{mean.obj:.6f}", "|", "0.00"]

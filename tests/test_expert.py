@@ -111,6 +111,21 @@ class TestSplit:
         assert len(routes) == 2
         assert all(sum(demand[c] for c in r) <= 6 for r in routes)
 
+    def test_cap_of_one_route_per_customer_matches_unlimited(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            inst = generate_uniform(n, 500 + trial)
+            dm = build_distance_matrix(inst)
+            D = dm.dist.tolist()
+            demand = [0] + list(inst.demands)
+            capacity = int(rng.integers(max(demand), sum(demand) + 1))
+            tour = [int(c) for c in rng.permutation(np.arange(1, n + 1))]
+            unlimited = split_giant_tour(D, demand, capacity, tour)
+            capped = split_giant_tour(D, demand, capacity, tour, max_routes=n)
+            cost = [sum(route_cost(dm, r) for r in routes) for routes in (unlimited, capped)]
+            assert abs(cost[0] - cost[1]) <= 1e-12
+
 
 class TestHgs:
     def test_matches_exact_on_tiny(self):

@@ -5,6 +5,7 @@ import pytest
 
 from routeflow.core import CONTINUOUS, ROUNDED, build_distance_matrix, make_solution
 from routeflow.io import (
+    AGGREGATE,
     ParseError,
     RunRecord,
     derive_seed,
@@ -199,4 +200,24 @@ class TestResultsCsv:
         rec = RunRecord("x", "exact", 12.3456789, -2.76, 0.001, 42)
         path = tmp_path / "r.csv"
         write_results_csv([rec], str(path))
+        assert read_results_csv(str(path)) == [rec]
+
+    def test_aggregates_last_in_given_order(self, tmp_path):
+        records = [
+            RunRecord(AGGREGATE, "m1", 2.0, None, 0.1, 0),
+            RunRecord("b", "m0", 1.0, None, 0.1, 0),
+            RunRecord(AGGREGATE, "m0", 1.0, None, 0.1, 0),
+            RunRecord("a", "m1", 3.0, None, 0.1, 0),
+        ]
+        path = tmp_path / "r.csv"
+        write_results_csv(records, str(path))
+        assert [(r.instance, r.method) for r in read_results_csv(str(path))] == [
+            ("a", "m1"), ("b", "m0"), (AGGREGATE, "m1"), (AGGREGATE, "m0"),
+        ]
+
+    def test_numpy_scalars_written_as_plain_floats(self, tmp_path):
+        rec = RunRecord("x", "hgs", np.float64(3.25), np.float64(-0.5), np.float64(0.125), 1)
+        path = tmp_path / "r.csv"
+        write_results_csv([rec], str(path))
+        assert path.read_text().splitlines()[1] == "x,hgs,3.25,-0.5,0.125,1"
         assert read_results_csv(str(path)) == [rec]

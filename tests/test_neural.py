@@ -282,7 +282,6 @@ class TestRollout:
         traj = rollout(policy, inst, graph, SAMPLE, seed=0)
         assert traj.actions == (1, 0)
         assert traj.log_pf == 0.0
-        assert traj.log_pb == 0.0
 
     def test_greedy_deterministic(self):
         inst, dm, graph, policy = small_setup(n=15, seed=9, k=4)
