@@ -1,7 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float64 ndarray and records its parents plus a backward
-closure; ``backward(loss)`` runs the tape in reverse topological order. The
+closure; ``backward(loss)`` runs the tape in reverse topological order. A
+closure never captures its own output Tensor: that would be a reference
+cycle, and the tape would then wait for the cyclic collector instead of
+being freed as soon as the loss goes out of scope. The
 module-level math helpers (exp, take, segment_sum, ...) dispatch on input
 type, so the same forward code can run either on raw arrays (fast inference)
 or on Tensors (training with exact gradients).
@@ -201,8 +204,9 @@ def backward(loss: Tensor) -> None:
 
 def exp(x):
     if isinstance(x, Tensor):
-        out = Tensor(np.exp(x.data), (x,))
-        out.bw = lambda g: x._accumulate(g * out.data)
+        val = np.exp(x.data)
+        out = Tensor(val, (x,))
+        out.bw = lambda g: x._accumulate(g * val)
         return out
     return np.exp(x)
 
@@ -217,8 +221,9 @@ def log(x):
 
 def sqrt(x):
     if isinstance(x, Tensor):
-        out = Tensor(np.sqrt(x.data), (x,))
-        out.bw = lambda g: x._accumulate(g * 0.5 / out.data)
+        val = np.sqrt(x.data)
+        out = Tensor(val, (x,))
+        out.bw = lambda g: x._accumulate(g * 0.5 / val)
         return out
     return np.sqrt(x)
 
@@ -227,7 +232,7 @@ def sigmoid(x):
     if isinstance(x, Tensor):
         val = 1.0 / (1.0 + np.exp(-x.data))
         out = Tensor(val, (x,))
-        out.bw = lambda g: x._accumulate(g * out.data * (1.0 - out.data))
+        out.bw = lambda g: x._accumulate(g * val * (1.0 - val))
         return out
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -252,8 +257,6 @@ def log_sigmoid(x):
 
 
 def square(x):
-    if isinstance(x, Tensor):
-        return x * x
     return x * x
 
 
@@ -336,28 +339,11 @@ def concat(xs, axis=0):
 
 
 def mean(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        return x.mean(axis=axis, keepdims=keepdims)
     return x.mean(axis=axis, keepdims=keepdims)
 
 
 def asum(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
     return x.sum(axis=axis, keepdims=keepdims)
-
-
-def stack_scalars(xs) -> Tensor:
-    """1-D tensor from a list of scalar Tensors (for batched losses)."""
-    xs = [as_tensor(x) for x in xs]
-    out = Tensor(np.array([x.data for x in xs], dtype=np.float64), tuple(xs))
-
-    def bw(g):
-        for i, x in enumerate(xs):
-            x._accumulate(np.asarray(g[i]))
-
-    out.bw = bw
-    return out
 
 
 def value(x) -> np.ndarray:

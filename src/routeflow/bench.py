@@ -247,8 +247,9 @@ _SWEPT_METHOD = {"nhat": "neural-best-of", "m": "expert-refine"}  # whose count 
 def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -> list[tuple]:
     """Repeat run_bench once per value of one parameter: ``nhat`` and ``m``
     set the count of every ``neural-best-of-N`` or ``expert-refine-N``
-    method, ``k_nn`` the spec field. Returns (value, record) pairs, written
-    to ``out_csv`` as ``param,value`` followed by the results columns."""
+    method, and of ``reference`` when it names one; ``k_nn`` sets the spec
+    field. Returns (value, record) pairs, written to ``out_csv`` as
+    ``param,value`` followed by the results columns."""
     if parameter not in SWEEPABLE:
         raise SpecError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     rows = []
@@ -257,8 +258,9 @@ def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -
             varied = replace(spec, k_nn=int(value))
         else:
             prefix = _SWEPT_METHOD[parameter]
-            methods = tuple(f"{prefix}-{int(value)}" if m.startswith(prefix) else m for m in spec.methods)
-            varied = replace(spec, methods=methods)
+            rename = lambda m: f"{prefix}-{int(value)}" if m.startswith(prefix) else m
+            reference = None if spec.reference is None else rename(spec.reference)
+            varied = replace(spec, methods=tuple(map(rename, spec.methods)), reference=reference)
         rows.extend((value, r) for r in run_bench(varied, write_csv=False))
     if out_csv:
         with open(out_csv, "w", newline="") as fh:

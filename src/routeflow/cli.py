@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 specification/usage error, 3 missing artifact.
 ``main`` maps them in one place: any missing input file (instance, spec,
 config, checkpoint, results CSV, ``--resume`` state) exits 3, and any
-``ValueError`` (``bench.SpecError``, ``io.ParseError``, malformed JSON)
-exits 2.
+``ValueError`` (``bench.SpecError``, ``io.ParseError``, malformed JSON, an
+unknown field in a ``train --config`` file) exits 2.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if "dims" in raw:
-            raw["dims"] = Dims(**raw["dims"])
-        if "expert_hgs" in raw:
-            raw["expert_hgs"] = HgsConfig(**raw["expert_hgs"])
-        cfg = TrainConfig(**raw)
+        try:
+            if "dims" in raw:
+                raw["dims"] = Dims(**raw["dims"])
+            if "expert_hgs" in raw:
+                raw["expert_hgs"] = HgsConfig(**raw["expert_hgs"])
+            cfg = TrainConfig(**raw)
+        except TypeError as exc:  # an unknown field
+            raise ValueError(f"bad train config {args.config}: {exc}") from None
     else:
         cfg = TrainConfig()
     overrides = {}

@@ -12,16 +12,20 @@ trajectories once, in numpy, into flat (step, candidate) index arrays and
 scores them with one gather and a segment log-sum-exp on the tape. The
 single-state API (``initial_state``, ``valid_actions``, ``decode_step``,
 ``apply_action``) is the reference both reproduce. The discriminator reuses
-the encoder architecture and scores every sparse edge with a sigmoid head.
+the encoder and scores a trajectory by the log-sigmoids of its arcs.
 
-Parameters live in plain float64 arrays; ``lift_*`` mirrors a container into
-autodiff Tensors for training, and the same forward code serves both modes.
+Parameters live in plain float64 arrays; ``lift`` mirrors a container into
+autodiff Tensors for training, and the same forward code serves both modes:
+``encode`` on a lifted policy puts the projections on the tape, where the
+rollouts read their values and ``batch_log_pf`` differentiates through them.
+Batch-norm running statistics update exactly when a training-mode forward
+runs on the tape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,14 +101,10 @@ class EdgeIndex:
     dst: np.ndarray
     dist: np.ndarray
     adj: tuple[tuple[int, ...], ...]
-    lookup: dict = field(repr=False)
 
     @property
     def n_edges(self) -> int:
         return len(self.src)
-
-    def edge_id(self, i: int, j: int) -> int:
-        return self.lookup[(i, j)]
 
 
 def build_edge_index(graph: SparseGraph) -> EdgeIndex:
@@ -121,8 +121,7 @@ def build_edge_index(graph: SparseGraph) -> EdgeIndex:
     src, dst, dist = keys // n, keys % n, dist[::-1][last]
     offsets = np.searchsorted(src, np.arange(n + 1))
     adj = tuple(tuple(dst[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:]))
-    lookup = {p: e for e, p in enumerate(zip(src.tolist(), dst.tolist()))}
-    return EdgeIndex(n, src, dst, dist, adj, lookup)
+    return EdgeIndex(n, src, dst, dist, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def parameter_count(container) -> int:
 # -- Tensor mirrors for training --------------------------------------------
 
 
-def _lift(container):
+def lift(container):
     """Mirror of a parameter container: each trained array becomes a copied
     Tensor and each sub-container a mirror; the dims and the batch-norm
     running statistics stay shared, not differentiated."""
@@ -284,18 +283,10 @@ def _lift(container):
         elif isinstance(val, np.ndarray):
             setattr(out, key, F.parameter(val))
         elif isinstance(val, list):
-            setattr(out, key, [_lift(v) for v in val])
+            setattr(out, key, [lift(v) for v in val])
         else:
-            setattr(out, key, _lift(val))
+            setattr(out, key, lift(val))
     return out
-
-
-def lift_policy(policy: PolicyParams) -> PolicyParams:
-    return _lift(policy)
-
-
-def lift_disc(disc: DiscParams) -> DiscParams:
-    return _lift(disc)
 
 
 def backward_grads(lifted) -> dict[str, np.ndarray]:
@@ -316,12 +307,12 @@ def _segment_max(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return buf
 
 
-def _batchnorm(layer: GatLayer, x, training: bool, update_running: bool):
+def _batchnorm(layer: GatLayer, x, training: bool):
     if training:
         mu = F.mean(x, axis=0, keepdims=True)
         centered = x - mu
         var = F.mean(F.square(centered), axis=0, keepdims=True)
-        if update_running:
+        if isinstance(x, F.Tensor):  # a training forward on the tape
             layer.run_mean[:] = BN_MOMENTUM * layer.run_mean + (1 - BN_MOMENTUM) * F.value(mu)[0]
             layer.run_var[:] = BN_MOMENTUM * layer.run_var + (1 - BN_MOMENTUM) * F.value(var)[0]
         xhat = centered / F.sqrt(var + BN_EPS)
@@ -330,8 +321,7 @@ def _batchnorm(layer: GatLayer, x, training: bool, update_running: bool):
     return xhat * layer.gamma + layer.beta
 
 
-def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool = False,
-              update_running: bool = False):
+def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool = False):
     """Node embeddings (n, d_units) for a sparsified instance graph.
 
     Per layer and head: additive attention scores on projected node pairs
@@ -366,7 +356,7 @@ def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool
             aggr = aggr * (1.0 / n_heads)
         else:
             aggr = F.concat(outs, axis=1)
-        h = h + _batchnorm(layer, F.leaky_relu(aggr, LEAKY_SLOPE), training, update_running)
+        h = h + _batchnorm(layer, F.leaky_relu(aggr, LEAKY_SLOPE), training)
     return h
 
 
@@ -393,13 +383,14 @@ class RolloutState:
 @dataclass
 class DecodeContext:
     """Static data a rollout needs: embeddings, their decoder projections
-    (see ``_project``), adjacency, demands, costs."""
+    (see ``_project``), adjacency, demands, costs. From a lifted policy the
+    embeddings and projections are Tensors on the tape."""
 
     instance: Instance
     ei: EdgeIndex
-    emb: np.ndarray
+    emb: np.ndarray | F.Tensor
     dm: DistanceMatrix
-    proj: tuple[np.ndarray, np.ndarray]
+    proj: tuple
 
 
 def _project(dec: DecoderParams, emb):
@@ -412,9 +403,11 @@ def _project(dec: DecoderParams, emb):
 
 def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
            dm: DistanceMatrix | None = None, training: bool = False) -> DecodeContext:
+    """One encoder pass and its decoder projections; generic over modes, so
+    a lifted policy gives a context on the tape."""
     ei = build_edge_index(graph)
     feats = node_features(instance)
-    emb = F.value(gat_embed(policy.gat, ei, feats, training))
+    emb = gat_embed(policy.gat, ei, feats, training)
     if dm is None:
         dm = build_distance_matrix(instance)
     return DecodeContext(instance, ei, emb, dm, _project(policy.dec, emb))
@@ -509,9 +502,6 @@ class Trajectory:
     solution: Solution
     log_pf: float
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return list(zip((0,) + self.actions, self.actions))
-
 
 GREEDY = "greedy"
 EPSILON_GREEDY = "epsilon_greedy"
@@ -568,11 +558,13 @@ def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: st
     a lone rollout would: a sample takes one draw and compares it with the
     step's cdf (``Generator.choice`` with ``p``), an epsilon test takes one
     before it. A rollout takes at most 2 * n_customers steps, so its
-    largest possible share of the stream is drawn up front.
+    largest possible share of the stream is drawn up front. The steps read
+    the values of ``ctx.proj``, so a context on the tape serves as well.
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
     instance = ctx.instance
+    proj = tuple(F.value(p) for p in ctx.proj)
     count, n, max_steps = len(seeds), instance.n_nodes, 2 * instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
@@ -591,7 +583,7 @@ def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: st
         r, c = mask.nonzero()
         cur = runs.current[rows][r]
         logits = np.concatenate([
-            _pair_logits(policy.dec, ctx.proj, cur[i : i + _SLICE], c[i : i + _SLICE])
+            _pair_logits(policy.dec, proj, cur[i : i + _SLICE], c[i : i + _SLICE])
             for i in range(0, c.size, _SLICE)
         ])
         probs = np.zeros(mask.shape)
@@ -622,29 +614,25 @@ def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: st
     return out
 
 
-def _context(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
-             training_bn: bool) -> DecodeContext:
-    if isinstance(graph, DecodeContext):
-        return graph
-    return encode(policy, instance, graph, training=training_bn)
+def _context(policy: PolicyParams, instance: Instance,
+             graph: SparseGraph | DecodeContext) -> DecodeContext:
+    return graph if isinstance(graph, DecodeContext) else encode(policy, instance, graph)
 
 
 def rollout(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
-            mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05,
-            training_bn: bool = False) -> Trajectory:
+            mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05) -> Trajectory:
     """Construct one solution starting and ending at the depot.
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
     sample; the recorded log-probability is always the policy's own, not the
     behaviour distribution's. A batch of one of ``batch_rollouts``.
     """
-    ctx = _context(policy, instance, graph, training_bn)
-    return _decode(policy, ctx, [seed], mode, epsilon)[0]
+    return _decode(policy, _context(policy, instance, graph), [seed], mode, epsilon)[0]
 
 
 def batch_rollouts(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
-                   count: int, mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05,
-                   training_bn: bool = False) -> list[Trajectory]:
+                   count: int, mode: str = SAMPLE, seed: int = 0,
+                   epsilon: float = 0.05) -> list[Trajectory]:
     """Independent rollouts with per-index derived seeds (prefix-shared, so a
     larger count extends rather than reshuffles a smaller one).
 
@@ -656,7 +644,7 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, graph: SparseGraph 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ctx = _context(policy, instance, graph, training_bn)
+    ctx = _context(policy, instance, graph)
     return _decode(policy, ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
 
 
@@ -706,54 +694,33 @@ def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
     return _Tape(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def _tape_log_pf(dec: DecoderParams, proj, tape: _Tape, count: int):
-    """(count,) log-probabilities of a tape's trajectories: every logit from
-    one gather of the projections, one segment log-sum-exp over the steps,
-    one segment sum into the trajectories (generic over both modes)."""
-    logits = _pair_logits(dec, proj, tape.cur, tape.cand)
-    steps = F.take(logits, tape.pick) - F.segment_logsumexp(logits, tape.step, len(tape.pick))
-    return F.segment_sum(steps, tape.owner, count)
+def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
+    """A solution's action sequence: each route's customers, then the depot."""
+    return tuple(a for route in solution.routes for a in (*route.nodes, 0))
 
 
-def trajectory_from_solution(policy: PolicyParams, ctx: DecodeContext,
-                             solution: Solution) -> Trajectory:
-    """Re-express a solution as an action sequence, scoring it under the
-    current policy (used to book expert-refined positives). The score is
-    -inf when an action is not admissible, e.g. an arc off the sparse graph."""
-    actions: list[int] = []
-    for route in solution.routes:
-        actions.extend(route.nodes)
-        actions.append(0)
-    tape = _replay(ctx.instance, ctx.ei, [actions])
-    log_pf = -np.inf
-    if (tape.pick >= 0).all():
-        log_pf = float(_tape_log_pf(policy.dec, ctx.proj, tape, 1)[0])
-    return Trajectory(tuple(actions), solution, log_pf)
-
-
-def batch_log_pf(lifted: PolicyParams, ei: EdgeIndex, feats: NodeFeatures,
-                 instance: Instance, trajectories: list[Trajectory],
-                 training: bool = True, update_running: bool = False) -> F.Tensor:
+def batch_log_pf(policy: PolicyParams, ctx: DecodeContext,
+                 trajectories: list[Trajectory]) -> F.Tensor:
     """Differentiable forward log-probabilities of fixed action sequences.
 
-    One encoder pass and one projection serve the batch. The trajectories
-    are replayed once, in numpy, into a flat tape of (step, candidate)
-    entries, so the tape grows by O(encoder layers) nodes, not by steps.
-    Returns a (T,) tensor.
+    Scores from the projections of ``ctx``, which must come from ``encode``
+    with this policy (a lifted one for gradients). The trajectories are
+    replayed once, in numpy, into a flat tape of (step, candidate) entries;
+    every logit then comes from one gather of the projections, one segment
+    log-sum-exp over the steps and one segment sum into the trajectories,
+    so the tape grows by O(1) nodes, not by steps. Returns a (T,) tensor
+    (an array in array mode).
     """
-    emb = gat_embed(lifted.gat, ei, feats, training, update_running)
-    tape = _replay(instance, ei, [t.actions for t in trajectories])
+    tape = _replay(ctx.instance, ctx.ei, [t.actions for t in trajectories])
     if (tape.pick < 0).any():
         raise ValueError("a trajectory takes an action that is not admissible")
-    return _tape_log_pf(lifted.dec, _project(lifted.dec, emb), tape, len(trajectories))
+    logits = _pair_logits(policy.dec, ctx.proj, tape.cur, tape.cand)
+    steps = F.take(logits, tape.pick) - F.segment_logsumexp(logits, tape.step, len(tape.pick))
+    return F.segment_sum(steps, tape.owner, len(trajectories))
 
 
 # ---------------------------------------------------------------------------
 # discriminator
-
-
-class MissingEdgeError(KeyError):
-    """A trajectory arc is absent from the scored edge set."""
 
 
 @dataclass
@@ -763,15 +730,9 @@ class EdgeProbMatrix:
     ei: EdgeIndex
     probs: np.ndarray  # (E,)
 
-    def prob(self, i: int, j: int) -> float:
-        key = (i, j)
-        if key not in self.ei.lookup:
-            raise MissingEdgeError(f"arc {key} not in the scored edge set")
-        return float(self.probs[self.ei.lookup[key]])
-
 
 def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                     training: bool = False, update_running: bool = False,
+                     training: bool = False,
                      pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
     """Raw edge scores prior to the sigmoid (generic over both modes).
 
@@ -779,7 +740,7 @@ def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
     that edge set but any (src, dst, dist) arrays may be supplied — e.g. for
     expert arcs that fall outside the sparsified neighbourhoods.
     """
-    emb = gat_embed(disc.gat, ei, feats, training, update_running)
+    emb = gat_embed(disc.gat, ei, feats, training)
     if pairs is None:
         src, dst, dist = ei.src, ei.dst, ei.dist
     else:
@@ -793,46 +754,33 @@ def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
     return hidden @ disc.w2 + disc.b2
 
 
-def disc_forward(disc: DiscParams, instance: Instance, graph: SparseGraph | EdgeIndex,
+def disc_forward(disc: DiscParams, instance: Instance, graph: SparseGraph,
                  training: bool = False) -> EdgeProbMatrix:
-    ei = graph if isinstance(graph, EdgeIndex) else build_edge_index(graph)
+    ei = build_edge_index(graph)
     feats = node_features(instance)
     logits = F.value(disc_edge_logits(disc, ei, feats, training))
     return EdgeProbMatrix(ei, F.sigmoid(logits))
 
 
-def disc_score(matrix: EdgeProbMatrix, trajectory: Trajectory) -> float:
-    """Sum of log edge probabilities along the trajectory; always <= 0."""
-    total = 0.0
-    for i, j in trajectory.arcs():
-        total += np.log(matrix.prob(i, j))
-    return float(total)
-
-
 def disc_traj_scores_t(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                       dm: DistanceMatrix, trajectories: list[Trajectory],
-                       training: bool = True, update_running: bool = False) -> F.Tensor:
-    """Differentiable log-scores of trajectories ((T,) tensor).
+                       dm: DistanceMatrix, sequences: list, training: bool = True):
+    """Log-scores of action sequences, each the sum of log σ(edge logit)
+    over its arcs from the depot on; always <= 0. A (T,) tensor for a lifted
+    discriminator, an array otherwise.
 
-    Scores exactly the union of the trajectories' arcs, so expert routes may
-    use arcs beyond the sparse graph.
+    Scores exactly the union of the sequences' arcs (one ``np.unique`` over
+    arc keys), so expert routes may use arcs beyond the sparse graph; one
+    gather and one segment sum then give each sequence its total.
     """
-    arc_rows: dict[tuple[int, int], int] = {}
-    per_traj: list[np.ndarray] = []
-    for traj in trajectories:
-        rows = []
-        for arc in traj.arcs():
-            if arc not in arc_rows:
-                arc_rows[arc] = len(arc_rows)
-            rows.append(arc_rows[arc])
-        per_traj.append(np.array(rows, dtype=np.int64))
-    arcs = list(arc_rows)
-    src = np.array([a[0] for a in arcs], dtype=np.int64)
-    dst = np.array([a[1] for a in arcs], dtype=np.int64)
-    dist = dm.dist[src, dst]
-    logits = disc_edge_logits(disc, ei, feats, training, update_running, (src, dst, dist))
-    log_probs = F.log_sigmoid(logits)
-    return F.stack_scalars([F.asum(F.take(log_probs, rows)) for rows in per_traj])
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    dst = np.array([a for s in sequences for a in s], dtype=np.int64)
+    src = np.concatenate(([0], dst[:-1]))
+    src[lengths.cumsum() - lengths] = 0
+    keys, arc = np.unique(src * ei.n + dst, return_inverse=True)
+    src, dst = keys // ei.n, keys % ei.n
+    logits = disc_edge_logits(disc, ei, feats, training, (src, dst, dm.dist[src, dst]))
+    owner = np.repeat(np.arange(len(sequences)), lengths)
+    return F.segment_sum(F.take(F.log_sigmoid(logits), arc), owner, len(sequences))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Adversarial training loop: trajectory-balance generator updates against a
 least-squares discriminator, with expert-refined positives.
 
+A generator update encodes each instance once, on the lifted policy, and
+scores its rollouts with the frozen discriminator through the
+``disc_traj_scores_t`` that the discriminator update trains through.
+Positives are action sequences, scored only by the discriminator.
+
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
 """
@@ -26,7 +31,6 @@ from .neural import (
     GREEDY,
     SAMPLE,
     PolicyParams,
-    Trajectory,
     backward_grads,
     batch_log_pf,
     batch_rollouts,
@@ -34,15 +38,12 @@ from .neural import (
     build_edge_index,
     container_payload,
     default_knn,
-    disc_forward,
-    disc_score,
     disc_traj_scores_t,
     encode,
     fill_container,
     init_disc,
     init_params,
-    lift_disc,
-    lift_policy,
+    lift,
     node_features,
     rollout,
     trajectory_from_solution,
@@ -146,17 +147,9 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
 
 
 def disc_loss(neg_rewards, pos_rewards):
-    """Least-squares adversarial loss: E[r_neg^2] + E[(1 - r_pos)^2].
-
-    Accepts float lists or (T,) tensors; rewards must lie in (0, 1].
-    """
-    if isinstance(neg_rewards, F.Tensor) or isinstance(pos_rewards, F.Tensor):
-        neg_sq = F.mean(F.square(neg_rewards))
-        pos_sq = F.mean(F.square(1.0 - pos_rewards))
-        return neg_sq + pos_sq
-    neg = np.asarray(neg_rewards, dtype=np.float64)
-    pos = np.asarray(pos_rewards, dtype=np.float64)
-    return float(np.mean(neg**2) + np.mean((1.0 - pos) ** 2))
+    """Least-squares adversarial loss E[r_neg^2] + E[(1 - r_pos)^2] over
+    (T,) reward tensors in (0, 1]."""
+    return F.mean(F.square(neg_rewards)) + F.mean(F.square(1.0 - pos_rewards))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +163,10 @@ def _graph_for(instance: Instance, cfg: TrainConfig):
 
 
 def make_training_pair(policy: PolicyParams, instance: Instance, cfg: TrainConfig,
-                       seed: int = 0) -> tuple[list[Trajectory], list[Trajectory]]:
-    """Negatives: epsilon-greedy rollouts from the policy. Positive: the best
-    negative's solution refined by the decomposition-augmented expert, replayed
-    as a trajectory under the current policy."""
+                       seed: int = 0) -> tuple[list[tuple], list[tuple]]:
+    """Action sequences. Negatives: epsilon-greedy rollouts from the policy.
+    Positive: the best negative's solution refined by the
+    decomposition-augmented expert."""
     dm, graph = _graph_for(instance, cfg)
     ctx = encode(policy, instance, graph, dm, training=True)
     neg = batch_rollouts(
@@ -185,8 +178,7 @@ def make_training_pair(policy: PolicyParams, instance: Instance, cfg: TrainConfi
     report = check_feasible(instance, refined)
     if not report.feasible:
         raise TrainingDivergedError(f"expert produced infeasible solution: {report.violations}")
-    pos = [trajectory_from_solution(policy, ctx, refined)]
-    return neg, pos
+    return [t.actions for t in neg], [trajectory_from_solution(refined)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +205,21 @@ def _check_finite(value: float, what: str, snapshot: dict, out_dir: str):
 
 def generator_update(state: TrainState, instances, cfg: TrainConfig, seed: int) -> float:
     """One TB-loss gradient step on the generator; discriminator frozen."""
-    lifted = lift_policy(state.policy)
+    lifted = lift(state.policy)
     residual_parts = []
     for idx, instance in enumerate(instances):
         dm, graph = _graph_for(instance, cfg)
-        ctx = encode(state.policy, instance, graph, dm, training=True)
+        ctx = encode(lifted, instance, graph, dm, training=True)
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
         trajs = batch_rollouts(
             state.policy, instance, ctx, cfg.n_rollouts, SAMPLE,
             derive_seed(seed, idx), cfg.epsilon,
         )
-        matrix = disc_forward(state.disc, instance, ctx.ei, training=True)
-        d_scores = np.array([disc_score(matrix, t) for t in trajs])
-        feats = node_features(instance)
-        log_pf = batch_log_pf(
-            lifted, ctx.ei, feats, instance, trajs, training=True, update_running=True
+        d_scores = disc_traj_scores_t(
+            state.disc, ctx.ei, node_features(instance), dm, [t.actions for t in trajs]
         )
+        log_pf = batch_log_pf(lifted, ctx, trajs)
         residual_parts.append(lifted.log_z + log_pf - d_scores)
     pooled = F.concat(residual_parts, axis=0)
     loss = F.mean(F.square(pooled))
@@ -246,15 +236,13 @@ def discriminator_update(state: TrainState, instances, cfg: TrainConfig,
                          seed: int) -> tuple[float, float]:
     """One LSGAN step on the discriminator; generator frozen. Returns the
     loss and the mean negative-sample reward."""
-    lifted = lift_disc(state.disc)
+    lifted = lift(state.disc)
     neg_parts, pos_parts = [], []
     for idx, instance in enumerate(instances):
         neg, pos = make_training_pair(state.policy, instance, cfg, derive_seed(seed, idx))
         dm, graph = _graph_for(instance, cfg)
-        ei = build_edge_index(graph)
-        feats = node_features(instance)
         scores = disc_traj_scores_t(
-            lifted, ei, feats, dm, neg + pos, training=True, update_running=True
+            lifted, build_edge_index(graph), node_features(instance), dm, neg + pos
         )
         rewards = F.exp(scores)
         neg_parts.append(rewards[: len(neg)])

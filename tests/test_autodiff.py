@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 
 from routeflow import autodiff as F
@@ -64,3 +66,19 @@ class TestMatvec:
         F.backward(F.asum(F.matvec(a, v)))
         assert np.allclose(a.grad, np.tile(v.data, (5, 1)))
         assert np.allclose(v.grad, a.data.sum(axis=0))
+
+
+class TestTape:
+    def test_a_dropped_tape_is_freed_without_the_cyclic_collector(self):
+        # a tape in a reference cycle lingers until the collector runs, and
+        # in training that held several updates' tapes at once
+        gc.collect()
+        gc.disable()
+        try:
+            x = F.parameter(np.linspace(0.1, 1.0, 5))
+            loss = F.asum(F.sigmoid(F.sqrt(F.exp(x))) * x)
+            F.backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

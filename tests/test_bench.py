@@ -128,6 +128,16 @@ class TestRunBench:
         assert len(lines) == 1 + len(rows) == 1 + 2 * (3 * 2 + 2)
         assert lines[1].startswith(f"m,2,{rows[0][1].instance},{rows[0][1].method},{float(rows[0][1].obj)!r},")
 
+    @pytest.mark.parametrize("param, method", [("nhat", "neural-best-of-2"), ("m", "expert-refine-2")])
+    def test_sweep_renames_the_reference(self, param, method, policy, tmp_path):
+        checkpoint = str(tmp_path / "p.json")
+        save_policy(policy, checkpoint)
+        spec = self.spec(tmp_path, methods=(method, "hgs"), reference=method, checkpoint=checkpoint)
+        swept = method.replace("-2", "-3")
+        rows = bench.sweep(spec, param, [3])
+        assert {r.method for _, r in rows} == {swept, "hgs"}
+        assert all(r.gap_pct == 0.0 for _, r in rows if r.method == swept)
+
     def test_sweep_rejects_other_parameters(self, tmp_path):
         with pytest.raises(bench.SpecError):
             bench.sweep(self.spec(tmp_path), "population_size", [2])

@@ -102,6 +102,15 @@ class TestBadSpecs:
         spec = write_spec(tmp_path / "spec.json", methods=["hgs"], **extra)
         assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
 
+    @pytest.mark.parametrize(
+        "config", [{"epochz": 1}, {"dims": {"width": 8}}, {"expert_hgs": {"generations": 3}}]
+    )
+    def test_unknown_train_config_fields_exit_2(self, config, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_SPEC
+
     def test_malformed_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{methods: ")

@@ -13,7 +13,6 @@ from routeflow.neural import (
     CheckpointError,
     Dims,
     EPSILON_GREEDY,
-    EdgeProbMatrix,
     GREEDY,
     SAMPLE,
     Trajectory,
@@ -25,14 +24,14 @@ from routeflow.neural import (
     build_edge_index,
     decode_step,
     disc_forward,
-    disc_score,
+    disc_traj_scores_t,
     encode,
     gat_forward,
     init_disc,
     init_params,
     initial_state,
     is_terminal,
-    lift_policy,
+    lift,
     load_policy,
     node_features,
     parameter_count,
@@ -138,7 +137,6 @@ class TestEdgeIndex:
         assert list(zip(ei.src.tolist(), ei.dst.tolist())) == pairs
         assert ei.dist.tolist() == dist
         assert ei.adj == adj
-        assert ei.lookup == {p: e for e, p in enumerate(pairs)}
 
 
 class TestInit:
@@ -223,6 +221,16 @@ class TestGatForward:
             layer.run_mean[:] = 0.5
         b = gat_forward(policy.gat, graph, feats, training=False)
         assert not np.allclose(a, b)
+
+    def test_running_stats_move_only_on_a_training_forward_on_the_tape(self):
+        inst, dm, graph, policy = small_setup()
+        stats = lambda: [s.copy() for _, s in policy.named_state()]
+        before = stats()
+        encode(policy, inst, graph, dm, training=True)
+        encode(lift(policy), inst, graph, dm, training=False)
+        assert all(np.array_equal(a, b) for a, b in zip(before, stats()))
+        encode(lift(policy), inst, graph, dm, training=True)
+        assert not any(np.array_equal(a, b) for a, b in zip(before, stats()))
 
 
 class TestDecodeStep:
@@ -409,8 +417,8 @@ class TestDiscriminator:
         disc = init_disc(SMALL, 6)
         matrix = disc_forward(disc, inst, graph)
         ei = matrix.ei
-        fwd = matrix.prob(int(ei.src[3]), int(ei.dst[3]))
-        bwd = matrix.prob(int(ei.dst[3]), int(ei.src[3]))
+        (back,) = np.flatnonzero((ei.src == ei.dst[3]) & (ei.dst == ei.src[3]))
+        fwd, bwd = matrix.probs[3], matrix.probs[back]
         assert np.isfinite(fwd) and np.isfinite(bwd)
 
     def test_matches_straight_line_reevaluation(self):
@@ -428,66 +436,58 @@ class TestDiscriminator:
 
 
 class TestDiscScore:
-    def _tiny_matrix(self, probs_by_arc):
+    """Trajectory scores under the discriminator (``disc_traj_scores_t``)."""
+
+    def _tiny(self, logit=None):
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1, 1), 5)
         dm = build_distance_matrix(inst)
-        ei = build_edge_index(knn_sparsify(dm, 2))
-        probs = np.full(ei.n_edges, 0.9)
-        for (i, j), p in probs_by_arc.items():
-            probs[ei.edge_id(i, j)] = p
-        return EdgeProbMatrix(ei, probs)
+        disc = init_disc(SMALL, 5)
+        if logit is not None:  # the same logit on every arc
+            disc.w2[:] = 0.0
+            disc.b2[...] = logit
+        return disc, build_edge_index(knn_sparsify(dm, 2)), node_features(inst), dm
 
     def test_two_arc_value(self):
         eps = 1e-3
-        matrix = self._tiny_matrix({(0, 1): 1 - eps, (1, 0): 1 - eps})
-        traj = Trajectory((1, 0), None, 0.0)
-        assert disc_score(matrix, traj) == pytest.approx(2 * np.log(1 - eps))
+        disc, ei, feats, dm = self._tiny(logit=np.log((1 - eps) / eps))
+        (score,) = disc_traj_scores_t(disc, ei, feats, dm, [(1, 0)])
+        assert score == pytest.approx(2 * np.log(1 - eps))
 
     def test_reward_bounded_by_one(self):
-        matrix = self._tiny_matrix({})
-        traj = Trajectory((1, 0, 2, 0), None, 0.0)
-        score = disc_score(matrix, traj)
-        assert score <= 0
-        assert np.exp(score) <= 1
+        disc, ei, feats, dm = self._tiny()
+        scores = disc_traj_scores_t(disc, ei, feats, dm, [(1, 0, 2, 0), (2, 1, 0)])
+        assert np.all(scores <= 0)
+        assert np.all(np.exp(scores) <= 1)
 
-    def test_handcrafted_three_arc_path(self):
-        matrix = self._tiny_matrix({(0, 1): 0.5, (1, 2): 0.5, (2, 0): 0.25})
-        traj = Trajectory((1, 2, 0), None, 0.0)
-        assert disc_score(matrix, traj) == pytest.approx(np.log(1 / 16))
+    def test_matches_straight_line_log_sigmoid_sum(self):
+        inst, dm, graph, _ = small_setup(n=8, seed=4, k=2)
+        disc = init_disc(SMALL, 7)
+        ei, feats = build_edge_index(graph), node_features(inst)
+        i = next(j for j in range(1, inst.n_nodes) if len(ei.adj[j]) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ei.adj[i])
+        rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
+        # an arc off the sparse graph, then a sequence that stops away from the depot
+        seqs = [(i, far, 0, *rest, 0), (far, 0, i), tuple(range(1, inst.n_nodes)) + (0,)]
+        emb = straight_line_embed(disc.gat, ei, feats)
 
-    def test_missing_arc_raises(self):
-        matrix = self._tiny_matrix({})
-        probs = {k: v for k, v in matrix.ei.lookup.items() if k != (1, 2)}
-        ei2 = type(matrix.ei)(
-            matrix.ei.n,
-            np.array([k[0] for k in sorted(probs)]),
-            np.array([k[1] for k in sorted(probs)]),
-            np.ones(len(probs)),
-            matrix.ei.adj,
-            {k: i for i, k in enumerate(sorted(probs))},
-        )
-        m2 = EdgeProbMatrix(ei2, np.full(ei2.n_edges, 0.5))
-        with pytest.raises(KeyError):
-            disc_score(m2, Trajectory((1, 2, 0), None, 0.0))
+        def log_sigmoid(a, b):
+            e = _lrelu(np.array([[dm.dist[a, b] / feats.scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
+            hidden = _lrelu(np.concatenate([emb[a], emb[b], e]) @ disc.w1 + disc.b1)
+            return np.log(1 / (1 + np.exp(-(hidden @ disc.w2 + float(disc.b2)))))
+
+        ref = [sum(log_sigmoid(a, b) for a, b in zip((0,) + s, s)) for s in seqs]
+        got = disc_traj_scores_t(disc, ei, feats, dm, seqs)
+        assert np.allclose(got, ref, rtol=0, atol=1e-9)
+        assert np.all(got <= 0)
+        on_tape = disc_traj_scores_t(lift(disc), ei, feats, dm, seqs)
+        assert np.allclose(on_tape.data, got, rtol=1e-12, atol=0)
 
 
 class TestTrajectoryFromSolution:
     def test_replay_matches_actions(self):
         inst, dm, graph, policy = small_setup(n=6, seed=44, k=3)
-        ctx = encode(policy, inst, graph, dm)
-        traj = rollout(policy, inst, ctx, SAMPLE, seed=3)
-        replay = trajectory_from_solution(policy, ctx, traj.solution)
-        assert replay.solution is traj.solution
-        assert replay.log_pf == pytest.approx(traj.log_pf, abs=1e-9)
-
-    def test_arc_off_the_sparse_graph_scores_minus_infinity(self):
-        inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
-        ctx = encode(policy, inst, graph, dm)
-        i = next(j for j in range(1, inst.n_nodes) if len(ctx.ei.adj[j]) < inst.n_nodes - 1)
-        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ctx.ei.adj[i])
-        rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
-        solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
-        assert trajectory_from_solution(policy, ctx, solution).log_pf == -np.inf
+        traj = rollout(policy, inst, graph, SAMPLE, seed=3)
+        assert trajectory_from_solution(traj.solution) == traj.actions
 
 
 class TestBatchLogPf:
@@ -496,7 +496,8 @@ class TestBatchLogPf:
         inst, dm, graph, policy = small_setup(n=n, seed=seed, k=k)
         ctx = encode(policy, inst, graph, dm, training=True)
         trajs = batch_rollouts(policy, inst, ctx, 6, SAMPLE, seed=seed)
-        got = batch_log_pf(lift_policy(policy), ctx.ei, node_features(inst), inst, trajs)
+        lifted = lift(policy)
+        got = batch_log_pf(lifted, encode(lifted, inst, graph, dm, training=True), trajs)
         ref = [step_replay_log_pf(policy, ctx, t.actions) for t in trajs]
         assert np.allclose(got.data, ref, rtol=0, atol=1e-9)
         assert np.allclose(got.data, [t.log_pf for t in trajs], rtol=0, atol=1e-9)
@@ -505,25 +506,36 @@ class TestBatchLogPf:
         inst, dm, graph, policy = small_setup(n=4, seed=5, k=3)
         bad = Trajectory((1, 1, 0), None, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(lift_policy(policy), build_edge_index(graph), node_features(inst), inst, [bad])
+            batch_log_pf(policy, encode(policy, inst, graph, dm), [bad])
+
+    def test_rejects_an_arc_off_the_sparse_graph(self):
+        inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
+        ctx = encode(policy, inst, graph, dm)
+        i = next(j for j in range(1, inst.n_nodes) if len(ctx.ei.adj[j]) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ctx.ei.adj[i])
+        rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
+        solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
+        traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
+        with pytest.raises(ValueError):
+            batch_log_pf(policy, ctx, [traj])
 
     def test_gradients_match_central_differences(self):
         dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)
         inst = generate_uniform(6, 9)
         dm = build_distance_matrix(inst)
         graph = knn_sparsify(dm, 3)
-        ei, feats = build_edge_index(graph), node_features(inst)
         policy = init_params(dims, 5)
         policy.log_z[...] = 0.7
-        trajs = batch_rollouts(policy, inst, graph, 5, SAMPLE, seed=1, training_bn=True)
+        ctx = encode(policy, inst, graph, dm, training=True)
+        trajs = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=1)
         target = np.linspace(-3.0, -1.0, len(trajs))
 
         def tb_loss(params):
-            # batch_log_pf is generic over modes: raw arrays give the value
-            log_pf = batch_log_pf(params, ei, feats, inst, trajs)
+            # encode and batch_log_pf are generic over modes: raw arrays give the value
+            log_pf = batch_log_pf(params, encode(params, inst, graph, dm, training=True), trajs)
             return F.mean(F.square(params.log_z + log_pf - target))
 
-        lifted = lift_policy(policy)
+        lifted = lift(policy)
         F.backward(tb_loss(lifted))
         grads = backward_grads(lifted)
         arrays = dict(policy.named_arrays())
