@@ -4,10 +4,15 @@ A Tensor wraps a float64 ndarray and records its parents plus a backward
 closure; ``backward(loss)`` runs the tape in reverse topological order. A
 closure never captures its own output Tensor: that would be a reference
 cycle, and the tape would then wait for the cyclic collector instead of
-being freed as soon as the loss goes out of scope. The
-module-level math helpers (exp, take, segment_sum, ...) dispatch on input
-type, so the same forward code can run either on raw arrays (fast inference)
-or on Tensors (training with exact gradients).
+being freed as soon as the loss goes out of scope.
+
+The module-level math helpers (exp, take, segment_sum, ...) run either on
+raw arrays (fast inference) or on Tensors (training with exact gradients).
+Each computes its value once, from ``value(x)``, and ``_lift`` puts it on
+the tape only when ``x`` is a Tensor, so both modes give the same numbers.
+``matvec`` keeps two forwards on purpose: on arrays it is row-local, on the
+tape a BLAS product. ``mean`` has two as well: numpy's sum / count on
+arrays, sum * (1 / count) on the tape, which may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -31,18 +36,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Node of the computation tape; ``grad`` accumulates after backward()."""
 
-    __slots__ = ("data", "grad", "parents", "bw", "requires_grad", "name")
+    __slots__ = ("data", "grad", "parents", "bw", "requires_grad")
 
     # keep numpy from intercepting mixed ndarray (op) Tensor expressions
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), bw=None, requires_grad=False, name=""):
+    def __init__(self, data, parents=(), bw=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self.bw = bw
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self.name = name
 
     @property
     def shape(self):
@@ -153,10 +157,7 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
         def bw(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
@@ -172,8 +173,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def parameter(data, name="") -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
+def parameter(data) -> Tensor:
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def backward(loss: Tensor) -> None:
@@ -202,58 +203,44 @@ def backward(loss: Tensor) -> None:
 # -- dual-mode math helpers --------------------------------------------------
 
 
+def _lift(x, val: np.ndarray, grad):
+    """``val``, computed once from ``value(x)``, as the op's result: the array
+    itself for an array ``x``; for a Tensor, a node on the tape whose
+    backward passes ``grad(g)`` to ``x``. ``grad`` captures arrays only,
+    never the output node."""
+    if not isinstance(x, Tensor):
+        return val
+    out = Tensor(val, (x,))
+    out.bw = lambda g: x._accumulate(grad(g))
+    return out
+
+
 def exp(x):
-    if isinstance(x, Tensor):
-        val = np.exp(x.data)
-        out = Tensor(val, (x,))
-        out.bw = lambda g: x._accumulate(g * val)
-        return out
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Tensor):
-        out = Tensor(np.log(x.data), (x,))
-        out.bw = lambda g: x._accumulate(g / x.data)
-        return out
-    return np.log(x)
+    val = np.exp(value(x))
+    return _lift(x, val, lambda g: g * val)
 
 
 def sqrt(x):
-    if isinstance(x, Tensor):
-        val = np.sqrt(x.data)
-        out = Tensor(val, (x,))
-        out.bw = lambda g: x._accumulate(g * 0.5 / val)
-        return out
-    return np.sqrt(x)
+    val = np.sqrt(value(x))
+    return _lift(x, val, lambda g: g * 0.5 / val)
 
 
 def sigmoid(x):
-    if isinstance(x, Tensor):
-        val = 1.0 / (1.0 + np.exp(-x.data))
-        out = Tensor(val, (x,))
-        out.bw = lambda g: x._accumulate(g * val * (1.0 - val))
-        return out
-    return 1.0 / (1.0 + np.exp(-x))
+    val = 1.0 / (1.0 + np.exp(-value(x)))
+    return _lift(x, val, lambda g: g * val * (1.0 - val))
 
 
 def leaky_relu(x, slope: float = 0.2):
-    if isinstance(x, Tensor):
-        mask = np.where(x.data > 0, 1.0, slope)
-        out = Tensor(x.data * mask, (x,))
-        out.bw = lambda g: x._accumulate(g * mask)
-        return out
-    return np.where(x > 0, x, slope * x)
+    data = value(x)
+    return _lift(
+        x, np.where(data > 0, data, slope * data), lambda g: g * np.where(data > 0, 1.0, slope)
+    )
 
 
 def log_sigmoid(x):
     """log(sigmoid(x)) computed stably; gradient is sigmoid(-x)."""
-    if isinstance(x, Tensor):
-        val = -np.logaddexp(0.0, -x.data)
-        out = Tensor(val, (x,))
-        out.bw = lambda g: x._accumulate(g * (1.0 - np.exp(val)))
-        return out
-    return -np.logaddexp(0.0, -x)
+    val = -np.logaddexp(0.0, -value(x))
+    return _lift(x, val, lambda g: g * (1.0 - np.exp(val)))
 
 
 def square(x):
@@ -263,32 +250,22 @@ def square(x):
 def take(x, idx):
     """Rows of x at integer indices idx (gather along axis 0)."""
     idx = np.asarray(idx)
-    if isinstance(x, Tensor):
-        out = Tensor(x.data[idx], (x,))
+    data = value(x)
 
-        def bw(g):
-            full = np.zeros_like(x.data)
-            np.add.at(full, idx, g)
-            x._accumulate(full)
+    def grad(g):
+        full = np.zeros_like(data)
+        np.add.at(full, idx, g)
+        return full
 
-        out.bw = bw
-        return out
-    return x[idx]
+    return _lift(x, data[idx], grad)
 
 
 def segment_sum(x, owner: np.ndarray, n: int):
     """Sum edge values into per-node buckets: out[v] = sum of x[owner == v]."""
-    if isinstance(x, Tensor):
-        shape = (n,) + x.data.shape[1:]
-        buf = np.zeros(shape, dtype=np.float64)
-        np.add.at(buf, owner, x.data)
-        out = Tensor(buf, (x,))
-        out.bw = lambda g: x._accumulate(g[owner])
-        return out
-    shape = (n,) + x.shape[1:]
-    buf = np.zeros(shape, dtype=np.float64)
-    np.add.at(buf, owner, x)
-    return buf
+    data = value(x)
+    buf = np.zeros((n,) + data.shape[1:], dtype=np.float64)
+    np.add.at(buf, owner, data)
+    return _lift(x, buf, lambda g: g[owner])
 
 
 def segment_logsumexp(x, owner: np.ndarray, n: int):
@@ -303,12 +280,7 @@ def segment_logsumexp(x, owner: np.ndarray, n: int):
     ex = np.exp(data - top[owner])
     total = np.zeros(n)
     np.add.at(total, owner, ex)
-    lse = top + np.log(total)
-    if isinstance(x, Tensor):
-        out = Tensor(lse, (x,))
-        out.bw = lambda g: x._accumulate(g[owner] * ex / total[owner])
-        return out
-    return lse
+    return _lift(x, top + np.log(total), lambda g: g[owner] * ex / total[owner])
 
 
 def matvec(a, v):
@@ -321,29 +293,25 @@ def matvec(a, v):
 
 
 def concat(xs, axis=0):
-    if any(isinstance(x, Tensor) for x in xs):
-        xs = [as_tensor(x) for x in xs]
-        out = Tensor(np.concatenate([x.data for x in xs], axis=axis), tuple(xs))
-        sizes = [x.data.shape[axis] for x in xs]
-        offsets = np.cumsum([0] + sizes)
+    val = np.concatenate([value(x) for x in xs], axis=axis)
+    if not any(isinstance(x, Tensor) for x in xs):
+        return val
+    xs = [as_tensor(x) for x in xs]
+    out = Tensor(val, tuple(xs))
+    offsets = np.cumsum([0] + [x.data.shape[axis] for x in xs])
 
-        def bw(g):
-            for x, a, b in zip(xs, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(a, b)
-                x._accumulate(g[tuple(sl)])
+    def bw(g):
+        for x, a, b in zip(xs, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(a, b)
+            x._accumulate(g[tuple(sl)])
 
-        out.bw = bw
-        return out
-    return np.concatenate(xs, axis=axis)
+    out.bw = bw
+    return out
 
 
 def mean(x, axis=None, keepdims=False):
     return x.mean(axis=axis, keepdims=keepdims)
-
-
-def asum(x, axis=None, keepdims=False):
-    return x.sum(axis=axis, keepdims=keepdims)
 
 
 def value(x) -> np.ndarray:

@@ -53,7 +53,7 @@ DEFAULT_HGS = HgsConfig(max_iterations=200)
 @dataclass(frozen=True)
 class BenchSpec:
     methods: tuple[str, ...]
-    synthetic: dict | None = None  # {"n":, "count":, "seed":}
+    synthetic: dict | None = None  # {"n":, "count":, optional "seed":}
     files: tuple[str, ...] = ()
     reference: str | None = None  # method name whose objective anchors gaps
     ref_table: dict | None = None  # instance name -> fixed reference objective
@@ -68,6 +68,8 @@ class BenchSpec:
             raise SpecError("at least one method is required")
         if self.synthetic is None and not self.files:
             raise SpecError("an instance source (synthetic or files) is required")
+        if self.synthetic is not None:
+            _check_synthetic(self.synthetic)
         if self.reference is not None and self.reference not in self.methods:
             raise SpecError(f"reference method {self.reference!r} is not in methods")
         for m in self.methods:
@@ -95,6 +97,22 @@ class BenchSpec:
             return cls(**kwargs)
         except TypeError as exc:
             raise SpecError(str(exc)) from None
+
+
+def _check_synthetic(src) -> None:
+    """A synthetic source is {"n": int >= 1, "count": int >= 1} plus an
+    optional integer "seed", and nothing else."""
+    if not isinstance(src, dict):
+        raise SpecError(f"synthetic must be an object, got {type(src).__name__}")
+    unknown = set(src) - {"n", "count", "seed"}
+    if unknown:
+        raise SpecError(f"unknown synthetic fields {sorted(unknown)}")
+    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    for key in ("n", "count"):
+        if not (is_int(src.get(key)) and src[key] >= 1):
+            raise SpecError(f"synthetic {key!r} must be an integer >= 1, got {src.get(key)!r}")
+    if "seed" in src and not is_int(src["seed"]):
+        raise SpecError(f"synthetic 'seed' must be an integer, got {src['seed']!r}")
 
 
 _METHOD_RE = re.compile(

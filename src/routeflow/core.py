@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class SparseGraph:
 
     neighbors: np.ndarray  # (n, k) int
     edge_dist: np.ndarray  # (n, k) float
-    k_nn: int
 
     def __post_init__(self):
         self.neighbors.setflags(write=False)
@@ -131,9 +130,6 @@ class Route:
         if len(set(self.nodes)) != len(self.nodes):
             raise InstanceError("route repeats a customer")
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -145,23 +141,6 @@ class Solution:
     @property
     def n_routes(self) -> int:
         return len(self.routes)
-
-    def customers(self) -> list[int]:
-        out: list[int] = []
-        for r in self.routes:
-            out.extend(r.nodes)
-        return out
-
-    def arcs(self) -> list[tuple[int, int]]:
-        """Directed arcs of the solution, depot returns included."""
-        out = []
-        for r in self.routes:
-            prev = 0
-            for c in r.nodes:
-                out.append((prev, c))
-                prev = c
-            out.append((prev, 0))
-        return out
 
 
 @dataclass(frozen=True)
@@ -312,7 +291,7 @@ def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> SparseGraph:
     lacks_depot[0] = False
     neighbors[lacks_depot, k - 1] = 0
     edge_dist = dm.dist[np.arange(n)[:, None], neighbors]
-    return SparseGraph(neighbors, edge_dist, k)
+    return SparseGraph(neighbors, edge_dist)
 
 
 class TooLargeError(ValueError):
@@ -331,12 +310,7 @@ def _best_sequence(dm: DistanceMatrix, subset: tuple[int, ...]) -> tuple[float, 
     best_cost = math.inf
     best_seq: tuple[int, ...] = subset
     for perm in itertools.permutations(subset):
-        c = 0.0
-        prev = 0
-        for node in perm:
-            c += dm.dist[prev, node]
-            prev = node
-        c += dm.dist[prev, 0]
+        c = route_cost(dm, perm)
         if c < best_cost or (c == best_cost and perm < best_seq):
             best_cost = c
             best_seq = perm

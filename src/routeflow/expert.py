@@ -9,7 +9,8 @@ The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
 2-opt* are tried only between a customer and its GAMMA nearest customers
 (the granular neighbourhood of Toth & Vigo, 2003), and per-route
 modification stamps skip route pairs that have not changed since they were
-last scanned. Intra-route 2-opt runs on the routes a sweep modified.
+last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
+move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
 """
 
 from __future__ import annotations
@@ -37,14 +38,8 @@ from .io import derive_seed
 @dataclass(frozen=True)
 class HgsConfig:
     population_size: int = 40
-    elite_fraction: float = 0.5
     max_iterations: int = 400
     time_budget_s: float | None = None
-    use_two_opt: bool = True
-    use_relocate: bool = True
-    use_swap: bool = True
-    use_two_opt_star: bool = True
-    mutation_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -63,7 +58,6 @@ class DecompositionPlan:
     barycenters: np.ndarray  # (n_routes, 2)
     labels: np.ndarray  # (n_routes,) int in [0, k)
     k: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,6 @@ class Subproblem:
     instance: Instance
     mapping: tuple[int, ...]
     warm_routes: tuple[tuple[int, ...], ...]  # local ids
-    k_sub: int
 
     def to_global(self, local: int) -> int:
         return self.mapping[local - 1]
@@ -87,6 +80,8 @@ class Subproblem:
 # construction + local search
 
 GAMMA = 20  # granular neighbourhood size: nearest customers tried per customer
+ELITE_FRACTION = 0.5  # share of the population that survives by cost alone
+MUTATION_RATE = 0.2  # chance that a child's tour has a segment reversed
 
 
 def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix | None = None) -> Solution:
@@ -231,9 +226,9 @@ def _neighbour_lists(dm: DistanceMatrix) -> list[list[int]]:
 
 
 def _local_search(
-    D, demand, capacity: int, routes: list[list[int]], cfg: HgsConfig, neighbours: list[list[int]]
+    D, demand, capacity: int, routes: list[list[int]], neighbours: list[list[int]]
 ) -> list[list[int]]:
-    """Granular first-improvement search over the enabled moves until stable.
+    """Granular first-improvement search until stable.
 
     Customers u = 1..N are swept in a fixed order, each against v in its
     granular list ``neighbours[u]``. For each pair the search tries, in this
@@ -275,7 +270,6 @@ def _local_search(
     modified = [0] * len(routes)
     two_opted = [-1] * len(routes)
     tested = [-1] * len(demand)
-    use_relocate, use_swap, use_star = cfg.use_relocate, cfg.use_swap, cfg.use_two_opt_star
     while True:
         moved = False
         for u in customers:
@@ -295,7 +289,7 @@ def _local_search(
                 pv, sv, Dv = pred[v], succ[v], D[v]
                 Dpv = D[pv]
                 move = None
-                if use_relocate and (ru == rv or loads[rv] + du <= capacity):
+                if ru == rv or loads[rv] + du <= capacity:
                     # u already next to v: that insertion restores the route
                     before = gain if pv == u else Dpv[u] + Du[v] - Dpv[v]
                     after = gain if sv == u else Dv[u] + Du[sv] - Dv[sv]
@@ -307,16 +301,14 @@ def _local_search(
                 if move is None and ru != rv:
                     dv = demand[v]
                     if (
-                        use_swap
-                        and loads[ru] - du + dv <= capacity
+                        loads[ru] - du + dv <= capacity
                         and loads[rv] - dv + du <= capacity
                         and Dpu[v] + Dv[su] + Dpv[u] + Du[sv]
                         - Dpu[u] - Du[su] - Dpv[v] - Dv[sv] < -1e-10
                     ):
                         move = "swap"
                     elif (
-                        use_star
-                        and pre[u] + loads[rv] - pre[v] + dv <= capacity
+                        pre[u] + loads[rv] - pre[v] + dv <= capacity
                         and pre[v] - dv + loads[ru] - pre[u] <= capacity
                         and Du[v] + Dpv[su] - Du[su] - Dpv[v] < -1e-10
                     ):
@@ -338,18 +330,17 @@ def _local_search(
                     index(r)
                 moved = True
                 stale = None
-        if cfg.use_two_opt:
-            for r, route in enumerate(routes):
-                if modified[r] <= two_opted[r]:
-                    continue
-                new = _two_opt_route(D, route)
-                if new != route:
-                    routes[r] = new
-                    clock += 1
-                    modified[r] = clock
-                    index(r)
-                    moved = True
-                two_opted[r] = modified[r]
+        for r, route in enumerate(routes):
+            if modified[r] <= two_opted[r]:
+                continue
+            new = _two_opt_route(D, route)
+            if new != route:
+                routes[r] = new
+                clock += 1
+                modified[r] = clock
+                index(r)
+                moved = True
+            two_opted[r] = modified[r]
         if not moved:
             return [r for r in routes if r]
 
@@ -472,7 +463,8 @@ _FLEET_PENALTY = 1e7
 def hgs_solve(
     instance: Instance,
     warm_start: Solution | None = None,
-    cfg: HgsConfig | None = None,
+    *,
+    cfg: HgsConfig,
     dm: DistanceMatrix | None = None,
 ) -> Solution:
     """Population search over giant tours, deterministic for a fixed seed.
@@ -483,8 +475,6 @@ def hgs_solve(
     generations; bit-determinism across runs holds when ``max_iterations``
     binds first.
     """
-    if cfg is None:
-        cfg = HgsConfig()
     if dm is None:
         dm = build_distance_matrix(instance)
     start_time = time.monotonic()
@@ -497,7 +487,7 @@ def hgs_solve(
 
     def evaluate(routes: list[list[int]], educate: bool = True) -> _Individual:
         if educate:
-            routes = _local_search(D, demand, q, routes, cfg, neighbours)
+            routes = _local_search(D, demand, q, routes, neighbours)
         cost = sum(route_cost(dm, r) for r in routes)
         feasible = limit is None or len(routes) <= limit
         if not feasible:
@@ -541,7 +531,7 @@ def hgs_solve(
             break
         p1, p2 = tournament(), tournament()
         child = _order_crossover(rng, p1.tour, p2.tour)
-        if rng.random() < cfg.mutation_rate and len(child) >= 2:
+        if rng.random() < MUTATION_RATE and len(child) >= 2:
             i, j = sorted(rng.choice(len(child), size=2, replace=False).tolist())
             child[i : j + 1] = reversed(child[i : j + 1])
         ind = from_tour(child)
@@ -550,7 +540,7 @@ def hgs_solve(
         population.append(ind)
         if len(population) > cfg.population_size:
             population.sort(key=lambda x: x.cost)
-            n_elite = max(1, int(cfg.elite_fraction * cfg.population_size))
+            n_elite = max(1, int(ELITE_FRACTION * cfg.population_size))
             survivors = population[:n_elite]
             seen = {tuple(s.tour) for s in survivors}
             for cand in population[n_elite:]:
@@ -644,7 +634,7 @@ def decompose(
     k = max(1, min(math.ceil(n / m), solution.n_routes))
     bary = compute_barycenters(instance, solution)
     labels = kmeans(bary, k, seed)
-    plan = DecompositionPlan(bary, labels, k, m)
+    plan = DecompositionPlan(bary, labels, k)
     subproblems = []
     for ci in range(k):
         route_ids = [ri for ri in range(solution.n_routes) if labels[ri] == ci]
@@ -661,9 +651,7 @@ def decompose(
             name=f"{instance.name}#sub{ci}",
         )
         warm = tuple(tuple(local_of[c] for c in r.nodes) for r in cluster_routes)
-        subproblems.append(
-            Subproblem(local_instance, tuple(globals_sorted), warm, len(cluster_routes))
-        )
+        subproblems.append(Subproblem(local_instance, tuple(globals_sorted), warm))
     return plan, subproblems
 
 
@@ -699,7 +687,7 @@ def expert_refine(
     instance: Instance,
     seed_solution: Solution,
     m: int,
-    cfg: HgsConfig | None = None,
+    cfg: HgsConfig,
     dm: DistanceMatrix | None = None,
 ) -> Solution:
     """Decompose, solve the clusters, and merge.
@@ -707,11 +695,9 @@ def expert_refine(
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
+    ``dm`` is not read, since each subproblem builds its own matrix; it stays
+    for the callers that pass one.
     """
-    if cfg is None:
-        cfg = HgsConfig()
-    if dm is None:
-        dm = build_distance_matrix(instance)
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
     partials = solve_subproblems(subproblems, cfg)
     routes = tuple(r for part in partials for r in part.routes)

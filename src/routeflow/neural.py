@@ -9,10 +9,10 @@ projections once and a step's logits are a gather, an add, a LeakyReLU and
 a dot product. Batched rollouts advance all rollouts together on array state
 (current node, residual load, visited mask); ``batch_log_pf`` replays fixed
 trajectories once, in numpy, into flat (step, candidate) index arrays and
-scores them with one gather and a segment log-sum-exp on the tape. The
-single-state API (``initial_state``, ``valid_actions``, ``decode_step``,
-``apply_action``) is the reference both reproduce. The discriminator reuses
-the encoder and scores a trajectory by the log-sigmoids of its arcs.
+scores them with one gather and a segment log-sum-exp on the tape. Both
+reproduce, bit for bit, a single-state reference decoder that lives with the
+tests (``tests/reference_decoder.py``). The discriminator reuses the encoder
+and scores a trajectory by the log-sigmoids of its arcs.
 
 Parameters live in plain float64 arrays; ``lift`` mirrors a container into
 autodiff Tensors for training, and the same forward code serves both modes:
@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as F
-from .core import (
-    DistanceMatrix, Instance, Solution, SparseGraph, build_distance_matrix, make_solution,
-)
+from .core import DistanceMatrix, Instance, Solution, SparseGraph, make_solution
 from .io import derive_seed
 
 LEAKY_SLOPE = 0.2
@@ -100,11 +98,6 @@ class EdgeIndex:
     src: np.ndarray  # (E,) sorted by (src, dst)
     dst: np.ndarray
     dist: np.ndarray
-    adj: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
 
 
 def build_edge_index(graph: SparseGraph) -> EdgeIndex:
@@ -118,10 +111,7 @@ def build_edge_index(graph: SparseGraph) -> EdgeIndex:
     dst = np.stack([bwd, fwd], axis=1).ravel()
     dist = np.repeat(graph.edge_dist.ravel().astype(np.float64), 2)
     keys, last = np.unique((src * n + dst)[::-1], return_index=True)
-    src, dst, dist = keys // n, keys % n, dist[::-1][last]
-    offsets = np.searchsorted(src, np.arange(n + 1))
-    adj = tuple(tuple(dst[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:]))
-    return EdgeIndex(n, src, dst, dist, adj)
+    return EdgeIndex(n, keys // n, keys % n, dist[::-1][last])
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +350,18 @@ def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool
     return h
 
 
-def gat_forward(gat: GatParams, graph: SparseGraph, feats: NodeFeatures,
-                training: bool = False) -> np.ndarray:
-    """Embeddings for a sparse graph (builds the edge index internally)."""
-    return F.value(gat_embed(gat, build_edge_index(graph), feats, training))
-
-
 # ---------------------------------------------------------------------------
 # decoding
 
 
-@dataclass(frozen=True)
-class RolloutState:
-    current: int
-    residual: int
-    visited: frozenset
-    routes: tuple[tuple[int, ...], ...]
-    partial: tuple[int, ...]
-    log_pf: float
-
-
 @dataclass
 class DecodeContext:
-    """Static data a rollout needs: embeddings, their decoder projections
-    (see ``_project``), adjacency, demands, costs. From a lifted policy the
-    embeddings and projections are Tensors on the tape."""
+    """Static data a rollout needs: the decoder projections of the node
+    embeddings (see ``_project``), adjacency, demands, costs. From a lifted
+    policy the projections are Tensors on the tape."""
 
     instance: Instance
     ei: EdgeIndex
-    emb: np.ndarray | F.Tensor
     dm: DistanceMatrix
     proj: tuple
 
@@ -402,57 +375,13 @@ def _project(dec: DecoderParams, emb):
 
 
 def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
-           dm: DistanceMatrix | None = None, training: bool = False) -> DecodeContext:
+           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
     """One encoder pass and its decoder projections; generic over modes, so
     a lifted policy gives a context on the tape."""
     ei = build_edge_index(graph)
     feats = node_features(instance)
     emb = gat_embed(policy.gat, ei, feats, training)
-    if dm is None:
-        dm = build_distance_matrix(instance)
-    return DecodeContext(instance, ei, emb, dm, _project(policy.dec, emb))
-
-
-def initial_state(instance: Instance) -> RolloutState:
-    return RolloutState(0, instance.capacity, frozenset(), (), (), 0.0)
-
-
-def is_terminal(instance: Instance, state: RolloutState) -> bool:
-    return state.current == 0 and len(state.visited) == instance.n_customers
-
-
-def valid_actions(instance: Instance, ei: EdgeIndex, state: RolloutState) -> list[int]:
-    """Unvisited in-capacity neighbours of the current node; the depot is
-    admissible whenever the vehicle is away from it (no empty routes)."""
-    cands = [
-        j
-        for j in ei.adj[state.current]
-        if j != 0 and j not in state.visited and instance.demand_of(j) <= state.residual
-    ]
-    if state.current != 0:
-        cands.append(0)
-    return sorted(cands)
-
-
-def apply_action(instance: Instance, state: RolloutState, action: int,
-                 log_p: float = 0.0) -> RolloutState:
-    if action == 0:
-        return RolloutState(
-            0,
-            instance.capacity,
-            state.visited,
-            state.routes + (state.partial,),
-            (),
-            state.log_pf + log_p,
-        )
-    return RolloutState(
-        action,
-        state.residual - instance.demand_of(action),
-        state.visited | {action},
-        state.routes,
-        state.partial + (action,),
-        state.log_pf + log_p,
-    )
+    return DecodeContext(instance, ei, dm, _project(policy.dec, emb))
 
 
 def _pair_logits(dec: DecoderParams, proj, cur: np.ndarray, cands: np.ndarray):
@@ -467,27 +396,6 @@ def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     starts = sizes.cumsum() - sizes
     ex = np.exp(logits - np.maximum.reduceat(logits, starts).repeat(sizes))
     return ex / np.add.reduceat(ex, starts).repeat(sizes)
-
-
-def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -> np.ndarray:
-    """Action distribution over all nodes; masked entries are exactly zero.
-
-    A logit is LeakyReLU(P[current] + Q[candidate]) @ w2 + b2 on the
-    context's node projections, so ``ctx`` must come from ``encode`` with
-    this policy. Only valid candidates ever receive a logit, so masked-out
-    actions carry no probability mass and no gradient. This single-state
-    step is the reference the batched decoder reproduces bit for bit.
-    """
-    cands = valid_actions(ctx.instance, ctx.ei, state)
-    probs = np.zeros(ctx.instance.n_nodes, dtype=np.float64)
-    if not cands:
-        if is_terminal(ctx.instance, state):
-            return probs
-        raise RuntimeError("no valid action in a non-terminal state")
-    cur = np.full(len(cands), state.current)
-    logits = _pair_logits(policy.dec, ctx.proj, cur, np.asarray(cands))
-    probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
-    return probs
 
 
 @dataclass(frozen=True)
@@ -514,7 +422,9 @@ _SLICE = 512
 class _Runs:
     """Array state of several runs of the decoder on one instance: current
     node, residual load and visited mask per run, and the dense adjacency
-    mask read by the same candidate rule as ``valid_actions``."""
+    mask. A run's valid actions are the unvisited neighbours of its current
+    node that fit its residual load, and the depot whenever the run is away
+    from it (no empty routes)."""
 
     def __init__(self, instance: Instance, ei: EdgeIndex, count: int):
         n = instance.n_nodes
@@ -529,7 +439,7 @@ class _Runs:
 
     def candidates(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), n) mask of each run's valid actions; its nonzero
-        entries come in row order, as ``valid_actions`` sorts them."""
+        entries come in row order, so candidates are sorted by node."""
         cur = self.current[rows]
         mask = self.adj[cur] & ~self.visited[rows] & (self.demand <= self.residual[rows, None])
         mask[:, 0] = cur != 0
@@ -614,23 +524,19 @@ def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: st
     return out
 
 
-def _context(policy: PolicyParams, instance: Instance,
-             graph: SparseGraph | DecodeContext) -> DecodeContext:
-    return graph if isinstance(graph, DecodeContext) else encode(policy, instance, graph)
-
-
-def rollout(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
+def rollout(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
             mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05) -> Trajectory:
-    """Construct one solution starting and ending at the depot.
+    """Construct one solution of ``instance`` (``ctx.instance``, which
+    ``encode`` built ``ctx`` for) starting and ending at the depot.
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
     sample; the recorded log-probability is always the policy's own, not the
     behaviour distribution's. A batch of one of ``batch_rollouts``.
     """
-    return _decode(policy, _context(policy, instance, graph), [seed], mode, epsilon)[0]
+    return _decode(policy, ctx, [seed], mode, epsilon)[0]
 
 
-def batch_rollouts(policy: PolicyParams, instance: Instance, graph: SparseGraph | DecodeContext,
+def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
                    count: int, mode: str = SAMPLE, seed: int = 0,
                    epsilon: float = 0.05) -> list[Trajectory]:
     """Independent rollouts with per-index derived seeds (prefix-shared, so a
@@ -644,7 +550,6 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, graph: SparseGraph 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ctx = _context(policy, instance, graph)
     return _decode(policy, ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
 
 
@@ -723,28 +628,14 @@ def batch_log_pf(policy: PolicyParams, ctx: DecodeContext,
 # discriminator
 
 
-@dataclass
-class EdgeProbMatrix:
-    """Per-edge probabilities in (0,1) over the sparse arcs + depot arcs."""
-
-    ei: EdgeIndex
-    probs: np.ndarray  # (E,)
-
-
 def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                     training: bool = False,
-                     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
-    """Raw edge scores prior to the sigmoid (generic over both modes).
-
-    Attention always runs over the sparse graph; the scored arcs default to
-    that edge set but any (src, dst, dist) arrays may be supplied — e.g. for
-    expert arcs that fall outside the sparsified neighbourhoods.
+                     pairs: tuple[np.ndarray, np.ndarray, np.ndarray], training: bool):
+    """Raw scores of the (src, dst, dist) arcs in ``pairs``, prior to the
+    sigmoid (generic over both modes). Attention runs over the sparse graph,
+    but the scored arcs may fall outside it, as expert arcs do.
     """
     emb = gat_embed(disc.gat, ei, feats, training)
-    if pairs is None:
-        src, dst, dist = ei.src, ei.dst, ei.dist
-    else:
-        src, dst, dist = pairs
+    src, dst, dist = pairs
     e_raw = (dist / feats.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
     hi = F.take(emb, src)
@@ -755,18 +646,19 @@ def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
 
 
 def disc_forward(disc: DiscParams, instance: Instance, graph: SparseGraph,
-                 training: bool = False) -> EdgeProbMatrix:
+                 training: bool = False) -> np.ndarray:
+    """(E,) probabilities in (0, 1) of the arcs of ``build_edge_index(graph)``,
+    in its (src, dst) order."""
     ei = build_edge_index(graph)
-    feats = node_features(instance)
-    logits = F.value(disc_edge_logits(disc, ei, feats, training))
-    return EdgeProbMatrix(ei, F.sigmoid(logits))
+    pairs = (ei.src, ei.dst, ei.dist)
+    return F.sigmoid(F.value(disc_edge_logits(disc, ei, node_features(instance), pairs, training)))
 
 
 def disc_traj_scores_t(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                       dm: DistanceMatrix, sequences: list, training: bool = True):
+                       dm: DistanceMatrix, sequences: list):
     """Log-scores of action sequences, each the sum of log σ(edge logit)
     over its arcs from the depot on; always <= 0. A (T,) tensor for a lifted
-    discriminator, an array otherwise.
+    discriminator, an array otherwise. The encoder runs in training mode.
 
     Scores exactly the union of the sequences' arcs (one ``np.unique`` over
     arc keys), so expert routes may use arcs beyond the sparse graph; one
@@ -778,7 +670,7 @@ def disc_traj_scores_t(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
     src[lengths.cumsum() - lengths] = 0
     keys, arc = np.unique(src * ei.n + dst, return_inverse=True)
     src, dst = keys // ei.n, keys % ei.n
-    logits = disc_edge_logits(disc, ei, feats, training, (src, dst, dm.dist[src, dst]))
+    logits = disc_edge_logits(disc, ei, feats, (src, dst, dm.dist[src, dst]), True)
     owner = np.repeat(np.arange(len(sequences)), lengths)
     return F.segment_sum(F.take(F.log_sigmoid(logits), arc), owner, len(sequences))
 
@@ -843,18 +735,6 @@ def load_policy(path: str) -> PolicyParams:
     policy = init_params(Dims(**payload["dims"]), seed=0)
     fill_container(policy, payload)
     return policy
-
-
-def save_disc(disc: DiscParams, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(container_payload("discriminator", disc), fh)
-
-
-def load_disc(path: str) -> DiscParams:
-    payload = _load_payload(path, "discriminator")
-    disc = init_disc(Dims(**payload["dims"]), seed=0)
-    fill_container(disc, payload)
-    return disc
 
 
 def default_knn(n_nodes: int) -> int:

@@ -4,7 +4,9 @@ least-squares discriminator, with expert-refined positives.
 A generator update encodes each instance once, on the lifted policy, and
 scores its rollouts with the frozen discriminator through the
 ``disc_traj_scores_t`` that the discriminator update trains through.
-Positives are action sequences, scored only by the discriminator.
+Positives are action sequences, scored only by the discriminator. A
+training step builds each instance's distance matrix and sparse graph once
+and hands them to every update as ``(instance, dm, graph)`` triples.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -20,7 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as F
-from .core import Instance, build_distance_matrix, check_feasible, knn_sparsify
+from .core import (
+    DistanceMatrix, Instance, SparseGraph, build_distance_matrix, check_feasible, knn_sparsify,
+)
 from .expert import HgsConfig, expert_refine
 from .io import derive_seed, generate_uniform
 from .neural import (
@@ -162,12 +166,12 @@ def _graph_for(instance: Instance, cfg: TrainConfig):
     return dm, knn_sparsify(dm, k)
 
 
-def make_training_pair(policy: PolicyParams, instance: Instance, cfg: TrainConfig,
+def make_training_pair(policy: PolicyParams, instance: Instance, dm: DistanceMatrix,
+                       graph: SparseGraph, cfg: TrainConfig,
                        seed: int = 0) -> tuple[list[tuple], list[tuple]]:
     """Action sequences. Negatives: epsilon-greedy rollouts from the policy.
     Positive: the best negative's solution refined by the
     decomposition-augmented expert."""
-    dm, graph = _graph_for(instance, cfg)
     ctx = encode(policy, instance, graph, dm, training=True)
     neg = batch_rollouts(
         policy, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon
@@ -203,12 +207,12 @@ def _check_finite(value: float, what: str, snapshot: dict, out_dir: str):
     raise TrainingDivergedError(f"non-finite {what}; snapshot at {path}")
 
 
-def generator_update(state: TrainState, instances, cfg: TrainConfig, seed: int) -> float:
-    """One TB-loss gradient step on the generator; discriminator frozen."""
+def generator_update(state: TrainState, batch, cfg: TrainConfig, seed: int) -> float:
+    """One TB-loss gradient step on the generator; discriminator frozen.
+    ``batch`` holds (instance, dm, graph) triples."""
     lifted = lift(state.policy)
     residual_parts = []
-    for idx, instance in enumerate(instances):
-        dm, graph = _graph_for(instance, cfg)
+    for idx, (instance, dm, graph) in enumerate(batch):
         ctx = encode(lifted, instance, graph, dm, training=True)
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
@@ -232,15 +236,15 @@ def generator_update(state: TrainState, instances, cfg: TrainConfig, seed: int) 
     return loss_val
 
 
-def discriminator_update(state: TrainState, instances, cfg: TrainConfig,
+def discriminator_update(state: TrainState, batch, cfg: TrainConfig,
                          seed: int) -> tuple[float, float]:
-    """One LSGAN step on the discriminator; generator frozen. Returns the
-    loss and the mean negative-sample reward."""
+    """One LSGAN step on the discriminator; generator frozen. ``batch``
+    holds (instance, dm, graph) triples. Returns the loss and the mean
+    negative-sample reward."""
     lifted = lift(state.disc)
     neg_parts, pos_parts = [], []
-    for idx, instance in enumerate(instances):
-        neg, pos = make_training_pair(state.policy, instance, cfg, derive_seed(seed, idx))
-        dm, graph = _graph_for(instance, cfg)
+    for idx, (instance, dm, graph) in enumerate(batch):
+        neg, pos = make_training_pair(state.policy, instance, dm, graph, cfg, derive_seed(seed, idx))
         scores = disc_traj_scores_t(
             lifted, build_edge_index(graph), node_features(instance), dm, neg + pos
         )
@@ -262,15 +266,16 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, then one discriminator update with the generator
-    frozen. Appends one history record."""
+    frozen. Appends one history record. Each instance's distance matrix and
+    sparse graph are built once, here."""
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
+    batch = [(instance, *_graph_for(instance, cfg)) for instance in instances]
     tb = math.nan
     for u in range(cfg.update_ratio):
-        tb = generator_update(state, instances, cfg, derive_seed(base, 1000 + u))
-    d_loss, mean_reward = discriminator_update(state, instances, cfg, derive_seed(base, 2000))
+        tb = generator_update(state, batch, cfg, derive_seed(base, 1000 + u))
+    d_loss, mean_reward = discriminator_update(state, batch, cfg, derive_seed(base, 2000))
     greedy_costs = []
-    for instance in instances:
-        dm, graph = _graph_for(instance, cfg)
+    for instance, dm, graph in batch:
         ctx = encode(state.policy, instance, graph, dm, training=True)
         greedy_costs.append(rollout(state.policy, instance, ctx, GREEDY).solution.total_cost)
     state.history.append(

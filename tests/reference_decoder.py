@@ -1,0 +1,93 @@
+"""The single-state reference decoder that the batched one reproduces.
+
+One rollout state at a time, in plain Python: ``valid_actions`` lists the
+admissible next nodes, ``decode_step`` gives the policy's distribution over
+them and ``apply_action`` advances the state. ``neural.batch_rollouts`` and
+``neural.batch_log_pf`` must match it bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from routeflow.core import Instance
+from routeflow.neural import DecodeContext, EdgeIndex, PolicyParams, _pair_logits, _softmax_runs
+
+
+@dataclass(frozen=True)
+class RolloutState:
+    current: int
+    residual: int
+    visited: frozenset
+    routes: tuple[tuple[int, ...], ...]
+    partial: tuple[int, ...]
+    log_pf: float
+
+
+def neighbours(ei: EdgeIndex, node: int) -> list[int]:
+    """Heads of the node's arcs in the edge index, in ascending order."""
+    return ei.dst[ei.src == node].tolist()
+
+
+def initial_state(instance: Instance) -> RolloutState:
+    return RolloutState(0, instance.capacity, frozenset(), (), (), 0.0)
+
+
+def is_terminal(instance: Instance, state: RolloutState) -> bool:
+    return state.current == 0 and len(state.visited) == instance.n_customers
+
+
+def valid_actions(instance: Instance, ei: EdgeIndex, state: RolloutState) -> list[int]:
+    """Unvisited in-capacity neighbours of the current node; the depot is
+    admissible whenever the vehicle is away from it (no empty routes)."""
+    cands = [
+        j
+        for j in neighbours(ei, state.current)
+        if j != 0 and j not in state.visited and instance.demand_of(j) <= state.residual
+    ]
+    if state.current != 0:
+        cands.append(0)
+    return sorted(cands)
+
+
+def apply_action(instance: Instance, state: RolloutState, action: int,
+                 log_p: float = 0.0) -> RolloutState:
+    if action == 0:
+        return RolloutState(
+            0,
+            instance.capacity,
+            state.visited,
+            state.routes + (state.partial,),
+            (),
+            state.log_pf + log_p,
+        )
+    return RolloutState(
+        action,
+        state.residual - instance.demand_of(action),
+        state.visited | {action},
+        state.routes,
+        state.partial + (action,),
+        state.log_pf + log_p,
+    )
+
+
+def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -> np.ndarray:
+    """Action distribution over all nodes; masked entries are exactly zero.
+
+    A logit is LeakyReLU(P[current] + Q[candidate]) @ w2 + b2 on the
+    context's node projections, so ``ctx`` must come from ``encode`` with
+    this policy. Only valid candidates ever receive a logit, so masked-out
+    actions carry no probability mass and no gradient.
+    """
+    cands = valid_actions(ctx.instance, ctx.ei, state)
+    probs = np.zeros(ctx.instance.n_nodes, dtype=np.float64)
+    if not cands:
+        if is_terminal(ctx.instance, state):
+            return probs
+        raise RuntimeError("no valid action in a non-terminal state")
+    cur = np.full(len(cands), state.current)
+    logits = _pair_logits(policy.dec, ctx.proj, cur, np.asarray(cands))
+    probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
+    return probs

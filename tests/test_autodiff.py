@@ -1,6 +1,7 @@
 import gc
 
 import numpy as np
+import pytest
 
 from routeflow import autodiff as F
 
@@ -12,6 +13,71 @@ def _segments(seed=0):
     rng.shuffle(owner)  # buckets need not be contiguous
     x = rng.normal(size=owner.size) * 5
     return x, owner, len(sizes)
+
+
+def _rand(*shape, lo=-2.0, hi=2.0, seed=0):
+    return np.random.default_rng(seed).uniform(lo, hi, size=shape)
+
+
+_OWNER = np.array([0, 2, 2, 1, 0, 2, 1])  # bucket 3 stays empty
+_REPEATED = np.array([0, 2, 2, 1, 0])
+# op -> (function of its inputs, inputs); every function runs on arrays and on Tensors
+OPS = {
+    "take": (lambda x: F.take(x, _REPEATED), [_rand(3, 4)]),
+    "segment_sum_1d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7)]),
+    "segment_sum_2d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7, 3)]),
+    "segment_logsumexp": (lambda x: F.segment_logsumexp(x, _OWNER[:6], 3), [_rand(6)]),
+    "concat_axis0": (lambda a, b: F.concat([a, b], axis=0), [_rand(2, 3), _rand(4, 3, seed=1)]),
+    "concat_axis1": (lambda a, b: F.concat([a, b], axis=1), [_rand(3, 2), _rand(3, 4, seed=1)]),
+    "exp": (F.exp, [_rand(3, 4)]),
+    "sqrt": (F.sqrt, [_rand(3, 4, lo=0.5, hi=3.0)]),
+    "sigmoid": (F.sigmoid, [_rand(3, 4)]),
+    "log_sigmoid": (F.log_sigmoid, [_rand(3, 4, lo=-6.0, hi=6.0)]),
+    "leaky_relu": (lambda x: F.leaky_relu(x, 0.2), [_rand(3, 4)]),
+    "truediv": (lambda a, b: a / b, [_rand(3, 4), _rand(1, 4, lo=0.5, hi=2.0, seed=1)]),
+    "getitem_slices": (lambda x: x[1:3, ::2], [_rand(4, 5)]),
+    "getitem_column": (lambda x: x[:, 1], [_rand(4, 5)]),
+    "sum_all": (lambda x: x.sum(), [_rand(3, 4)]),
+    "sum_axis0": (lambda x: x.sum(axis=0), [_rand(3, 4)]),
+    "sum_axis1_keepdims": (lambda x: x.sum(axis=1, keepdims=True), [_rand(3, 4)]),
+    "mean_axis0_keepdims": (lambda x: F.mean(x, axis=0, keepdims=True), [_rand(3, 4)]),
+    "mean_axis1": (lambda x: F.mean(x, axis=1), [_rand(3, 4)]),
+    "matmul_1d_1d": (lambda a, b: a @ b, [_rand(4), _rand(4, seed=1)]),
+    "matmul_2d_1d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, seed=1)]),
+    "matmul_1d_2d": (lambda a, b: a @ b, [_rand(3), _rand(3, 4, seed=1)]),
+    "matmul_2d_2d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, 2, seed=1)]),
+}
+
+
+# On arrays ``mean`` is numpy's sum / count, on the tape sum * (1 / count):
+# the two may differ in the last bit. Every other op has one forward.
+TWO_FORWARDS = {"mean_axis0_keepdims", "mean_axis1"}
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_op_modes_agree_and_gradients_match_central_differences(name):
+    fn, inputs = OPS[name]
+    out = fn(*inputs)
+    params = [F.parameter(x) for x in inputs]
+    on_tape = fn(*params)
+    assert not isinstance(out, F.Tensor) and isinstance(on_tape, F.Tensor)
+    if name in TWO_FORWARDS:
+        assert np.allclose(on_tape.data, out, rtol=1e-14, atol=0)
+    else:
+        assert np.array_equal(on_tape.data, out)
+    weights = _rand(*out.shape, seed=7)
+    F.backward((on_tape * weights).sum())
+    eps = 1e-6
+    for k, (x, p) in enumerate(zip(inputs, params)):
+        fd = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            shifted = []
+            for step in (eps, -eps):
+                xs = [y.copy() for y in inputs]
+                xs[k][i] += step
+                shifted.append(float((fn(*xs) * weights).sum()))
+            fd[i] = (shifted[0] - shifted[1]) / (2 * eps)
+        assert np.allclose(p.grad, fd, rtol=1e-6, atol=1e-8), (name, k)
 
 
 class TestSegmentLogsumexp:
@@ -30,7 +96,7 @@ class TestSegmentLogsumexp:
         x, owner, n = _segments(1)
         weights = np.random.default_rng(2).normal(size=n)
         xt = F.parameter(x)
-        F.backward(F.asum(F.segment_logsumexp(xt, owner, n) * weights))
+        F.backward((F.segment_logsumexp(xt, owner, n) * weights).sum())
         eps = 1e-6
         fd = np.zeros_like(x)
         for i in range(x.size):
@@ -63,7 +129,7 @@ class TestMatvec:
         rng = np.random.default_rng(4)
         a = F.parameter(rng.normal(size=(5, 3)))
         v = F.parameter(rng.normal(size=3))
-        F.backward(F.asum(F.matvec(a, v)))
+        F.backward(F.matvec(a, v).sum())
         assert np.allclose(a.grad, np.tile(v.data, (5, 1)))
         assert np.allclose(v.grad, a.data.sum(axis=0))
 
@@ -76,7 +142,7 @@ class TestTape:
         gc.disable()
         try:
             x = F.parameter(np.linspace(0.1, 1.0, 5))
-            loss = F.asum(F.sigmoid(F.sqrt(F.exp(x))) * x)
+            loss = (F.sigmoid(F.sqrt(F.exp(x))) * x).sum()
             F.backward(loss)
             del loss
             assert gc.collect() == 0

@@ -87,6 +87,19 @@ class TestSpec:
         assert spec.methods == ("hgs", "exact") and spec.files == ("a.vrp",)
         assert spec.hgs == HgsConfig(max_iterations=9) and spec.k_nn == 4
 
+    @pytest.mark.parametrize("synthetic", [
+        {"n": 6}, {"count": 2}, [6, 2], "n=6", {"n": 6, "count": 2, "sead": 1},
+        {"n": 0, "count": 1}, {"n": 6, "count": 0}, {"n": 6.0, "count": 1}, {"n": True, "count": 1},
+        {"n": 6, "count": 1, "seed": "1"},
+    ])
+    def test_bad_synthetic_source(self, synthetic):
+        with pytest.raises(bench.SpecError):
+            bench.BenchSpec(methods=("hgs",), synthetic=synthetic)
+
+    def test_synthetic_seed_is_optional(self):
+        spec = bench.BenchSpec(methods=("hgs",), synthetic={"n": 4, "count": 2}, seed=8)
+        assert [i.name for i in bench._load_instances(spec)] == [i.name for i in generate_batch(4, 2, 8)]
+
 
 class TestRunBench:
     def spec(self, tmp_path, **fields):

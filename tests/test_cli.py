@@ -96,20 +96,31 @@ class TestMissingFiles:
 
 class TestBadSpecs:
     @pytest.mark.parametrize(
-        "extra", [{"colour": "red"}, {"m": 50}, {"n_rollouts": 10}, {"hgs": {"generations": 3}}]
+        "extra",
+        [{"colour": "red"}, {"m": 50}, {"n_rollouts": 10}, {"hgs": {"generations": 3}},
+         {"hgs": {"use_swap": False}}],
     )
     def test_unknown_fields_exit_2(self, extra, tmp_path):
         spec = write_spec(tmp_path / "spec.json", methods=["hgs"], **extra)
         assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
 
     @pytest.mark.parametrize(
-        "config", [{"epochz": 1}, {"dims": {"width": 8}}, {"expert_hgs": {"generations": 3}}]
+        "config",
+        [{"epochz": 1}, {"dims": {"width": 8}}, {"expert_hgs": {"generations": 3}},
+         {"expert_hgs": {"mutation_rate": 0.1}}],
     )
     def test_unknown_train_config_fields_exit_2(self, config, tmp_path):
         path = tmp_path / "train.json"
         path.write_text(json.dumps(config))
         argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]
         assert cli.main(argv) == cli.EXIT_SPEC
+
+    @pytest.mark.parametrize(
+        "synthetic", [{"n": 6}, [6, 2], {"n": 6, "count": 2, "sead": 1}, {"n": 0, "count": 1}]
+    )
+    def test_bad_synthetic_source_exits_2(self, synthetic, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", methods=["hgs"], synthetic=synthetic)
+        assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
 
     def test_malformed_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"

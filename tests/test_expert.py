@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,48 +188,44 @@ def split_starts(draw):
     return inst, split_giant_tour(D, demand, capacity, tour)
 
 
-def _granular_moves(routes, u, v, cfg):
+def _granular_moves(routes, u, v):
     """Every relocate/swap/2-opt* neighbour of ``routes`` that (u, v) defines."""
     where = {c: (r, i) for r, route in enumerate(routes) for i, c in enumerate(route)}
     (ru, i), (rv, j) = where[u], where[v]
-    if cfg.use_relocate:
-        for after in (0, 1):
-            new = [list(r) for r in routes]
-            new[ru].remove(u)
-            new[rv].insert(new[rv].index(v) + after, u)
-            yield new
+    for after in (0, 1):
+        new = [list(r) for r in routes]
+        new[ru].remove(u)
+        new[rv].insert(new[rv].index(v) + after, u)
+        yield new
     if ru == rv:
         return
-    if cfg.use_swap:
-        new = [list(r) for r in routes]
-        new[ru][i], new[rv][j] = v, u
-        yield new
-    if cfg.use_two_opt_star:
-        new = [list(r) for r in routes]
-        a, b = routes[ru], routes[rv]
-        new[ru], new[rv] = a[: i + 1] + b[j:], b[:j] + a[i + 1 :]
-        yield new
+    new = [list(r) for r in routes]
+    new[ru][i], new[rv][j] = v, u
+    yield new
+    new = [list(r) for r in routes]
+    a, b = routes[ru], routes[rv]
+    new[ru], new[rv] = a[: i + 1] + b[j:], b[:j] + a[i + 1 :]
+    yield new
 
 
-def _check_local_search(inst, start, cfg):
+def _check_local_search(inst, start):
     """Run ``_local_search`` and check it against brute force over Γ lists."""
     dm = build_distance_matrix(inst)
     D = dm.dist.tolist()
     demand = [0] + list(inst.demands)
     neighbours = _neighbour_lists(dm)
-    out = _local_search(D, demand, inst.capacity, start, cfg, neighbours)
+    out = _local_search(D, demand, inst.capacity, start, neighbours)
     sol = make_solution(inst, dm, out)
     assert check_feasible(inst, sol).feasible
     assert sol.total_cost <= solution_cost(dm, make_solution(inst, dm, start).routes) + 1e-9
-    if cfg.use_two_opt:
-        assert all(_two_opt_route(D, r) == r for r in out)
+    assert all(_two_opt_route(D, r) == r for r in out)
     n = inst.n_customers
     for u in range(1, n + 1):
         # Γ(u): the GAMMA nearest customers, ties toward the lower index
         gamma = sorted((v for v in range(1, n + 1) if v != u), key=lambda v: (D[u][v], v))[:GAMMA]
         assert neighbours[u] == gamma
         for v in gamma:
-            for new in _granular_moves(out, u, v, cfg):
+            for new in _granular_moves(out, u, v):
                 if any(sum(demand[c] for c in r) > inst.capacity for r in new):
                     continue
                 cost = sum(route_cost(dm, r) for r in new if r)
@@ -242,16 +237,7 @@ class TestLocalSearch:
     @given(split_starts())
     def test_granular_local_optimum(self, case):
         inst, start = case
-        _check_local_search(inst, start, HgsConfig())
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        split_starts(),
-        st.sampled_from(["use_two_opt", "use_relocate", "use_swap", "use_two_opt_star"]),
-    )
-    def test_each_move_switched_off(self, case, toggle):
-        inst, start = case
-        _check_local_search(inst, start, replace(HgsConfig(), **{toggle: False}))
+        _check_local_search(inst, start)
 
 
 class TestBarycenters:
@@ -312,7 +298,7 @@ class TestDecompose:
         assert plan.k == 1
         assert len(subs) == 1
         assert subs[0].instance.n_customers == 20
-        assert subs[0].k_sub == sol.n_routes
+        assert len(subs[0].warm_routes) == sol.n_routes
 
     def test_partition_property(self):
         inst = generate_uniform(60, 13)

@@ -1,4 +1,4 @@
-import os
+import json
 
 import numpy as np
 import pytest
@@ -16,21 +16,18 @@ from routeflow.neural import (
     GREEDY,
     SAMPLE,
     Trajectory,
-    apply_action,
     backward_grads,
     batch_log_pf,
     batch_rollouts,
     best_of,
     build_edge_index,
-    decode_step,
+    container_payload,
     disc_forward,
     disc_traj_scores_t,
     encode,
-    gat_forward,
+    gat_embed,
     init_disc,
     init_params,
-    initial_state,
-    is_terminal,
     lift,
     load_policy,
     node_features,
@@ -38,7 +35,9 @@ from routeflow.neural import (
     rollout,
     save_policy,
     trajectory_from_solution,
-    valid_actions,
+)
+from reference_decoder import (
+    apply_action, decode_step, initial_state, is_terminal, neighbours, valid_actions,
 )
 
 SMALL = Dims(n_layers=2, n_heads=2, d_units=8, mlp_hidden=16)
@@ -94,8 +93,7 @@ def dict_edge_index(graph):
             dmap[(int(i), int(j))] = float(dij)
             dmap[(int(j), int(i))] = float(dij)
     pairs = sorted(dmap)
-    adj = tuple(tuple(j for (a, j) in pairs if a == i) for i in range(graph.n))
-    return pairs, [dmap[p] for p in pairs], adj
+    return pairs, [dmap[p] for p in pairs]
 
 
 def step_replay_log_pf(policy, ctx, actions):
@@ -131,12 +129,11 @@ class TestEdgeIndex:
         graph = knn_sparsify(build_distance_matrix(generate_uniform(n, seed)), k)
         if skew:  # (i, j) and (j, i) disagree: the arc written last wins
             noise = np.random.default_rng(seed).random(graph.edge_dist.shape)
-            graph = SparseGraph(graph.neighbors.copy(), graph.edge_dist + noise, k)
+            graph = SparseGraph(graph.neighbors.copy(), graph.edge_dist + noise)
         ei = build_edge_index(graph)
-        pairs, dist, adj = dict_edge_index(graph)
+        pairs, dist = dict_edge_index(graph)
         assert list(zip(ei.src.tolist(), ei.dst.tolist())) == pairs
         assert ei.dist.tolist() == dist
-        assert ei.adj == adj
 
 
 class TestInit:
@@ -175,7 +172,7 @@ class TestGatForward:
         inst, dm, graph, policy = small_setup()
         ei = build_edge_index(graph)
         feats = node_features(inst)
-        fast = gat_forward(policy.gat, graph, feats, training=True)
+        fast = gat_embed(policy.gat, ei, feats, training=True)
         slow = straight_line_embed(policy.gat, ei, feats)
         assert np.allclose(fast, slow, atol=1e-9)
 
@@ -191,7 +188,7 @@ class TestGatForward:
         dm = build_distance_matrix(inst)
         graph = knn_sparsify(dm, 3)
         policy = init_params(SMALL, 2)
-        emb = gat_forward(policy.gat, graph, node_features(inst), training=True)
+        emb = gat_embed(policy.gat, build_edge_index(graph), node_features(inst), training=True)
         assert np.allclose(emb[1], emb[2], atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -206,8 +203,8 @@ class TestGatForward:
         )
         dm2 = build_distance_matrix(permuted)
         graph2 = knn_sparsify(dm2, 4)
-        emb = gat_forward(policy.gat, graph, node_features(inst), training=True)
-        emb2 = gat_forward(policy.gat, graph2, node_features(permuted), training=True)
+        emb = gat_embed(policy.gat, build_edge_index(graph), node_features(inst), training=True)
+        emb2 = gat_embed(policy.gat, build_edge_index(graph2), node_features(permuted), training=True)
         # node mapping: new customer i sits where old customer perm[i-1] was
         for new_idx, old_idx in enumerate(perm, start=1):
             assert np.allclose(emb2[new_idx], emb[old_idx], atol=1e-6)
@@ -215,11 +212,11 @@ class TestGatForward:
 
     def test_inference_mode_uses_running_stats(self):
         inst, dm, graph, policy = small_setup()
-        feats = node_features(inst)
-        a = gat_forward(policy.gat, graph, feats, training=False)
+        ei, feats = build_edge_index(graph), node_features(inst)
+        a = gat_embed(policy.gat, ei, feats, training=False)
         for layer in policy.gat.layers:
             layer.run_mean[:] = 0.5
-        b = gat_forward(policy.gat, graph, feats, training=False)
+        b = gat_embed(policy.gat, ei, feats, training=False)
         assert not np.allclose(a, b)
 
     def test_running_stats_move_only_on_a_training_forward_on_the_tape(self):
@@ -256,6 +253,7 @@ class TestDecodeStep:
     def test_matches_reference_softmax(self):
         inst, dm, graph, policy = small_setup(n=10, seed=8, k=4)
         ctx = encode(policy, inst, graph, dm)
+        emb = gat_embed(policy.gat, ctx.ei, node_features(inst))
         state = initial_state(inst)
         rng = np.random.default_rng(1)
         for _ in range(4):
@@ -264,7 +262,7 @@ class TestDecodeStep:
             # reference: straight-line logits + exp-normalization
             logits = []
             for j in cands:
-                pair = np.concatenate([ctx.emb[state.current], ctx.emb[j]])
+                pair = np.concatenate([emb[state.current], emb[j]])
                 hid = _lrelu(pair @ policy.dec.w1 + policy.dec.b1)
                 logits.append(hid @ policy.dec.w2 + float(policy.dec.b2))
             ex = np.exp(np.array(logits))
@@ -287,20 +285,21 @@ class TestDecodeStep:
 class TestRollout:
     def test_single_customer_forced(self):
         inst, dm, graph, policy = small_setup(n=1, seed=5, k=1)
-        traj = rollout(policy, inst, graph, SAMPLE, seed=0)
+        traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=0)
         assert traj.actions == (1, 0)
         assert traj.log_pf == 0.0
 
     def test_greedy_deterministic(self):
         inst, dm, graph, policy = small_setup(n=15, seed=9, k=4)
-        a = rollout(policy, inst, graph, GREEDY, seed=1)
-        b = rollout(policy, inst, graph, GREEDY, seed=99)
+        ctx = encode(policy, inst, graph, dm)
+        a = rollout(policy, inst, ctx, GREEDY, seed=1)
+        b = rollout(policy, inst, ctx, GREEDY, seed=99)
         assert a.actions == b.actions
 
     def test_terminal_solution_feasible(self):
         for seed in range(10):
             inst, dm, graph, policy = small_setup(n=14, seed=seed, k=4)
-            traj = rollout(policy, inst, graph, SAMPLE, seed=seed)
+            traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=seed)
             assert check_feasible(inst, traj.solution).feasible
 
     def test_sample_frequencies_match_step_probabilities(self):
@@ -332,21 +331,23 @@ class TestRollout:
 class TestBatchRollouts:
     def test_count_one_equals_single(self):
         inst, dm, graph, policy = small_setup(n=9, seed=21, k=3)
-        batch = batch_rollouts(policy, inst, graph, 1, SAMPLE, seed=4)
-        single = rollout(policy, inst, graph, SAMPLE, seed=derive_seed(4, 0))
+        ctx = encode(policy, inst, graph, dm)
+        batch = batch_rollouts(policy, inst, ctx, 1, SAMPLE, seed=4)
+        single = rollout(policy, inst, ctx, SAMPLE, seed=derive_seed(4, 0))
         assert batch[0].actions == single.actions
 
     def test_best_of_monotone_in_count(self):
         inst, dm, graph, policy = small_setup(n=10, seed=30, k=3)
-        trajs = batch_rollouts(policy, inst, graph, 100, SAMPLE, seed=6)
+        trajs = batch_rollouts(policy, inst, encode(policy, inst, graph, dm), 100, SAMPLE, seed=6)
         b10 = best_of(trajs[:10]).solution.total_cost
         b100 = best_of(trajs).solution.total_cost
         assert b100 <= b10
 
     def test_deterministic(self):
         inst, dm, graph, policy = small_setup(n=9, seed=2, k=3)
-        a = batch_rollouts(policy, inst, graph, 5, SAMPLE, seed=8)
-        b = batch_rollouts(policy, inst, graph, 5, SAMPLE, seed=8)
+        ctx = encode(policy, inst, graph, dm)
+        a = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=8)
+        b = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=8)
         assert [t.actions for t in a] == [t.actions for t in b]
 
     @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
@@ -407,18 +408,19 @@ class TestDiscriminator:
     def test_outputs_strictly_inside_unit_interval(self):
         inst, dm, graph, _ = small_setup(n=12, seed=17, k=4)
         disc = init_disc(SMALL, 5)
-        matrix = disc_forward(disc, inst, graph)
-        assert np.all(matrix.probs > 0)
-        assert np.all(matrix.probs < 1)
-        assert not np.any(np.isnan(matrix.probs))
+        probs = disc_forward(disc, inst, graph)
+        assert probs.shape == build_edge_index(graph).src.shape
+        assert np.all(probs > 0)
+        assert np.all(probs < 1)
+        assert not np.any(np.isnan(probs))
 
     def test_directed_scores_may_differ_but_finite(self):
         inst, dm, graph, _ = small_setup(n=10, seed=18, k=4)
         disc = init_disc(SMALL, 6)
-        matrix = disc_forward(disc, inst, graph)
-        ei = matrix.ei
+        probs = disc_forward(disc, inst, graph)
+        ei = build_edge_index(graph)
         (back,) = np.flatnonzero((ei.src == ei.dst[3]) & (ei.dst == ei.src[3]))
-        fwd, bwd = matrix.probs[3], matrix.probs[back]
+        fwd, bwd = probs[3], probs[back]
         assert np.isfinite(fwd) and np.isfinite(bwd)
 
     def test_matches_straight_line_reevaluation(self):
@@ -426,13 +428,13 @@ class TestDiscriminator:
         disc = init_disc(SMALL, 7)
         feats = node_features(inst)
         ei = build_edge_index(graph)
-        matrix = disc_forward(disc, inst, graph, training=True)
+        probs = disc_forward(disc, inst, graph, training=True)
         emb = straight_line_embed(disc.gat, ei, feats)
         e = _lrelu((ei.dist / feats.scale)[:, None] @ disc.gat.w_edge + disc.gat.b_edge)
         cat = np.concatenate([emb[ei.src], emb[ei.dst], e], axis=1)
         logits = _lrelu(cat @ disc.w1 + disc.b1) @ disc.w2 + float(disc.b2)
         ref = 1 / (1 + np.exp(-logits))
-        assert np.abs(matrix.probs - ref).max() < 1e-9
+        assert np.abs(probs - ref).max() < 1e-9
 
 
 class TestDiscScore:
@@ -463,8 +465,8 @@ class TestDiscScore:
         inst, dm, graph, _ = small_setup(n=8, seed=4, k=2)
         disc = init_disc(SMALL, 7)
         ei, feats = build_edge_index(graph), node_features(inst)
-        i = next(j for j in range(1, inst.n_nodes) if len(ei.adj[j]) < inst.n_nodes - 1)
-        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ei.adj[i])
+        i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ei, j)) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
         # an arc off the sparse graph, then a sequence that stops away from the depot
         seqs = [(i, far, 0, *rest, 0), (far, 0, i), tuple(range(1, inst.n_nodes)) + (0,)]
@@ -486,7 +488,7 @@ class TestDiscScore:
 class TestTrajectoryFromSolution:
     def test_replay_matches_actions(self):
         inst, dm, graph, policy = small_setup(n=6, seed=44, k=3)
-        traj = rollout(policy, inst, graph, SAMPLE, seed=3)
+        traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=3)
         assert trajectory_from_solution(traj.solution) == traj.actions
 
 
@@ -511,8 +513,8 @@ class TestBatchLogPf:
     def test_rejects_an_arc_off_the_sparse_graph(self):
         inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
         ctx = encode(policy, inst, graph, dm)
-        i = next(j for j in range(1, inst.n_nodes) if len(ctx.ei.adj[j]) < inst.n_nodes - 1)
-        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in ctx.ei.adj[i])
+        i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ctx.ei, j)) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ctx.ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
         solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
         traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
@@ -568,8 +570,6 @@ class TestCheckpoint:
         assert np.array_equal(policy.gat.layers[0].run_mean, loaded.gat.layers[0].run_mean)
 
     def test_dim_mismatch_rejected(self, tmp_path):
-        import json
-
         policy = init_params(SMALL, 1)
         path = str(tmp_path / "p.json")
         save_policy(policy, path)
@@ -582,10 +582,7 @@ class TestCheckpoint:
             load_policy(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        disc = init_disc(SMALL, 1)
-        from routeflow.neural import save_disc
-
-        path = str(tmp_path / "d.json")
-        save_disc(disc, path)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(container_payload("discriminator", init_disc(SMALL, 1))))
         with pytest.raises(CheckpointError):
             load_policy(path)

@@ -1,6 +1,7 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
 bit-identical to an uninterrupted run, a divergence writes its snapshot
-before raising, and one update runs each network's encoder once."""
+before raising, one update runs each network's encoder once, and one step
+builds each instance's distance matrix and sparse graph once."""
 
 import json
 
@@ -76,3 +77,19 @@ def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch):
     # then the greedy rollout
     assert cfg.update_ratio == 4
     assert len(calls) == 4 * 2 + 2 + 1
+
+
+def test_one_graph_per_instance_per_step(tmp_path, monkeypatch):
+    calls = {"build_distance_matrix": 0, "knn_sparsify": 0}
+    for name in calls:
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert calls == {"build_distance_matrix": 1, "knn_sparsify": 1}
