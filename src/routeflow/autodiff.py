@@ -9,10 +9,9 @@ being freed as soon as the loss goes out of scope.
 The module-level math helpers (exp, take, segment_sum, ...) run either on
 raw arrays (fast inference) or on Tensors (training with exact gradients).
 Each computes its value once, from ``value(x)``, and ``_lift`` puts it on
-the tape only when ``x`` is a Tensor, so both modes give the same numbers.
-``matvec`` keeps two forwards on purpose: on arrays it is row-local, on the
-tape a BLAS product. ``mean`` has two as well: numpy's sum / count on
-arrays, sum * (1 / count) on the tape, which may differ in the last bit.
+the tape only when ``x`` is a Tensor, so both modes give the same numbers,
+bit for bit: ``Tensor.mean`` is sum / count, as numpy's ``mean`` is, and
+``matvec`` is one row-local product in both modes.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis, keepdims=keepdims) / count
 
 
 def as_tensor(x) -> Tensor:
@@ -284,12 +283,22 @@ def segment_logsumexp(x, owner: np.ndarray, n: int):
 
 
 def matvec(a, v):
-    """(m, k) matrix times (k,) vector. On raw arrays every output reads only
-    its own row in a fixed order, so the result for a row never depends on
-    which other rows share the call (BLAS blocks rows together)."""
-    if isinstance(a, Tensor) or isinstance(v, Tensor):
-        return as_tensor(a) @ v
-    return np.einsum("ij,j->i", a, v)
+    """(m, k) matrix times (k,) vector. Every output reads only its own row
+    in a fixed order, so the result for a row never depends on which other
+    rows share the call (BLAS blocks rows together), nor on the mode."""
+    am, vm = value(a), value(v)
+    val = np.einsum("ij,j->i", am, vm)
+    if not (isinstance(a, Tensor) or isinstance(v, Tensor)):
+        return val
+    a, v = as_tensor(a), as_tensor(v)
+    out = Tensor(val, (a, v))
+
+    def bw(g):
+        a._accumulate(np.outer(g, vm))
+        v._accumulate(am.T @ g)
+
+    out.bw = bw
+    return out
 
 
 def concat(xs, axis=0):

@@ -655,10 +655,13 @@ def decompose(
     return plan, subproblems
 
 
-def _solve_one(sub: Subproblem, cfg: HgsConfig) -> Solution:
-    dm = build_distance_matrix(sub.instance)
-    warm = make_solution(sub.instance, dm, sub.warm_routes)
-    local = hgs_solve(sub.instance, warm_start=warm, cfg=cfg, dm=dm)
+def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: DistanceMatrix) -> Solution:
+    """Solve one cluster on its rows and columns of the whole instance's
+    ``dm``, depot first: the values its own matrix would have."""
+    rows = [0, *sub.mapping]
+    sub_dm = DistanceMatrix(dm.dist[np.ix_(rows, rows)], dm.mode)
+    warm = make_solution(sub.instance, sub_dm, sub.warm_routes)
+    local = hgs_solve(sub.instance, warm_start=warm, cfg=cfg, dm=sub_dm)
     global_routes = [tuple(sub.to_global(c) for c in r.nodes) for r in local.routes]
     routes = tuple(
         Route(nodes, load=r.load) for nodes, r in zip(global_routes, local.routes)
@@ -666,8 +669,10 @@ def _solve_one(sub: Subproblem, cfg: HgsConfig) -> Solution:
     return Solution(routes, local.total_cost)
 
 
-def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig) -> list[Solution]:
-    """Solve each cluster in turn with an even share of the budget.
+def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
+                      dm: DistanceMatrix) -> list[Solution]:
+    """Solve each cluster in turn with an even share of the budget, on
+    matrices sliced from the whole instance's ``dm``.
 
     Each cluster gets a seed derived from its index, so its result does not
     depend on the order the clusters are solved in. The local search is pure
@@ -680,7 +685,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig) -> list[Sol
         replace(cfg, max_iterations=per_iter, time_budget_s=per_time, seed=derive_seed(cfg.seed, i))
         for i in range(len(subproblems))
     ]
-    return [_solve_one(sub, c) for sub, c in zip(subproblems, configs)]
+    return [_solve_one(sub, c, dm) for sub, c in zip(subproblems, configs)]
 
 
 def expert_refine(
@@ -695,11 +700,13 @@ def expert_refine(
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
-    ``dm`` is not read, since each subproblem builds its own matrix; it stays
-    for the callers that pass one.
+    Each subproblem's matrix is sliced from ``dm``, which is built here only
+    when the caller passes none.
     """
+    if dm is None:
+        dm = build_distance_matrix(instance)
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
-    partials = solve_subproblems(subproblems, cfg)
+    partials = solve_subproblems(subproblems, cfg, dm)
     routes = tuple(r for part in partials for r in part.routes)
     total = sum(part.total_cost for part in partials)
     return Solution(routes, total)

@@ -3,21 +3,22 @@
 The encoder stacks sparse multi-head attention layers (additive scores over
 projected node pairs plus a projected edge term, residual + batch-norm per
 layer). The decoder scores (current, candidate) embedding pairs with an MLP
-and constructs routes autoregressively under capacity/visitation masks. Its
-first layer is split over the pair, so each encode computes two node
-projections once and a step's logits are a gather, an add, a LeakyReLU and
-a dot product. Batched rollouts advance all rollouts together on array state
+and constructs routes autoregressively under capacity/visitation masks. A
+pair's logit depends on the arc alone, never on the rollout's state, and
+every candidate is an arc of the sparse graph, so ``encode`` scores each arc
+once into an (E,) logit table and a step's logits are one gather from it by
+arc id. Batched rollouts advance all rollouts together on array state
 (current node, residual load, visited mask); ``batch_log_pf`` replays fixed
-trajectories once, in numpy, into flat (step, candidate) index arrays and
-scores them with one gather and a segment log-sum-exp on the tape. Both
-reproduce, bit for bit, a single-state reference decoder that lives with the
-tests (``tests/reference_decoder.py``). The discriminator reuses the encoder
-and scores a trajectory by the log-sigmoids of its arcs.
+trajectories once, in numpy, into flat (step, candidate) arc ids and scores
+them with one gather and a segment log-sum-exp on the tape. Both reproduce,
+bit for bit, a single-state reference decoder that lives with the tests
+(``tests/reference_decoder.py``). The discriminator reuses the encoder and
+scores a trajectory by the log-sigmoids of its arcs.
 
 Parameters live in plain float64 arrays; ``lift`` mirrors a container into
 autodiff Tensors for training, and the same forward code serves both modes:
-``encode`` on a lifted policy puts the projections on the tape, where the
-rollouts read their values and ``batch_log_pf`` differentiates through them.
+``encode`` on a lifted policy puts the logit table on the tape, where the
+rollouts read its values and ``batch_log_pf`` differentiates through it.
 Batch-norm running statistics update exactly when a training-mode forward
 runs on the tape.
 """
@@ -356,14 +357,14 @@ def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool
 
 @dataclass
 class DecodeContext:
-    """Static data a rollout needs: the decoder projections of the node
-    embeddings (see ``_project``), adjacency, demands, costs. From a lifted
-    policy the projections are Tensors on the tape."""
+    """Static data a rollout needs: the instance, its edge index and costs,
+    and ``logits``, the decoder's logit of every arc of ``ei``, (E,) in edge
+    order. From a lifted policy the logit table is a Tensor on the tape."""
 
     instance: Instance
     ei: EdgeIndex
     dm: DistanceMatrix
-    proj: tuple
+    logits: np.ndarray | F.Tensor
 
 
 def _project(dec: DecoderParams, emb):
@@ -374,20 +375,49 @@ def _project(dec: DecoderParams, emb):
     return emb @ dec.w1[:d] + dec.b1, emb @ dec.w1[d:]
 
 
-def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
-           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
-    """One encoder pass and its decoder projections; generic over modes, so
-    a lifted policy gives a context on the tape."""
-    ei = build_edge_index(graph)
-    feats = node_features(instance)
-    emb = gat_embed(policy.gat, ei, feats, training)
-    return DecodeContext(instance, ei, dm, _project(policy.dec, emb))
-
-
 def _pair_logits(dec: DecoderParams, proj, cur: np.ndarray, cands: np.ndarray):
+    """Decoder logits LeakyReLU(P[cur] + Q[cand]) @ w2 + b2 of (cur, cand)
+    pairs; each reads only its own pair (``F.matvec`` is row-local)."""
     p, q = proj
     hidden = F.leaky_relu(F.take(p, cur) + F.take(q, cands), LEAKY_SLOPE)
     return F.matvec(hidden, dec.w2) + dec.b2
+
+
+# arcs the pair MLP scores at once, so that its (arcs, mlp_hidden)
+# temporaries stay small and in cache
+_SLICE = 512
+
+
+def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
+           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
+    """One encoder pass, then the decoder logit of every arc of the edge
+    index, scored ``_SLICE`` arcs at a time; generic over modes, so a lifted
+    policy gives a context on the tape."""
+    ei = build_edge_index(graph)
+    feats = node_features(instance)
+    proj = _project(policy.dec, gat_embed(policy.gat, ei, feats, training))
+    logits = F.concat([
+        _pair_logits(policy.dec, proj, ei.src[i : i + _SLICE], ei.dst[i : i + _SLICE])
+        for i in range(0, ei.src.size, _SLICE)
+    ])
+    return DecodeContext(instance, ei, dm, logits)
+
+
+def _arc_ids(ei: EdgeIndex):
+    """The arc-id lookup of ``ei``, shared by ``_decode`` and ``_replay``:
+    maps (tail, head) node arrays to the positions of those arcs in edge
+    order by binary search over the arc keys, built once here, and raises
+    if a pair is not an arc. O(E) memory, no n x n table."""
+    keys = ei.src * ei.n + ei.dst  # ascending: the arcs are sorted by (src, dst)
+
+    def lookup(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+        query = tail * ei.n + head
+        arc = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        if not np.array_equal(keys[arc], query):
+            raise ValueError("a candidate is not an arc of the edge index")
+        return arc
+
+    return lookup
 
 
 def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -414,9 +444,6 @@ class Trajectory:
 GREEDY = "greedy"
 EPSILON_GREEDY = "epsilon_greedy"
 SAMPLE = "sample"
-# candidate entries a batched step scores at once, so that its
-# (entries, mlp_hidden) temporaries stay small and in cache
-_SLICE = 512
 
 
 class _Runs:
@@ -460,21 +487,22 @@ def _split_routes(actions: list[int]) -> list[list[int]]:
     return [actions[i + 1 : j] for i, j in zip([-1] + ends, ends)]
 
 
-def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: str,
-            epsilon: float) -> list[Trajectory]:
+def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> list[Trajectory]:
     """One rollout per seed, all advanced together on ``_Runs`` state.
 
     Rollout t reads ``default_rng(seeds[t])`` as one stream of doubles, as
     a lone rollout would: a sample takes one draw and compares it with the
     step's cdf (``Generator.choice`` with ``p``), an epsilon test takes one
     before it. A rollout takes at most 2 * n_customers steps, so its
-    largest possible share of the stream is drawn up front. The steps read
-    the values of ``ctx.proj``, so a context on the tape serves as well.
+    largest possible share of the stream is drawn up front. A step gathers
+    its candidates' logits from the values of ``ctx.logits`` by arc id, so a
+    context on the tape serves as well.
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
     instance = ctx.instance
-    proj = tuple(F.value(p) for p in ctx.proj)
+    table = F.value(ctx.logits)
+    arc_ids = _arc_ids(ctx.ei)
     count, n, max_steps = len(seeds), instance.n_nodes, 2 * instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
@@ -491,11 +519,7 @@ def _decode(policy: PolicyParams, ctx: DecodeContext, seeds: list[int], mode: st
         if not sizes.all():
             raise RuntimeError("no valid action in a non-terminal state")
         r, c = mask.nonzero()
-        cur = runs.current[rows][r]
-        logits = np.concatenate([
-            _pair_logits(policy.dec, proj, cur[i : i + _SLICE], c[i : i + _SLICE])
-            for i in range(0, c.size, _SLICE)
-        ])
+        logits = table[arc_ids(runs.current[rows][r], c)]
         probs = np.zeros(mask.shape)
         probs[r, c] = _softmax_runs(logits, sizes)
         pick = probs.argmax(axis=1)
@@ -531,9 +555,11 @@ def rollout(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
     sample; the recorded log-probability is always the policy's own, not the
-    behaviour distribution's. A batch of one of ``batch_rollouts``.
+    behaviour distribution's. A batch of one of ``batch_rollouts``. The
+    policy is not read, since ``ctx`` carries its logits; ``policy`` and
+    ``instance`` stay for the callers that pass them.
     """
-    return _decode(policy, ctx, [seed], mode, epsilon)[0]
+    return _decode(ctx, [seed], mode, epsilon)[0]
 
 
 def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
@@ -543,14 +569,14 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
     larger count extends rather than reshuffles a smaller one).
 
     All rollouts advance together on array state (current node, residual
-    load, visited mask), one gather of the node projections per step for
-    every (rollout, candidate) pair. Each rollout's arithmetic reads only its
-    own rows, so rollout t equals ``rollout(seed=derive_seed(seed, t))``
-    bit for bit.
+    load, visited mask), one gather from the context's arc logit table per
+    step for every (rollout, candidate) pair. Each rollout's arithmetic
+    reads only its own rows, so rollout t equals
+    ``rollout(seed=derive_seed(seed, t))`` bit for bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _decode(policy, ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
+    return _decode(ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
 
 
 def best_of(trajectories: list[Trajectory]) -> Trajectory:
@@ -567,8 +593,7 @@ class _Tape:
     """Fixed action sequences replayed into flat index arrays: one entry per
     (step, candidate) pair, one step per (trajectory, action)."""
 
-    cur: np.ndarray  # (K,) current node of each entry
-    cand: np.ndarray  # (K,) candidate node of each entry
+    arc: np.ndarray  # (K,) arc id of each entry's (current, candidate) pair
     step: np.ndarray  # (K,) step of each entry
     pick: np.ndarray  # (S,) entry of each step's action; -1 if not admissible
     owner: np.ndarray  # (S,) trajectory of each step
@@ -581,7 +606,8 @@ def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
     for t, seq in enumerate(sequences):
         actions[t, : len(seq)] = seq
     runs = _Runs(instance, ei, len(sequences))
-    parts = [(np.zeros(0, dtype=np.int64),) * 5]  # so that no steps still concatenate
+    arc_ids = _arc_ids(ei)
+    parts = [(np.zeros(0, dtype=np.int64),) * 4]  # so that no steps still concatenate
     n_steps = n_entries = 0
     for k in range(actions.shape[1]):
         rows = np.flatnonzero(lengths > k)
@@ -592,7 +618,7 @@ def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
         sizes = mask.sum(axis=1)
         first = n_entries + sizes.cumsum() - sizes  # each run's first entry
         pick = np.where(mask[at, a], first + mask.cumsum(axis=1)[at, a] - 1, -1)
-        parts.append((runs.current[rows][r], c, n_steps + r, pick, rows))
+        parts.append((arc_ids(runs.current[rows][r], c), n_steps + r, pick, rows))
         n_steps += rows.size
         n_entries += r.size
         runs.apply(rows, a)
@@ -604,22 +630,21 @@ def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
     return tuple(a for route in solution.routes for a in (*route.nodes, 0))
 
 
-def batch_log_pf(policy: PolicyParams, ctx: DecodeContext,
-                 trajectories: list[Trajectory]) -> F.Tensor:
+def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor:
     """Differentiable forward log-probabilities of fixed action sequences.
 
-    Scores from the projections of ``ctx``, which must come from ``encode``
-    with this policy (a lifted one for gradients). The trajectories are
-    replayed once, in numpy, into a flat tape of (step, candidate) entries;
-    every logit then comes from one gather of the projections, one segment
-    log-sum-exp over the steps and one segment sum into the trajectories,
-    so the tape grows by O(1) nodes, not by steps. Returns a (T,) tensor
-    (an array in array mode).
+    Scores from the arc logit table of ``ctx``, which ``encode`` built from
+    the policy (a lifted one for gradients). The trajectories are replayed
+    once, in numpy, into a flat tape of (step, candidate) arc ids; the
+    logits then come from one gather of the table, one segment log-sum-exp
+    over the steps and one segment sum into the trajectories, so the tape
+    grows by O(1) nodes, not by steps, and the pair MLP does not run here.
+    Returns a (T,) tensor (an array in array mode).
     """
     tape = _replay(ctx.instance, ctx.ei, [t.actions for t in trajectories])
     if (tape.pick < 0).any():
         raise ValueError("a trajectory takes an action that is not admissible")
-    logits = _pair_logits(policy.dec, ctx.proj, tape.cur, tape.cand)
+    logits = F.take(ctx.logits, tape.arc)
     steps = F.take(logits, tape.pick) - F.segment_logsumexp(logits, tape.step, len(tape.pick))
     return F.segment_sum(steps, tape.owner, len(trajectories))
 

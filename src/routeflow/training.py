@@ -223,7 +223,7 @@ def generator_update(state: TrainState, batch, cfg: TrainConfig, seed: int) -> f
         d_scores = disc_traj_scores_t(
             state.disc, ctx.ei, node_features(instance), dm, [t.actions for t in trajs]
         )
-        log_pf = batch_log_pf(lifted, ctx, trajs)
+        log_pf = batch_log_pf(ctx, trajs)
         residual_parts.append(lifted.log_z + log_pf - d_scores)
     pooled = F.concat(residual_parts, axis=0)
     loss = F.mean(F.square(pooled))

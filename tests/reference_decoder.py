@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from routeflow.autodiff import value
 from routeflow.core import Instance
-from routeflow.neural import DecodeContext, EdgeIndex, PolicyParams, _pair_logits, _softmax_runs
+from routeflow.neural import DecodeContext, EdgeIndex, _softmax_runs
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,13 @@ class RolloutState:
 def neighbours(ei: EdgeIndex, node: int) -> list[int]:
     """Heads of the node's arcs in the edge index, in ascending order."""
     return ei.dst[ei.src == node].tolist()
+
+
+def arc_id(ei: EdgeIndex, tail: int, head: int) -> int:
+    """Position of the arc (tail, head) in the edge index, found by a scan;
+    raises ValueError if the pair is not an arc."""
+    (arc,) = np.flatnonzero((ei.src == tail) & (ei.dst == head))
+    return int(arc)
 
 
 def initial_state(instance: Instance) -> RolloutState:
@@ -73,13 +81,13 @@ def apply_action(instance: Instance, state: RolloutState, action: int,
     )
 
 
-def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -> np.ndarray:
+def decode_step(ctx: DecodeContext, state: RolloutState) -> np.ndarray:
     """Action distribution over all nodes; masked entries are exactly zero.
 
-    A logit is LeakyReLU(P[current] + Q[candidate]) @ w2 + b2 on the
-    context's node projections, so ``ctx`` must come from ``encode`` with
-    this policy. Only valid candidates ever receive a logit, so masked-out
-    actions carry no probability mass and no gradient.
+    The logit of candidate j is the entry of arc (current, j) in the
+    context's logit table, which ``encode`` built from the policy. Only
+    valid candidates ever receive a logit, so masked-out actions carry no
+    probability mass and no gradient.
     """
     cands = valid_actions(ctx.instance, ctx.ei, state)
     probs = np.zeros(ctx.instance.n_nodes, dtype=np.float64)
@@ -87,7 +95,6 @@ def decode_step(policy: PolicyParams, ctx: DecodeContext, state: RolloutState) -
         if is_terminal(ctx.instance, state):
             return probs
         raise RuntimeError("no valid action in a non-terminal state")
-    cur = np.full(len(cands), state.current)
-    logits = _pair_logits(policy.dec, ctx.proj, cur, np.asarray(cands))
+    logits = value(ctx.logits)[[arc_id(ctx.ei, state.current, j) for j in cands]]
     probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
     return probs

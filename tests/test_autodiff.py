@@ -46,12 +46,8 @@ OPS = {
     "matmul_2d_1d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, seed=1)]),
     "matmul_1d_2d": (lambda a, b: a @ b, [_rand(3), _rand(3, 4, seed=1)]),
     "matmul_2d_2d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, 2, seed=1)]),
+    "matvec": (F.matvec, [_rand(3, 4), _rand(4, seed=1)]),
 }
-
-
-# On arrays ``mean`` is numpy's sum / count, on the tape sum * (1 / count):
-# the two may differ in the last bit. Every other op has one forward.
-TWO_FORWARDS = {"mean_axis0_keepdims", "mean_axis1"}
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -61,10 +57,7 @@ def test_op_modes_agree_and_gradients_match_central_differences(name):
     params = [F.parameter(x) for x in inputs]
     on_tape = fn(*params)
     assert not isinstance(out, F.Tensor) and isinstance(on_tape, F.Tensor)
-    if name in TWO_FORWARDS:
-        assert np.allclose(on_tape.data, out, rtol=1e-14, atol=0)
-    else:
-        assert np.array_equal(on_tape.data, out)
+    assert np.array_equal(on_tape.data, out)
     weights = _rand(*out.shape, seed=7)
     F.backward((on_tape * weights).sum())
     eps = 1e-6
@@ -124,6 +117,14 @@ class TestMatvec:
         assert np.allclose(full, a @ v, rtol=1e-12, atol=1e-12)
         for lo, hi in ((0, 1), (5, 6), (3, 10), (30, 37)):
             assert np.array_equal(F.matvec(a[lo:hi], v), full[lo:hi])
+
+    def test_tensor_value_equals_array_value(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(600, 128))
+        v = rng.normal(size=128)
+        full = F.matvec(a, v)
+        for args in ((F.parameter(a), v), (a, F.parameter(v)), (F.parameter(a), F.parameter(v))):
+            assert np.array_equal(F.matvec(*args).data, full)
 
     def test_tensor_gradient(self):
         rng = np.random.default_rng(4)

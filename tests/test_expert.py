@@ -342,11 +342,25 @@ class TestDecompose:
 
 
 class TestSolveSubproblems:
+    @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
+    def test_sliced_matrices_equal_rebuilt_ones(self, source):
+        if source == "uniform":
+            inst = generate_uniform(200, 5)
+        else:  # rounded distances
+            inst = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp"))
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 5, dm), m=10)
+        assert len(subs) > 1
+        for sub in subs:
+            nodes = [0, *sub.mapping]
+            rebuilt = build_distance_matrix(sub.instance).dist
+            assert np.array_equal(dm.dist[np.ix_(nodes, nodes)], rebuilt)
+
     def test_single_subproblem_matches_hgs(self):
         inst = generate_uniform(15, 3)
         sol = initial_solution(inst, 3)
         _, subs = decompose(inst, sol, m=100)
-        results = solve_subproblems(subs, FAST)
+        results = solve_subproblems(subs, FAST, build_distance_matrix(inst))
         assert len(results) == 1
         assert check_feasible(inst, results[0]).feasible
 
@@ -355,7 +369,7 @@ class TestSolveSubproblems:
         dm = build_distance_matrix(inst)
         sol = initial_solution(inst, 8, dm)
         _, subs = decompose(inst, sol, m=20)
-        results = solve_subproblems(subs, FAST)
+        results = solve_subproblems(subs, FAST, dm)
         for sub, res in zip(subs, results):
             warm_cost = solution_cost(
                 dm,
@@ -369,7 +383,7 @@ class TestSolveSubproblems:
         inst = generate_uniform(45, 9)
         sol = initial_solution(inst, 9)
         _, subs = decompose(inst, sol, m=15)
-        results = solve_subproblems(subs, FAST)
+        results = solve_subproblems(subs, FAST, build_distance_matrix(inst))
         from routeflow.core import Solution
 
         merged = Solution(

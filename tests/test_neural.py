@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from routeflow.neural import (
     GREEDY,
     SAMPLE,
     Trajectory,
+    _SLICE,
+    _decode,
+    _pair_logits,
+    _project,
     backward_grads,
     batch_log_pf,
     batch_rollouts,
@@ -37,7 +42,7 @@ from routeflow.neural import (
     trajectory_from_solution,
 )
 from reference_decoder import (
-    apply_action, decode_step, initial_state, is_terminal, neighbours, valid_actions,
+    apply_action, arc_id, decode_step, initial_state, is_terminal, neighbours, valid_actions,
 )
 
 SMALL = Dims(n_layers=2, n_heads=2, d_units=8, mlp_hidden=16)
@@ -96,17 +101,17 @@ def dict_edge_index(graph):
     return pairs, [dmap[p] for p in pairs]
 
 
-def step_replay_log_pf(policy, ctx, actions):
+def step_replay_log_pf(ctx, actions):
     """Sum of log decode_step probabilities along an action sequence."""
     state = initial_state(ctx.instance)
     total = 0.0
     for a in actions:
-        total += np.log(decode_step(policy, ctx, state)[a])
+        total += np.log(decode_step(ctx, state)[a])
         state = apply_action(ctx.instance, state, a)
     return total
 
 
-def step_reference_rollout(policy, ctx, mode, seed, epsilon):
+def step_reference_rollout(ctx, mode, seed, epsilon):
     """The single-step API driven one state at a time: each draw of the
     rollout's generator is a ``choice`` over decode_step's distribution,
     preceded in epsilon-greedy mode by the exploration test."""
@@ -114,7 +119,7 @@ def step_reference_rollout(policy, ctx, mode, seed, epsilon):
     state = initial_state(ctx.instance)
     actions = []
     while not is_terminal(ctx.instance, state):
-        probs = decode_step(policy, ctx, state)
+        probs = decode_step(ctx, state)
         explore = mode == SAMPLE or (mode == EPSILON_GREEDY and rng.random() < epsilon)
         a = int(rng.choice(len(probs), p=probs)) if explore else int(np.argmax(probs))
         actions.append(a)
@@ -234,7 +239,7 @@ class TestDecodeStep:
     def test_single_candidate_probability_one(self):
         inst, dm, graph, policy = small_setup(n=1, seed=2, k=1)
         ctx = encode(policy, inst, graph, dm)
-        probs = decode_step(policy, ctx, initial_state(inst))
+        probs = decode_step(ctx, initial_state(inst))
         assert probs[1] == 1.0
         assert probs.sum() == 1.0
 
@@ -246,7 +251,7 @@ class TestDecodeStep:
         ctx = encode(policy, inst, graph, dm)
         state = apply_action(inst, initial_state(inst), 1)
         assert state.residual == 0
-        probs = decode_step(policy, ctx, state)
+        probs = decode_step(ctx, state)
         assert probs[0] == 1.0
         assert probs[2] == 0.0
 
@@ -257,7 +262,7 @@ class TestDecodeStep:
         state = initial_state(inst)
         rng = np.random.default_rng(1)
         for _ in range(4):
-            probs = decode_step(policy, ctx, state)
+            probs = decode_step(ctx, state)
             cands = valid_actions(inst, ctx.ei, state)
             # reference: straight-line logits + exp-normalization
             logits = []
@@ -275,11 +280,62 @@ class TestDecodeStep:
         inst, dm, graph, policy = small_setup(n=12, seed=4, k=3)
         ctx = encode(policy, inst, graph, dm)
         state = initial_state(inst)
-        probs = decode_step(policy, ctx, state)
+        probs = decode_step(ctx, state)
         cands = set(valid_actions(inst, ctx.ei, state))
         for j in range(inst.n_nodes):
             if j not in cands:
                 assert probs[j] == 0.0
+
+
+class TestArcLogits:
+    """The per-arc logit table that ``encode`` builds for the decoder."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_each_entry_is_its_arc_scored_alone(self, lifted, training):
+        inst, dm, graph, policy = small_setup(n=120, seed=4, k=30)
+        ctx = encode(lift(policy) if lifted else policy, inst, graph, dm, training)
+        assert isinstance(ctx.logits, F.Tensor) == lifted
+        table = F.value(ctx.logits)
+        assert table.shape == ctx.ei.src.shape and table.size > _SLICE
+        # the raw policy's projections: a lifted table holds the raw values
+        proj = _project(policy.dec, gat_embed(policy.gat, ctx.ei, node_features(inst), training))
+        for e, (i, j) in enumerate(zip(ctx.ei.src, ctx.ei.dst)):
+            assert _pair_logits(policy.dec, proj, np.array([i]), np.array([j]))[0] == table[e]
+
+    def test_pair_mlp_scores_each_arc_once_per_encode(self, monkeypatch):
+        rows = []
+        matvec = F.matvec
+
+        def counted(a, v):
+            rows.append(F.value(a).shape[0])
+            return matvec(a, v)
+
+        monkeypatch.setattr(F, "matvec", counted)
+        inst, dm, graph, policy = small_setup(n=120, seed=4, k=30)
+        ctx = encode(lift(policy), inst, graph, dm, training=True)
+        assert sum(rows) == ctx.ei.src.size > _SLICE
+        assert max(rows) <= _SLICE
+        rows.clear()
+        trajs = batch_rollouts(policy, inst, ctx, 4, SAMPLE, seed=1)
+        batch_log_pf(ctx, trajs)
+        assert rows == []
+
+    def test_a_candidate_that_is_not_an_arc_raises(self):
+        # a path 0-1-2-3: customers 2 and 3 have no depot arc, yet the depot
+        # is a candidate whenever a run is away from it
+        inst = Instance((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), (1, 1, 1), 10)
+        dm = build_distance_matrix(inst)
+        nbrs = np.array([[1], [2], [3], [2]])
+        graph = SparseGraph(nbrs, dm.dist[np.arange(4)[:, None], nbrs])
+        policy = init_params(SMALL, 0)
+        ctx = encode(policy, inst, graph, dm)
+        with pytest.raises(ValueError, match="not an arc"):
+            batch_log_pf(ctx, [Trajectory((1, 2, 3, 0), None, 0.0)])
+        logits = ctx.logits.copy()
+        logits[arc_id(ctx.ei, 1, 0)] = -1e3  # the greedy run goes on to customer 2
+        with pytest.raises(ValueError, match="not an arc"):
+            rollout(policy, inst, replace(ctx, logits=logits), GREEDY)
 
 
 class TestRollout:
@@ -305,13 +361,12 @@ class TestRollout:
     def test_sample_frequencies_match_step_probabilities(self):
         inst, dm, graph, policy = small_setup(n=5, seed=13, k=4)
         ctx = encode(policy, inst, graph, dm)
-        probs = decode_step(policy, ctx, initial_state(inst))
+        probs = decode_step(ctx, initial_state(inst))
         n_draws = 10000
-        counts = np.zeros(inst.n_nodes)
-        for t in range(n_draws):
-            first = rollout(policy, inst, ctx, SAMPLE, seed=t).actions[0]
-            counts[first] += 1
-        freq = counts / n_draws
+        # one batched decode over the seeds 0..9999; batch_rollouts equals
+        # the single rollouts, row by row
+        firsts = [t.actions[0] for t in _decode(ctx, list(range(n_draws)), SAMPLE, 0.05)]
+        freq = np.bincount(firsts, minlength=inst.n_nodes) / n_draws
         sigma = np.sqrt(probs * (1 - probs) / n_draws)
         assert np.all(np.abs(freq - probs) <= 3 * sigma + 1e-12)
 
@@ -322,7 +377,7 @@ class TestRollout:
         state = initial_state(inst)
         total = 0.0
         for a in traj.actions:
-            probs = decode_step(policy, ctx, state)
+            probs = decode_step(ctx, state)
             total += np.log(probs[a])
             state = apply_action(inst, state, a)
         assert traj.log_pf == pytest.approx(total, abs=1e-12)
@@ -360,7 +415,7 @@ class TestBatchRollouts:
             assert traj.actions == single.actions
             assert traj.log_pf == single.log_pf
             assert traj.solution.total_cost == single.solution.total_cost
-            replay = step_replay_log_pf(policy, ctx, traj.actions)
+            replay = step_replay_log_pf(ctx, traj.actions)
             assert traj.log_pf == pytest.approx(replay, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
@@ -370,7 +425,7 @@ class TestBatchRollouts:
             ctx = encode(policy, inst, graph, dm)
             trajs = batch_rollouts(policy, inst, ctx, 4, mode, seed=seed, epsilon=0.3)
             for t, traj in enumerate(trajs):
-                actions, log_pf = step_reference_rollout(policy, ctx, mode, derive_seed(seed, t), 0.3)
+                actions, log_pf = step_reference_rollout(ctx, mode, derive_seed(seed, t), 0.3)
                 assert traj.actions == actions
                 assert traj.log_pf == log_pf
 
@@ -391,7 +446,7 @@ class TestBatchRollouts:
             assert traj.actions[1::2] == (0,) * 5
             assert traj.solution.n_routes == 5
             assert check_feasible(inst, traj.solution).feasible
-            assert traj.log_pf == pytest.approx(step_replay_log_pf(policy, ctx, traj.actions), abs=1e-12)
+            assert traj.log_pf == pytest.approx(step_replay_log_pf(ctx, traj.actions), abs=1e-12)
 
     def test_count_beyond_distinct_trajectories_extends_the_prefix(self):
         inst, dm, graph, policy = small_setup(n=2, seed=7, k=2)
@@ -499,8 +554,8 @@ class TestBatchLogPf:
         ctx = encode(policy, inst, graph, dm, training=True)
         trajs = batch_rollouts(policy, inst, ctx, 6, SAMPLE, seed=seed)
         lifted = lift(policy)
-        got = batch_log_pf(lifted, encode(lifted, inst, graph, dm, training=True), trajs)
-        ref = [step_replay_log_pf(policy, ctx, t.actions) for t in trajs]
+        got = batch_log_pf(encode(lifted, inst, graph, dm, training=True), trajs)
+        ref = [step_replay_log_pf(ctx, t.actions) for t in trajs]
         assert np.allclose(got.data, ref, rtol=0, atol=1e-9)
         assert np.allclose(got.data, [t.log_pf for t in trajs], rtol=0, atol=1e-9)
 
@@ -508,7 +563,7 @@ class TestBatchLogPf:
         inst, dm, graph, policy = small_setup(n=4, seed=5, k=3)
         bad = Trajectory((1, 1, 0), None, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(policy, encode(policy, inst, graph, dm), [bad])
+            batch_log_pf(encode(policy, inst, graph, dm), [bad])
 
     def test_rejects_an_arc_off_the_sparse_graph(self):
         inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
@@ -519,7 +574,7 @@ class TestBatchLogPf:
         solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
         traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(policy, ctx, [traj])
+            batch_log_pf(ctx, [traj])
 
     def test_gradients_match_central_differences(self):
         dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)
@@ -534,7 +589,7 @@ class TestBatchLogPf:
 
         def tb_loss(params):
             # encode and batch_log_pf are generic over modes: raw arrays give the value
-            log_pf = batch_log_pf(params, encode(params, inst, graph, dm, training=True), trajs)
+            log_pf = batch_log_pf(encode(params, inst, graph, dm, training=True), trajs)
             return F.mean(F.square(params.log_z + log_pf - target))
 
         lifted = lift(policy)
