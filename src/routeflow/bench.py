@@ -200,29 +200,25 @@ def run_bench(spec: BenchSpec, write_csv: bool = True) -> list[RunRecord]:
     policy = None
     if any(m.startswith("neural") for m in spec.methods):
         policy = load_checkpoint(spec.checkpoint)
-    objectives: dict[tuple[str, str], float] = {}
-    times: dict[tuple[str, str], float] = {}
+    records = []
     for idx, instance in enumerate(instances):
         seed = derive_seed(spec.seed, idx)
+        solved: dict[str, tuple[float, float]] = {}  # method -> (objective, seconds)
         for method in spec.methods:
             t0 = time.monotonic()
             solution = solve(method, instance, seed, policy, spec.hgs, spec.k_nn)
-            elapsed = time.monotonic() - t0
-            objectives[(instance.name, method)] = solution.total_cost
-            times[(instance.name, method)] = elapsed
-    records = []
-    for idx, instance in enumerate(instances):
-        ref = _reference_for(spec, instance.name, objectives)
+            solved[method] = (solution.total_cost, time.monotonic() - t0)
+        ref = _reference_for(spec, instance.name, solved)
         for method in spec.methods:
-            obj = objectives[(instance.name, method)]
+            obj, elapsed = solved[method]
             records.append(
                 RunRecord(
                     instance=instance.name,
                     method=method,
                     obj=obj,
                     gap_pct=None if ref is None else gap_percent(obj, ref),
-                    time_s=times[(instance.name, method)],
-                    seed=derive_seed(spec.seed, idx),
+                    time_s=elapsed,
+                    seed=seed,
                 )
             )
     records += _aggregate(records, spec.methods)
@@ -231,12 +227,12 @@ def run_bench(spec: BenchSpec, write_csv: bool = True) -> list[RunRecord]:
     return records
 
 
-def _reference_for(spec: BenchSpec, name: str, objectives) -> float | None:
+def _reference_for(spec: BenchSpec, name: str, solved) -> float | None:
     if spec.ref_table is not None:
         value = spec.ref_table.get(name)
         return float(value) if value is not None else None
     if spec.reference is not None:
-        return objectives[(name, spec.reference)]
+        return solved[spec.reference][0]
     return None
 
 

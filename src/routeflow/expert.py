@@ -460,6 +460,21 @@ class _Individual:
 _FLEET_PENALTY = 1e7
 
 
+def _survivors(population: list[_Individual], size: int) -> list[_Individual]:
+    """The next generation: by cost (ties in population order), the elite
+    share first, then the first occurrence of each other tour, then the
+    duplicates, truncated to ``size``."""
+    ranked = sorted(population, key=lambda ind: ind.cost)
+    n_elite = max(1, int(ELITE_FRACTION * size))
+    seen = {tuple(ind.tour) for ind in ranked[:n_elite]}
+    firsts, duplicates = [], []
+    for ind in ranked[n_elite:]:
+        key = tuple(ind.tour)
+        (duplicates if key in seen else firsts).append(ind)
+        seen.add(key)
+    return (ranked[:n_elite] + firsts + duplicates)[:size]
+
+
 def hgs_solve(
     instance: Instance,
     warm_start: Solution | None = None,
@@ -539,25 +554,7 @@ def hgs_solve(
             best = ind
         population.append(ind)
         if len(population) > cfg.population_size:
-            population.sort(key=lambda x: x.cost)
-            n_elite = max(1, int(ELITE_FRACTION * cfg.population_size))
-            survivors = population[:n_elite]
-            seen = {tuple(s.tour) for s in survivors}
-            for cand in population[n_elite:]:
-                if len(survivors) >= cfg.population_size:
-                    break
-                key = tuple(cand.tour)
-                if key in seen:
-                    continue
-                seen.add(key)
-                survivors.append(cand)
-            # duplicates may leave a shortfall; refill from the sorted pool
-            for cand in population[n_elite:]:
-                if len(survivors) >= cfg.population_size:
-                    break
-                if cand not in survivors:
-                    survivors.append(cand)
-            population = survivors
+            population = _survivors(population, cfg.population_size)
 
     if best is None:
         raise InstanceError("no fleet-feasible solution found; raise the budget")

@@ -65,9 +65,13 @@ def fleet_limit_from_name(name: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
+_INT_HEADERS = ("DIMENSION", "CAPACITY", "VEHICLES")
+
+
 def _scan_sections(text: str, *, need_demand: bool):
-    """Shared VRPLIB/TSPLIB scanner; returns header fields and sections."""
-    header: dict[str, str] = {}
+    """Shared VRPLIB/TSPLIB scanner; returns header fields (the integer ones
+    parsed on their own line, which an error reports) and sections."""
+    header: dict[str, str | int] = {}
     coords: dict[int, tuple[float, float]] = {}
     demands: dict[int, int] = {}
     depots: list[int] = []
@@ -108,10 +112,10 @@ def _scan_sections(text: str, *, need_demand: bool):
                 depots.append(node)
         else:
             key, value = _split_header(line)
-            header[key] = value
+            header[key] = _parse_value(value, lineno, int) if key in _INT_HEADERS else value
     if "DIMENSION" not in header:
         raise ParseError("missing DIMENSION header")
-    dimension = _parse_value(header["DIMENSION"], 0, int)
+    dimension = header["DIMENSION"]
     weight_type = header.get("EDGE_WEIGHT_TYPE", "")
     if weight_type.upper() != "EUC_2D":
         raise ParseError(f"unsupported EDGE_WEIGHT_TYPE {weight_type!r} (only EUC_2D)")
@@ -141,7 +145,7 @@ def parse_vrplib(text: str) -> Instance:
     header, coords, demands, depots = _scan_sections(text, need_demand=True)
     if "CAPACITY" not in header:
         raise ParseError("missing CAPACITY header")
-    capacity = _parse_value(header["CAPACITY"], 0, int)
+    capacity = header["CAPACITY"]
     if len(depots) != 1:
         raise ParseError(f"expected exactly one depot, got {len(depots)}")
     depot_id = depots[0]
@@ -153,10 +157,8 @@ def parse_vrplib(text: str) -> Instance:
     mode = ROUNDED
     if "distance_mode=continuous" in header.get("COMMENT", ""):
         mode = CONTINUOUS
-    fleet = None
-    if "VEHICLES" in header:
-        fleet = _parse_value(header["VEHICLES"], 0, int)
-    elif name:
+    fleet = header.get("VEHICLES")
+    if fleet is None and name:
         fleet = fleet_limit_from_name(name)
     customer_ids = [node for node in sorted(coords) if node != depot_id]
     return Instance(

@@ -6,14 +6,15 @@ layer). The decoder scores (current, candidate) embedding pairs with an MLP
 and constructs routes autoregressively under capacity/visitation masks. A
 pair's logit depends on the arc alone, never on the rollout's state, and
 every candidate is an arc of the sparse graph, so ``encode`` scores each arc
-once into an (E,) logit table and a step's logits are one gather from it by
-arc id. Batched rollouts advance all rollouts together on array state
-(current node, residual load, visited mask); ``batch_log_pf`` replays fixed
-trajectories once, in numpy, into flat (step, candidate) arc ids and scores
-them with one gather and a segment log-sum-exp on the tape. Both reproduce,
-bit for bit, a single-state reference decoder that lives with the tests
-(``tests/reference_decoder.py``). The discriminator reuses the encoder and
-scores a trajectory by the log-sigmoids of its arcs.
+once into an (E,) logit table. A run's candidates are the slots of its
+current node's CSR row of the edge index, whose positions are arc ids, so a
+step's logits are one gather from the table. Batched rollouts advance all
+rollouts together on array state (current node, residual load, visited
+mask); ``batch_log_pf`` replays fixed trajectories once, in numpy, into
+flat (step, candidate) arc ids and scores them with one gather and a
+segment log-sum-exp on the tape. Both reproduce, bit for bit, a reference
+decoder that lives with the tests (``tests/reference_decoder.py``). The
+discriminator reuses the encoder and scores a trajectory by its arcs.
 
 Parameters live in plain float64 arrays; ``lift`` mirrors a container into
 autodiff Tensors for training, and the same forward code serves both modes:
@@ -29,6 +30,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
 from .core import DistanceMatrix, Instance, Solution, SparseGraph, make_solution
@@ -93,12 +95,16 @@ def node_features(instance: Instance) -> NodeFeatures:
 @dataclass(frozen=True)
 class EdgeIndex:
     """Directed sparse edges, symmetrized so every kept arc is usable both
-    ways, with depot arcs guaranteed in both directions."""
+    ways, with depot arcs guaranteed in both directions. In CSR layout: the
+    arcs are sorted by (src, dst), so node i's arcs are the row
+    ``start[i]:start[i + 1]``, and no row is empty (k-NN rows have k >= 1
+    entries). ``build_edge_index`` is the one place that makes both hold."""
 
     n: int
     src: np.ndarray  # (E,) sorted by (src, dst)
     dst: np.ndarray
     dist: np.ndarray
+    start: np.ndarray  # (n + 1,) row offsets
 
 
 def build_edge_index(graph: SparseGraph) -> EdgeIndex:
@@ -112,7 +118,8 @@ def build_edge_index(graph: SparseGraph) -> EdgeIndex:
     dst = np.stack([bwd, fwd], axis=1).ravel()
     dist = np.repeat(graph.edge_dist.ravel().astype(np.float64), 2)
     keys, last = np.unique((src * n + dst)[::-1], return_index=True)
-    return EdgeIndex(n, keys // n, keys % n, dist[::-1][last])
+    src = keys // n
+    return EdgeIndex(n, src, keys % n, dist[::-1][last], np.searchsorted(src, np.arange(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +299,6 @@ def backward_grads(lifted) -> dict[str, np.ndarray]:
 # encoder forward (generic over raw arrays / lifted Tensors)
 
 
-def _segment_max(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    buf = np.full(n, -np.inf)
-    np.maximum.at(buf, owner, values)
-    return buf
-
-
 def _batchnorm(layer: GatLayer, x, training: bool):
     if training:
         mu = F.mean(x, axis=0, keepdims=True)
@@ -333,7 +334,7 @@ def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool
             zj = F.take(z, ei.dst)
             score = F.leaky_relu(zi @ head.a_src + zj @ head.a_dst, LEAKY_SLOPE)
             score = score + e @ head.w_edge
-            smax = _segment_max(F.value(score), ei.src, ei.n)
+            smax = np.maximum.reduceat(F.value(score), ei.start[:-1])
             shifted = score - smax[ei.src]
             ex = F.exp(shifted)
             denom = F.segment_sum(ex, ei.src, ei.n)
@@ -403,23 +404,6 @@ def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
     return DecodeContext(instance, ei, dm, logits)
 
 
-def _arc_ids(ei: EdgeIndex):
-    """The arc-id lookup of ``ei``, shared by ``_decode`` and ``_replay``:
-    maps (tail, head) node arrays to the positions of those arcs in edge
-    order by binary search over the arc keys, built once here, and raises
-    if a pair is not an arc. O(E) memory, no n x n table."""
-    keys = ei.src * ei.n + ei.dst  # ascending: the arcs are sorted by (src, dst)
-
-    def lookup(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-        query = tail * ei.n + head
-        arc = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-        if not np.array_equal(keys[arc], query):
-            raise ValueError("a candidate is not an arc of the edge index")
-        return arc
-
-    return lookup
-
-
 def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Softmax within consecutive runs of ``sizes`` entries. Each run is
     reduced on its own, so its result never depends on the others."""
@@ -448,35 +432,46 @@ SAMPLE = "sample"
 
 class _Runs:
     """Array state of several runs of the decoder on one instance: current
-    node, residual load and visited mask per run, and the dense adjacency
-    mask. A run's valid actions are the unvisited neighbours of its current
-    node that fit its residual load, and the depot whenever the run is away
-    from it (no empty routes)."""
+    node, residual load and visited mask per run. A run's candidates are the
+    slots of its current node's CSR row; a slot is valid when its head is
+    unvisited and fits the residual load. The depot is never visited, has
+    demand 0 and no arc to itself, and starts every customer row, so this
+    rule admits it whenever a run is away from it (no empty routes)."""
 
     def __init__(self, instance: Instance, ei: EdgeIndex, count: int):
-        n = instance.n_nodes
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.adj[ei.src, ei.dst] = True
-        self.adj[:, 0] = False  # the depot has its own rule
+        if ei.dst[ei.start[1:-1]].any():
+            raise ValueError("a customer's return to the depot is not an arc of the edge index")
+        self.start = ei.start
         self.demand = np.array((0, *instance.demands), dtype=np.int64)
+        # each arc's window of the widest row's length over the heads and
+        # their demands, padded so that the last row's window is whole
+        width = np.diff(ei.start).max()
+        head = np.concatenate([ei.dst, np.zeros(width, dtype=np.int64)])
+        self.head = sliding_window_view(head, width)
+        self.need = sliding_window_view(self.demand[head], width)
         self.capacity = instance.capacity
         self.current = np.zeros(count, dtype=np.int64)
         self.residual = np.full(count, instance.capacity, dtype=np.int64)
-        self.visited = np.zeros((count, n), dtype=bool)
+        self.visited = np.zeros((count, instance.n_nodes), dtype=bool)
 
-    def candidates(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), n) mask of each run's valid actions; its nonzero
-        entries come in row order, so candidates are sorted by node."""
+    def candidates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(arc ids, valid mask), each (len(rows), widest current row): the
+        slots of each run's current row in order, so the valid ones are
+        sorted by node."""
         cur = self.current[rows]
-        mask = self.adj[cur] & ~self.visited[rows] & (self.demand <= self.residual[rows, None])
-        mask[:, 0] = cur != 0
-        return mask
+        first = self.start[cur]
+        size = self.start[cur + 1] - first
+        slot = np.arange(size.max())
+        head = self.head[first, : slot.size]
+        seen = self.visited.reshape(-1)[(rows * self.visited.shape[1])[:, None] + head]
+        fits = self.need[first, : slot.size] <= self.residual[rows, None]
+        return first[:, None] + slot, (slot < size[:, None]) & ~seen & fits
 
     def apply(self, rows: np.ndarray, actions: np.ndarray) -> None:
         loaded = self.residual[rows] - self.demand[actions]
         self.residual[rows] = np.where(actions == 0, self.capacity, loaded)
         self.current[rows] = actions
-        self.visited[rows, actions] = True  # the depot's column is never read
+        self.visited[rows, actions] = actions != 0
 
     def finished(self, rows: np.ndarray) -> np.ndarray:
         return (self.current[rows] == 0) & self.visited[rows, 1:].all(axis=1)
@@ -494,16 +489,17 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     a lone rollout would: a sample takes one draw and compares it with the
     step's cdf (``Generator.choice`` with ``p``), an epsilon test takes one
     before it. A rollout takes at most 2 * n_customers steps, so its
-    largest possible share of the stream is drawn up front. A step gathers
-    its candidates' logits from the values of ``ctx.logits`` by arc id, so a
-    context on the tape serves as well.
+    largest possible share of the stream is drawn up front. A step's
+    candidates are slots of the CSR rows of the runs' current nodes; it
+    gathers their logits from the values of ``ctx.logits`` by arc id (so a
+    context on the tape serves as well), picks a slot, and takes the head
+    of that slot's arc as the action.
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
     instance = ctx.instance
     table = F.value(ctx.logits)
-    arc_ids = _arc_ids(ctx.ei)
-    count, n, max_steps = len(seeds), instance.n_nodes, 2 * instance.n_customers
+    count, max_steps = len(seeds), 2 * instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
     used = np.zeros(count, dtype=np.int64)
@@ -514,14 +510,12 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     rows = np.arange(count)
     step = 0
     while rows.size:
-        mask = runs.candidates(rows)
+        arc, mask = runs.candidates(rows)
         sizes = mask.sum(axis=1)
         if not sizes.all():
             raise RuntimeError("no valid action in a non-terminal state")
-        r, c = mask.nonzero()
-        logits = table[arc_ids(runs.current[rows][r], c)]
         probs = np.zeros(mask.shape)
-        probs[r, c] = _softmax_runs(logits, sizes)
+        probs[mask] = _softmax_runs(table[arc[mask]], sizes)
         pick = probs.argmax(axis=1)
         explore = np.arange(rows.size if mode == SAMPLE else 0)
         if mode == EPSILON_GREEDY:
@@ -533,9 +527,11 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
             cdf /= cdf[:, -1:]
             pick[explore] = (cdf <= draws[sampled, used[sampled], None]).sum(axis=1)
             used[sampled] += 1
-        log_pf[rows] += np.log(probs[np.arange(rows.size), pick])
-        runs.apply(rows, pick)
-        paths[rows, step] = pick
+        at = np.arange(rows.size)
+        log_pf[rows] += np.log(probs[at, pick])
+        action = ctx.ei.dst[arc[at, pick]]
+        runs.apply(rows, action)
+        paths[rows, step] = action
         step += 1
         done = runs.finished(rows)
         lengths[rows[done]] = step
@@ -600,27 +596,28 @@ class _Tape:
 
 
 def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
-    """Replay every sequence once, in lockstep on ``_Runs`` state."""
+    """Replay every sequence once, in lockstep on ``_Runs`` state: a step's
+    entries are the arcs of its valid slots, and its pick is the action's
+    position among them."""
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     actions = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.int64)
     for t, seq in enumerate(sequences):
         actions[t, : len(seq)] = seq
     runs = _Runs(instance, ei, len(sequences))
-    arc_ids = _arc_ids(ei)
     parts = [(np.zeros(0, dtype=np.int64),) * 4]  # so that no steps still concatenate
     n_steps = n_entries = 0
     for k in range(actions.shape[1]):
         rows = np.flatnonzero(lengths > k)
-        mask = runs.candidates(rows)
-        r, c = mask.nonzero()
+        arc, mask = runs.candidates(rows)
+        entries = arc[mask]
+        run = np.repeat(np.arange(rows.size), mask.sum(axis=1))
         a = actions[rows, k]
-        at = np.arange(rows.size)
-        sizes = mask.sum(axis=1)
-        first = n_entries + sizes.cumsum() - sizes  # each run's first entry
-        pick = np.where(mask[at, a], first + mask.cumsum(axis=1)[at, a] - 1, -1)
-        parts.append((arc_ids(runs.current[rows][r], c), n_steps + r, pick, rows))
+        hit = np.flatnonzero(ei.dst[entries] == a[run])  # at most one per run
+        pick = np.full(rows.size, -1)
+        pick[run[hit]] = n_entries + hit
+        parts.append((entries, n_steps + run, pick, rows))
         n_steps += rows.size
-        n_entries += r.size
+        n_entries += entries.size
         runs.apply(rows, a)
     return _Tape(*(np.concatenate(col) for col in zip(*parts)))
 
@@ -635,7 +632,8 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
 
     Scores from the arc logit table of ``ctx``, which ``encode`` built from
     the policy (a lifted one for gradients). The trajectories are replayed
-    once, in numpy, into a flat tape of (step, candidate) arc ids; the
+    once, in numpy, into a flat tape of (step, candidate) arc ids, each
+    step's ids read from the valid slots of its current node's CSR row; the
     logits then come from one gather of the table, one segment log-sum-exp
     over the steps and one segment sum into the trajectories, so the tape
     grows by O(1) nodes, not by steps, and the pair MLP does not run here.
@@ -653,13 +651,13 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
 # discriminator
 
 
-def disc_edge_logits(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                     pairs: tuple[np.ndarray, np.ndarray, np.ndarray], training: bool):
+def disc_edge_logits(disc: DiscParams, emb, feats: NodeFeatures,
+                     pairs: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Raw scores of the (src, dst, dist) arcs in ``pairs``, prior to the
-    sigmoid (generic over both modes). Attention runs over the sparse graph,
-    but the scored arcs may fall outside it, as expert arcs do.
+    sigmoid, from the discriminator's node embeddings ``emb`` (generic over
+    both modes). Attention ran over the sparse graph, but the scored arcs
+    may fall outside it, as expert arcs do.
     """
-    emb = gat_embed(disc.gat, ei, feats, training)
     src, dst, dist = pairs
     e_raw = (dist / feats.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
@@ -674,16 +672,18 @@ def disc_forward(disc: DiscParams, instance: Instance, graph: SparseGraph,
                  training: bool = False) -> np.ndarray:
     """(E,) probabilities in (0, 1) of the arcs of ``build_edge_index(graph)``,
     in its (src, dst) order."""
-    ei = build_edge_index(graph)
-    pairs = (ei.src, ei.dst, ei.dist)
-    return F.sigmoid(F.value(disc_edge_logits(disc, ei, node_features(instance), pairs, training)))
+    ei, feats = build_edge_index(graph), node_features(instance)
+    emb = gat_embed(disc.gat, ei, feats, training)
+    return F.sigmoid(F.value(disc_edge_logits(disc, emb, feats, (ei.src, ei.dst, ei.dist))))
 
 
-def disc_traj_scores_t(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
-                       dm: DistanceMatrix, sequences: list):
+def disc_traj_scores_t(disc: DiscParams, emb, feats: NodeFeatures, dm: DistanceMatrix,
+                       sequences: list):
     """Log-scores of action sequences, each the sum of log σ(edge logit)
-    over its arcs from the depot on; always <= 0. A (T,) tensor for a lifted
-    discriminator, an array otherwise. The encoder runs in training mode.
+    over its arcs from the depot on; always <= 0. ``emb`` is the
+    discriminator's training-mode embedding (``gat_embed`` with
+    ``training=True``). A (T,) tensor for a lifted discriminator and its
+    embedding, an array otherwise.
 
     Scores exactly the union of the sequences' arcs (one ``np.unique`` over
     arc keys), so expert routes may use arcs beyond the sparse graph; one
@@ -693,9 +693,9 @@ def disc_traj_scores_t(disc: DiscParams, ei: EdgeIndex, feats: NodeFeatures,
     dst = np.array([a for s in sequences for a in s], dtype=np.int64)
     src = np.concatenate(([0], dst[:-1]))
     src[lengths.cumsum() - lengths] = 0
-    keys, arc = np.unique(src * ei.n + dst, return_inverse=True)
-    src, dst = keys // ei.n, keys % ei.n
-    logits = disc_edge_logits(disc, ei, feats, (src, dst, dm.dist[src, dst]), True)
+    keys, arc = np.unique(src * dm.n + dst, return_inverse=True)
+    src, dst = keys // dm.n, keys % dm.n
+    logits = disc_edge_logits(disc, emb, feats, (src, dst, dm.dist[src, dst]))
     owner = np.repeat(np.arange(len(sequences)), lengths)
     return F.segment_sum(F.take(F.log_sigmoid(logits), arc), owner, len(sequences))
 

@@ -5,8 +5,9 @@ A generator update encodes each instance once, on the lifted policy, and
 scores its rollouts with the frozen discriminator through the
 ``disc_traj_scores_t`` that the discriminator update trains through.
 Positives are action sequences, scored only by the discriminator. A
-training step builds each instance's distance matrix and sparse graph once
-and hands them to every update as ``(instance, dm, graph)`` triples.
+training step builds each instance's distance matrix, sparse graph and frozen
+encodings once: the discriminator's for the generator updates, the updated
+policy's for the negatives and the greedy cost.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -22,13 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as F
-from .core import (
-    DistanceMatrix, Instance, SparseGraph, build_distance_matrix, check_feasible, knn_sparsify,
-)
+from .core import Instance, build_distance_matrix, check_feasible, knn_sparsify
 from .expert import HgsConfig, expert_refine
 from .io import derive_seed, generate_uniform
 from .neural import (
     CheckpointError,
+    DecodeContext,
     Dims,
     DiscParams,
     EPSILON_GREEDY,
@@ -45,6 +45,7 @@ from .neural import (
     disc_traj_scores_t,
     encode,
     fill_container,
+    gat_embed,
     init_disc,
     init_params,
     lift,
@@ -166,19 +167,19 @@ def _graph_for(instance: Instance, cfg: TrainConfig):
     return dm, knn_sparsify(dm, k)
 
 
-def make_training_pair(policy: PolicyParams, instance: Instance, dm: DistanceMatrix,
-                       graph: SparseGraph, cfg: TrainConfig,
+def make_training_pair(policy: PolicyParams, ctx: DecodeContext, cfg: TrainConfig,
                        seed: int = 0) -> tuple[list[tuple], list[tuple]]:
-    """Action sequences. Negatives: epsilon-greedy rollouts from the policy.
+    """Action sequences on ``ctx``, the policy's training-mode encoding of
+    one instance. Negatives: epsilon-greedy rollouts from the policy.
     Positive: the best negative's solution refined by the
     decomposition-augmented expert."""
-    ctx = encode(policy, instance, graph, dm, training=True)
+    instance = ctx.instance
     neg = batch_rollouts(
         policy, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon
     )
     seed_sol = best_of(neg).solution
     expert_cfg = replace(cfg.expert_hgs, seed=derive_seed(seed, 7))
-    refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, dm)
+    refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, ctx.dm)
     report = check_feasible(instance, refined)
     if not report.feasible:
         raise TrainingDivergedError(f"expert produced infeasible solution: {report.violations}")
@@ -207,12 +208,13 @@ def _check_finite(value: float, what: str, snapshot: dict, out_dir: str):
     raise TrainingDivergedError(f"non-finite {what}; snapshot at {path}")
 
 
-def generator_update(state: TrainState, batch, cfg: TrainConfig, seed: int) -> float:
+def generator_update(state: TrainState, batch, disc_embs, cfg: TrainConfig, seed: int) -> float:
     """One TB-loss gradient step on the generator; discriminator frozen.
-    ``batch`` holds (instance, dm, graph) triples."""
+    ``batch`` holds (instance, dm, graph) triples and ``disc_embs`` the
+    frozen discriminator's training-mode embedding of each instance."""
     lifted = lift(state.policy)
     residual_parts = []
-    for idx, (instance, dm, graph) in enumerate(batch):
+    for idx, ((instance, dm, graph), disc_emb) in enumerate(zip(batch, disc_embs)):
         ctx = encode(lifted, instance, graph, dm, training=True)
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
@@ -221,7 +223,7 @@ def generator_update(state: TrainState, batch, cfg: TrainConfig, seed: int) -> f
             derive_seed(seed, idx), cfg.epsilon,
         )
         d_scores = disc_traj_scores_t(
-            state.disc, ctx.ei, node_features(instance), dm, [t.actions for t in trajs]
+            state.disc, disc_emb, node_features(instance), dm, [t.actions for t in trajs]
         )
         log_pf = batch_log_pf(ctx, trajs)
         residual_parts.append(lifted.log_z + log_pf - d_scores)
@@ -236,18 +238,18 @@ def generator_update(state: TrainState, batch, cfg: TrainConfig, seed: int) -> f
     return loss_val
 
 
-def discriminator_update(state: TrainState, batch, cfg: TrainConfig,
+def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: TrainConfig,
                          seed: int) -> tuple[float, float]:
-    """One LSGAN step on the discriminator; generator frozen. ``batch``
-    holds (instance, dm, graph) triples. Returns the loss and the mean
-    negative-sample reward."""
+    """One LSGAN step on the discriminator; generator frozen. ``ctxs``
+    holds the policy's training-mode encoding of each instance. Returns the
+    loss and the mean negative-sample reward."""
     lifted = lift(state.disc)
     neg_parts, pos_parts = [], []
-    for idx, (instance, dm, graph) in enumerate(batch):
-        neg, pos = make_training_pair(state.policy, instance, dm, graph, cfg, derive_seed(seed, idx))
-        scores = disc_traj_scores_t(
-            lifted, build_edge_index(graph), node_features(instance), dm, neg + pos
-        )
+    for idx, ctx in enumerate(ctxs):
+        neg, pos = make_training_pair(state.policy, ctx, cfg, derive_seed(seed, idx))
+        feats = node_features(ctx.instance)
+        emb = gat_embed(lifted.gat, ctx.ei, feats, training=True)
+        scores = disc_traj_scores_t(lifted, emb, feats, ctx.dm, neg + pos)
         rewards = F.exp(scores)
         neg_parts.append(rewards[: len(neg)])
         pos_parts.append(rewards[len(neg):])
@@ -266,18 +268,20 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, then one discriminator update with the generator
-    frozen. Appends one history record. Each instance's distance matrix and
-    sparse graph are built once, here."""
+    frozen. Appends one history record. Each instance's distance matrix,
+    sparse graph and frozen encodings are built once, here: array mode never
+    updates batch-norm statistics, so they equal what each update would
+    compute."""
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     batch = [(instance, *_graph_for(instance, cfg)) for instance in instances]
+    disc_embs = [gat_embed(state.disc.gat, build_edge_index(g), node_features(i), training=True)
+                 for i, _, g in batch]
     tb = math.nan
     for u in range(cfg.update_ratio):
-        tb = generator_update(state, batch, cfg, derive_seed(base, 1000 + u))
-    d_loss, mean_reward = discriminator_update(state, batch, cfg, derive_seed(base, 2000))
-    greedy_costs = []
-    for instance, dm, graph in batch:
-        ctx = encode(state.policy, instance, graph, dm, training=True)
-        greedy_costs.append(rollout(state.policy, instance, ctx, GREEDY).solution.total_cost)
+        tb = generator_update(state, batch, disc_embs, cfg, derive_seed(base, 1000 + u))
+    ctxs = [encode(state.policy, i, g, dm, training=True) for i, dm, g in batch]
+    d_loss, mean_reward = discriminator_update(state, ctxs, cfg, derive_seed(base, 2000))
+    greedy_costs = [rollout(state.policy, c.instance, c, GREEDY).solution.total_cost for c in ctxs]
     state.history.append(
         {
             "step": len(state.history),

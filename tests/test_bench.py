@@ -9,7 +9,9 @@ import pytest
 from routeflow import bench
 from routeflow.core import build_distance_matrix, check_feasible, exact_solve_small, knn_sparsify
 from routeflow.expert import HgsConfig, expert_refine, hgs_solve, initial_solution
-from routeflow.io import AGGREGATE, generate_batch, generate_uniform, read_results_csv
+from routeflow.io import (
+    AGGREGATE, generate_batch, generate_uniform, load_instance, read_results_csv, write_vrplib,
+)
 from routeflow.neural import GREEDY, Dims, encode, init_params, rollout, save_policy
 
 FAST = HgsConfig(max_iterations=15)
@@ -122,6 +124,20 @@ class TestRunBench:
             ))
         names = [inst.name for inst in generate_batch(6, 3, 5)]
         assert [r.instance for r in records[:-2]] == [n for n in names for _ in range(2)]
+
+    def test_unnamed_files_keep_their_own_results(self, tmp_path):
+        files = []
+        for seed in (1, 2):
+            path = tmp_path / f"{seed}.vrp"
+            path.write_text(write_vrplib(dataclasses.replace(generate_uniform(6, seed), name="")))
+            files.append(str(path))
+        spec = self.spec(tmp_path, synthetic=None, files=tuple(files), reference="exact")
+        records = bench.run_bench(spec, write_csv=False)[:-2]
+        assert [r.instance for r in records] == [""] * 4
+        for r, path in zip(records, [f for f in files for _ in range(2)]):
+            assert r.obj == bench.solve(r.method, load_instance(path), r.seed, hgs=FAST).total_cost
+            exact = bench.solve("exact", load_instance(path), r.seed).total_cost
+            assert r.gap_pct == bench.gap_percent(r.obj, exact)
 
     def test_ref_table_gaps(self, tmp_path):
         name = generate_batch(6, 1, 5)[0].name

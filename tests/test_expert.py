@@ -16,10 +16,13 @@ from routeflow.core import (
     solution_cost,
 )
 from routeflow.expert import (
+    ELITE_FRACTION,
     GAMMA,
     HgsConfig,
+    _Individual,
     _local_search,
     _neighbour_lists,
+    _survivors,
     _two_opt_route,
     compute_barycenters,
     decompose,
@@ -164,6 +167,38 @@ class TestHgs:
             sweep = initial_solution(inst, seed, None)
             sol = hgs_solve(inst, cfg=HgsConfig(population_size=6, max_iterations=20, seed=seed))
             assert sol.total_cost <= sweep.total_cost + 1e-9
+
+    def test_survivors_match_the_dedupe_and_refill_loops(self):
+        def loops(population, size):
+            # the two loops the survivor rule replaced
+            population = sorted(population, key=lambda x: x.cost)
+            n_elite = max(1, int(ELITE_FRACTION * size))
+            survivors = population[:n_elite]
+            seen = {tuple(s.tour) for s in survivors}
+            for cand in population[n_elite:]:
+                if len(survivors) >= size:
+                    break
+                key = tuple(cand.tour)
+                if key in seen:
+                    continue
+                seen.add(key)
+                survivors.append(cand)
+            for cand in population[n_elite:]:
+                if len(survivors) >= size:
+                    break
+                if cand not in survivors:
+                    survivors.append(cand)
+            return survivors
+
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            size = int(rng.integers(2, 12))
+            tours = [list(rng.permutation(4)) for _ in range(int(rng.integers(1, 6)))]
+            population = [
+                _Individual(tours[int(rng.integers(len(tours)))], None, float(rng.integers(5)), True)
+                for _ in range(size + 1)
+            ]
+            assert [id(i) for i in _survivors(population, size)] == [id(i) for i in loops(population, size)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_n32_k5_reaches_bks(self, seed):

@@ -93,6 +93,18 @@ class TestParseVrplib:
         with pytest.raises(ParseError, match="line 8"):
             parse_vrplib(broken)
 
+    @pytest.mark.parametrize("line, replaces, text", [
+        (6, True, "CAPACITY : 1o0"), (4, True, "DIMENSION : 3x2"), (6, False, "VEHICLES : five"),
+    ])
+    def test_malformed_header_value_reports_its_line(self, line, replaces, text):
+        with open(os.path.join(DATA, "A-n32-k5.vrp")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[5] == "CAPACITY : 100"
+        lines[line - 1 : line - 1 + replaces] = [text]
+        with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+            parse_vrplib("\n".join(lines))
+        assert info.value.line == line
+
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError, match="DIMENSION"):
             parse_vrplib(MINI_VRP.replace("DIMENSION : 2", "DIMENSION : 3"))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from routeflow.neural import (
     SAMPLE,
     Trajectory,
     _SLICE,
+    _Runs,
     _decode,
     _pair_logits,
     _project,
@@ -139,6 +141,17 @@ class TestEdgeIndex:
         pairs, dist = dict_edge_index(graph)
         assert list(zip(ei.src.tolist(), ei.dst.tolist())) == pairs
         assert ei.dist.tolist() == dist
+
+    @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (6, 2, 1), (15, 4, 2), (40, 10, 3), (40, 39, 4)])
+    def test_rows_are_the_nodes_arcs(self, n, k, seed):
+        ei = build_edge_index(knn_sparsify(build_distance_matrix(generate_uniform(n, seed)), k))
+        assert ei.start.shape == (ei.n + 1,)
+        assert ei.start[0] == 0 and ei.start[-1] == ei.src.size
+        for i in range(ei.n):
+            row = slice(ei.start[i], ei.start[i + 1])
+            assert ei.start[i] < ei.start[i + 1]
+            assert np.all(ei.src[row] == i)
+            assert ei.dst[row].tolist() == neighbours(ei, i)
 
 
 class TestInit:
@@ -338,6 +351,52 @@ class TestArcLogits:
             rollout(policy, inst, replace(ctx, logits=logits), GREEDY)
 
 
+class TestCandidates:
+    """``_Runs.candidates``: the valid slots of each run's current row."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_reference_valid_actions(self, seed):
+        # demands of 5 against a capacity of 10: runs reach full load
+        inst = replace(generate_uniform(14, seed), demands=(5,) * 14, capacity=10)
+        ei = build_edge_index(knn_sparsify(build_distance_matrix(inst), 4))
+        rng = np.random.default_rng(seed)
+        count = 5
+        runs = _Runs(inst, ei, count)
+        states = [initial_state(inst)] * count
+        seen = set()
+        while not all(is_terminal(inst, s) for s in states):
+            rows = np.array([t for t, s in enumerate(states) if not is_terminal(inst, s)])
+            arc, mask = runs.candidates(rows)
+            actions = []
+            for r, t in enumerate(rows):
+                state = states[t]
+                ids = arc[r][mask[r]]
+                assert np.all(ei.src[ids] == state.current)
+                assert ei.dst[ids].tolist() == valid_actions(inst, ei, state)
+                seen.add("depot" if state.current == 0 else "full" if state.residual == 0 else "mid")
+                actions.append(int(rng.choice(ei.dst[ids])))
+            runs.apply(rows, np.array(actions))
+            for t, a in zip(rows, actions):
+                states[t] = apply_action(inst, states[t], a)
+        assert seen == {"depot", "mid", "full"}
+
+    def test_a_greedy_rollout_allocates_no_n_by_n_array(self):
+        n = 2000
+        inst = generate_uniform(n - 1, 1)
+        dm = build_distance_matrix(inst)
+        graph = knn_sparsify(dm, 20)
+        policy = init_params(SMALL, 1)
+        ctx = encode(policy, inst, graph, dm)
+        tracemalloc.start()
+        try:
+            traj = rollout(policy, inst, ctx, GREEDY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.actions) > n
+        assert peak < n * n
+
+
 class TestRollout:
     def test_single_customer_forced(self):
         inst, dm, graph, policy = small_setup(n=1, seed=5, k=1)
@@ -502,17 +561,19 @@ class TestDiscScore:
         if logit is not None:  # the same logit on every arc
             disc.w2[:] = 0.0
             disc.b2[...] = logit
-        return disc, build_edge_index(knn_sparsify(dm, 2)), node_features(inst), dm
+        feats = node_features(inst)
+        emb = gat_embed(disc.gat, build_edge_index(knn_sparsify(dm, 2)), feats, training=True)
+        return disc, emb, feats, dm
 
     def test_two_arc_value(self):
         eps = 1e-3
-        disc, ei, feats, dm = self._tiny(logit=np.log((1 - eps) / eps))
-        (score,) = disc_traj_scores_t(disc, ei, feats, dm, [(1, 0)])
+        disc, emb, feats, dm = self._tiny(logit=np.log((1 - eps) / eps))
+        (score,) = disc_traj_scores_t(disc, emb, feats, dm, [(1, 0)])
         assert score == pytest.approx(2 * np.log(1 - eps))
 
     def test_reward_bounded_by_one(self):
-        disc, ei, feats, dm = self._tiny()
-        scores = disc_traj_scores_t(disc, ei, feats, dm, [(1, 0, 2, 0), (2, 1, 0)])
+        disc, emb, feats, dm = self._tiny()
+        scores = disc_traj_scores_t(disc, emb, feats, dm, [(1, 0, 2, 0), (2, 1, 0)])
         assert np.all(scores <= 0)
         assert np.all(np.exp(scores) <= 1)
 
@@ -533,10 +594,11 @@ class TestDiscScore:
             return np.log(1 / (1 + np.exp(-(hidden @ disc.w2 + float(disc.b2)))))
 
         ref = [sum(log_sigmoid(a, b) for a, b in zip((0,) + s, s)) for s in seqs]
-        got = disc_traj_scores_t(disc, ei, feats, dm, seqs)
+        got = disc_traj_scores_t(disc, gat_embed(disc.gat, ei, feats, True), feats, dm, seqs)
         assert np.allclose(got, ref, rtol=0, atol=1e-9)
         assert np.all(got <= 0)
-        on_tape = disc_traj_scores_t(lift(disc), ei, feats, dm, seqs)
+        lifted = lift(disc)
+        on_tape = disc_traj_scores_t(lifted, gat_embed(lifted.gat, ei, feats, True), feats, dm, seqs)
         assert np.allclose(on_tape.data, got, rtol=1e-12, atol=0)
 
 

@@ -69,14 +69,15 @@ def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch):
         return embed(gat, *args, **kwargs)
 
     monkeypatch.setattr(neural, "gat_embed", counted)
+    monkeypatch.setattr(training, "gat_embed", counted)
     cfg = tiny_config(tmp_path)
     state = training.init_train_state(cfg)
     training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
-    # per generator update: the lifted policy and the frozen discriminator;
-    # the discriminator update: the policy's rollouts and the discriminator;
-    # then the greedy rollout
+    # the frozen discriminator once; per generator update the lifted policy;
+    # then the updated policy once, for the negatives and the greedy
+    # rollout; and the lifted discriminator
     assert cfg.update_ratio == 4
-    assert len(calls) == 4 * 2 + 2 + 1
+    assert len(calls) == 1 + 4 + 1 + 1
 
 
 def test_one_graph_per_instance_per_step(tmp_path, monkeypatch):
