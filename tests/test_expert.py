@@ -1,13 +1,22 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routeflow
+from routeflow import expert
 from routeflow.core import (
     Instance,
+    InstanceError,
     build_distance_matrix,
     check_feasible,
     exact_solve_small,
@@ -22,6 +31,7 @@ from routeflow.expert import (
     _Individual,
     _local_search,
     _neighbour_lists,
+    _solve_one,
     _survivors,
     _two_opt_route,
     compute_barycenters,
@@ -33,7 +43,7 @@ from routeflow.expert import (
     solve_subproblems,
     split_giant_tour,
 )
-from routeflow.io import generate_uniform, load_instance
+from routeflow.io import derive_seed, generate_uniform, load_instance
 
 FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
 
@@ -399,6 +409,83 @@ class TestSolveSubproblems:
         assert len(results) == 1
         assert check_feasible(inst, results[0]).feasible
 
+    @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
+    def test_pool_equals_the_serial_loop(self, source, monkeypatch):
+        if source == "uniform":
+            inst, m = generate_uniform(200, 5), 50
+        else:  # rounded distances
+            inst, m = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp")), 10
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 5, dm), m=m)
+        assert len(subs) >= 4
+        per_iter = FAST.max_iterations // len(subs)
+        serial = [
+            _solve_one(sub, replace(FAST, max_iterations=per_iter, seed=derive_seed(FAST.seed, i)), dm)
+            for i, sub in enumerate(subs)
+        ]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a pool on any host
+        pooled = solve_subproblems(subs, FAST, dm)
+        assert [p.routes for p in pooled] == [s.routes for s in serial]
+        assert [p.total_cost for p in pooled] == [s.total_cost for s in serial]
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        real = expert.hgs_solve
+
+        def failing(instance, *args, **kwargs):
+            if instance.name.endswith("#sub1"):
+                raise InstanceError("cluster 1 failed")
+            return real(instance, *args, **kwargs)
+
+        monkeypatch.setattr(expert, "hgs_solve", failing)  # inherited by forked workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        inst = generate_uniform(60, 4)
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
+        assert len(subs) >= 3
+        with pytest.raises(InstanceError, match="cluster 1 failed"):
+            solve_subproblems(subs, FAST, dm)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cpus, clusters, pools",
+        [({0, 1}, 1, 0), ({0}, 2, 0), ({0, 1}, 2, 1)],
+        ids=["one cluster", "one CPU", "two workers"],
+    )
+    @pytest.mark.parametrize("threaded", [False, True], ids=["alone", "another thread"])
+    def test_a_pool_only_from_two_workers(self, cpus, clusters, pools, threaded, monkeypatch):
+        built = []
+        real = concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: built.append(a) or real(*a, **kw)
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        inst = generate_uniform(40, 6)
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 6, dm), m=10)
+        assert len(subs) >= clusters
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        if threaded:  # a live thread makes forking unsafe
+            other.start()
+        try:
+            solve_subproblems(subs[:clusters], FAST, dm)
+        finally:
+            stop.set()
+            if threaded:
+                other.join(timeout=30)
+        assert not other.is_alive()
+        assert len(built) == (0 if threaded else pools)
+
+    def test_importing_the_package_loads_no_pool(self):
+        code = (
+            "import sys, routeflow.bench, routeflow.training, routeflow.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        src = os.path.dirname(os.path.dirname(routeflow.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_cluster_cost_never_worsens(self):
         inst = generate_uniform(50, 8)
         dm = build_distance_matrix(inst)
@@ -452,7 +539,7 @@ class TestExpertRefine:
         assert check_feasible(inst, refined).feasible
         assert refined.total_cost <= start.total_cost + 1e-9
 
-    def test_deterministic_despite_threads(self):
+    def test_deterministic_whatever_the_worker_schedule(self):
         inst = generate_uniform(40, 31)
         start = initial_solution(inst, 31)
         a = expert_refine(inst, start, m=10, cfg=FAST)
