@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Instance, Solution, build_distance_matrix, exact_solve_small, knn_sparsify
+from .core import Instance, Solution, build_distance_matrix, exact_solve_small
 from .expert import HgsConfig, expert_refine, hgs_solve, initial_solution
 from .io import (
     AGGREGATE,
@@ -36,7 +36,9 @@ from .io import (
     read_results_csv,
     write_results_csv,
 )
-from .neural import GREEDY, SAMPLE, batch_rollouts, best_of, default_knn, encode, load_policy, rollout
+from .neural import (
+    GREEDY, SAMPLE, batch_rollouts, best_of, encode_graph, instance_graph, load_policy, rollout,
+)
 
 
 class SpecError(ValueError):
@@ -161,22 +163,21 @@ def solve(
     k_nn: int | None = None,
 ) -> Solution:
     """Solve one instance with one method at ``seed``, which replaces
-    ``hgs.seed``. Builds the distance matrix and sparsification itself, so a
-    caller timing it times those too. Neural methods need ``policy`` and
-    sparsify to ``k_nn`` neighbours, or ``default_knn`` when it is None."""
+    ``hgs.seed``. Builds the distance matrix and the sparse graph itself, so
+    a caller timing it times those too. Neural methods need ``policy`` and
+    encode ``neural.instance_graph(instance, k_nn)``."""
     kind, arg = _parse_method(method)
     if kind == "exact":
         return exact_solve_small(instance)
     if kind == "hgs":
         return hgs_solve(instance, cfg=replace(hgs, seed=seed))
-    dm = build_distance_matrix(instance)
     if kind == "expert-refine":
+        dm = build_distance_matrix(instance)
         start = initial_solution(instance, seed, dm)
         return expert_refine(instance, start, arg, replace(hgs, seed=seed), dm)
     if policy is None:
         raise MissingArtifactError("neural methods need a checkpoint")
-    graph = knn_sparsify(dm, k_nn if k_nn is not None else default_knn(instance.n_nodes))
-    ctx = encode(policy, instance, graph, dm, training=False)
+    ctx = encode_graph(policy, instance_graph(instance, k_nn), training=False)
     if kind == "neural-greedy":
         return rollout(policy, instance, ctx, GREEDY, seed).solution
     return best_of(batch_rollouts(policy, instance, ctx, arg, SAMPLE, seed)).solution

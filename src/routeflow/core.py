@@ -3,6 +3,11 @@
 Node indexing convention used throughout the package: node 0 is the depot,
 customers are nodes 1..N. A Route stores customer indices only; the depot is
 implicit at both ends.
+
+The distance matrix and the k-nearest-neighbour rows live here as plain
+data. The networks never take them loose: ``neural.instance_graph`` builds
+each instance's one graph (distances, edge index and node features) from
+them, and every network pass reads that object.
 """
 
 from __future__ import annotations
@@ -97,27 +102,6 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class SparseGraph:
-    """k-nearest-neighbour lists with per-edge distances.
-
-    ``neighbors[i]`` holds the retained neighbour indices of node i, sorted by
-    distance (ties to the lower index). The depot appears in every customer's
-    list so a depot-return arc always exists.
-    """
-
-    neighbors: np.ndarray  # (n, k) int
-    edge_dist: np.ndarray  # (n, k) float
-
-    def __post_init__(self):
-        self.neighbors.setflags(write=False)
-        self.edge_dist.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.neighbors.shape[0]
-
-
-@dataclass(frozen=True)
 class Route:
     """Ordered customer indices of one vehicle; depot implicit at both ends."""
 
@@ -144,17 +128,6 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class MtzCertificate:
-    """Cumulative loads proving subtour-freedom of a feasible solution.
-
-    ``u[i]`` is the load on board after serving customer i; satisfies
-    d_i <= u_i <= Q and u_j = u_i + d_j along every intra-route arc.
-    """
-
-    u: dict[int, int]
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str  # "missing" | "duplicate" | "capacity" | "fleet"
     subject: int  # customer id, route index, or vehicle count
@@ -165,7 +138,6 @@ class Violation:
 class FeasibilityReport:
     feasible: bool
     violations: tuple[Violation, ...] = ()
-    certificate: MtzCertificate | None = None
 
 
 def make_route(instance: Instance, nodes) -> Route:
@@ -213,9 +185,7 @@ def solution_cost(dm: DistanceMatrix, routes) -> float:
 def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
     """Check coverage, capacity, and fleet-limit constraints.
 
-    Infeasibility is reported as data, never raised. When feasible, the report
-    carries a cumulative-load certificate (running loads along each route)
-    which proves subtour-freedom by construction.
+    Infeasibility is reported as data, never raised.
     """
     violations: list[Violation] = []
     seen: dict[int, int] = {}
@@ -241,40 +211,14 @@ def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
                 solution.n_routes - instance.fleet_limit,
             )
         )
-    if violations:
-        return FeasibilityReport(False, tuple(violations))
-    u: dict[int, int] = {}
-    for route in solution.routes:
-        running = 0
-        for c in route.nodes:
-            running += instance.demand_of(c)
-            u[c] = running
-    return FeasibilityReport(True, (), MtzCertificate(u))
+    return FeasibilityReport(not violations, tuple(violations))
 
 
-def verify_certificate(instance: Instance, solution: Solution, cert: MtzCertificate) -> bool:
-    """Re-check the cumulative-load inequalities on every used arc."""
-    q = instance.capacity
-    for i in range(1, instance.n_customers + 1):
-        if not instance.demand_of(i) <= cert.u[i] <= q:
-            return False
-    for route in solution.routes:
-        prev = None
-        for c in route.nodes:
-            if prev is not None:
-                # u_i - u_j + Q <= Q - d_j  on used arc (i, j)
-                if cert.u[prev] - cert.u[c] + q > q - instance.demand_of(c):
-                    return False
-            prev = c
-    return True
-
-
-def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> SparseGraph:
-    """Keep each node's k_nn nearest neighbours, depot always retained.
-
-    Ties break toward the lower node index. If the depot would fall outside a
-    customer's list it replaces the farthest kept neighbour, so every customer
-    keeps a depot arc.
+def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> np.ndarray:
+    """Each node's k_nn nearest neighbours as an (n, min(k_nn, n - 1)) array
+    of node indices, each row sorted by distance, ties toward the lower node
+    index. If the depot would fall outside a customer's row it replaces the
+    farthest kept neighbour, so every customer keeps a depot arc.
     """
     if k_nn < 1:
         raise ValueError("k_nn must be >= 1")
@@ -290,8 +234,7 @@ def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> SparseGraph:
     lacks_depot = ~(neighbors == 0).any(axis=1)
     lacks_depot[0] = False
     neighbors[lacks_depot, k - 1] = 0
-    edge_dist = dm.dist[np.arange(n)[:, None], neighbors]
-    return SparseGraph(neighbors, edge_dist)
+    return neighbors
 
 
 class TooLargeError(ValueError):

@@ -88,7 +88,7 @@ ELITE_FRACTION = 0.5  # share of the population that survives by cost alone
 MUTATION_RATE = 0.2  # chance that a child's tour has a segment reversed
 
 
-def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix | None = None) -> Solution:
+def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix) -> Solution:
     """Angular sweep around the depot and greedy capacity fill, then 2-opt on
     each route to a local optimum. The seed rotates the sweep's starting
     customer.
@@ -97,8 +97,6 @@ def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix | None = 
     is best-effort; a rare excess route is left for the caller's penalty
     handling rather than raised.
     """
-    if dm is None:
-        dm = build_distance_matrix(instance)
     n = instance.n_customers
     dx, dy = instance.depot
     angles = [math.atan2(y - dy, x - dx) for x, y in instance.coords]
@@ -225,7 +223,7 @@ def _neighbour_lists(dm: DistanceMatrix) -> list[list[int]]:
     GAMMA + 1 neighbours and dropping the depot leaves min(GAMMA, N - 1)
     customers. Row 0 (the depot) is never read.
     """
-    rows = knn_sparsify(dm, GAMMA + 1).neighbors.tolist()
+    rows = knn_sparsify(dm, GAMMA + 1).tolist()
     return [[v for v in row if v != 0] for row in rows]
 
 
@@ -716,15 +714,14 @@ def expert_refine(
     seed_solution: Solution,
     m: int,
     cfg: HgsConfig,
-    dm: DistanceMatrix | None = None,
+    dm: DistanceMatrix,
 ) -> Solution:
     """Decompose, solve the clusters, and merge.
 
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
-    Each subproblem's matrix is sliced from ``dm``, which is built here only
-    when the caller passes none.
+    Each subproblem's matrix is sliced from ``dm``.
 
     The clusters run on min(cluster count, usable CPUs) worker processes,
     largest first, or in this process when that is below two; the result
@@ -732,8 +729,6 @@ def expert_refine(
     ``time_budget_s / k`` of its own, with clusters running at the same time
     (see ``solve_subproblems``).
     """
-    if dm is None:
-        dm = build_distance_matrix(instance)
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
     partials = solve_subproblems(subproblems, cfg, dm)
     routes = tuple(r for part in partials for r in part.routes)

@@ -5,21 +5,29 @@ projected node pairs plus a projected edge term, residual + batch-norm per
 layer). The decoder scores (current, candidate) embedding pairs with an MLP
 and constructs routes autoregressively under capacity/visitation masks. A
 pair's logit depends on the arc alone, never on the rollout's state, and
-every candidate is an arc of the sparse graph, so ``encode`` scores each arc
-once into an (E,) logit table. A run's candidates are the slots of its
-current node's CSR row of the edge index, whose positions are arc ids, so a
-step's logits are one gather from the table. Batched rollouts advance all
-rollouts together on array state (current node, residual load, visited
+every candidate is an arc of the sparse graph, so ``encode_graph`` scores
+each arc once into an (E,) logit table. A run's candidates are the slots of
+its current node's CSR row of the edge index, whose positions are arc ids,
+so a step's logits are one gather from the table. Batched rollouts advance
+all rollouts together on array state (current node, residual load, visited
 mask); ``batch_log_pf`` replays fixed trajectories once, in numpy, into
 flat (step, candidate) arc ids and scores them with one gather and a
 segment log-sum-exp on the tape. Both reproduce, bit for bit, a reference
 decoder that lives with the tests (``tests/reference_decoder.py``). The
 discriminator reuses the encoder and scores a trajectory by its arcs.
 
+Every network pass reads one per-instance ``InstanceGraph``: the instance,
+its distance matrix, the symmetrized k-NN ``EdgeIndex`` and the
+``NodeFeatures``. ``make_graph`` is the one place that builds it from
+(instance, k-NN rows, distances), and ``instance_graph`` the one place that
+picks the k-NN width (``default_knn`` when none is given). A training step
+builds each instance's graph once and hands it to every encoder pass;
+``encode`` keeps the (instance, neighbours, distances) form as an adapter.
+
 Parameters live in plain float64 arrays; ``lift`` mirrors a container into
 autodiff Tensors for training, and the same forward code serves both modes:
-``encode`` on a lifted policy puts the logit table on the tape, where the
-rollouts read its values and ``batch_log_pf`` differentiates through it.
+``encode_graph`` on a lifted policy puts the logit table on the tape, where
+the rollouts read its values and ``batch_log_pf`` differentiates through it.
 Batch-norm running statistics update exactly when a training-mode forward
 runs on the tape.
 """
@@ -33,7 +41,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
-from .core import DistanceMatrix, Instance, Solution, SparseGraph, make_solution
+from .core import (
+    DistanceMatrix, Instance, Solution, build_distance_matrix, knn_sparsify, make_solution,
+)
 from .io import derive_seed
 
 LEAKY_SLOPE = 0.2
@@ -107,19 +117,45 @@ class EdgeIndex:
     start: np.ndarray  # (n + 1,) row offsets
 
 
-def build_edge_index(graph: SparseGraph) -> EdgeIndex:
-    """Symmetrize the k-NN arcs, dedupe them and sort by (src, dst), in
-    O(E log E). Of duplicate arcs the last written wins, in the order
-    (i, j), (j, i) over each row i's neighbours."""
-    n = graph.n
-    fwd = np.repeat(np.arange(n, dtype=np.int64), graph.neighbors.shape[1])
-    bwd = graph.neighbors.ravel().astype(np.int64)
-    src = np.stack([fwd, bwd], axis=1).ravel()
-    dst = np.stack([bwd, fwd], axis=1).ravel()
-    dist = np.repeat(graph.edge_dist.ravel().astype(np.float64), 2)
-    keys, last = np.unique((src * n + dst)[::-1], return_index=True)
-    src = keys // n
-    return EdgeIndex(n, src, keys % n, dist[::-1][last], np.searchsorted(src, np.arange(n + 1)))
+def build_edge_index(neighbors: np.ndarray, dm: DistanceMatrix) -> EdgeIndex:
+    """The arcs (i, j) of the (n, k) k-NN rows ``neighbors`` and their
+    reverses, deduplicated and sorted by (src, dst) in O(E log E); each
+    arc's distance is read from ``dm``, which is symmetric."""
+    n, k = neighbors.shape
+    fwd = np.repeat(np.arange(n, dtype=np.int64), k)
+    bwd = neighbors.ravel().astype(np.int64)
+    keys = np.unique(np.concatenate([fwd * n + bwd, bwd * n + fwd]))
+    src, dst = keys // n, keys % n
+    return EdgeIndex(n, src, dst, dm.dist[src, dst], np.searchsorted(src, np.arange(n + 1)))
+
+
+@dataclass(frozen=True)
+class InstanceGraph:
+    """One instance as every network pass reads it: the instance, its
+    distances, the sparse edge index and the node features."""
+
+    instance: Instance
+    dm: DistanceMatrix
+    ei: EdgeIndex
+    feats: NodeFeatures
+
+
+def make_graph(instance: Instance, neighbors: np.ndarray, dm: DistanceMatrix) -> InstanceGraph:
+    """The instance's graph on the k-NN rows ``neighbors`` of ``dm``."""
+    return InstanceGraph(instance, dm, build_edge_index(neighbors, dm), node_features(instance))
+
+
+def default_knn(n_nodes: int) -> int:
+    """Sparsification width: a quarter of the node count, at least 1."""
+    return max(1, n_nodes // 4)
+
+
+def instance_graph(instance: Instance, k_nn: int | None = None) -> InstanceGraph:
+    """The instance's graph on its distance matrix and each node's ``k_nn``
+    nearest neighbours, ``default_knn`` of the node count when None."""
+    dm = build_distance_matrix(instance)
+    k = default_knn(instance.n_nodes) if k_nn is None else k_nn
+    return make_graph(instance, knn_sparsify(dm, k), dm)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +349,15 @@ def _batchnorm(layer: GatLayer, x, training: bool):
     return xhat * layer.gamma + layer.beta
 
 
-def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool = False):
-    """Node embeddings (n, d_units) for a sparsified instance graph.
+def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
+    """Node embeddings (n, d_units) of an instance graph.
 
     Per layer and head: additive attention scores on projected node pairs
     plus a projected edge term, LeakyReLU, softmax over each node's
     neighborhood, then residual + batch-norm over the aggregated heads.
     Returns the final (n, d_units) embeddings.
     """
+    ei, feats = graph.ei, graph.feats
     e_raw = (ei.dist / feats.scale).reshape(-1, 1)
     h = F.leaky_relu(feats.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
     e = F.leaky_relu(e_raw @ gat.w_edge + gat.b_edge, LEAKY_SLOPE)
@@ -358,13 +395,11 @@ def gat_embed(gat: GatParams, ei: EdgeIndex, feats: NodeFeatures, training: bool
 
 @dataclass
 class DecodeContext:
-    """Static data a rollout needs: the instance, its edge index and costs,
-    and ``logits``, the decoder's logit of every arc of ``ei``, (E,) in edge
-    order. From a lifted policy the logit table is a Tensor on the tape."""
+    """Static data a rollout needs: the instance graph, and ``logits``, the
+    decoder's logit of every arc of ``graph.ei``, (E,) in edge order. From a
+    lifted policy the logit table is a Tensor on the tape."""
 
-    instance: Instance
-    ei: EdgeIndex
-    dm: DistanceMatrix
+    graph: InstanceGraph
     logits: np.ndarray | F.Tensor
 
 
@@ -389,19 +424,24 @@ def _pair_logits(dec: DecoderParams, proj, cur: np.ndarray, cands: np.ndarray):
 _SLICE = 512
 
 
-def encode(policy: PolicyParams, instance: Instance, graph: SparseGraph,
-           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
+def encode_graph(policy: PolicyParams, graph: InstanceGraph, training: bool = False) -> DecodeContext:
     """One encoder pass, then the decoder logit of every arc of the edge
     index, scored ``_SLICE`` arcs at a time; generic over modes, so a lifted
     policy gives a context on the tape."""
-    ei = build_edge_index(graph)
-    feats = node_features(instance)
-    proj = _project(policy.dec, gat_embed(policy.gat, ei, feats, training))
+    ei = graph.ei
+    proj = _project(policy.dec, gat_embed(policy.gat, graph, training))
     logits = F.concat([
         _pair_logits(policy.dec, proj, ei.src[i : i + _SLICE], ei.dst[i : i + _SLICE])
         for i in range(0, ei.src.size, _SLICE)
     ])
-    return DecodeContext(instance, ei, dm, logits)
+    return DecodeContext(graph, logits)
+
+
+def encode(policy: PolicyParams, instance: Instance, neighbors: np.ndarray,
+           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
+    """``encode_graph`` on the graph of the k-NN rows ``neighbors`` of
+    ``dm``, for callers that hold those rather than an ``InstanceGraph``."""
+    return encode_graph(policy, make_graph(instance, neighbors, dm), training)
 
 
 def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -438,7 +478,8 @@ class _Runs:
     demand 0 and no arc to itself, and starts every customer row, so this
     rule admits it whenever a run is away from it (no empty routes)."""
 
-    def __init__(self, instance: Instance, ei: EdgeIndex, count: int):
+    def __init__(self, graph: InstanceGraph, count: int):
+        instance, ei = graph.instance, graph.ei
         if ei.dst[ei.start[1:-1]].any():
             raise ValueError("a customer's return to the depot is not an arc of the edge index")
         self.start = ei.start
@@ -497,13 +538,13 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
-    instance = ctx.instance
+    instance, ei = ctx.graph.instance, ctx.graph.ei
     table = F.value(ctx.logits)
     count, max_steps = len(seeds), 2 * instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
     used = np.zeros(count, dtype=np.int64)
-    runs = _Runs(instance, ctx.ei, count)
+    runs = _Runs(ctx.graph, count)
     paths = np.zeros((count, max_steps), dtype=np.int64)
     lengths = np.zeros(count, dtype=np.int64)
     log_pf = np.zeros(count)
@@ -529,7 +570,7 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
             used[sampled] += 1
         at = np.arange(rows.size)
         log_pf[rows] += np.log(probs[at, pick])
-        action = ctx.ei.dst[arc[at, pick]]
+        action = ei.dst[arc[at, pick]]
         runs.apply(rows, action)
         paths[rows, step] = action
         step += 1
@@ -539,15 +580,15 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     out = []
     for t in range(count):
         actions = paths[t, : lengths[t]].tolist()
-        solution = make_solution(instance, ctx.dm, _split_routes(actions))
+        solution = make_solution(instance, ctx.graph.dm, _split_routes(actions))
         out.append(Trajectory(tuple(actions), solution, float(log_pf[t])))
     return out
 
 
 def rollout(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
             mode: str = SAMPLE, seed: int = 0, epsilon: float = 0.05) -> Trajectory:
-    """Construct one solution of ``instance`` (``ctx.instance``, which
-    ``encode`` built ``ctx`` for) starting and ending at the depot.
+    """Construct one solution of ``instance`` (``ctx.graph.instance``, which
+    ``ctx`` was encoded for) starting and ending at the depot.
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
     sample; the recorded log-probability is always the policy's own, not the
@@ -595,7 +636,7 @@ class _Tape:
     owner: np.ndarray  # (S,) trajectory of each step
 
 
-def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
+def _replay(graph: InstanceGraph, sequences: list) -> _Tape:
     """Replay every sequence once, in lockstep on ``_Runs`` state: a step's
     entries are the arcs of its valid slots, and its pick is the action's
     position among them."""
@@ -603,7 +644,7 @@ def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
     actions = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.int64)
     for t, seq in enumerate(sequences):
         actions[t, : len(seq)] = seq
-    runs = _Runs(instance, ei, len(sequences))
+    runs = _Runs(graph, len(sequences))
     parts = [(np.zeros(0, dtype=np.int64),) * 4]  # so that no steps still concatenate
     n_steps = n_entries = 0
     for k in range(actions.shape[1]):
@@ -612,7 +653,7 @@ def _replay(instance: Instance, ei: EdgeIndex, sequences: list) -> _Tape:
         entries = arc[mask]
         run = np.repeat(np.arange(rows.size), mask.sum(axis=1))
         a = actions[rows, k]
-        hit = np.flatnonzero(ei.dst[entries] == a[run])  # at most one per run
+        hit = np.flatnonzero(graph.ei.dst[entries] == a[run])  # at most one per run
         pick = np.full(rows.size, -1)
         pick[run[hit]] = n_entries + hit
         parts.append((entries, n_steps + run, pick, rows))
@@ -630,8 +671,8 @@ def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
 def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor:
     """Differentiable forward log-probabilities of fixed action sequences.
 
-    Scores from the arc logit table of ``ctx``, which ``encode`` built from
-    the policy (a lifted one for gradients). The trajectories are replayed
+    Scores from the arc logit table of ``ctx``, which ``encode_graph`` built
+    from the policy (a lifted one for gradients). The trajectories are replayed
     once, in numpy, into a flat tape of (step, candidate) arc ids, each
     step's ids read from the valid slots of its current node's CSR row; the
     logits then come from one gather of the table, one segment log-sum-exp
@@ -639,7 +680,7 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
     grows by O(1) nodes, not by steps, and the pair MLP does not run here.
     Returns a (T,) tensor (an array in array mode).
     """
-    tape = _replay(ctx.instance, ctx.ei, [t.actions for t in trajectories])
+    tape = _replay(ctx.graph, [t.actions for t in trajectories])
     if (tape.pick < 0).any():
         raise ValueError("a trajectory takes an action that is not admissible")
     logits = F.take(ctx.logits, tape.arc)
@@ -651,15 +692,15 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
 # discriminator
 
 
-def disc_edge_logits(disc: DiscParams, emb, feats: NodeFeatures,
-                     pairs: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Raw scores of the (src, dst, dist) arcs in ``pairs``, prior to the
-    sigmoid, from the discriminator's node embeddings ``emb`` (generic over
-    both modes). Attention ran over the sparse graph, but the scored arcs
-    may fall outside it, as expert arcs do.
+def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarray,
+                     dst: np.ndarray):
+    """Raw scores of the arcs (src, dst), prior to the sigmoid, from the
+    discriminator's node embeddings ``emb`` of ``graph`` (generic over both
+    modes). Attention ran over the sparse graph, but the scored arcs may
+    fall outside it, as expert arcs do; each arc's distance is read from
+    ``graph.dm``.
     """
-    src, dst, dist = pairs
-    e_raw = (dist / feats.scale).reshape(-1, 1)
+    e_raw = (graph.dm.dist[src, dst] / graph.feats.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
     hi = F.take(emb, src)
     hj = F.take(emb, dst)
@@ -668,20 +709,17 @@ def disc_edge_logits(disc: DiscParams, emb, feats: NodeFeatures,
     return hidden @ disc.w2 + disc.b2
 
 
-def disc_forward(disc: DiscParams, instance: Instance, graph: SparseGraph,
-                 training: bool = False) -> np.ndarray:
-    """(E,) probabilities in (0, 1) of the arcs of ``build_edge_index(graph)``,
-    in its (src, dst) order."""
-    ei, feats = build_edge_index(graph), node_features(instance)
-    emb = gat_embed(disc.gat, ei, feats, training)
-    return F.sigmoid(F.value(disc_edge_logits(disc, emb, feats, (ei.src, ei.dst, ei.dist))))
+def disc_forward(disc: DiscParams, graph: InstanceGraph, training: bool = False) -> np.ndarray:
+    """(E,) probabilities in (0, 1) of the arcs of ``graph.ei``, in its
+    (src, dst) order."""
+    emb = gat_embed(disc.gat, graph, training)
+    return F.sigmoid(F.value(disc_edge_logits(disc, emb, graph, graph.ei.src, graph.ei.dst)))
 
 
-def disc_traj_scores_t(disc: DiscParams, emb, feats: NodeFeatures, dm: DistanceMatrix,
-                       sequences: list):
+def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: list):
     """Log-scores of action sequences, each the sum of log σ(edge logit)
     over its arcs from the depot on; always <= 0. ``emb`` is the
-    discriminator's training-mode embedding (``gat_embed`` with
+    discriminator's training-mode embedding of ``graph`` (``gat_embed`` with
     ``training=True``). A (T,) tensor for a lifted discriminator and its
     embedding, an array otherwise.
 
@@ -689,13 +727,13 @@ def disc_traj_scores_t(disc: DiscParams, emb, feats: NodeFeatures, dm: DistanceM
     arc keys), so expert routes may use arcs beyond the sparse graph; one
     gather and one segment sum then give each sequence its total.
     """
+    n = graph.dm.n
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     dst = np.array([a for s in sequences for a in s], dtype=np.int64)
     src = np.concatenate(([0], dst[:-1]))
     src[lengths.cumsum() - lengths] = 0
-    keys, arc = np.unique(src * dm.n + dst, return_inverse=True)
-    src, dst = keys // dm.n, keys % dm.n
-    logits = disc_edge_logits(disc, emb, feats, (src, dst, dm.dist[src, dst]))
+    keys, arc = np.unique(src * n + dst, return_inverse=True)
+    logits = disc_edge_logits(disc, emb, graph, keys // n, keys % n)
     owner = np.repeat(np.arange(len(sequences)), lengths)
     return F.segment_sum(F.take(F.log_sigmoid(logits), arc), owner, len(sequences))
 
@@ -740,7 +778,7 @@ def fill_container(container, payload: dict):
             arr[...] = np.asarray(state[name], dtype=np.float64)
 
 
-def _load_payload(path: str, kind: str) -> dict:
+def load_payload(path: str, kind: str) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format_version") != CHECKPOINT_VERSION:
@@ -756,12 +794,7 @@ def save_policy(policy: PolicyParams, path: str) -> None:
 
 
 def load_policy(path: str) -> PolicyParams:
-    payload = _load_payload(path, "policy")
+    payload = load_payload(path, "policy")
     policy = init_params(Dims(**payload["dims"]), seed=0)
     fill_container(policy, payload)
     return policy
-
-
-def default_knn(n_nodes: int) -> int:
-    """Sparsification width: a quarter of the node count, at least 1."""
-    return max(1, n_nodes // 4)

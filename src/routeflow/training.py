@@ -1,13 +1,16 @@
 """Adversarial training loop: trajectory-balance generator updates against a
 least-squares discriminator, with expert-refined positives.
 
+A training step builds each instance's ``neural.InstanceGraph`` (distance
+matrix, sparse edge index, node features) once, with ``instance_graph`` at
+``TrainConfig.k_nn``, and every encoder pass of the step reads that object.
 A generator update encodes each instance once, on the lifted policy, and
 scores its rollouts with the frozen discriminator through the
 ``disc_traj_scores_t`` that the discriminator update trains through.
-Positives are action sequences, scored only by the discriminator. A
-training step builds each instance's distance matrix, sparse graph and frozen
-encodings once: the discriminator's for the generator updates, the updated
-policy's for the negatives and the greedy cost.
+Positives are action sequences, scored only by the discriminator. The
+frozen encodings are also built once per step: the discriminator's for the
+generator updates, the updated policy's for the negatives and the greedy
+cost.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -23,10 +26,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as F
-from .core import Instance, build_distance_matrix, check_feasible, knn_sparsify
+from .core import Instance, check_feasible
 from .expert import HgsConfig, expert_refine
 from .io import derive_seed, generate_uniform
 from .neural import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     DecodeContext,
     Dims,
@@ -34,22 +38,22 @@ from .neural import (
     EPSILON_GREEDY,
     GREEDY,
     SAMPLE,
+    InstanceGraph,
     PolicyParams,
     backward_grads,
     batch_log_pf,
     batch_rollouts,
     best_of,
-    build_edge_index,
     container_payload,
-    default_knn,
     disc_traj_scores_t,
-    encode,
+    encode_graph,
     fill_container,
     gat_embed,
     init_disc,
     init_params,
+    instance_graph,
     lift,
-    node_features,
+    load_payload,
     rollout,
     trajectory_from_solution,
 )
@@ -161,25 +165,19 @@ def disc_loss(neg_rewards, pos_rewards):
 # sample generation
 
 
-def _graph_for(instance: Instance, cfg: TrainConfig):
-    dm = build_distance_matrix(instance)
-    k = cfg.k_nn if cfg.k_nn is not None else default_knn(instance.n_nodes)
-    return dm, knn_sparsify(dm, k)
-
-
 def make_training_pair(policy: PolicyParams, ctx: DecodeContext, cfg: TrainConfig,
                        seed: int = 0) -> tuple[list[tuple], list[tuple]]:
     """Action sequences on ``ctx``, the policy's training-mode encoding of
     one instance. Negatives: epsilon-greedy rollouts from the policy.
     Positive: the best negative's solution refined by the
     decomposition-augmented expert."""
-    instance = ctx.instance
+    instance = ctx.graph.instance
     neg = batch_rollouts(
         policy, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon
     )
     seed_sol = best_of(neg).solution
     expert_cfg = replace(cfg.expert_hgs, seed=derive_seed(seed, 7))
-    refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, ctx.dm)
+    refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, ctx.graph.dm)
     report = check_feasible(instance, refined)
     if not report.feasible:
         raise TrainingDivergedError(f"expert produced infeasible solution: {report.violations}")
@@ -208,23 +206,22 @@ def _check_finite(value: float, what: str, snapshot: dict, out_dir: str):
     raise TrainingDivergedError(f"non-finite {what}; snapshot at {path}")
 
 
-def generator_update(state: TrainState, batch, disc_embs, cfg: TrainConfig, seed: int) -> float:
+def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
+                     cfg: TrainConfig, seed: int) -> float:
     """One TB-loss gradient step on the generator; discriminator frozen.
-    ``batch`` holds (instance, dm, graph) triples and ``disc_embs`` the
-    frozen discriminator's training-mode embedding of each instance."""
+    ``disc_embs`` holds the frozen discriminator's training-mode embedding
+    of each graph."""
     lifted = lift(state.policy)
     residual_parts = []
-    for idx, ((instance, dm, graph), disc_emb) in enumerate(zip(batch, disc_embs)):
-        ctx = encode(lifted, instance, graph, dm, training=True)
+    for idx, (graph, disc_emb) in enumerate(zip(graphs, disc_embs)):
+        ctx = encode_graph(lifted, graph, training=True)
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
         trajs = batch_rollouts(
-            state.policy, instance, ctx, cfg.n_rollouts, SAMPLE,
+            state.policy, graph.instance, ctx, cfg.n_rollouts, SAMPLE,
             derive_seed(seed, idx), cfg.epsilon,
         )
-        d_scores = disc_traj_scores_t(
-            state.disc, disc_emb, node_features(instance), dm, [t.actions for t in trajs]
-        )
+        d_scores = disc_traj_scores_t(state.disc, disc_emb, graph, [t.actions for t in trajs])
         log_pf = batch_log_pf(ctx, trajs)
         residual_parts.append(lifted.log_z + log_pf - d_scores)
     pooled = F.concat(residual_parts, axis=0)
@@ -247,9 +244,8 @@ def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: Trai
     neg_parts, pos_parts = [], []
     for idx, ctx in enumerate(ctxs):
         neg, pos = make_training_pair(state.policy, ctx, cfg, derive_seed(seed, idx))
-        feats = node_features(ctx.instance)
-        emb = gat_embed(lifted.gat, ctx.ei, feats, training=True)
-        scores = disc_traj_scores_t(lifted, emb, feats, ctx.dm, neg + pos)
+        emb = gat_embed(lifted.gat, ctx.graph, training=True)
+        scores = disc_traj_scores_t(lifted, emb, ctx.graph, neg + pos)
         rewards = F.exp(scores)
         neg_parts.append(rewards[: len(neg)])
         pos_parts.append(rewards[len(neg):])
@@ -268,20 +264,19 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, then one discriminator update with the generator
-    frozen. Appends one history record. Each instance's distance matrix,
-    sparse graph and frozen encodings are built once, here: array mode never
-    updates batch-norm statistics, so they equal what each update would
-    compute."""
+    frozen. Appends one history record. Each instance's graph and frozen
+    encodings are built once, here: array mode never updates batch-norm
+    statistics, so they equal what each update would compute."""
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
-    batch = [(instance, *_graph_for(instance, cfg)) for instance in instances]
-    disc_embs = [gat_embed(state.disc.gat, build_edge_index(g), node_features(i), training=True)
-                 for i, _, g in batch]
+    graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
+    disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
     tb = math.nan
     for u in range(cfg.update_ratio):
-        tb = generator_update(state, batch, disc_embs, cfg, derive_seed(base, 1000 + u))
-    ctxs = [encode(state.policy, i, g, dm, training=True) for i, dm, g in batch]
+        tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
+    ctxs = [encode_graph(state.policy, g, training=True) for g in graphs]
     d_loss, mean_reward = discriminator_update(state, ctxs, cfg, derive_seed(base, 2000))
-    greedy_costs = [rollout(state.policy, c.instance, c, GREEDY).solution.total_cost for c in ctxs]
+    greedy_costs = [rollout(state.policy, c.graph.instance, c, GREEDY).solution.total_cost
+                    for c in ctxs]
     state.history.append(
         {
             "step": len(state.history),
@@ -302,9 +297,9 @@ def _instance_for(cfg: TrainConfig, epoch: int, idx: int) -> Instance:
     return generate_uniform(cfg.n, derive_seed(derive_seed(cfg.seed, 31 + epoch), idx))
 
 
-def save_train_state(state: TrainState, cfg: TrainConfig, path: str) -> None:
+def save_train_state(state: TrainState, path: str) -> None:
     payload = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_VERSION,
         "kind": "train_state",
         "epoch": state.epoch,
         "policy": container_payload("policy", state.policy),
@@ -312,17 +307,14 @@ def save_train_state(state: TrainState, cfg: TrainConfig, path: str) -> None:
         "opt_policy": state.opt_policy.to_dict(),
         "opt_disc": state.opt_disc.to_dict(),
         "history": state.history,
-        "dims": cfg.dims.to_dict(),
+        "dims": state.policy.dims.to_dict(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def load_train_state(path: str) -> TrainState:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "train_state":
-        raise CheckpointError(f"not a training checkpoint: {payload.get('kind')}")
+    payload = load_payload(path, "train_state")
     dims = Dims(**payload["dims"])
     policy = init_params(dims, 0)
     fill_container(policy, payload["policy"])
@@ -351,26 +343,28 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
     """Run the full loop, checkpointing per cadence plus a final checkpoint.
 
     Resuming from a checkpoint continues bit-identically because all
-    randomness is keyed off (seed, epoch, step), never off live state.
+    randomness is keyed off (seed, epoch, step), never off live state. A
+    resumed state whose dims differ from ``cfg.dims`` is rejected with
+    ``CheckpointError``.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if resume_from is None:
         state = init_train_state(cfg)
     elif isinstance(resume_from, str):
         state = load_train_state(resume_from)
     else:
         state = resume_from
+    if state.policy.dims != cfg.dims:
+        raise CheckpointError(f"checkpoint dims {state.policy.dims} differ from the config's {cfg.dims}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if state.epoch == 0 and cfg.checkpoint_every:
-        save_train_state(state, cfg, os.path.join(cfg.out_dir, "checkpoint_epoch0.json"))
+        save_train_state(state, os.path.join(cfg.out_dir, "checkpoint_epoch0.json"))
     for epoch in range(state.epoch, cfg.epochs):
         for idx in range(cfg.instances_per_epoch):
             instance = _instance_for(cfg, epoch, idx)
             train_step(state, [instance], cfg, epoch, idx)
         state.epoch = epoch + 1
         if cfg.checkpoint_every and state.epoch % cfg.checkpoint_every == 0:
-            save_train_state(
-                state, cfg, os.path.join(cfg.out_dir, f"checkpoint_epoch{state.epoch}.json")
-            )
-    save_train_state(state, cfg, os.path.join(cfg.out_dir, "checkpoint_final.json"))
+            save_train_state(state, os.path.join(cfg.out_dir, f"checkpoint_epoch{state.epoch}.json"))
+    save_train_state(state, os.path.join(cfg.out_dir, "checkpoint_final.json"))
     _write_log(state, cfg)
     return state

@@ -85,16 +85,17 @@ def decode_step(ctx: DecodeContext, state: RolloutState) -> np.ndarray:
     """Action distribution over all nodes; masked entries are exactly zero.
 
     The logit of candidate j is the entry of arc (current, j) in the
-    context's logit table, which ``encode`` built from the policy. Only
+    context's logit table, which ``encode_graph`` built from the policy. Only
     valid candidates ever receive a logit, so masked-out actions carry no
     probability mass and no gradient.
     """
-    cands = valid_actions(ctx.instance, ctx.ei, state)
-    probs = np.zeros(ctx.instance.n_nodes, dtype=np.float64)
+    instance, ei = ctx.graph.instance, ctx.graph.ei
+    cands = valid_actions(instance, ei, state)
+    probs = np.zeros(instance.n_nodes, dtype=np.float64)
     if not cands:
-        if is_terminal(ctx.instance, state):
+        if is_terminal(instance, state):
             return probs
         raise RuntimeError("no valid action in a non-terminal state")
-    logits = value(ctx.logits)[[arc_id(ctx.ei, state.current, j) for j in cands]]
+    logits = value(ctx.logits)[[arc_id(ei, state.current, j) for j in cands]]
     probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
     return probs

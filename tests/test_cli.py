@@ -131,6 +131,21 @@ class TestBadSpecs:
         spec = write_spec(tmp_path / "spec.json", methods=["hgs", "tabu"])
         assert cli.main(["bench", "--spec", spec]) == cli.EXIT_SPEC
 
+    def test_resume_with_other_dims_exits_2(self, tmp_path):
+        config = {
+            "n": 5, "instances_per_epoch": 1, "n_rollouts": 2, "epochs": 1, "checkpoint_every": 1,
+            "dims": {"n_layers": 1, "n_heads": 2, "d_units": 8, "mlp_hidden": 8},
+            "expert_hgs": {"population_size": 4, "max_iterations": 3},
+        }
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "first")]) == 0
+        path.write_text(json.dumps(config | {"epochs": 2, "dims": {**config["dims"], "d_units": 16}}))
+        argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "resumed"),
+                "--resume", str(tmp_path / "first" / "checkpoint_epoch1.json")]
+        assert cli.main(argv) == cli.EXIT_SPEC
+        assert not (tmp_path / "resumed").exists()
+
     def test_report_header_mismatch_exits_2(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("a,b\n1,2\n")

@@ -19,7 +19,6 @@ from routeflow.core import (
     make_solution,
     route_cost,
     solution_cost,
-    verify_certificate,
 )
 from routeflow.io import generate_uniform
 
@@ -116,8 +115,6 @@ class TestFeasibility:
         report = check_feasible(inst, sol)
         assert report.feasible
         assert report.violations == ()
-        assert report.certificate is not None
-        assert verify_certificate(inst, sol, report.certificate)
 
     def test_duplicate_names_customer(self):
         inst = generate_uniform(4, 2)
@@ -164,31 +161,31 @@ class TestKnnSparsify:
     def test_collinear_nearest(self):
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), (1, 1, 1), 5)
         dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 1)
-        assert graph.neighbors[0].tolist() == [1]
-        assert graph.neighbors[1].tolist() == [0]
+        rows = knn_sparsify(dm, 1)
+        assert rows[0].tolist() == [1]
+        assert rows[1].tolist() == [0]
         # node 2 is equidistant from 1 and 3; tie goes to the lower index,
         # but the depot rule replaces the only slot
-        assert graph.neighbors[2].tolist() == [0]
-        assert graph.neighbors[3].tolist() == [0]
+        assert rows[2].tolist() == [0]
+        assert rows[3].tolist() == [0]
 
     def test_full_graph_recovered(self):
         inst = generate_uniform(7, 5)
         dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 12)
+        rows = knn_sparsify(dm, 12)
         for i in range(8):
-            assert sorted(graph.neighbors[i].tolist()) == [j for j in range(8) if j != i]
+            assert sorted(rows[i].tolist()) == [j for j in range(8) if j != i]
 
     def test_against_full_sort_oracle(self):
         inst = generate_uniform(39, 8)
         dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 10)
+        rows = knn_sparsify(dm, 10)
         for i in range(dm.n):
             ranked = sorted(
                 (j for j in range(dm.n) if j != i), key=lambda j: (dm[i, j], j)
             )
             expected = set(ranked[:10])
-            got = set(graph.neighbors[i].tolist())
+            got = set(rows[i].tolist())
             if i != 0 and 0 not in expected:
                 expected = set(ranked[:9]) | {0}
             assert got == expected, f"node {i}"
@@ -196,16 +193,14 @@ class TestKnnSparsify:
     def test_depot_always_neighbor_of_customers(self):
         inst = generate_uniform(40, 9)
         dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 5)
+        rows = knn_sparsify(dm, 5)
         for i in range(1, dm.n):
-            assert 0 in graph.neighbors[i]
+            assert 0 in rows[i]
 
     def test_deterministic(self):
         inst = generate_uniform(25, 4)
         dm = build_distance_matrix(inst)
-        a = knn_sparsify(dm, 6)
-        b = knn_sparsify(dm, 6)
-        assert np.array_equal(a.neighbors, b.neighbors)
+        assert np.array_equal(knn_sparsify(dm, 6), knn_sparsify(dm, 6))
 
 
 class TestExactSolver:

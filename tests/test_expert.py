@@ -51,7 +51,7 @@ FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
 class TestInitialSolution:
     def test_single_customer(self):
         inst = Instance((0.0, 0.0), ((1.0, 2.0),), (1,), 10)
-        sol = initial_solution(inst, seed=0)
+        sol = initial_solution(inst, 0, build_distance_matrix(inst))
         assert [r.nodes for r in sol.routes] == [(1,)]
 
     def test_compass_points_pair_adjacent_angles(self):
@@ -63,7 +63,7 @@ class TestInitialSolution:
             (5, 5, 5, 5),
             10,
         )
-        sol = initial_solution(inst, seed=3)
+        sol = initial_solution(inst, 3, build_distance_matrix(inst))
         opposite = {frozenset((1, 3)), frozenset((2, 4))}
         for r in sol.routes:
             assert frozenset(r.nodes) not in opposite
@@ -71,7 +71,7 @@ class TestInitialSolution:
     def test_always_feasible(self):
         for seed in range(15):
             inst = generate_uniform(50, seed)
-            sol = initial_solution(inst, seed)
+            sol = initial_solution(inst, seed, build_distance_matrix(inst))
             assert check_feasible(inst, sol).feasible
 
 
@@ -155,7 +155,7 @@ class TestHgs:
     def test_warm_start_never_worsens(self):
         for seed in range(8):
             inst = generate_uniform(30, 500 + seed)
-            warm = initial_solution(inst, seed)
+            warm = initial_solution(inst, seed, build_distance_matrix(inst))
             sol = hgs_solve(inst, warm_start=warm, cfg=FAST)
             assert sol.total_cost <= warm.total_cost + 1e-9
 
@@ -174,7 +174,7 @@ class TestHgs:
     def test_bounded_by_sweep(self):
         for seed in range(5):
             inst = generate_uniform(40, 600 + seed)
-            sweep = initial_solution(inst, seed, None)
+            sweep = initial_solution(inst, seed, build_distance_matrix(inst))
             sol = hgs_solve(inst, cfg=HgsConfig(population_size=6, max_iterations=20, seed=seed))
             assert sol.total_cost <= sweep.total_cost + 1e-9
 
@@ -338,7 +338,7 @@ class TestKmeans:
 class TestDecompose:
     def test_single_cluster_when_m_large(self):
         inst = generate_uniform(20, 6)
-        sol = initial_solution(inst, 6)
+        sol = initial_solution(inst, 6, build_distance_matrix(inst))
         plan, subs = decompose(inst, sol, m=100)
         assert plan.k == 1
         assert len(subs) == 1
@@ -347,7 +347,7 @@ class TestDecompose:
 
     def test_partition_property(self):
         inst = generate_uniform(60, 13)
-        sol = initial_solution(inst, 13)
+        sol = initial_solution(inst, 13, build_distance_matrix(inst))
         plan, subs = decompose(inst, sol, m=15)
         assert plan.k == math.ceil(60 / 15) or plan.k == sol.n_routes
         seen = []
@@ -377,7 +377,7 @@ class TestDecompose:
 
     def test_mapping_bijection(self):
         inst = generate_uniform(30, 14)
-        sol = initial_solution(inst, 14)
+        sol = initial_solution(inst, 14, build_distance_matrix(inst))
         _, subs = decompose(inst, sol, m=10)
         for sub in subs:
             assert len(set(sub.mapping)) == len(sub.mapping)
@@ -403,9 +403,9 @@ class TestSolveSubproblems:
 
     def test_single_subproblem_matches_hgs(self):
         inst = generate_uniform(15, 3)
-        sol = initial_solution(inst, 3)
-        _, subs = decompose(inst, sol, m=100)
-        results = solve_subproblems(subs, FAST, build_distance_matrix(inst))
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 3, dm), m=100)
+        results = solve_subproblems(subs, FAST, dm)
         assert len(results) == 1
         assert check_feasible(inst, results[0]).feasible
 
@@ -503,9 +503,9 @@ class TestSolveSubproblems:
 
     def test_concatenation_feasible(self):
         inst = generate_uniform(45, 9)
-        sol = initial_solution(inst, 9)
-        _, subs = decompose(inst, sol, m=15)
-        results = solve_subproblems(subs, FAST, build_distance_matrix(inst))
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 9, dm), m=15)
+        results = solve_subproblems(subs, FAST, dm)
         from routeflow.core import Solution
 
         merged = Solution(
@@ -519,8 +519,9 @@ class TestExpertRefine:
     def test_never_worsens_seed_solution(self):
         for seed in range(5):
             inst = generate_uniform(60, 40 + seed)
-            start = initial_solution(inst, seed)
-            refined = expert_refine(inst, start, m=20, cfg=FAST)
+            dm = build_distance_matrix(inst)
+            start = initial_solution(inst, seed, dm)
+            refined = expert_refine(inst, start, m=20, cfg=FAST, dm=dm)
             assert refined.total_cost <= start.total_cost + 1e-9
             assert check_feasible(inst, refined).feasible
 
@@ -534,14 +535,16 @@ class TestExpertRefine:
 
     def test_m_ge_n_equivalent_to_plain_hgs(self):
         inst = generate_uniform(12, 66)
-        start = initial_solution(inst, 66)
-        refined = expert_refine(inst, start, m=50, cfg=FAST)
+        dm = build_distance_matrix(inst)
+        start = initial_solution(inst, 66, dm)
+        refined = expert_refine(inst, start, m=50, cfg=FAST, dm=dm)
         assert check_feasible(inst, refined).feasible
         assert refined.total_cost <= start.total_cost + 1e-9
 
     def test_deterministic_whatever_the_worker_schedule(self):
         inst = generate_uniform(40, 31)
-        start = initial_solution(inst, 31)
-        a = expert_refine(inst, start, m=10, cfg=FAST)
-        b = expert_refine(inst, start, m=10, cfg=FAST)
+        dm = build_distance_matrix(inst)
+        start = initial_solution(inst, 31, dm)
+        a = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
+        b = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         assert a == b

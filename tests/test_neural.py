@@ -7,7 +7,7 @@ import pytest
 
 from routeflow import autodiff as F
 from routeflow.core import (
-    Instance, SparseGraph, build_distance_matrix, check_feasible, knn_sparsify, make_solution,
+    Instance, build_distance_matrix, check_feasible, knn_sparsify, make_solution,
 )
 from routeflow.io import derive_seed, generate_uniform
 from routeflow.neural import (
@@ -32,12 +32,13 @@ from routeflow.neural import (
     disc_forward,
     disc_traj_scores_t,
     encode,
+    encode_graph,
     gat_embed,
     init_disc,
     init_params,
+    instance_graph,
     lift,
     load_policy,
-    node_features,
     parameter_count,
     rollout,
     save_policy,
@@ -52,10 +53,9 @@ SMALL = Dims(n_layers=2, n_heads=2, d_units=8, mlp_hidden=16)
 
 def small_setup(n=8, seed=3, k=3):
     inst = generate_uniform(n, seed)
-    dm = build_distance_matrix(inst)
-    graph = knn_sparsify(dm, k)
+    graph = instance_graph(inst, k)
     policy = init_params(SMALL, 1)
-    return inst, dm, graph, policy
+    return inst, graph.dm, graph, policy
 
 
 def _lrelu(x, slope=0.2):
@@ -92,24 +92,31 @@ def straight_line_embed(gat, ei, feats):
     return h
 
 
-def dict_edge_index(graph):
+def dict_edge_index(rows, dm):
     """Loop-and-dict reference for build_edge_index."""
     dmap = {}
-    for i in range(graph.n):
-        for j, dij in zip(graph.neighbors[i], graph.edge_dist[i]):
-            dmap[(int(i), int(j))] = float(dij)
-            dmap[(int(j), int(i))] = float(dij)
+    for i, row in enumerate(rows.tolist()):
+        for j in row:
+            dmap[(i, j)] = float(dm[i, j])
+            dmap[(j, i)] = float(dm[j, i])
     pairs = sorted(dmap)
     return pairs, [dmap[p] for p in pairs]
 
 
+def rounded(inst):
+    """The instance on a 100x grid with rounded distances, which tie often."""
+    scale = lambda xy: (100 * xy[0], 100 * xy[1])
+    return replace(inst, depot=scale(inst.depot), coords=tuple(map(scale, inst.coords)),
+                   distance_mode="rounded")
+
+
 def step_replay_log_pf(ctx, actions):
     """Sum of log decode_step probabilities along an action sequence."""
-    state = initial_state(ctx.instance)
+    state = initial_state(ctx.graph.instance)
     total = 0.0
     for a in actions:
         total += np.log(decode_step(ctx, state)[a])
-        state = apply_action(ctx.instance, state, a)
+        state = apply_action(ctx.graph.instance, state, a)
     return total
 
 
@@ -118,33 +125,32 @@ def step_reference_rollout(ctx, mode, seed, epsilon):
     rollout's generator is a ``choice`` over decode_step's distribution,
     preceded in epsilon-greedy mode by the exploration test."""
     rng = np.random.default_rng(seed)
-    state = initial_state(ctx.instance)
+    state = initial_state(ctx.graph.instance)
     actions = []
-    while not is_terminal(ctx.instance, state):
+    while not is_terminal(ctx.graph.instance, state):
         probs = decode_step(ctx, state)
         explore = mode == SAMPLE or (mode == EPSILON_GREEDY and rng.random() < epsilon)
         a = int(rng.choice(len(probs), p=probs)) if explore else int(np.argmax(probs))
         actions.append(a)
-        state = apply_action(ctx.instance, state, a, float(np.log(probs[a])))
+        state = apply_action(ctx.graph.instance, state, a, float(np.log(probs[a])))
     return tuple(actions), state.log_pf
 
 
 class TestEdgeIndex:
     @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (6, 2, 1), (15, 4, 2), (40, 10, 3), (40, 39, 4)])
-    @pytest.mark.parametrize("skew", [False, True])
-    def test_matches_dict_reference(self, n, k, seed, skew):
-        graph = knn_sparsify(build_distance_matrix(generate_uniform(n, seed)), k)
-        if skew:  # (i, j) and (j, i) disagree: the arc written last wins
-            noise = np.random.default_rng(seed).random(graph.edge_dist.shape)
-            graph = SparseGraph(graph.neighbors.copy(), graph.edge_dist + noise)
-        ei = build_edge_index(graph)
-        pairs, dist = dict_edge_index(graph)
+    @pytest.mark.parametrize("is_rounded", [False, True])
+    def test_matches_dict_reference(self, n, k, seed, is_rounded):
+        inst = generate_uniform(n, seed)
+        dm = build_distance_matrix(rounded(inst) if is_rounded else inst)
+        rows = knn_sparsify(dm, k)
+        ei = build_edge_index(rows, dm)
+        pairs, dist = dict_edge_index(rows, dm)
         assert list(zip(ei.src.tolist(), ei.dst.tolist())) == pairs
         assert ei.dist.tolist() == dist
 
     @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (6, 2, 1), (15, 4, 2), (40, 10, 3), (40, 39, 4)])
     def test_rows_are_the_nodes_arcs(self, n, k, seed):
-        ei = build_edge_index(knn_sparsify(build_distance_matrix(generate_uniform(n, seed)), k))
+        ei = instance_graph(generate_uniform(n, seed), k).ei
         assert ei.start.shape == (ei.n + 1,)
         assert ei.start[0] == 0 and ei.start[-1] == ei.src.size
         for i in range(ei.n):
@@ -188,10 +194,8 @@ class TestInit:
 class TestGatForward:
     def test_matches_straight_line_oracle(self):
         inst, dm, graph, policy = small_setup()
-        ei = build_edge_index(graph)
-        feats = node_features(inst)
-        fast = gat_embed(policy.gat, ei, feats, training=True)
-        slow = straight_line_embed(policy.gat, ei, feats)
+        fast = gat_embed(policy.gat, graph, training=True)
+        slow = straight_line_embed(policy.gat, graph.ei, graph.feats)
         assert np.allclose(fast, slow, atol=1e-9)
 
     def test_duplicate_nodes_identical_rows(self):
@@ -203,10 +207,8 @@ class TestGatForward:
             (4, 4, 7),
             50,
         )
-        dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 3)
         policy = init_params(SMALL, 2)
-        emb = gat_embed(policy.gat, build_edge_index(graph), node_features(inst), training=True)
+        emb = gat_embed(policy.gat, instance_graph(inst, 3), training=True)
         assert np.allclose(emb[1], emb[2], atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -219,10 +221,8 @@ class TestGatForward:
             tuple(inst.demands[p - 1] for p in perm),
             inst.capacity,
         )
-        dm2 = build_distance_matrix(permuted)
-        graph2 = knn_sparsify(dm2, 4)
-        emb = gat_embed(policy.gat, build_edge_index(graph), node_features(inst), training=True)
-        emb2 = gat_embed(policy.gat, build_edge_index(graph2), node_features(permuted), training=True)
+        emb = gat_embed(policy.gat, graph, training=True)
+        emb2 = gat_embed(policy.gat, instance_graph(permuted, 4), training=True)
         # node mapping: new customer i sits where old customer perm[i-1] was
         for new_idx, old_idx in enumerate(perm, start=1):
             assert np.allclose(emb2[new_idx], emb[old_idx], atol=1e-6)
@@ -230,38 +230,35 @@ class TestGatForward:
 
     def test_inference_mode_uses_running_stats(self):
         inst, dm, graph, policy = small_setup()
-        ei, feats = build_edge_index(graph), node_features(inst)
-        a = gat_embed(policy.gat, ei, feats, training=False)
+        a = gat_embed(policy.gat, graph, training=False)
         for layer in policy.gat.layers:
             layer.run_mean[:] = 0.5
-        b = gat_embed(policy.gat, ei, feats, training=False)
+        b = gat_embed(policy.gat, graph, training=False)
         assert not np.allclose(a, b)
 
     def test_running_stats_move_only_on_a_training_forward_on_the_tape(self):
         inst, dm, graph, policy = small_setup()
         stats = lambda: [s.copy() for _, s in policy.named_state()]
         before = stats()
-        encode(policy, inst, graph, dm, training=True)
-        encode(lift(policy), inst, graph, dm, training=False)
+        encode_graph(policy, graph, training=True)
+        encode_graph(lift(policy), graph, training=False)
         assert all(np.array_equal(a, b) for a, b in zip(before, stats()))
-        encode(lift(policy), inst, graph, dm, training=True)
+        encode_graph(lift(policy), graph, training=True)
         assert not any(np.array_equal(a, b) for a, b in zip(before, stats()))
 
 
 class TestDecodeStep:
     def test_single_candidate_probability_one(self):
         inst, dm, graph, policy = small_setup(n=1, seed=2, k=1)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         probs = decode_step(ctx, initial_state(inst))
         assert probs[1] == 1.0
         assert probs.sum() == 1.0
 
     def test_zero_capacity_forces_depot(self):
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0)), (5, 5), 5)
-        dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 2)
         policy = init_params(SMALL, 0)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, instance_graph(inst, 2))
         state = apply_action(inst, initial_state(inst), 1)
         assert state.residual == 0
         probs = decode_step(ctx, state)
@@ -270,13 +267,13 @@ class TestDecodeStep:
 
     def test_matches_reference_softmax(self):
         inst, dm, graph, policy = small_setup(n=10, seed=8, k=4)
-        ctx = encode(policy, inst, graph, dm)
-        emb = gat_embed(policy.gat, ctx.ei, node_features(inst))
+        ctx = encode_graph(policy, graph)
+        emb = gat_embed(policy.gat, graph)
         state = initial_state(inst)
         rng = np.random.default_rng(1)
         for _ in range(4):
             probs = decode_step(ctx, state)
-            cands = valid_actions(inst, ctx.ei, state)
+            cands = valid_actions(inst, ctx.graph.ei, state)
             # reference: straight-line logits + exp-normalization
             logits = []
             for j in cands:
@@ -291,10 +288,10 @@ class TestDecodeStep:
 
     def test_masked_entries_exactly_zero(self):
         inst, dm, graph, policy = small_setup(n=12, seed=4, k=3)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         state = initial_state(inst)
         probs = decode_step(ctx, state)
-        cands = set(valid_actions(inst, ctx.ei, state))
+        cands = set(valid_actions(inst, ctx.graph.ei, state))
         for j in range(inst.n_nodes):
             if j not in cands:
                 assert probs[j] == 0.0
@@ -307,14 +304,19 @@ class TestArcLogits:
     @pytest.mark.parametrize("lifted", [False, True])
     def test_each_entry_is_its_arc_scored_alone(self, lifted, training):
         inst, dm, graph, policy = small_setup(n=120, seed=4, k=30)
-        ctx = encode(lift(policy) if lifted else policy, inst, graph, dm, training)
+        ctx = encode_graph(lift(policy) if lifted else policy, graph, training)
         assert isinstance(ctx.logits, F.Tensor) == lifted
         table = F.value(ctx.logits)
-        assert table.shape == ctx.ei.src.shape and table.size > _SLICE
+        assert table.shape == ctx.graph.ei.src.shape and table.size > _SLICE
         # the raw policy's projections: a lifted table holds the raw values
-        proj = _project(policy.dec, gat_embed(policy.gat, ctx.ei, node_features(inst), training))
-        for e, (i, j) in enumerate(zip(ctx.ei.src, ctx.ei.dst)):
+        proj = _project(policy.dec, gat_embed(policy.gat, graph, training))
+        for e, (i, j) in enumerate(zip(ctx.graph.ei.src, ctx.graph.ei.dst)):
             assert _pair_logits(policy.dec, proj, np.array([i]), np.array([j]))[0] == table[e]
+
+    def test_encode_is_encode_graph_on_the_graph_of_its_rows(self):
+        inst, dm, graph, policy = small_setup(n=30, seed=2, k=6)
+        ctx = encode(policy, inst, knn_sparsify(dm, 6), dm, training=True)
+        assert np.array_equal(ctx.logits, encode_graph(policy, graph, training=True).logits)
 
     def test_pair_mlp_scores_each_arc_once_per_encode(self, monkeypatch):
         rows = []
@@ -326,8 +328,8 @@ class TestArcLogits:
 
         monkeypatch.setattr(F, "matvec", counted)
         inst, dm, graph, policy = small_setup(n=120, seed=4, k=30)
-        ctx = encode(lift(policy), inst, graph, dm, training=True)
-        assert sum(rows) == ctx.ei.src.size > _SLICE
+        ctx = encode_graph(lift(policy), graph, training=True)
+        assert sum(rows) == ctx.graph.ei.src.size > _SLICE
         assert max(rows) <= _SLICE
         rows.clear()
         trajs = batch_rollouts(policy, inst, ctx, 4, SAMPLE, seed=1)
@@ -339,14 +341,12 @@ class TestArcLogits:
         # is a candidate whenever a run is away from it
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), (1, 1, 1), 10)
         dm = build_distance_matrix(inst)
-        nbrs = np.array([[1], [2], [3], [2]])
-        graph = SparseGraph(nbrs, dm.dist[np.arange(4)[:, None], nbrs])
         policy = init_params(SMALL, 0)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode(policy, inst, np.array([[1], [2], [3], [2]]), dm)
         with pytest.raises(ValueError, match="not an arc"):
             batch_log_pf(ctx, [Trajectory((1, 2, 3, 0), None, 0.0)])
         logits = ctx.logits.copy()
-        logits[arc_id(ctx.ei, 1, 0)] = -1e3  # the greedy run goes on to customer 2
+        logits[arc_id(ctx.graph.ei, 1, 0)] = -1e3  # the greedy run goes on to customer 2
         with pytest.raises(ValueError, match="not an arc"):
             rollout(policy, inst, replace(ctx, logits=logits), GREEDY)
 
@@ -358,10 +358,11 @@ class TestCandidates:
     def test_match_the_reference_valid_actions(self, seed):
         # demands of 5 against a capacity of 10: runs reach full load
         inst = replace(generate_uniform(14, seed), demands=(5,) * 14, capacity=10)
-        ei = build_edge_index(knn_sparsify(build_distance_matrix(inst), 4))
+        graph = instance_graph(inst, 4)
+        ei = graph.ei
         rng = np.random.default_rng(seed)
         count = 5
-        runs = _Runs(inst, ei, count)
+        runs = _Runs(graph, count)
         states = [initial_state(inst)] * count
         seen = set()
         while not all(is_terminal(inst, s) for s in states):
@@ -383,10 +384,8 @@ class TestCandidates:
     def test_a_greedy_rollout_allocates_no_n_by_n_array(self):
         n = 2000
         inst = generate_uniform(n - 1, 1)
-        dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 20)
         policy = init_params(SMALL, 1)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, instance_graph(inst, 20))
         tracemalloc.start()
         try:
             traj = rollout(policy, inst, ctx, GREEDY)
@@ -400,13 +399,13 @@ class TestCandidates:
 class TestRollout:
     def test_single_customer_forced(self):
         inst, dm, graph, policy = small_setup(n=1, seed=5, k=1)
-        traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=0)
+        traj = rollout(policy, inst, encode_graph(policy, graph), SAMPLE, seed=0)
         assert traj.actions == (1, 0)
         assert traj.log_pf == 0.0
 
     def test_greedy_deterministic(self):
         inst, dm, graph, policy = small_setup(n=15, seed=9, k=4)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         a = rollout(policy, inst, ctx, GREEDY, seed=1)
         b = rollout(policy, inst, ctx, GREEDY, seed=99)
         assert a.actions == b.actions
@@ -414,12 +413,12 @@ class TestRollout:
     def test_terminal_solution_feasible(self):
         for seed in range(10):
             inst, dm, graph, policy = small_setup(n=14, seed=seed, k=4)
-            traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=seed)
+            traj = rollout(policy, inst, encode_graph(policy, graph), SAMPLE, seed=seed)
             assert check_feasible(inst, traj.solution).feasible
 
     def test_sample_frequencies_match_step_probabilities(self):
         inst, dm, graph, policy = small_setup(n=5, seed=13, k=4)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         probs = decode_step(ctx, initial_state(inst))
         n_draws = 10000
         # one batched decode over the seeds 0..9999; batch_rollouts equals
@@ -431,7 +430,7 @@ class TestRollout:
 
     def test_log_pf_consistent_with_probs(self):
         inst, dm, graph, policy = small_setup(n=7, seed=3, k=3)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         traj = rollout(policy, inst, ctx, SAMPLE, seed=11)
         state = initial_state(inst)
         total = 0.0
@@ -445,21 +444,21 @@ class TestRollout:
 class TestBatchRollouts:
     def test_count_one_equals_single(self):
         inst, dm, graph, policy = small_setup(n=9, seed=21, k=3)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         batch = batch_rollouts(policy, inst, ctx, 1, SAMPLE, seed=4)
         single = rollout(policy, inst, ctx, SAMPLE, seed=derive_seed(4, 0))
         assert batch[0].actions == single.actions
 
     def test_best_of_monotone_in_count(self):
         inst, dm, graph, policy = small_setup(n=10, seed=30, k=3)
-        trajs = batch_rollouts(policy, inst, encode(policy, inst, graph, dm), 100, SAMPLE, seed=6)
+        trajs = batch_rollouts(policy, inst, encode_graph(policy, graph), 100, SAMPLE, seed=6)
         b10 = best_of(trajs[:10]).solution.total_cost
         b100 = best_of(trajs).solution.total_cost
         assert b100 <= b10
 
     def test_deterministic(self):
         inst, dm, graph, policy = small_setup(n=9, seed=2, k=3)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         a = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=8)
         b = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=8)
         assert [t.actions for t in a] == [t.actions for t in b]
@@ -467,7 +466,7 @@ class TestBatchRollouts:
     @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
     def test_each_index_is_its_single_rollout(self, mode):
         inst, dm, graph, policy = small_setup(n=12, seed=23, k=4)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         batch = batch_rollouts(policy, inst, ctx, 8, mode, seed=5, epsilon=0.5)
         for t, traj in enumerate(batch):
             single = rollout(policy, inst, ctx, mode, seed=derive_seed(5, t), epsilon=0.5)
@@ -481,7 +480,7 @@ class TestBatchRollouts:
     def test_matches_the_step_reference(self, mode):
         for seed in range(3):
             inst, dm, graph, policy = small_setup(n=10, seed=seed, k=4)
-            ctx = encode(policy, inst, graph, dm)
+            ctx = encode_graph(policy, graph)
             trajs = batch_rollouts(policy, inst, ctx, 4, mode, seed=seed, epsilon=0.3)
             for t, traj in enumerate(trajs):
                 actions, log_pf = step_reference_rollout(ctx, mode, derive_seed(seed, t), 0.3)
@@ -509,7 +508,7 @@ class TestBatchRollouts:
 
     def test_count_beyond_distinct_trajectories_extends_the_prefix(self):
         inst, dm, graph, policy = small_setup(n=2, seed=7, k=2)
-        ctx = encode(policy, inst, graph, dm)
+        ctx = encode_graph(policy, graph)
         many = batch_rollouts(policy, inst, ctx, 40, SAMPLE, seed=3)
         few = batch_rollouts(policy, inst, ctx, 9, SAMPLE, seed=3)
         assert len({t.actions for t in many}) < 40
@@ -522,8 +521,8 @@ class TestDiscriminator:
     def test_outputs_strictly_inside_unit_interval(self):
         inst, dm, graph, _ = small_setup(n=12, seed=17, k=4)
         disc = init_disc(SMALL, 5)
-        probs = disc_forward(disc, inst, graph)
-        assert probs.shape == build_edge_index(graph).src.shape
+        probs = disc_forward(disc, graph)
+        assert probs.shape == graph.ei.src.shape
         assert np.all(probs > 0)
         assert np.all(probs < 1)
         assert not np.any(np.isnan(probs))
@@ -531,8 +530,8 @@ class TestDiscriminator:
     def test_directed_scores_may_differ_but_finite(self):
         inst, dm, graph, _ = small_setup(n=10, seed=18, k=4)
         disc = init_disc(SMALL, 6)
-        probs = disc_forward(disc, inst, graph)
-        ei = build_edge_index(graph)
+        probs = disc_forward(disc, graph)
+        ei = graph.ei
         (back,) = np.flatnonzero((ei.src == ei.dst[3]) & (ei.dst == ei.src[3]))
         fwd, bwd = probs[3], probs[back]
         assert np.isfinite(fwd) and np.isfinite(bwd)
@@ -540,9 +539,8 @@ class TestDiscriminator:
     def test_matches_straight_line_reevaluation(self):
         inst, dm, graph, _ = small_setup(n=9, seed=19, k=3)
         disc = init_disc(SMALL, 7)
-        feats = node_features(inst)
-        ei = build_edge_index(graph)
-        probs = disc_forward(disc, inst, graph, training=True)
+        ei, feats = graph.ei, graph.feats
+        probs = disc_forward(disc, graph, training=True)
         emb = straight_line_embed(disc.gat, ei, feats)
         e = _lrelu((ei.dist / feats.scale)[:, None] @ disc.gat.w_edge + disc.gat.b_edge)
         cat = np.concatenate([emb[ei.src], emb[ei.dst], e], axis=1)
@@ -556,31 +554,29 @@ class TestDiscScore:
 
     def _tiny(self, logit=None):
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1, 1), 5)
-        dm = build_distance_matrix(inst)
         disc = init_disc(SMALL, 5)
         if logit is not None:  # the same logit on every arc
             disc.w2[:] = 0.0
             disc.b2[...] = logit
-        feats = node_features(inst)
-        emb = gat_embed(disc.gat, build_edge_index(knn_sparsify(dm, 2)), feats, training=True)
-        return disc, emb, feats, dm
+        graph = instance_graph(inst, 2)
+        return disc, gat_embed(disc.gat, graph, training=True), graph
 
     def test_two_arc_value(self):
         eps = 1e-3
-        disc, emb, feats, dm = self._tiny(logit=np.log((1 - eps) / eps))
-        (score,) = disc_traj_scores_t(disc, emb, feats, dm, [(1, 0)])
+        disc, emb, graph = self._tiny(logit=np.log((1 - eps) / eps))
+        (score,) = disc_traj_scores_t(disc, emb, graph, [(1, 0)])
         assert score == pytest.approx(2 * np.log(1 - eps))
 
     def test_reward_bounded_by_one(self):
-        disc, emb, feats, dm = self._tiny()
-        scores = disc_traj_scores_t(disc, emb, feats, dm, [(1, 0, 2, 0), (2, 1, 0)])
+        disc, emb, graph = self._tiny()
+        scores = disc_traj_scores_t(disc, emb, graph, [(1, 0, 2, 0), (2, 1, 0)])
         assert np.all(scores <= 0)
         assert np.all(np.exp(scores) <= 1)
 
     def test_matches_straight_line_log_sigmoid_sum(self):
         inst, dm, graph, _ = small_setup(n=8, seed=4, k=2)
         disc = init_disc(SMALL, 7)
-        ei, feats = build_edge_index(graph), node_features(inst)
+        ei, feats = graph.ei, graph.feats
         i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ei, j)) < inst.n_nodes - 1)
         far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
@@ -594,18 +590,18 @@ class TestDiscScore:
             return np.log(1 / (1 + np.exp(-(hidden @ disc.w2 + float(disc.b2)))))
 
         ref = [sum(log_sigmoid(a, b) for a, b in zip((0,) + s, s)) for s in seqs]
-        got = disc_traj_scores_t(disc, gat_embed(disc.gat, ei, feats, True), feats, dm, seqs)
+        got = disc_traj_scores_t(disc, gat_embed(disc.gat, graph, True), graph, seqs)
         assert np.allclose(got, ref, rtol=0, atol=1e-9)
         assert np.all(got <= 0)
         lifted = lift(disc)
-        on_tape = disc_traj_scores_t(lifted, gat_embed(lifted.gat, ei, feats, True), feats, dm, seqs)
+        on_tape = disc_traj_scores_t(lifted, gat_embed(lifted.gat, graph, True), graph, seqs)
         assert np.allclose(on_tape.data, got, rtol=1e-12, atol=0)
 
 
 class TestTrajectoryFromSolution:
     def test_replay_matches_actions(self):
         inst, dm, graph, policy = small_setup(n=6, seed=44, k=3)
-        traj = rollout(policy, inst, encode(policy, inst, graph, dm), SAMPLE, seed=3)
+        traj = rollout(policy, inst, encode_graph(policy, graph), SAMPLE, seed=3)
         assert trajectory_from_solution(traj.solution) == traj.actions
 
 
@@ -613,10 +609,10 @@ class TestBatchLogPf:
     @pytest.mark.parametrize("n,seed,k", [(6, 1, 3), (11, 2, 4), (16, 3, 5)])
     def test_equals_sum_of_decode_step_log_probs(self, n, seed, k):
         inst, dm, graph, policy = small_setup(n=n, seed=seed, k=k)
-        ctx = encode(policy, inst, graph, dm, training=True)
+        ctx = encode_graph(policy, graph, training=True)
         trajs = batch_rollouts(policy, inst, ctx, 6, SAMPLE, seed=seed)
         lifted = lift(policy)
-        got = batch_log_pf(encode(lifted, inst, graph, dm, training=True), trajs)
+        got = batch_log_pf(encode_graph(lifted, graph, training=True), trajs)
         ref = [step_replay_log_pf(ctx, t.actions) for t in trajs]
         assert np.allclose(got.data, ref, rtol=0, atol=1e-9)
         assert np.allclose(got.data, [t.log_pf for t in trajs], rtol=0, atol=1e-9)
@@ -625,13 +621,13 @@ class TestBatchLogPf:
         inst, dm, graph, policy = small_setup(n=4, seed=5, k=3)
         bad = Trajectory((1, 1, 0), None, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(encode(policy, inst, graph, dm), [bad])
+            batch_log_pf(encode_graph(policy, graph), [bad])
 
     def test_rejects_an_arc_off_the_sparse_graph(self):
         inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
-        ctx = encode(policy, inst, graph, dm)
-        i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ctx.ei, j)) < inst.n_nodes - 1)
-        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ctx.ei, i))
+        ctx = encode_graph(policy, graph)
+        i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ctx.graph.ei, j)) < inst.n_nodes - 1)
+        far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ctx.graph.ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
         solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
         traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
@@ -641,17 +637,16 @@ class TestBatchLogPf:
     def test_gradients_match_central_differences(self):
         dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)
         inst = generate_uniform(6, 9)
-        dm = build_distance_matrix(inst)
-        graph = knn_sparsify(dm, 3)
+        graph = instance_graph(inst, 3)
         policy = init_params(dims, 5)
         policy.log_z[...] = 0.7
-        ctx = encode(policy, inst, graph, dm, training=True)
+        ctx = encode_graph(policy, graph, training=True)
         trajs = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=1)
         target = np.linspace(-3.0, -1.0, len(trajs))
 
         def tb_loss(params):
             # encode and batch_log_pf are generic over modes: raw arrays give the value
-            log_pf = batch_log_pf(encode(params, inst, graph, dm, training=True), trajs)
+            log_pf = batch_log_pf(encode_graph(params, graph, training=True), trajs)
             return F.mean(F.square(params.log_z + log_pf - target))
 
         lifted = lift(policy)

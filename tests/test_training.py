@@ -1,17 +1,20 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
-bit-identical to an uninterrupted run, a divergence writes its snapshot
-before raising, one update runs each network's encoder once, and one step
-builds each instance's distance matrix and sparse graph once."""
+bit-identical to an uninterrupted run and refuses other dims, a divergence
+writes its snapshot before raising, one update runs each network's encoder
+once, one step builds each instance's graph once, and the discriminator
+loss has the gradients of its central differences."""
 
 import json
 
 import numpy as np
 import pytest
 
+from routeflow import autodiff as F
 from routeflow import neural, training
+from routeflow.core import Instance
 from routeflow.expert import HgsConfig
 from routeflow.io import generate_uniform
-from routeflow.neural import Dims
+from routeflow.neural import CheckpointError, Dims
 
 TINY = Dims(n_layers=2, n_heads=2, d_units=8, mlp_hidden=8)
 
@@ -81,16 +84,84 @@ def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch):
 
 
 def test_one_graph_per_instance_per_step(tmp_path, monkeypatch):
-    calls = {"build_distance_matrix": 0, "knn_sparsify": 0}
+    # patched where the graph builder calls them; the expert's own k-NN
+    # lists for its granular search are not the networks' graph
+    calls = {"build_distance_matrix": 0, "knn_sparsify": 0, "build_edge_index": 0, "node_features": 0}
     for name in calls:
-        original = getattr(training, name)
+        original = getattr(neural, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(training, name, counted)
+        monkeypatch.setattr(neural, name, counted)
     cfg = tiny_config(tmp_path)
     state = training.init_train_state(cfg)
     training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
-    assert calls == {"build_distance_matrix": 1, "knn_sparsify": 1}
+    assert calls == {"build_distance_matrix": 1, "knn_sparsify": 1, "build_edge_index": 1, "node_features": 1}
+
+
+def test_resuming_with_other_dims_is_refused_and_writes_nothing(tmp_path):
+    training.train(tiny_config(tmp_path / "first", epochs=1, checkpoint_every=1))
+    wider = tiny_config(tmp_path / "resumed", dims=Dims(n_layers=2, n_heads=2, d_units=16, mlp_hidden=8))
+    with pytest.raises(CheckpointError, match="dims"):
+        training.train(wider, resume_from=str(tmp_path / "first" / "checkpoint_epoch1.json"))
+    assert not (tmp_path / "resumed").exists()
+
+
+def test_a_checkpoint_records_its_own_dims(tmp_path):
+    state = training.init_train_state(tiny_config(tmp_path))
+    path = str(tmp_path / "state.json")
+    training.save_train_state(state, path)
+    assert json.loads((tmp_path / "state.json").read_text())["dims"] == TINY.to_dict()
+    loaded = training.load_train_state(path)
+    assert loaded.policy.dims == loaded.disc.dims == TINY
+
+
+def test_load_train_state_checks_the_format_version(tmp_path):
+    training.train(tiny_config(tmp_path, epochs=1, instances_per_epoch=1))
+    path = tmp_path / "checkpoint_final.json"
+    payload = json.loads(path.read_text())
+    payload["format_version"] = neural.CHECKPOINT_VERSION + 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="version"):
+        training.load_train_state(str(path))
+
+
+def test_disc_loss_gradients_match_central_differences():
+    dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)
+    inst = Instance(
+        (0.5, 0.5), ((0.1, 0.2), (0.9, 0.8), (0.3, 0.7), (0.6, 0.1), (0.8, 0.4)), (3, 4, 2, 5, 3), 10
+    )
+    graph = neural.instance_graph(inst, 2)
+    disc = neural.init_disc(dims, 4)
+    # (2, 4) is not an arc of the sparse graph
+    assert not ((graph.ei.src == 2) & (graph.ei.dst == 4)).any()
+    neg = [(1, 3, 0, 2, 4, 0, 5, 0), (5, 0, 4, 2, 0, 3, 1, 0)]
+    pos = [(1, 4, 0, 3, 5, 0, 2, 0)]
+
+    def loss(params):
+        # generic over modes: raw arrays give the value
+        emb = neural.gat_embed(params.gat, graph, training=True)
+        rewards = F.exp(neural.disc_traj_scores_t(params, emb, graph, neg + pos))
+        return training.disc_loss(rewards[: len(neg)], rewards[len(neg):])
+
+    lifted = neural.lift(disc)
+    F.backward(loss(lifted))
+    grads = neural.backward_grads(lifted)
+    arrays = dict(disc.named_arrays())
+    rng = np.random.default_rng(0)
+    eps = 1e-6
+    for name in ("gat.layers.0.heads.1.w", "edge_mlp.w1", "edge_mlp.b2", "gat.w_edge"):
+        arr = arrays[name]
+        assert np.abs(grads[name]).max() > 1e-6, name
+        for flat in rng.choice(arr.size, size=min(4, arr.size), replace=False):
+            idx = np.unravel_index(flat, arr.shape)
+            keep = arr[idx]
+            arr[idx] = keep + eps
+            hi = float(loss(disc))
+            arr[idx] = keep - eps
+            lo = float(loss(disc))
+            arr[idx] = keep
+            fd = (hi - lo) / (2 * eps)
+            assert grads[name][idx] == pytest.approx(fd, rel=1e-5, abs=1e-10), (name, idx)
