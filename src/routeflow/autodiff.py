@@ -12,6 +12,13 @@ Each computes its value once, from ``value(x)``, and ``_lift`` puts it on
 the tape only when ``x`` is a Tensor, so both modes give the same numbers,
 bit for bit: ``Tensor.mean`` is sum / count, as numpy's ``mean`` is, and
 ``matvec`` is one row-local product in both modes.
+
+The CSR helpers (``csr_sum``, ``csr_repeat``, ``csr_gather``) work on
+segments that tile the last axis, given by their offsets. Each one's
+forward and backward is one ``np.add.reduceat``, ``np.repeat`` or
+``np.take`` along that axis, never an ``np.add.at`` scatter.
+``csr_gather`` reads a symmetric pattern's columns and gathers its gradient
+back through each entry's transpose.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the computation tape; ``grad`` accumulates after backward()."""
+    """Node of the computation tape. After backward(), a leaf's ``grad``
+    holds its gradient; an interior node's is dropped once passed on."""
 
     __slots__ = ("data", "grad", "parents", "bw", "requires_grad")
 
@@ -52,9 +60,14 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first write stores a copy: ``g`` may be shared with another
+        # parent or be a view of an array that is still in use
+        if self.grad is not None:
+            self.grad += g
+        elif np.shape(g) == self.data.shape:
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
 
     # -- operator overloads ------------------------------------------------
 
@@ -138,10 +151,17 @@ class Tensor:
 
     def __getitem__(self, key):
         out = Tensor(self.data[key], (self,))
+        basic = all(
+            k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+            for k in (key if isinstance(key, tuple) else (key,))
+        )
 
         def bw(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            if basic:  # slices and integers never select an element twice
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             self._accumulate(full)
 
         out.bw = bw
@@ -197,6 +217,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node.bw is not None and node.grad is not None:
             node.bw(node.grad)
+            node.grad = None  # every consumer came before, so it is complete and spent
 
 
 # -- dual-mode math helpers --------------------------------------------------
@@ -280,6 +301,43 @@ def segment_logsumexp(x, owner: np.ndarray, n: int):
     total = np.zeros(n)
     np.add.at(total, owner, ex)
     return _lift(x, top + np.log(total), lambda g: g[owner] * ex / total[owner])
+
+
+def transpose(x):
+    """The transpose of a 2-D x, as a C-contiguous copy."""
+    return _lift(x, np.ascontiguousarray(value(x).T), lambda g: g.T)
+
+
+# -- CSR segments along the last axis ----------------------------------------
+#
+# ``start`` holds the offsets of consecutive segments that tile the last
+# axis: segment v is ``start[v]:start[v + 1]``. No segment may be empty,
+# since ``reduceat`` returns the next entry for an empty one.
+
+
+def csr_sum(x, start: np.ndarray):
+    """Segment sums along the last axis: out[..., v] = x[..., start[v]:start[v + 1]].sum()."""
+    sizes = np.diff(start)
+    return _lift(x, np.add.reduceat(value(x), start[:-1], axis=-1),
+                 lambda g: np.repeat(g, sizes, axis=-1))
+
+
+def csr_repeat(x, start: np.ndarray):
+    """Each segment's value over its entries: out[..., a] = x[..., v] for
+    ``start[v] <= a < start[v + 1]``; the gradient is ``csr_sum``'s value."""
+    return _lift(x, np.repeat(value(x), np.diff(start), axis=-1),
+                 lambda g: np.add.reduceat(g, start[:-1], axis=-1))
+
+
+def csr_gather(x, col: np.ndarray, rev: np.ndarray, start: np.ndarray):
+    """Columns of x at the entries' column ids: out[..., a] = x[..., col[a]].
+
+    The pattern must be symmetric: ``rev[a]`` is the entry of a's transpose,
+    so the entries whose column is v are the transposes of segment v, and
+    the gradient is one gather by ``rev`` and one segment sum.
+    """
+    return _lift(x, np.take(value(x), col, axis=-1),
+                 lambda g: np.add.reduceat(np.take(g, rev, axis=-1), start[:-1], axis=-1))
 
 
 def matvec(a, v):

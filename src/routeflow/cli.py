@@ -19,8 +19,7 @@ from .bench import SWEEPABLE, BenchSpec, load_checkpoint, report_table, run_benc
 from .core import check_feasible
 from .expert import HgsConfig
 from .io import derive_seed, generate_uniform, load_instance, write_vrplib
-from .neural import Dims
-from .training import TrainConfig, train
+from .training import TrainConfig, config_from_dict, train
 
 EXIT_SPEC = 2
 EXIT_MISSING = 3
@@ -42,12 +41,8 @@ def _cmd_train(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
         try:
-            if "dims" in raw:
-                raw["dims"] = Dims(**raw["dims"])
-            if "expert_hgs" in raw:
-                raw["expert_hgs"] = HgsConfig(**raw["expert_hgs"])
-            cfg = TrainConfig(**raw)
-        except TypeError as exc:  # an unknown field
+            cfg = config_from_dict(raw)
+        except (TypeError, AttributeError) as exc:  # an unknown field
             raise ValueError(f"bad train config {args.config}: {exc}") from None
     else:
         cfg = TrainConfig()

@@ -2,7 +2,15 @@
 
 The encoder stacks sparse multi-head attention layers (additive scores over
 projected node pairs plus a projected edge term, residual + batch-norm per
-layer). The decoder scores (current, candidate) embedding pairs with an MLP
+layer). Each layer stores its heads' weights stacked, one array per kind.
+Its edge arrays are feature-major, (channels, E), so that the segment max,
+the softmax denominator and the message sum over each node's CSR row are
+each one ``reduceat`` along a contiguous axis. All heads are projected and
+scored in one pass; messages run in groups of heads ``d_units`` wide. A
+node term gathered onto the arcs' heads has its gradient gathered back
+through ``EdgeIndex.rev``, each arc's reverse, so no pass scatters.
+
+The decoder scores (current, candidate) embedding pairs with an MLP
 and constructs routes autoregressively under capacity/visitation masks. A
 pair's logit depends on the arc alone, never on the rollout's state, and
 every candidate is an arc of the sparse graph, so ``encode_graph`` scores
@@ -108,13 +116,16 @@ class EdgeIndex:
     ways, with depot arcs guaranteed in both directions. In CSR layout: the
     arcs are sorted by (src, dst), so node i's arcs are the row
     ``start[i]:start[i + 1]``, and no row is empty (k-NN rows have k >= 1
-    entries). ``build_edge_index`` is the one place that makes both hold."""
+    entries). ``rev[a]`` is the arc id of arc a's reverse, which exists by
+    symmetry, so the arcs into node i are ``rev[start[i]:start[i + 1]]``.
+    ``build_edge_index`` is the one place that makes all three hold."""
 
     n: int
     src: np.ndarray  # (E,) sorted by (src, dst)
     dst: np.ndarray
     dist: np.ndarray
     start: np.ndarray  # (n + 1,) row offsets
+    rev: np.ndarray  # (E,) arc id of (dst, src)
 
 
 def build_edge_index(neighbors: np.ndarray, dm: DistanceMatrix) -> EdgeIndex:
@@ -126,7 +137,8 @@ def build_edge_index(neighbors: np.ndarray, dm: DistanceMatrix) -> EdgeIndex:
     bwd = neighbors.ravel().astype(np.int64)
     keys = np.unique(np.concatenate([fwd * n + bwd, bwd * n + fwd]))
     src, dst = keys // n, keys % n
-    return EdgeIndex(n, src, dst, dm.dist[src, dst], np.searchsorted(src, np.arange(n + 1)))
+    start = np.searchsorted(src, np.arange(n + 1))
+    return EdgeIndex(n, src, dst, dm.dist[src, dst], start, np.searchsorted(keys, dst * n + src))
 
 
 @dataclass(frozen=True)
@@ -162,17 +174,17 @@ def instance_graph(instance: Instance, k_nn: int | None = None) -> InstanceGraph
 # parameter containers
 
 
-class AttentionHead:
-    def __init__(self, w, a_src, a_dst, w_edge):
+class GatLayer:
+    """One attention layer's weights, each kind stacked over the heads:
+    head k's projection is the column block ``w[:, k * dh:(k + 1) * dh]``,
+    and its attention vectors and edge weights are row k of ``a_src``,
+    ``a_dst`` (H, dh) and ``w_edge`` (H, d_units); then batch-norm."""
+
+    def __init__(self, w, a_src, a_dst, w_edge, gamma, beta, run_mean, run_var):
         self.w = w
         self.a_src = a_src
         self.a_dst = a_dst
         self.w_edge = w_edge
-
-
-class GatLayer:
-    def __init__(self, heads, gamma, beta, run_mean, run_var):
-        self.heads = heads
         self.gamma = gamma
         self.beta = beta
         self.run_mean = run_mean
@@ -180,7 +192,9 @@ class GatLayer:
 
 
 class GatParams:
-    """Encoder weights: input projections plus per-layer attention heads."""
+    """Encoder weights: input projections plus per-layer attention heads.
+    Each head's weights are drawn in turn (w, a_src, a_dst, w_edge) into
+    its slots of the layer's stacked arrays."""
 
     def __init__(self, dims: Dims, rng: np.random.Generator):
         d = dims.d_units
@@ -191,18 +205,16 @@ class GatParams:
         self.b_edge = np.zeros(d)
         self.layers = []
         for layer in range(dims.n_layers):
-            dh = dims.head_dim(layer)
-            heads = [
-                AttentionHead(
-                    _uniform(rng, (d, dh), d),
-                    _uniform(rng, (dh,), 2 * dh),
-                    _uniform(rng, (dh,), 2 * dh),
-                    _uniform(rng, (d,), d),
-                )
-                for _ in range(dims.n_heads)
-            ]
+            dh, n_heads = dims.head_dim(layer), dims.n_heads
+            w, w_edge = np.empty((d, n_heads * dh)), np.empty((n_heads, d))
+            a_src, a_dst = np.empty((n_heads, dh)), np.empty((n_heads, dh))
+            for k in range(n_heads):
+                w[:, k * dh : (k + 1) * dh] = _uniform(rng, (d, dh), d)
+                a_src[k] = _uniform(rng, (dh,), 2 * dh)
+                a_dst[k] = _uniform(rng, (dh,), 2 * dh)
+                w_edge[k] = _uniform(rng, (d,), d)
             self.layers.append(
-                GatLayer(heads, np.ones(d), np.zeros(d), np.zeros(d), np.ones(d))
+                GatLayer(w, a_src, a_dst, w_edge, np.ones(d), np.zeros(d), np.zeros(d), np.ones(d))
             )
 
     def named_arrays(self, prefix: str = "gat"):
@@ -211,14 +223,8 @@ class GatParams:
         yield f"{prefix}.w_edge", self.w_edge
         yield f"{prefix}.b_edge", self.b_edge
         for li, layer in enumerate(self.layers):
-            for hi, head in enumerate(layer.heads):
-                base = f"{prefix}.layers.{li}.heads.{hi}"
-                yield f"{base}.w", head.w
-                yield f"{base}.a_src", head.a_src
-                yield f"{base}.a_dst", head.a_dst
-                yield f"{base}.w_edge", head.w_edge
-            yield f"{prefix}.layers.{li}.gamma", layer.gamma
-            yield f"{prefix}.layers.{li}.beta", layer.beta
+            for kind in ("w", "a_src", "a_dst", "w_edge", "gamma", "beta"):
+                yield f"{prefix}.layers.{li}.{kind}", getattr(layer, kind)
 
     def named_state(self, prefix: str = "gat"):
         for li, layer in enumerate(self.layers):
@@ -354,39 +360,62 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
 
     Per layer and head: additive attention scores on projected node pairs
     plus a projected edge term, LeakyReLU, softmax over each node's
-    neighborhood, then residual + batch-norm over the aggregated heads.
-    Returns the final (n, d_units) embeddings.
+    neighborhood, then residual + batch-norm over the aggregated heads
+    (concatenated in hidden layers, averaged in the final one).
+
+    Edge arrays are feature-major, (channels, E), so every per-row reduction
+    is one ``reduceat`` along a contiguous axis over the CSR offsets
+    ``ei.start``. A layer projects all its heads at once and scores all of
+    them together, (H, E); the messages then run in groups of heads that
+    are ``d_units`` wide, so that no edge array is wider than (d_units, E):
+    one group in a hidden layer, one head per group in the final layer.
     """
     ei, feats = graph.ei, graph.feats
-    e_raw = (ei.dist / feats.scale).reshape(-1, 1)
+    d, n_heads = gat.dims.d_units, gat.dims.n_heads
     h = F.leaky_relu(feats.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
-    e = F.leaky_relu(e_raw @ gat.w_edge + gat.b_edge, LEAKY_SLOPE)
-    n_heads = gat.dims.n_heads
+    # the (d, E) edge features: the outer product of the (1, d) weights and the scaled lengths
+    e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist / feats.scale) + gat.b_edge.reshape(d, 1),
+                     LEAKY_SLOPE)
     for li, layer in enumerate(gat.layers):
-        final = li == gat.dims.n_layers - 1
-        outs = []
-        for head in layer.heads:
-            z = h @ head.w  # (n, dh)
-            zi = F.take(z, ei.src)
-            zj = F.take(z, ei.dst)
-            score = F.leaky_relu(zi @ head.a_src + zj @ head.a_dst, LEAKY_SLOPE)
-            score = score + e @ head.w_edge
-            smax = np.maximum.reduceat(F.value(score), ei.start[:-1])
-            shifted = score - smax[ei.src]
-            ex = F.exp(shifted)
-            denom = F.segment_sum(ex, ei.src, ei.n)
-            alpha = ex / F.take(denom, ei.src)  # (E,)
-            msg = F.segment_sum(alpha.reshape(-1, 1) * zj, ei.src, ei.n)
-            outs.append(msg)
-        if final:
-            aggr = outs[0]
-            for o in outs[1:]:
-                aggr = aggr + o
+        dh = gat.dims.head_dim(li)
+        group = d // dh  # heads per message pass
+        z = F.transpose(h @ layer.w)  # (H * dh, n): head k in rows k * dh:(k + 1) * dh
+        alpha = _attention(layer, z, e, ei)
+        msgs = [_messages(z[k * dh : (k + group) * dh], alpha[k : k + group], ei)
+                for k in range(0, n_heads, group)]
+        aggr = msgs[0]
+        if len(msgs) > 1:  # the final layer averages its heads
+            for m in msgs[1:]:
+                aggr = aggr + m
             aggr = aggr * (1.0 / n_heads)
-        else:
-            aggr = F.concat(outs, axis=1)
         h = h + _batchnorm(layer, F.leaky_relu(aggr, LEAKY_SLOPE), training)
     return h
+
+
+def _attention(layer: GatLayer, z, e, ei: EdgeIndex):
+    """(H, E) attention weights of every head on every arc: the softmax
+    over each source's row of LeakyReLU(a_src . z_src + a_dst . z_dst) +
+    w_edge . e, from the per-node terms gathered onto the arcs."""
+    n_heads = F.value(layer.a_src).shape[0]
+    heads = z.reshape(n_heads, -1, ei.n)
+    s_src = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)  # (H, n)
+    s_dst = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
+    score = F.leaky_relu(
+        F.csr_repeat(s_src, ei.start) + F.csr_gather(s_dst, ei.dst, ei.rev, ei.start), LEAKY_SLOPE
+    ) + layer.w_edge @ e
+    smax = np.maximum.reduceat(F.value(score), ei.start[:-1], axis=1)
+    ex = F.exp(score - F.csr_repeat(smax, ei.start))
+    return ex / F.csr_repeat(F.csr_sum(ex, ei.start), ei.start)
+
+
+def _messages(z, alpha, ei: EdgeIndex):
+    """(n, G * dh) messages of G heads: each node's sum of its arcs'
+    attention-weighted heads, from the heads' (G * dh, n) rows of ``z`` and
+    their (G, E) weights ``alpha``. Its (G * dh, E) temporaries die with it."""
+    group = F.value(alpha).shape[0]
+    zj = F.csr_gather(z, ei.dst, ei.rev, ei.start).reshape(group, -1, ei.src.size)
+    msg = F.csr_sum(zj * alpha.reshape(group, 1, -1), ei.start)
+    return F.transpose(msg.reshape(-1, ei.n))
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +771,7 @@ def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: l
 # checkpoints
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,6 +92,17 @@ class TrainConfig:
             raise ValueError("learning rates must be non-negative")
 
 
+# the fields a resumed run may change; every other one defines the run
+RESUMABLE_FIELDS = ("epochs", "checkpoint_every", "out_dir")
+
+
+def config_from_dict(raw: dict) -> TrainConfig:
+    """The config of a JSON object shaped as ``dataclasses.asdict`` of one;
+    missing fields keep their defaults, and an unknown one raises TypeError."""
+    nested = {"dims": Dims, "expert_hgs": HgsConfig}
+    return TrainConfig(**{k: nested[k](**v) if k in nested else v for k, v in raw.items()})
+
+
 class Adam:
     """Adam with per-parameter learning rates; moments are checkpointable."""
 
@@ -136,6 +147,7 @@ class TrainState:
     disc: DiscParams
     opt_policy: Adam
     opt_disc: Adam
+    config: TrainConfig  # the run's config, as its checkpoints record it
     epoch: int = 0
     history: list[dict] = field(default_factory=list)
 
@@ -148,6 +160,7 @@ def init_train_state(cfg: TrainConfig) -> TrainState:
         disc,
         Adam([(n, a.shape) for n, a in policy.named_arrays()]),
         Adam([(n, a.shape) for n, a in disc.named_arrays()]),
+        cfg,
     )
 
 
@@ -308,6 +321,7 @@ def save_train_state(state: TrainState, path: str) -> None:
         "opt_disc": state.opt_disc.to_dict(),
         "history": state.history,
         "dims": state.policy.dims.to_dict(),
+        "config": asdict(state.config),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -327,6 +341,7 @@ def load_train_state(path: str) -> TrainState:
         disc,
         Adam.from_dict(payload["opt_policy"], shapes_p),
         Adam.from_dict(payload["opt_disc"], shapes_d),
+        config_from_dict(payload["config"]),
         epoch=payload["epoch"],
         history=payload["history"],
     )
@@ -344,8 +359,9 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
 
     Resuming from a checkpoint continues bit-identically because all
     randomness is keyed off (seed, epoch, step), never off live state. A
-    resumed state whose dims differ from ``cfg.dims`` is rejected with
-    ``CheckpointError``.
+    resumed state whose run's config differs from ``cfg`` outside
+    ``RESUMABLE_FIELDS`` is rejected with a ``CheckpointError`` that names
+    each differing field.
     """
     if resume_from is None:
         state = init_train_state(cfg)
@@ -353,8 +369,14 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
         state = load_train_state(resume_from)
     else:
         state = resume_from
-    if state.policy.dims != cfg.dims:
-        raise CheckpointError(f"checkpoint dims {state.policy.dims} differ from the config's {cfg.dims}")
+    differing = [
+        f"{f.name} ({getattr(state.config, f.name)!r} != {getattr(cfg, f.name)!r})"
+        for f in fields(TrainConfig)
+        if f.name not in RESUMABLE_FIELDS and getattr(state.config, f.name) != getattr(cfg, f.name)
+    ]
+    if differing:
+        raise CheckpointError(f"the checkpoint's run differs from the config in {', '.join(differing)}")
+    state.config = cfg
     os.makedirs(cfg.out_dir, exist_ok=True)
     if state.epoch == 0 and cfg.checkpoint_every:
         save_train_state(state, os.path.join(cfg.out_dir, "checkpoint_epoch0.json"))

@@ -1,4 +1,5 @@
 import gc
+import inspect
 
 import numpy as np
 import pytest
@@ -21,12 +22,25 @@ def _rand(*shape, lo=-2.0, hi=2.0, seed=0):
 
 _OWNER = np.array([0, 2, 2, 1, 0, 2, 1])  # bucket 3 stays empty
 _REPEATED = np.array([0, 2, 2, 1, 0])
+# a symmetric CSR pattern on 4 nodes: entries sorted by (row, column), one
+# row per node, and each entry's transpose
+_ARCS = sorted({(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2)})
+_ROW, _COL = (np.array(c) for c in zip(*_ARCS))
+_START = np.searchsorted(_ROW, np.arange(5))
+_REV = np.array([_ARCS.index((j, i)) for i, j in _ARCS])
 # op -> (function of its inputs, inputs); every function runs on arrays and on Tensors
 OPS = {
     "take": (lambda x: F.take(x, _REPEATED), [_rand(3, 4)]),
     "segment_sum_1d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7)]),
     "segment_sum_2d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7, 3)]),
     "segment_logsumexp": (lambda x: F.segment_logsumexp(x, _OWNER[:6], 3), [_rand(6)]),
+    "csr_sum_1d": (lambda x: F.csr_sum(x, _START), [_rand(8)]),
+    "csr_sum_3d": (lambda x: F.csr_sum(x, _START), [_rand(2, 3, 8)]),
+    "csr_repeat": (lambda x: F.csr_repeat(x, _START), [_rand(3, 4)]),
+    "csr_gather_1d": (lambda x: F.csr_gather(x, _COL, _REV, _START), [_rand(4)]),
+    "csr_gather_2d": (lambda x: F.csr_gather(x, _COL, _REV, _START), [_rand(3, 4)]),
+    "transpose": (F.transpose, [_rand(3, 4)]),
+    "square": (F.square, [_rand(3, 4)]),
     "concat_axis0": (lambda a, b: F.concat([a, b], axis=0), [_rand(2, 3), _rand(4, 3, seed=1)]),
     "concat_axis1": (lambda a, b: F.concat([a, b], axis=1), [_rand(3, 2), _rand(3, 4, seed=1)]),
     "exp": (F.exp, [_rand(3, 4)]),
@@ -48,6 +62,19 @@ OPS = {
     "matmul_2d_2d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, 2, seed=1)]),
     "matvec": (F.matvec, [_rand(3, 4), _rand(4, seed=1)]),
 }
+
+
+# tape plumbing, not math: no gradient of their own to check
+_PLUMBING = {"as_tensor", "parameter", "backward", "value"}
+
+
+def test_every_dual_mode_helper_has_a_gradient_case():
+    helpers = {
+        name for name, fn in vars(F).items()
+        if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")
+    }
+    missing = {h for h in helpers - _PLUMBING if not any(op == h or op.startswith(h + "_") for op in OPS)}
+    assert not missing, f"add an OPS case for {sorted(missing)}"
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -136,6 +163,13 @@ class TestMatvec:
 
 
 class TestTape:
+    def test_backward_keeps_the_leaf_gradients_only(self):
+        x = F.parameter(np.linspace(0.1, 1.0, 5))
+        y = F.exp(x)
+        F.backward((y * x).sum())
+        assert np.allclose(x.grad, np.exp(x.data) * (1.0 + x.data))
+        assert y.grad is None
+
     def test_a_dropped_tape_is_freed_without_the_cyclic_collector(self):
         # a tape in a reference cycle lingers until the collector runs, and
         # in training that held several updates' tapes at once

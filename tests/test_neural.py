@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeflow import autodiff as F
+from routeflow import neural
 from routeflow.core import (
     Instance, build_distance_matrix, check_feasible, knn_sparsify, make_solution,
 )
@@ -63,15 +66,17 @@ def _lrelu(x, slope=0.2):
 
 
 def straight_line_embed(gat, ei, feats):
-    """Independent loop-based re-evaluation of the encoder."""
+    """Independent loop-based re-evaluation of the encoder, one head at a
+    time: head k's weights are its slots of the layer's stacked arrays."""
     h = _lrelu(feats.x @ gat.w_node + gat.b_node)
     e = _lrelu((ei.dist / feats.scale)[:, None] @ gat.w_edge + gat.b_edge)
     n_layers = gat.dims.n_layers
     for li, layer in enumerate(gat.layers):
         outs = []
-        for head in layer.heads:
-            z = h @ head.w
-            s = _lrelu(z[ei.src] @ head.a_src + z[ei.dst] @ head.a_dst) + e @ head.w_edge
+        dh = gat.dims.head_dim(li)
+        for k in range(gat.dims.n_heads):
+            z = h @ layer.w[:, k * dh : (k + 1) * dh]
+            s = _lrelu(z[ei.src] @ layer.a_src[k] + z[ei.dst] @ layer.a_dst[k]) + e @ layer.w_edge[k]
             alpha = np.zeros_like(s)
             for node in range(ei.n):
                 rows = np.flatnonzero(ei.src == node)
@@ -159,6 +164,15 @@ class TestEdgeIndex:
             assert np.all(ei.src[row] == i)
             assert ei.dst[row].tolist() == neighbours(ei, i)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+    def test_rev_is_each_arcs_reverse(self, n, k, seed, is_rounded):
+        inst = generate_uniform(n, seed)
+        dm = build_distance_matrix(rounded(inst) if is_rounded else inst)
+        ei = build_edge_index(knn_sparsify(dm, k), dm)
+        assert np.array_equal(ei.src[ei.rev], ei.dst)
+        assert np.array_equal(ei.dst[ei.rev], ei.src)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -167,6 +181,22 @@ class TestInit:
         for (na, ta), (nb, tb) in zip(a.named_arrays(), b.named_arrays()):
             assert na == nb
             assert np.array_equal(ta, tb)
+
+    def test_each_head_draws_its_weights_in_turn(self):
+        # the stacked arrays hold per-head draws (w, a_src, a_dst, w_edge),
+        # head after head, so a seed gives the weights it gave per head
+        rng = np.random.default_rng(9)
+        u = lambda shape, fan_in: rng.uniform(-1 / np.sqrt(fan_in), 1 / np.sqrt(fan_in), size=shape)
+        gat, d = init_params(SMALL, 9).gat, SMALL.d_units
+        assert np.array_equal(gat.w_node, u((4, d), 4))
+        assert np.array_equal(gat.w_edge, u((1, d), 1))
+        for li, layer in enumerate(gat.layers):
+            dh = SMALL.head_dim(li)
+            for k in range(SMALL.n_heads):
+                assert np.array_equal(layer.w[:, k * dh : (k + 1) * dh], u((d, dh), d))
+                assert np.array_equal(layer.a_src[k], u((dh,), 2 * dh))
+                assert np.array_equal(layer.a_dst[k], u((dh,), 2 * dh))
+                assert np.array_equal(layer.w_edge[k], u((d,), d))
 
     def test_log_z_zero(self):
         assert float(init_params(SMALL, 0).log_z) == 0.0
@@ -191,12 +221,68 @@ class TestInit:
         assert np.all(np.abs(policy.gat.w_node) <= s)
 
 
+def assert_matches_straight_line(n, k, dims):
+    """Both modes of gat_embed against the oracle, to within float order."""
+    graph = instance_graph(generate_uniform(n, 3), k)
+    policy = init_params(dims, 1)
+    slow = straight_line_embed(policy.gat, graph.ei, graph.feats)
+    fast = gat_embed(policy.gat, graph, training=True)
+    on_tape = gat_embed(lift(policy).gat, graph, training=True)
+    assert np.allclose(fast, slow, rtol=0, atol=1e-12)
+    assert np.allclose(on_tape.data, slow, rtol=0, atol=1e-12)
+
+
 class TestGatForward:
     def test_matches_straight_line_oracle(self):
+        assert_matches_straight_line(8, 3, SMALL)
+
+    def test_matches_straight_line_oracle_at_n200(self):
+        # the default dims: 8 heads in one pass per hidden layer, then 8
+        # single-head passes in the final layer
+        assert_matches_straight_line(200, None, Dims())
+
+    def test_array_mode_peak_memory(self):
+        # n=200, k=50, E = 11,804: no edge array is wider than (d_units, E)
+        # and at most three of those live at once (6.0 MB each); the
+        # per-head (E, d_units) layout before it peaked at 25.8 MB here
+        graph = instance_graph(generate_uniform(200, 172), 50)
+        assert graph.ei.src.size == 11_804
+        policy = init_params(Dims(), 100)
+        gat_embed(policy.gat, graph)
+        tracemalloc.start()
+        try:
+            gat_embed(policy.gat, graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 21_000_000
+
+    def test_forward_and_backward_scatter_nothing(self, monkeypatch):
+        # every reduction over the arcs is one reduceat along the CSR rows
+        class NoScatter:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def __getattr__(self, name):
+                if name == "at":
+                    raise AssertionError(f"np.{self.ufunc.__name__}.at called")
+                return getattr(self.ufunc, name)
+
+        class Numpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                return NoScatter(attr) if isinstance(attr, np.ufunc) else attr
+
+        monkeypatch.setattr(F, "np", Numpy())
+        monkeypatch.setattr(neural, "np", Numpy())
         inst, dm, graph, policy = small_setup()
-        fast = gat_embed(policy.gat, graph, training=True)
-        slow = straight_line_embed(policy.gat, graph.ei, graph.feats)
-        assert np.allclose(fast, slow, atol=1e-9)
+        gat_embed(policy.gat, graph, training=True)
+        lifted = lift(policy)
+        F.backward(F.square(gat_embed(lifted.gat, graph, training=True)).sum())
+        assert all(t.grad is not None for _, t in lifted.gat.named_arrays())
 
     def test_duplicate_nodes_identical_rows(self):
         # customers 1 and 2 share location and demand; with a complete graph
@@ -655,7 +741,8 @@ class TestBatchLogPf:
         arrays = dict(policy.named_arrays())
         rng = np.random.default_rng(0)
         eps = 1e-6
-        for name in ("dec.w1", "dec.b1", "dec.w2", "dec.b2", "log_z", "gat.layers.0.heads.1.w"):
+        for name in ("dec.w1", "dec.b1", "dec.w2", "dec.b2", "log_z", "gat.layers.0.w",
+                     "gat.layers.1.a_dst"):
             arr = arrays[name]
             for flat in rng.choice(arr.size, size=min(4, arr.size), replace=False):
                 idx = np.unravel_index(flat, arr.shape)

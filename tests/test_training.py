@@ -1,10 +1,11 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
-bit-identical to an uninterrupted run and refuses other dims, a divergence
-writes its snapshot before raising, one update runs each network's encoder
-once, one step builds each instance's graph once, and the discriminator
-loss has the gradients of its central differences."""
+bit-identical to an uninterrupted run and refuses another run's config, a
+divergence writes its snapshot before raising, one update runs each
+network's encoder once, one step builds each instance's graph once, and the
+discriminator loss has the gradients of its central differences."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,44 @@ def test_resuming_with_other_dims_is_refused_and_writes_nothing(tmp_path):
     assert not (tmp_path / "resumed").exists()
 
 
+def test_resuming_another_run_is_refused_with_every_differing_field(tmp_path):
+    training.train(tiny_config(tmp_path / "first", epochs=1, checkpoint_every=1))
+    other = tiny_config(tmp_path / "resumed", seed=4, n=9)
+    with pytest.raises(CheckpointError) as exc:
+        training.train(other, resume_from=str(tmp_path / "first" / "checkpoint_epoch1.json"))
+    assert "seed (3 != 4)" in str(exc.value) and "n (6 != 9)" in str(exc.value)
+    assert not (tmp_path / "resumed").exists()
+
+
+# another value of every field that defines a run
+OTHER_RUN = {
+    "n": 9, "instances_per_epoch": 3, "n_rollouts": 5, "epsilon": 0.1, "update_ratio": 2,
+    "lr_gen": 2e-3, "lr_disc": 2e-3, "lr_logz": 2e-2, "m": 100, "k_nn": 3, "seed": 4,
+    "grad_clip": 5.0, "expert_hgs": HgsConfig(population_size=4, max_iterations=6),
+    "dims": Dims(n_layers=1, n_heads=2, d_units=8, mlp_hidden=8),
+}
+
+
+def test_every_field_but_the_resumable_ones_defines_the_run():
+    names = {f.name for f in fields(training.TrainConfig)}
+    assert OTHER_RUN.keys() == names - set(training.RESUMABLE_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_RUN))
+def test_resuming_with_another_value_of_a_run_field_is_refused(tmp_path, name):
+    cfg = tiny_config(tmp_path / "run")
+    state = training.init_train_state(cfg)
+    with pytest.raises(CheckpointError, match=rf"\b{name} \("):
+        training.train(replace(cfg, **{name: OTHER_RUN[name]}), resume_from=state)
+
+
+def test_a_checkpoint_records_its_run_config(tmp_path):
+    cfg = tiny_config(tmp_path, k_nn=3, expert_hgs=HgsConfig(population_size=4, time_budget_s=0.5))
+    path = str(tmp_path / "state.json")
+    training.save_train_state(training.init_train_state(cfg), path)
+    assert training.load_train_state(path).config == cfg
+
+
 def test_a_checkpoint_records_its_own_dims(tmp_path):
     state = training.init_train_state(tiny_config(tmp_path))
     path = str(tmp_path / "state.json")
@@ -152,7 +191,7 @@ def test_disc_loss_gradients_match_central_differences():
     arrays = dict(disc.named_arrays())
     rng = np.random.default_rng(0)
     eps = 1e-6
-    for name in ("gat.layers.0.heads.1.w", "edge_mlp.w1", "edge_mlp.b2", "gat.w_edge"):
+    for name in ("gat.layers.0.w", "edge_mlp.w1", "edge_mlp.b2", "gat.w_edge"):
         arr = arrays[name]
         assert np.abs(grads[name]).max() > 1e-6, name
         for flat in rng.choice(arr.size, size=min(4, arr.size), replace=False):
