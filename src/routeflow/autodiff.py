@@ -76,8 +76,10 @@ class Tensor:
         out = Tensor(self.data + other.data, (self, other))
 
         def bw(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
 
         out.bw = bw
         return out
@@ -89,8 +91,10 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def bw(g):
-            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         out.bw = bw
         return out
@@ -113,10 +117,12 @@ class Tensor:
         out = Tensor(self.data / other.data, (self, other))
 
         def bw(g):
-            self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
+                )
 
         out.bw = bw
         return out
@@ -130,18 +136,16 @@ class Tensor:
 
         def bw(g):
             a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(g * b)
-                other._accumulate(g * a)
-            elif a.ndim == 2 and b.ndim == 1:
-                self._accumulate(np.outer(g, b))
-                other._accumulate(a.T @ g)
-            elif a.ndim == 1 and b.ndim == 2:
-                self._accumulate(b @ g)
-                other._accumulate(np.outer(a, g))
-            else:
-                self._accumulate(g @ b.T)
-                other._accumulate(a.T @ g)
+            if self.requires_grad:
+                if b.ndim == 1:
+                    self._accumulate(g * b if a.ndim == 1 else np.outer(g, b))
+                else:
+                    self._accumulate(b @ g if a.ndim == 1 else g @ b.T)
+            if other.requires_grad:
+                if a.ndim == 1:
+                    other._accumulate(g * a if b.ndim == 1 else np.outer(a, g))
+                else:
+                    other._accumulate(a.T @ g)
 
         out.bw = bw
         return out
@@ -352,8 +356,10 @@ def matvec(a, v):
     out = Tensor(val, (a, v))
 
     def bw(g):
-        a._accumulate(np.outer(g, vm))
-        v._accumulate(am.T @ g)
+        if a.requires_grad:
+            a._accumulate(np.outer(g, vm))
+        if v.requires_grad:
+            v._accumulate(am.T @ g)
 
     out.bw = bw
     return out
@@ -369,6 +375,8 @@ def concat(xs, axis=0):
 
     def bw(g):
         for x, a, b in zip(xs, offsets[:-1], offsets[1:]):
+            if not x.requires_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(a, b)
             x._accumulate(g[tuple(sl)])

@@ -13,6 +13,12 @@ The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
 modification stamps skip route pairs that have not changed since they were
 last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
 move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
+
+A search that runs long enough forks one helper process, which educates
+(splits and local-searches) a prediction of the next child while this
+process educates the current one. A prediction is used only when its giant
+tour equals the child actually drawn, so every host, with one CPU or many,
+returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -477,6 +483,104 @@ def _survivors(population: list[_Individual], size: int) -> list[_Individual]:
     return (ranked[:n_elite] + firsts + duplicates)[:size]
 
 
+def _draw_child(rng, population: list[_Individual]) -> list[int]:
+    """The next child's giant tour: two binary tournaments, order crossover
+    and, at MUTATION_RATE, one reversed segment. Which numbers it draws
+    depends only on the population's size and the tour's length."""
+
+    def tournament() -> _Individual:
+        i, j = rng.integers(len(population), size=2)
+        a, b = population[int(i)], population[int(j)]
+        return a if a.cost <= b.cost else b
+
+    p1, p2 = tournament(), tournament()
+    child = _order_crossover(rng, p1.tour, p2.tour)
+    if rng.random() < MUTATION_RATE and len(child) >= 2:
+        i, j = sorted(rng.choice(len(child), size=2, replace=False).tolist())
+        child[i : j + 1] = reversed(child[i : j + 1])
+    return child
+
+
+_FORK_AFTER_S = 0.05  # a fork costs ~10 ms, so shorter solves never start a helper
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork: it is the main process (not a pool
+    worker or a helper), at least two CPUs are usable, and no other thread
+    runs (forking a threaded process is unsafe)."""
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return False
+    import multiprocessing  # only here, so that `import routeflow` stays light
+
+    return multiprocessing.parent_process() is None
+
+
+def _serve(conn, parent_end, from_tour) -> None:
+    """The helper's loop: educate each tour received and send back its
+    individual, or the exception that education raised."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the solve, which kills this
+    parent_end.close()  # so that recv sees the end of a solve whose process died
+    while True:
+        try:
+            tour = conn.recv()
+        except EOFError:
+            return
+        try:
+            msg = from_tour(tour)
+        except Exception as exc:
+            msg = exc
+        conn.send(msg)
+
+
+class _Helper:
+    """A forked process that educates one giant tour at a time for
+    ``hgs_solve``: ``send`` a tour, then take its ``result``. ``sent`` is the
+    tour in flight, or None."""
+
+    def __init__(self, from_tour):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(child_end, self.conn, from_tour), daemon=True)
+        self.proc.start()
+        child_end.close()
+        self.sent: list[int] | None = None
+
+    def send(self, tour: list[int]) -> None:
+        self.conn.send(tour)
+        self.sent = tour
+
+    def _receive(self):
+        try:
+            msg = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"the HGS helper process exited with code {self.proc.exitcode}") from None
+        self.sent = None
+        return msg
+
+    def result(self) -> _Individual:
+        """The individual of the tour in flight; raises what its education raised."""
+        msg = self._receive()
+        if isinstance(msg, Exception):
+            raise msg
+        return msg
+
+    def drop_if_done(self) -> None:
+        """Discard the result of the tour in flight if it has arrived, and
+        any exception it carries: the search never drew that tour."""
+        if self.sent is not None and self.conn.poll():
+            self._receive()
+
+    def close(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
 def hgs_solve(
     instance: Instance,
     warm_start: Solution | None = None,
@@ -491,6 +595,17 @@ def hgs_solve(
     cost is bounded by both. ``time_budget_s`` is a hard cap checked between
     generations; bit-determinism across runs holds when ``max_iterations``
     binds first.
+
+    Once a solve has run ``_FORK_AFTER_S``, it forks one helper process if
+    ``_may_fork`` allows. The helper educates every other tour of the initial
+    population. Then, in each generation whose child the parent educates,
+    the helper educates a prediction of the next child (unless a missed one
+    is still in flight): drawn on the current population from a copy of the
+    random state, before this child lands. The next generation takes the
+    helper's individual only when the predicted tour equals the tour it
+    draws, and educates its child itself otherwise. Education is a function
+    of the tour alone, so the output is the serial search's, bit for bit,
+    whatever the host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -520,6 +635,18 @@ def hgs_solve(
             routes = split_giant_tour(D, demand, q, tour, None)
         return evaluate(routes)
 
+    helper: _Helper | None = None
+    decided = False  # set once the fork is decided, either way
+
+    def ahead() -> _Helper | None:
+        """The helper, forked at the first call after ``_FORK_AFTER_S``."""
+        nonlocal helper, decided
+        if not decided and time.monotonic() - start_time >= _FORK_AFTER_S:
+            decided = True
+            if _may_fork():
+                helper = _Helper(from_tour)
+        return helper
+
     population: list[_Individual] = []
     sweep = initial_solution(instance, cfg.seed, dm)
     population.append(evaluate([list(r.nodes) for r in sweep.routes]))
@@ -528,35 +655,48 @@ def hgs_solve(
         # preserve the untouched warm start as a monotonicity anchor
         population.append(evaluate([list(r.nodes) for r in warm_start.routes], educate=False))
     base = list(range(1, instance.n_customers + 1))
-    while len(population) < cfg.population_size:
-        tour = list(rng.permutation(base))
-        population.append(from_tour([int(c) for c in tour]))
+    tours = [
+        [int(c) for c in rng.permutation(base)] for _ in range(cfg.population_size - len(population))
+    ]
+    try:
+        k = 0
+        while k < len(tours):
+            if ahead() is not None and k + 1 < len(tours):
+                helper.send(tours[k + 1])
+                population.append(from_tour(tours[k]))
+                population.append(helper.result())
+                k += 2
+            else:
+                population.append(from_tour(tours[k]))
+                k += 1
 
-    best = min(
-        (ind for ind in population if ind.feasible),
-        key=lambda ind: ind.cost,
-        default=None,
-    )
-
-    def tournament() -> _Individual:
-        i, j = rng.integers(len(population), size=2)
-        a, b = population[int(i)], population[int(j)]
-        return a if a.cost <= b.cost else b
-
-    for _ in range(cfg.max_iterations):
-        if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
-            break
-        p1, p2 = tournament(), tournament()
-        child = _order_crossover(rng, p1.tour, p2.tour)
-        if rng.random() < MUTATION_RATE and len(child) >= 2:
-            i, j = sorted(rng.choice(len(child), size=2, replace=False).tolist())
-            child[i : j + 1] = reversed(child[i : j + 1])
-        ind = from_tour(child)
-        if ind.feasible and (best is None or ind.cost < best.cost):
-            best = ind
-        population.append(ind)
-        if len(population) > cfg.population_size:
-            population = _survivors(population, cfg.population_size)
+        best = min(
+            (ind for ind in population if ind.feasible),
+            key=lambda ind: ind.cost,
+            default=None,
+        )
+        shadow = np.random.default_rng(cfg.seed)  # draws the predictions
+        for it in range(cfg.max_iterations):
+            if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
+                break
+            child = _draw_child(rng, population)
+            if helper is not None and helper.sent == child:
+                ind = helper.result()
+            else:
+                if ahead() is not None and it + 1 < cfg.max_iterations:
+                    helper.drop_if_done()
+                    if helper.sent is None:
+                        shadow.bit_generator.state = rng.bit_generator.state
+                        helper.send(_draw_child(shadow, population))
+                ind = from_tour(child)
+            if ind.feasible and (best is None or ind.cost < best.cost):
+                best = ind
+            population.append(ind)
+            if len(population) > cfg.population_size:
+                population = _survivors(population, cfg.population_size)
+    finally:
+        if helper is not None:
+            helper.close()
 
     if best is None:
         raise InstanceError("no fleet-feasible solution found; raise the budget")
@@ -677,8 +817,9 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
     The clusters run on min(cluster count, usable CPUs) fork-started worker
     processes, submitted largest first (by customer count) so that the
     largest cluster, which bounds the wall time, starts at once. With fewer
-    than two workers (one cluster, or one CPU), or while other threads run,
-    they run in turn in this process, with no pool. Each cluster gets a
+    than two workers (one cluster, or one CPU), or when ``_may_fork``
+    refuses (another thread runs, or this is not the main process), they run
+    in turn in this process, with no pool. Each cluster gets a
     seed derived from its index and its own slice of ``dm``, so its result
     does not depend on which worker runs it or when: every schedule returns
     the serial loop's output.
@@ -694,7 +835,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
         for i in range(len(subproblems))
     ]
     workers = min(len(subproblems), len(os.sched_getaffinity(0)))
-    if workers < 2 or threading.active_count() > 1:  # forking a threaded process is unsafe
+    if workers < 2 or not _may_fork():
         return [_solve_one(sub, c, dm) for sub, c in zip(subproblems, configs)]
     # imported here: they would add ~24 ms to every `import routeflow`
     import multiprocessing

@@ -162,6 +162,29 @@ class TestMatvec:
         assert np.allclose(v.grad, a.data.sum(axis=0))
 
 
+# the ops that pass gradients to two or more operands, each of which may be a constant
+_BINARY = {
+    "add": (lambda a, b: a + b, [_rand(3, 4), _rand(1, 4, seed=1)]),
+    "mul": (lambda a, b: a * b, [_rand(3, 4), _rand(3, 1, seed=1)]),
+    **{name: OPS[name] for name in OPS if len(OPS[name][1]) == 2},
+}
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", sorted(_BINARY))
+def test_a_constant_operand_gets_no_gradient(name, position):
+    fn, inputs = _BINARY[name]
+    both = [F.parameter(x) for x in inputs]
+    F.backward(fn(*both).sum())
+    mixed = [F.parameter(x) if k == position else F.Tensor(x) for k, x in enumerate(inputs)]
+    F.backward(fn(*mixed).sum())
+    for k, t in enumerate(mixed):
+        if k == position:
+            assert np.array_equal(t.grad, both[k].grad)
+        else:
+            assert not t.requires_grad and t.grad is None
+
+
 class TestTape:
     def test_backward_keeps_the_leaf_gradients_only(self):
         x = F.parameter(np.linspace(0.1, 1.0, 5))

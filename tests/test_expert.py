@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -410,7 +411,7 @@ class TestSolveSubproblems:
         assert check_feasible(inst, results[0]).feasible
 
     @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
-    def test_pool_equals_the_serial_loop(self, source, monkeypatch):
+    def test_pool_equals_the_serial_loop(self, source, cpus):
         if source == "uniform":
             inst, m = generate_uniform(200, 5), 50
         else:  # rounded distances
@@ -423,12 +424,12 @@ class TestSolveSubproblems:
             _solve_one(sub, replace(FAST, max_iterations=per_iter, seed=derive_seed(FAST.seed, i)), dm)
             for i, sub in enumerate(subs)
         ]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a pool on any host
+        cpus(2)  # a pool on any host
         pooled = solve_subproblems(subs, FAST, dm)
         assert [p.routes for p in pooled] == [s.routes for s in serial]
         assert [p.total_cost for p in pooled] == [s.total_cost for s in serial]
 
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+    def test_a_worker_error_reaches_the_caller(self, cpus, monkeypatch):
         real = expert.hgs_solve
 
         def failing(instance, *args, **kwargs):
@@ -437,7 +438,7 @@ class TestSolveSubproblems:
             return real(instance, *args, **kwargs)
 
         monkeypatch.setattr(expert, "hgs_solve", failing)  # inherited by forked workers
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cpus(2)
         inst = generate_uniform(60, 4)
         dm = build_distance_matrix(inst)
         _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
@@ -447,18 +448,18 @@ class TestSolveSubproblems:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
-        "cpus, clusters, pools",
-        [({0, 1}, 1, 0), ({0}, 2, 0), ({0, 1}, 2, 1)],
+        "n_cpus, clusters, pools",
+        [(2, 1, 0), (1, 2, 0), (2, 2, 1)],
         ids=["one cluster", "one CPU", "two workers"],
     )
     @pytest.mark.parametrize("threaded", [False, True], ids=["alone", "another thread"])
-    def test_a_pool_only_from_two_workers(self, cpus, clusters, pools, threaded, monkeypatch):
+    def test_a_pool_only_from_two_workers(self, n_cpus, clusters, pools, threaded, cpus, monkeypatch):
         built = []
         real = concurrent.futures.ProcessPoolExecutor
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: built.append(a) or real(*a, **kw)
         )
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        cpus(n_cpus)
         inst = generate_uniform(40, 6)
         dm = build_distance_matrix(inst)
         _, subs = decompose(inst, initial_solution(inst, 6, dm), m=10)
@@ -548,3 +549,151 @@ class TestExpertRefine:
         a = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         b = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         assert a == b
+
+
+@pytest.fixture
+def starts(tmp_path, monkeypatch):
+    """The pids of the processes that call ``Process.start``, in call order:
+    a file records them, so a start inside a forked worker counts too."""
+    log = tmp_path / "starts"
+    log.touch()
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return lambda: [int(line) for line in log.read_text().split()]
+
+
+class TestHelper:
+    """hgs_solve's forked helper: the serial output whatever the host, its
+    errors reach the caller, it never outlives the solve, and it is forked
+    only where forking is safe and pays."""
+
+    @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
+    def test_equals_the_one_cpu_search(self, source, cpus, starts, monkeypatch):
+        if source == "uniform":
+            inst = generate_uniform(60, 11)
+            warm = initial_solution(inst, 3, build_distance_matrix(inst))
+        else:  # the fleet-limited Split
+            inst, warm = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp")), None
+        cfg = HgsConfig(population_size=20, max_iterations=80, seed=2)
+        educations = []  # by this process only: a helper appends to its own copy
+        real = expert._local_search
+        monkeypatch.setattr(expert, "_local_search", lambda *a: educations.append(1) or real(*a))
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(1)
+        serial = hgs_solve(inst, warm, cfg=cfg)
+        serial_educations = len(educations)
+        educations.clear()
+        cpus(2)
+        helped = hgs_solve(inst, warm, cfg=cfg)
+        assert helped == serial
+        assert starts() == [os.getpid()]
+        assert multiprocessing.active_children() == []
+        # the helper educates every other initial tour from the start, and
+        # each accepted prediction spares the parent one more education
+        tours = cfg.population_size - (1 if warm is None else 3)
+        accepted = serial_educations - len(educations) - tours // 2
+        assert accepted >= 1
+
+    @pytest.mark.parametrize("where", ["helper", "parent"])
+    def test_an_error_reaches_the_caller(self, where, cpus, monkeypatch):
+        caller = os.getpid()
+        calls = []
+        real = expert._local_search
+
+        def failing(*args):
+            calls.append(1)
+            in_helper = os.getpid() != caller
+            if in_helper if where == "helper" else len(calls) > 10:
+                raise InstanceError(f"education failed in the {where}")
+            return real(*args)
+
+        monkeypatch.setattr(expert, "_local_search", failing)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(2)
+        with pytest.raises(InstanceError, match=f"failed in the {where}"):
+            hgs_solve(generate_uniform(30, 2), cfg=replace(FAST, max_iterations=100))
+        assert multiprocessing.active_children() == []
+
+    def test_a_helper_that_dies_is_an_error(self, cpus, monkeypatch):
+        caller = os.getpid()
+        real = expert._local_search
+        monkeypatch.setattr(expert, "_local_search", lambda *a: os._exit(3) if os.getpid() != caller else real(*a))
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(2)
+        with pytest.raises(RuntimeError, match="helper process exited with code 3"):
+            hgs_solve(generate_uniform(30, 2), cfg=FAST)
+        assert multiprocessing.active_children() == []
+
+    def test_a_time_budget_stop_reaps_the_helper(self, cpus, starts, monkeypatch):
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(2)
+        inst = generate_uniform(40, 3)
+        cfg = HgsConfig(population_size=10, max_iterations=10**9, time_budget_s=0.3, seed=1)
+        sol = hgs_solve(inst, cfg=cfg)
+        assert check_feasible(inst, sol).feasible
+        assert starts() == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_none_with_another_thread_or_one_cpu(self, cpus, starts, monkeypatch):
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        inst = generate_uniform(30, 5)
+        cpus(1)
+        hgs_solve(inst, cfg=FAST)
+        cpus(2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        other.start()
+        try:
+            hgs_solve(inst, cfg=FAST)
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert starts() == []
+
+    def test_none_inside_a_pool_worker(self, cpus, starts, monkeypatch):
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)  # inherited by the workers
+        cpus(2)
+        inst = generate_uniform(60, 4)
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
+        assert len(subs) >= 3
+        solve_subproblems(subs, FAST, dm)
+        assert starts() == [os.getpid()] * 2  # the pool's two workers, and no helper
+
+    def test_none_early_in_a_default_train_step(self, cpus, monkeypatch, tmp_path):
+        # a default n=20 train_step's expert solve takes tens of milliseconds,
+        # less than _FORK_AFTER_S on an idle host; on a host slowed by load
+        # it may outlast that, and then its fork must come no sooner
+        from routeflow import training
+
+        solves, forks = [], []
+        real_solve = expert.hgs_solve
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def timed(*args, **kwargs):
+            t0 = time.monotonic()
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                solves.append((t0, time.monotonic()))
+
+        def start(self):
+            forks.append(time.monotonic())
+            real_start(self)
+
+        monkeypatch.setattr(expert, "hgs_solve", timed)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        cpus(2)
+        cfg = training.TrainConfig(checkpoint_every=0, out_dir=str(tmp_path))
+        state = training.init_train_state(cfg)
+        training.train_step(state, [generate_uniform(cfg.n, 0)], cfg, 0, 0)
+        assert solves
+        for t in forks:
+            assert any(t0 + expert._FORK_AFTER_S <= t <= t1 for t0, t1 in solves)
