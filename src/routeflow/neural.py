@@ -32,18 +32,22 @@ picks the k-NN width (``default_knn`` when none is given). A training step
 builds each instance's graph once and hands it to every encoder pass;
 ``encode`` keeps the (instance, neighbours, distances) form as an adapter.
 
-Parameters live in plain float64 arrays; ``lift`` mirrors a container into
-autodiff Tensors for training, and the same forward code serves both modes:
-``encode_graph`` on a lifted policy puts the logit table on the tape, where
-the rollouts read its values and ``batch_log_pf`` differentiates through it.
-Batch-norm running statistics update exactly when a training-mode forward
-runs on the tape.
+Parameters live in plain float64 arrays, the attributes of ``_Params``
+containers. One walk over a container's attributes, in the order they are
+set, names each array by its dotted path and marks the batch-norm running
+statistics (``_STATE``) apart from the trained arrays; checkpoints,
+gradients and ``training.Adam`` read nothing else. ``lift`` mirrors a
+container into autodiff Tensors for training under the same ``_STATE``
+rule, and the same forward code serves both modes: ``encode_graph`` on a
+lifted policy puts the logit table on the tape, where the rollouts read its
+values and ``batch_log_pf`` differentiates through it. Batch-norm running
+statistics update exactly when a training-mode forward runs on the tape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,14 +80,6 @@ class Dims:
         if layer == self.n_layers - 1:
             return self.d_units
         return self.d_units // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_units": self.d_units,
-            "mlp_hidden": self.mlp_hidden,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +170,61 @@ def instance_graph(instance: Instance, k_nn: int | None = None) -> InstanceGraph
 # parameter containers
 
 
-class GatLayer:
+# batch-norm running statistics: saved with a container, never trained
+_STATE = frozenset({"run_mean", "run_var"})
+
+
+class _Params:
+    """A parameter container. Its attributes are arrays, sub-containers,
+    lists of sub-containers and the ``Dims``; the order they are set in is
+    the order of checkpoint keys, of Adam's moments and of the sum that
+    clips gradients."""
+
+    def _walk(self, prefix: str = ""):
+        """(dotted name, array, is state) of every array, in attribute order;
+        a lifted container yields its trained arrays as Tensors."""
+        for key, val in vars(self).items():
+            if isinstance(val, _Params):
+                yield from val._walk(f"{prefix}{key}.")
+            elif isinstance(val, list):
+                for i, sub in enumerate(val):
+                    yield from sub._walk(f"{prefix}{key}.{i}.")
+            elif isinstance(val, (np.ndarray, F.Tensor)):
+                yield prefix + key, val, key in _STATE
+
+    def named_arrays(self):
+        return ((name, arr) for name, arr, state in self._walk() if not state)
+
+    def named_state(self):
+        return ((name, arr) for name, arr, state in self._walk() if state)
+
+
+class GatLayer(_Params):
     """One attention layer's weights, each kind stacked over the heads:
     head k's projection is the column block ``w[:, k * dh:(k + 1) * dh]``,
     and its attention vectors and edge weights are row k of ``a_src``,
-    ``a_dst`` (H, dh) and ``w_edge`` (H, d_units); then batch-norm."""
+    ``a_dst`` (H, dh) and ``w_edge`` (H, d_units); then batch-norm. Each
+    head's weights are drawn in turn (w, a_src, a_dst, w_edge) into its
+    slots of the stacked arrays."""
 
-    def __init__(self, w, a_src, a_dst, w_edge, gamma, beta, run_mean, run_var):
-        self.w = w
-        self.a_src = a_src
-        self.a_dst = a_dst
-        self.w_edge = w_edge
-        self.gamma = gamma
-        self.beta = beta
-        self.run_mean = run_mean
-        self.run_var = run_var
+    def __init__(self, rng: np.random.Generator, d: int, dh: int, n_heads: int):
+        self.w = np.empty((d, n_heads * dh))
+        self.a_src = np.empty((n_heads, dh))
+        self.a_dst = np.empty((n_heads, dh))
+        self.w_edge = np.empty((n_heads, d))
+        for k in range(n_heads):
+            self.w[:, k * dh : (k + 1) * dh] = _uniform(rng, (d, dh), d)
+            self.a_src[k] = _uniform(rng, (dh,), 2 * dh)
+            self.a_dst[k] = _uniform(rng, (dh,), 2 * dh)
+            self.w_edge[k] = _uniform(rng, (d,), d)
+        self.gamma = np.ones(d)
+        self.beta = np.zeros(d)
+        self.run_mean = np.zeros(d)
+        self.run_var = np.ones(d)
 
 
-class GatParams:
-    """Encoder weights: input projections plus per-layer attention heads.
-    Each head's weights are drawn in turn (w, a_src, a_dst, w_edge) into
-    its slots of the layer's stacked arrays."""
+class GatParams(_Params):
+    """Encoder weights: input projections plus per-layer attention heads."""
 
     def __init__(self, dims: Dims, rng: np.random.Generator):
         d = dims.d_units
@@ -203,91 +233,37 @@ class GatParams:
         self.b_node = np.zeros(d)
         self.w_edge = _uniform(rng, (1, d), 1)
         self.b_edge = np.zeros(d)
-        self.layers = []
-        for layer in range(dims.n_layers):
-            dh, n_heads = dims.head_dim(layer), dims.n_heads
-            w, w_edge = np.empty((d, n_heads * dh)), np.empty((n_heads, d))
-            a_src, a_dst = np.empty((n_heads, dh)), np.empty((n_heads, dh))
-            for k in range(n_heads):
-                w[:, k * dh : (k + 1) * dh] = _uniform(rng, (d, dh), d)
-                a_src[k] = _uniform(rng, (dh,), 2 * dh)
-                a_dst[k] = _uniform(rng, (dh,), 2 * dh)
-                w_edge[k] = _uniform(rng, (d,), d)
-            self.layers.append(
-                GatLayer(w, a_src, a_dst, w_edge, np.ones(d), np.zeros(d), np.zeros(d), np.ones(d))
-            )
-
-    def named_arrays(self, prefix: str = "gat"):
-        yield f"{prefix}.w_node", self.w_node
-        yield f"{prefix}.b_node", self.b_node
-        yield f"{prefix}.w_edge", self.w_edge
-        yield f"{prefix}.b_edge", self.b_edge
-        for li, layer in enumerate(self.layers):
-            for kind in ("w", "a_src", "a_dst", "w_edge", "gamma", "beta"):
-                yield f"{prefix}.layers.{li}.{kind}", getattr(layer, kind)
-
-    def named_state(self, prefix: str = "gat"):
-        for li, layer in enumerate(self.layers):
-            yield f"{prefix}.layers.{li}.run_mean", layer.run_mean
-            yield f"{prefix}.layers.{li}.run_var", layer.run_var
+        self.layers = [GatLayer(rng, d, dims.head_dim(li), dims.n_heads) for li in range(dims.n_layers)]
 
 
-class DecoderParams:
-    """MLP scoring a concatenated (current, candidate) embedding pair."""
+class Mlp(_Params):
+    """Two-layer scoring head LeakyReLU(x @ w1 + b1) @ w2 + b2, one output."""
 
-    def __init__(self, dims: Dims, rng: np.random.Generator):
-        d, h = dims.d_units, dims.mlp_hidden
-        self.w1 = _uniform(rng, (2 * d, h), 2 * d)
-        self.b1 = np.zeros(h)
-        self.w2 = _uniform(rng, (h,), h)
+    def __init__(self, rng: np.random.Generator, fan_in: int, hidden: int):
+        self.w1 = _uniform(rng, (fan_in, hidden), fan_in)
+        self.b1 = np.zeros(hidden)
+        self.w2 = _uniform(rng, (hidden,), hidden)
         self.b2 = np.zeros(())
 
-    def named_arrays(self, prefix: str = "dec"):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
 
-
-class PolicyParams:
-    """Generator: encoder, decoder head, and the log-partition scalar."""
+class PolicyParams(_Params):
+    """Generator: encoder, decoder head scoring a concatenated (current,
+    candidate) embedding pair, and the log-partition scalar."""
 
     def __init__(self, dims: Dims, rng: np.random.Generator):
         self.dims = dims
         self.gat = GatParams(dims, rng)
-        self.dec = DecoderParams(dims, rng)
+        self.dec = Mlp(rng, 2 * dims.d_units, dims.mlp_hidden)
         self.log_z = np.zeros(())
 
-    def named_arrays(self):
-        yield from self.gat.named_arrays()
-        yield from self.dec.named_arrays()
-        yield "log_z", self.log_z
 
-    def named_state(self):
-        yield from self.gat.named_state()
-
-
-class DiscParams:
+class DiscParams(_Params):
     """Discriminator: own encoder plus a per-edge sigmoid MLP head."""
 
     def __init__(self, dims: Dims, rng: np.random.Generator):
-        d, h = dims.d_units, dims.mlp_hidden
         self.dims = dims
         self.gat = GatParams(dims, rng)
-        self.w1 = _uniform(rng, (3 * d, h), 3 * d)
-        self.b1 = np.zeros(h)
-        self.w2 = _uniform(rng, (h,), h)
-        self.b2 = np.zeros(())
-
-    def named_arrays(self):
-        yield from self.gat.named_arrays()
-        yield "edge_mlp.w1", self.w1
-        yield "edge_mlp.b1", self.b1
-        yield "edge_mlp.w2", self.w2
-        yield "edge_mlp.b2", self.b2
-
-    def named_state(self):
-        yield from self.gat.named_state()
+        self.edge_mlp = Mlp(rng, 3 * dims.d_units, dims.mlp_hidden)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -305,27 +281,22 @@ def init_disc(dims: Dims, seed: int) -> DiscParams:
     return DiscParams(dims, np.random.default_rng(seed))
 
 
-def parameter_count(container) -> int:
-    return sum(arr.size for _, arr in container.named_arrays())
-
-
 # -- Tensor mirrors for training --------------------------------------------
 
 
-def lift(container):
+def lift(container: _Params) -> _Params:
     """Mirror of a parameter container: each trained array becomes a copied
     Tensor and each sub-container a mirror; the dims and the batch-norm
-    running statistics stay shared, not differentiated."""
+    running statistics (``_STATE``) stay shared, not differentiated."""
     out = object.__new__(type(container))
     for key, val in vars(container).items():
-        if key in ("dims", "run_mean", "run_var"):
-            setattr(out, key, val)
-        elif isinstance(val, np.ndarray):
-            setattr(out, key, F.parameter(val))
+        if isinstance(val, _Params):
+            val = lift(val)
         elif isinstance(val, list):
-            setattr(out, key, [lift(v) for v in val])
-        else:
-            setattr(out, key, lift(val))
+            val = [lift(v) for v in val]
+        elif isinstance(val, np.ndarray) and key not in _STATE:
+            val = F.parameter(val)
+        setattr(out, key, val)
     return out
 
 
@@ -432,7 +403,7 @@ class DecodeContext:
     logits: np.ndarray | F.Tensor
 
 
-def _project(dec: DecoderParams, emb):
+def _project(dec: Mlp, emb):
     """Node projections of the decoder's first layer, split over the pair:
     [h_i, h_j] @ W1 + b1 = (h_i @ W1[:d] + b1) + h_j @ W1[d:]. Returns the
     (current, candidate) halves, (n, mlp_hidden) each; generic over modes."""
@@ -440,7 +411,7 @@ def _project(dec: DecoderParams, emb):
     return emb @ dec.w1[:d] + dec.b1, emb @ dec.w1[d:]
 
 
-def _pair_logits(dec: DecoderParams, proj, cur: np.ndarray, cands: np.ndarray):
+def _pair_logits(dec: Mlp, proj, cur: np.ndarray, cands: np.ndarray):
     """Decoder logits LeakyReLU(P[cur] + Q[cand]) @ w2 + b2 of (cur, cand)
     pairs; each reads only its own pair (``F.matvec`` is row-local)."""
     p, q = proj
@@ -734,8 +705,8 @@ def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarra
     hi = F.take(emb, src)
     hj = F.take(emb, dst)
     cat = F.concat([hi, hj, e], axis=1)
-    hidden = F.leaky_relu(cat @ disc.w1 + disc.b1, LEAKY_SLOPE)
-    return hidden @ disc.w2 + disc.b2
+    mlp = disc.edge_mlp
+    return F.leaky_relu(cat @ mlp.w1 + mlp.b1, LEAKY_SLOPE) @ mlp.w2 + mlp.b2
 
 
 def disc_forward(disc: DiscParams, graph: InstanceGraph, training: bool = False) -> np.ndarray:
@@ -778,42 +749,54 @@ class CheckpointError(ValueError):
     pass
 
 
-def container_payload(kind: str, container) -> dict:
+class _Payload(dict):
+    """A checkpoint's JSON object: a missing field is a CheckpointError naming it."""
+
+    def __missing__(self, key):
+        raise CheckpointError(f"checkpoint has no field {key!r}")
+
+
+def container_payload(kind: str, container: _Params) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
-        "dims": container.dims.to_dict(),
+        "dims": asdict(container.dims),
         "arrays": {name: arr.tolist() for name, arr in container.named_arrays()},
         "state": {name: arr.tolist() for name, arr in container.named_state()},
     }
 
 
-def fill_container(container, payload: dict):
-    arrays = dict(payload["arrays"])
-    for name, arr in container.named_arrays():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        incoming = np.asarray(arrays.pop(name), dtype=np.float64)
+def fill_arrays(named, values: dict, what: str) -> None:
+    """Copy ``values[name]`` into the array of each (name, array) of
+    ``named``; a missing, unknown or wrongly shaped entry is a
+    ``CheckpointError``."""
+    values = dict(values)
+    for name, arr in named:
+        if name not in values:
+            raise CheckpointError(f"checkpoint missing {what} {name}")
+        incoming = np.asarray(values.pop(name), dtype=np.float64)
         if incoming.shape != arr.shape:
             raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {incoming.shape}, model {arr.shape}"
+                f"shape mismatch for {what} {name}: checkpoint {incoming.shape}, model {arr.shape}"
             )
         arr[...] = incoming
-    if arrays:
-        raise CheckpointError(f"checkpoint has unknown parameters {sorted(arrays)}")
-    state = dict(payload.get("state", {}))
-    for name, arr in container.named_state():
-        if name in state:
-            arr[...] = np.asarray(state[name], dtype=np.float64)
+    if values:
+        raise CheckpointError(f"checkpoint has unknown {what} {sorted(values)}")
+
+
+def fill_container(container: _Params, payload: dict) -> None:
+    """Load a ``container_payload``'s arrays and state under the same checks."""
+    fill_arrays(container.named_arrays(), payload["arrays"], "parameter")
+    fill_arrays(container.named_state(), payload["state"], "state")
 
 
 def load_payload(path: str, kind: str) -> dict:
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
-    if payload.get("kind") != kind:
-        raise CheckpointError(f"expected a {kind} checkpoint, got {payload.get('kind')}")
+        payload = json.load(fh, object_hook=_Payload)
+    if payload["format_version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {payload['format_version']}")
+    if payload["kind"] != kind:
+        raise CheckpointError(f"expected a {kind} checkpoint, got {payload['kind']}")
     return payload
 
 

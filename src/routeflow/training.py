@@ -47,6 +47,7 @@ from .neural import (
     container_payload,
     disc_traj_scores_t,
     encode_graph,
+    fill_arrays,
     fill_container,
     gat_embed,
     init_disc,
@@ -104,13 +105,14 @@ def config_from_dict(raw: dict) -> TrainConfig:
 
 
 class Adam:
-    """Adam with per-parameter learning rates; moments are checkpointable."""
+    """Adam over a container's trained arrays, with per-parameter learning
+    rates; moments are checkpointable."""
 
-    def __init__(self, named_shapes, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, container, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros(shape) for name, shape in named_shapes}
-        self.v = {name: np.zeros(shape) for name, shape in named_shapes}
+        self.m = {name: np.zeros(arr.shape) for name, arr in container.named_arrays()}
+        self.v = {name: np.zeros(arr.shape) for name, arr in container.named_arrays()}
 
     def step(self, container, grads: dict[str, np.ndarray], lr_of) -> None:
         self.t += 1
@@ -132,12 +134,11 @@ class Adam:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, named_shapes) -> "Adam":
-        opt = cls(named_shapes)
+    def from_dict(cls, payload: dict, container) -> "Adam":
+        opt = cls(container)
         opt.t = payload["t"]
-        for k in opt.m:
-            opt.m[k][...] = np.asarray(payload["m"][k])
-            opt.v[k][...] = np.asarray(payload["v"][k])
+        fill_arrays(opt.m.items(), payload["m"], "first moment")
+        fill_arrays(opt.v.items(), payload["v"], "second moment")
         return opt
 
 
@@ -155,13 +156,7 @@ class TrainState:
 def init_train_state(cfg: TrainConfig) -> TrainState:
     policy = init_params(cfg.dims, derive_seed(cfg.seed, 101))
     disc = init_disc(cfg.dims, derive_seed(cfg.seed, 102))
-    return TrainState(
-        policy,
-        disc,
-        Adam([(n, a.shape) for n, a in policy.named_arrays()]),
-        Adam([(n, a.shape) for n, a in disc.named_arrays()]),
-        cfg,
-    )
+    return TrainState(policy, disc, Adam(policy), Adam(disc), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def save_train_state(state: TrainState, path: str) -> None:
         "opt_policy": state.opt_policy.to_dict(),
         "opt_disc": state.opt_disc.to_dict(),
         "history": state.history,
-        "dims": state.policy.dims.to_dict(),
+        "dims": asdict(state.policy.dims),
         "config": asdict(state.config),
     }
     with open(path, "w") as fh:
@@ -334,18 +329,15 @@ def load_train_state(path: str) -> TrainState:
     fill_container(policy, payload["policy"])
     disc = init_disc(dims, 0)
     fill_container(disc, payload["disc"])
-    shapes_p = [(n, a.shape) for n, a in policy.named_arrays()]
-    shapes_d = [(n, a.shape) for n, a in disc.named_arrays()]
-    state = TrainState(
+    return TrainState(
         policy,
         disc,
-        Adam.from_dict(payload["opt_policy"], shapes_p),
-        Adam.from_dict(payload["opt_disc"], shapes_d),
+        Adam.from_dict(payload["opt_policy"], policy),
+        Adam.from_dict(payload["opt_disc"], disc),
         config_from_dict(payload["config"]),
         epoch=payload["epoch"],
         history=payload["history"],
     )
-    return state
 
 
 def _write_log(state: TrainState, cfg: TrainConfig) -> None:

@@ -42,7 +42,6 @@ from routeflow.neural import (
     instance_graph,
     lift,
     load_policy,
-    parameter_count,
     rollout,
     save_policy,
     trajectory_from_solution,
@@ -211,7 +210,7 @@ class TestInit:
         gat += 2 * (8 * per_head_hidden + 2 * d)  # two hidden layers + bn
         gat += 8 * per_head_final + 2 * d  # final layer + bn
         dec = (2 * d) * hh + hh + hh + 1
-        assert parameter_count(policy) == gat + dec + 1  # +1 for log_z
+        assert sum(a.size for _, a in policy.named_arrays()) == gat + dec + 1  # +1 for log_z
 
     def test_biases_zero_weights_bounded(self):
         policy = init_params(SMALL, 4)
@@ -630,7 +629,8 @@ class TestDiscriminator:
         emb = straight_line_embed(disc.gat, ei, feats)
         e = _lrelu((ei.dist / feats.scale)[:, None] @ disc.gat.w_edge + disc.gat.b_edge)
         cat = np.concatenate([emb[ei.src], emb[ei.dst], e], axis=1)
-        logits = _lrelu(cat @ disc.w1 + disc.b1) @ disc.w2 + float(disc.b2)
+        mlp = disc.edge_mlp
+        logits = _lrelu(cat @ mlp.w1 + mlp.b1) @ mlp.w2 + float(mlp.b2)
         ref = 1 / (1 + np.exp(-logits))
         assert np.abs(probs - ref).max() < 1e-9
 
@@ -642,8 +642,8 @@ class TestDiscScore:
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1, 1), 5)
         disc = init_disc(SMALL, 5)
         if logit is not None:  # the same logit on every arc
-            disc.w2[:] = 0.0
-            disc.b2[...] = logit
+            disc.edge_mlp.w2[:] = 0.0
+            disc.edge_mlp.b2[...] = logit
         graph = instance_graph(inst, 2)
         return disc, gat_embed(disc.gat, graph, training=True), graph
 
@@ -669,11 +669,12 @@ class TestDiscScore:
         # an arc off the sparse graph, then a sequence that stops away from the depot
         seqs = [(i, far, 0, *rest, 0), (far, 0, i), tuple(range(1, inst.n_nodes)) + (0,)]
         emb = straight_line_embed(disc.gat, ei, feats)
+        mlp = disc.edge_mlp
 
         def log_sigmoid(a, b):
             e = _lrelu(np.array([[dm.dist[a, b] / feats.scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
-            hidden = _lrelu(np.concatenate([emb[a], emb[b], e]) @ disc.w1 + disc.b1)
-            return np.log(1 / (1 + np.exp(-(hidden @ disc.w2 + float(disc.b2)))))
+            hidden = _lrelu(np.concatenate([emb[a], emb[b], e]) @ mlp.w1 + mlp.b1)
+            return np.log(1 / (1 + np.exp(-(hidden @ mlp.w2 + float(mlp.b2)))))
 
         ref = [sum(log_sigmoid(a, b) for a, b in zip((0,) + s, s)) for s in seqs]
         got = disc_traj_scores_t(disc, gat_embed(disc.gat, graph, True), graph, seqs)

@@ -5,7 +5,7 @@ network's encoder once, one step builds each instance's graph once, and the
 discriminator loss has the gradients of its central differences."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -152,7 +152,7 @@ def test_a_checkpoint_records_its_own_dims(tmp_path):
     state = training.init_train_state(tiny_config(tmp_path))
     path = str(tmp_path / "state.json")
     training.save_train_state(state, path)
-    assert json.loads((tmp_path / "state.json").read_text())["dims"] == TINY.to_dict()
+    assert json.loads((tmp_path / "state.json").read_text())["dims"] == asdict(TINY)
     loaded = training.load_train_state(path)
     assert loaded.policy.dims == loaded.disc.dims == TINY
 
