@@ -3,12 +3,14 @@
 The encoder stacks sparse multi-head attention layers (additive scores over
 projected node pairs plus a projected edge term, residual + batch-norm per
 layer). Each layer stores its heads' weights stacked, one array per kind.
-Its edge arrays are feature-major, (channels, E), so that the segment max,
-the softmax denominator and the message sum over each node's CSR row are
-each one ``reduceat`` along a contiguous axis. All heads are projected and
-scored in one pass; messages run in groups of heads ``d_units`` wide. A
-node term gathered onto the arcs' heads has its gradient gathered back
-through ``EdgeIndex.rev``, each arc's reverse, so no pass scatters.
+Its edge work runs feature-major, (channels, arcs), on blocks of whole CSR
+rows of about ``_BLOCK`` arcs, so a row's max, softmax denominator and
+message sum are each one ``reduceat`` along a contiguous axis, and each
+layer's edge term is a gemm on aligned arc blocks: no (d_units, E) array
+exists, and at the default dims the bits are one block's. On the tape the
+whole graph is one block; a node term gathered onto the arcs' heads has
+its gradient gathered back through ``EdgeIndex.rev``, each arc's reverse,
+so no pass scatters.
 
 The decoder scores (current, candidate) embedding pairs with an MLP
 and constructs routes autoregressively under capacity/visitation masks. A
@@ -334,59 +336,88 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
     neighborhood, then residual + batch-norm over the aggregated heads
     (concatenated in hidden layers, averaged in the final one).
 
-    Edge arrays are feature-major, (channels, E), so every per-row reduction
-    is one ``reduceat`` along a contiguous axis over the CSR offsets
-    ``ei.start``. A layer projects all its heads at once and scores all of
-    them together, (H, E); the messages then run in groups of heads that
-    are ``d_units`` wide, so that no edge array is wider than (d_units, E):
-    one group in a hidden layer, one head per group in the final layer.
+    ``h @ w``, the per-node score terms and batch-norm run on all nodes at
+    once; the scores, softmax and messages on blocks of whole CSR rows
+    (``_row_blocks``), messages in groups of heads ``d_units`` wide. Every
+    layer's edge term is computed first (``_edge_terms``), so an array-mode
+    pass holds O(n_layers * H * E + n * H * d_units + _BLOCK * d_units)
+    floats. On the tape the whole graph is one block.
     """
-    ei, feats = graph.ei, graph.feats
-    d, n_heads = gat.dims.d_units, gat.dims.n_heads
-    h = F.leaky_relu(feats.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
-    # the (d, E) edge features: the outer product of the (1, d) weights and the scaled lengths
-    e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist / feats.scale) + gat.b_edge.reshape(d, 1),
-                     LEAKY_SLOPE)
+    ei, d, n_heads = graph.ei, gat.dims.d_units, gat.dims.n_heads
+    h = F.leaky_relu(graph.feats.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
+    width = ei.src.size if isinstance(h, F.Tensor) else _BLOCK
+    terms, blocks = _edge_terms(gat, graph, width), _row_blocks(ei, width)
     for li, layer in enumerate(gat.layers):
-        dh = gat.dims.head_dim(li)
-        group = d // dh  # heads per message pass
         z = F.transpose(h @ layer.w)  # (H * dh, n): head k in rows k * dh:(k + 1) * dh
-        alpha = _attention(layer, z, e, ei)
-        msgs = [_messages(z[k * dh : (k + group) * dh], alpha[k : k + group], ei)
-                for k in range(0, n_heads, group)]
-        aggr = msgs[0]
-        if len(msgs) > 1:  # the final layer averages its heads
-            for m in msgs[1:]:
-                aggr = aggr + m
-            aggr = aggr * (1.0 / n_heads)
+        heads = z.reshape(n_heads, -1, ei.n)
+        s_src = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)  # (H, n)
+        s_dst = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
+        group = d // gat.dims.head_dim(li)  # heads per message pass
+        aggr = F.concat([_aggregate(z, s_src[:, rows], s_dst, terms[li][:, arcs], part, group)
+                         for rows, arcs, part in blocks])
         h = h + _batchnorm(layer, F.leaky_relu(aggr, LEAKY_SLOPE), training)
     return h
 
 
-def _attention(layer: GatLayer, z, e, ei: EdgeIndex):
-    """(H, E) attention weights of every head on every arc: the softmax
-    over each source's row of LeakyReLU(a_src . z_src + a_dst . z_dst) +
-    w_edge . e, from the per-node terms gathered onto the arcs."""
-    n_heads = F.value(layer.a_src).shape[0]
-    heads = z.reshape(n_heads, -1, ei.n)
-    s_src = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)  # (H, n)
-    s_dst = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
-    score = F.leaky_relu(
-        F.csr_repeat(s_src, ei.start) + F.csr_gather(s_dst, ei.dst, ei.rev, ei.start), LEAKY_SLOPE
-    ) + layer.w_edge @ e
-    smax = np.maximum.reduceat(F.value(score), ei.start[:-1], axis=1)
-    ex = F.exp(score - F.csr_repeat(smax, ei.start))
-    return ex / F.csr_repeat(F.csr_sum(ex, ei.start), ei.start)
+# arcs of one block of an array-mode encoder's edge work, and the least
+# width of its edge-term gemm; a multiple of 8, so that each gemm block starts
+# an OpenBLAS row group. The pair MLP's (arcs, mlp_hidden) temporaries stay in
+# cache at a quarter block: a whole one made an n=200 encode 15-25 ms slower
+_BLOCK = 2048
 
 
-def _messages(z, alpha, ei: EdgeIndex):
-    """(n, G * dh) messages of G heads: each node's sum of its arcs'
-    attention-weighted heads, from the heads' (G * dh, n) rows of ``z`` and
-    their (G, E) weights ``alpha``. Its (G * dh, E) temporaries die with it."""
-    group = F.value(alpha).shape[0]
-    zj = F.csr_gather(z, ei.dst, ei.rev, ei.start).reshape(group, -1, ei.src.size)
-    msg = F.csr_sum(zj * alpha.reshape(group, 1, -1), ei.start)
-    return F.transpose(msg.reshape(-1, ei.n))
+def _edge_terms(gat: GatParams, graph: InstanceGraph, width: int):
+    """Every layer's (H, E) edge term w_edge . e, with the edge features e =
+    LeakyReLU(w_edge * length / scale + b_edge) built one arc block at a time.
+    Blocks start at multiples of ``width`` and the last takes the rest (one
+    block, Tensors on the tape, if E < 2 * width): OpenBLAS gives other bits
+    to a gemm of <= 10^6 multiply-adds; _BLOCK arcs make more at default dims."""
+    ei, d, size = graph.ei, gat.dims.d_units, graph.ei.src.size
+    bounds = [*range(0, max(size - width, 0) + 1, width), size]
+    terms = np.empty((len(gat.layers), gat.dims.n_heads, size)) if len(bounds) > 2 else None
+    for a0, a1 in zip(bounds[:-1], bounds[1:]):
+        e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist[a0:a1] / graph.feats.scale)
+                         + gat.b_edge.reshape(d, 1), LEAKY_SLOPE)
+        block = [layer.w_edge @ e for layer in gat.layers]
+        if terms is None:
+            return block
+        terms[:, :, a0:a1] = block
+    return terms
+
+
+def _row_blocks(ei: EdgeIndex, width: int) -> list:
+    """(rows, arcs, (offsets, heads, reverses)) of consecutive blocks of
+    whole CSR rows, one starting at each row that holds an arc id multiple
+    of ``width``; offsets count from the block's first arc. Only the whole
+    graph has reverses, which ``csr_gather``'s gradient reads; a part, None."""
+    first = np.searchsorted(ei.start, np.arange(0, ei.src.size, width), side="right") - 1
+    bounds = [*np.unique(first), ei.n]
+    return [(slice(r0, r1), slice(ei.start[r0], ei.start[r1]),
+             (ei.start[r0 : r1 + 1] - ei.start[r0], ei.dst[ei.start[r0] : ei.start[r1]],
+              ei.rev if r1 - r0 == ei.n else None))
+            for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+
+def _aggregate(z, s_src, s_dst, term, part, group: int):
+    """(rows, d_units) aggregated heads of the block of rows ``part``: the
+    softmax over each row of LeakyReLU(s_src + s_dst[head]) + term, then each
+    row's sum of its arcs' weighted heads, ``group`` heads a pass, averaged
+    over several passes. ``s_src`` and ``term`` are the block's columns."""
+    start, dst, rev = part
+    n_heads, n_rows = F.value(s_src).shape
+    dh = F.value(z).shape[0] // n_heads
+    score = F.leaky_relu(F.csr_repeat(s_src, start) + F.csr_gather(s_dst, dst, rev, start),
+                         LEAKY_SLOPE) + term
+    smax = np.maximum.reduceat(F.value(score), start[:-1], axis=1)
+    ex = F.exp(score - F.csr_repeat(smax, start))
+    alpha = ex / F.csr_repeat(F.csr_sum(ex, start), start)
+    aggr = None
+    for k in range(0, n_heads, group):  # (group * dh, arcs) temporaries, one pass at a time
+        zj = F.csr_gather(z[k * dh : (k + group) * dh], dst, rev, start).reshape(group, -1, dst.size)
+        msg = F.transpose(F.csr_sum(zj * alpha[k : k + group].reshape(group, 1, -1), start)
+                          .reshape(-1, n_rows))
+        aggr = msg if aggr is None else aggr + msg
+    return aggr if group == n_heads else aggr * (1.0 / n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +450,15 @@ def _pair_logits(dec: Mlp, proj, cur: np.ndarray, cands: np.ndarray):
     return F.matvec(hidden, dec.w2) + dec.b2
 
 
-# arcs the pair MLP scores at once, so that its (arcs, mlp_hidden)
-# temporaries stay small and in cache
-_SLICE = 512
-
-
 def encode_graph(policy: PolicyParams, graph: InstanceGraph, training: bool = False) -> DecodeContext:
     """One encoder pass, then the decoder logit of every arc of the edge
-    index, scored ``_SLICE`` arcs at a time; generic over modes, so a lifted
-    policy gives a context on the tape."""
-    ei = graph.ei
+    index, scored ``_BLOCK // 4`` arcs at a time; generic over modes, so a
+    lifted policy gives a context on the tape."""
+    ei, step = graph.ei, _BLOCK // 4
     proj = _project(policy.dec, gat_embed(policy.gat, graph, training))
     logits = F.concat([
-        _pair_logits(policy.dec, proj, ei.src[i : i + _SLICE], ei.dst[i : i + _SLICE])
-        for i in range(0, ei.src.size, _SLICE)
+        _pair_logits(policy.dec, proj, ei.src[i : i + step], ei.dst[i : i + step])
+        for i in range(0, ei.src.size, step)
     ])
     return DecodeContext(graph, logits)
 
@@ -766,10 +792,22 @@ def container_payload(kind: str, container: _Params) -> dict:
     }
 
 
-def fill_arrays(named, values: dict, what: str) -> None:
-    """Copy ``values[name]`` into the array of each (name, array) of
-    ``named``; a missing, unknown or wrongly shaped entry is a
-    ``CheckpointError``."""
+def read_field(payload: dict, field: str, make):
+    """``make(payload[field])``; a value it rejects is a CheckpointError naming the field."""
+    raw = payload[field]
+    try:
+        return make(raw)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"bad checkpoint field {field!r}: {exc}") from None
+
+
+def fill_arrays(named, payload: dict, field: str, what: str) -> None:
+    """Copy ``payload[field][name]`` into the array of each (name, array) of
+    ``named``; a field that is not an object, or a missing, unknown or
+    wrongly shaped entry, is a ``CheckpointError``."""
+    values = payload[field]
+    if not isinstance(values, dict):
+        raise CheckpointError(f"checkpoint field {field!r} is not an object")
     values = dict(values)
     for name, arr in named:
         if name not in values:
@@ -786,8 +824,8 @@ def fill_arrays(named, values: dict, what: str) -> None:
 
 def fill_container(container: _Params, payload: dict) -> None:
     """Load a ``container_payload``'s arrays and state under the same checks."""
-    fill_arrays(container.named_arrays(), payload["arrays"], "parameter")
-    fill_arrays(container.named_state(), payload["state"], "state")
+    fill_arrays(container.named_arrays(), payload, "arrays", "parameter")
+    fill_arrays(container.named_state(), payload, "state", "state")
 
 
 def load_payload(path: str, kind: str) -> dict:
@@ -807,6 +845,6 @@ def save_policy(policy: PolicyParams, path: str) -> None:
 
 def load_policy(path: str) -> PolicyParams:
     payload = load_payload(path, "policy")
-    policy = init_params(Dims(**payload["dims"]), seed=0)
+    policy = init_params(read_field(payload, "dims", lambda raw: Dims(**raw)), seed=0)
     fill_container(policy, payload)
     return policy

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -55,6 +56,7 @@ from .neural import (
     instance_graph,
     lift,
     load_payload,
+    read_field,
     rollout,
     trajectory_from_solution,
 )
@@ -136,9 +138,9 @@ class Adam:
     @classmethod
     def from_dict(cls, payload: dict, container) -> "Adam":
         opt = cls(container)
-        opt.t = payload["t"]
-        fill_arrays(opt.m.items(), payload["m"], "first moment")
-        fill_arrays(opt.v.items(), payload["v"], "second moment")
+        opt.t = read_field(payload, "t", operator.index)
+        fill_arrays(opt.m.items(), payload, "m", "first moment")
+        fill_arrays(opt.v.items(), payload, "v", "second moment")
         return opt
 
 
@@ -324,7 +326,7 @@ def save_train_state(state: TrainState, path: str) -> None:
 
 def load_train_state(path: str) -> TrainState:
     payload = load_payload(path, "train_state")
-    dims = Dims(**payload["dims"])
+    dims = read_field(payload, "dims", lambda raw: Dims(**raw))
     policy = init_params(dims, 0)
     fill_container(policy, payload["policy"])
     disc = init_disc(dims, 0)
@@ -334,7 +336,7 @@ def load_train_state(path: str) -> TrainState:
         disc,
         Adam.from_dict(payload["opt_policy"], policy),
         Adam.from_dict(payload["opt_disc"], disc),
-        config_from_dict(payload["config"]),
+        read_field(payload, "config", config_from_dict),
         epoch=payload["epoch"],
         history=payload["history"],
     )

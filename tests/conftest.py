@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -12,3 +13,19 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
     return set_count
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls ``fn()`` once under tracemalloc and returns
+    the peak of the memory traced during the call, in bytes."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

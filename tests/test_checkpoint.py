@@ -8,7 +8,8 @@ version 2, before the parameter containers shared one walk: the state
 after one epoch of ``TrainConfig(n=6, instances_per_epoch=1, n_rollouts=3,
 epochs=1, dims=TINY, seed=11, expert_hgs=HgsConfig(population_size=4,
 max_iterations=4))`` and its policy. They must keep loading bit for bit.
-A checkpoint that lacks a field, or whose arrays, batch-norm state or Adam
+A checkpoint that lacks a field, whose dims, config, Adam step or array
+objects are of the wrong kind, or whose arrays, batch-norm state or Adam
 moments are missing, unknown or wrongly shaped, is a ``CheckpointError``,
 and the CLI exits 2 on it.
 """
@@ -188,6 +189,50 @@ def wrongly_shaped_moment(payload):
     payload["opt_disc"]["v"]["edge_mlp.b1"] = [0.0, 0.0]
 
 
+def unknown_dims_field(payload):
+    payload["dims"]["n_experts"] = 2
+
+
+def heads_that_do_not_divide_the_units(payload):
+    payload["dims"]["n_heads"] = 3
+
+
+def unknown_config_field(payload):
+    payload["config"]["epochz"] = 1
+
+
+def unknown_nested_config_field(payload):
+    payload["config"]["expert_hgs"]["elite_fraction"] = 0.5
+
+
+def config_list(payload):
+    payload["config"] = [6, 1]
+
+
+def string_step(payload):
+    payload["opt_policy"]["t"] = "4"
+
+
+def fractional_step(payload):
+    payload["opt_disc"]["t"] = 1.5
+
+
+def parameter_list(payload):
+    payload["policy"]["arrays"] = [1, 2]
+
+
+def state_string(payload):
+    payload["disc"]["state"] = "run_mean"
+
+
+def first_moment_list(payload):
+    payload["opt_policy"]["m"] = [0.0]
+
+
+def second_moment_number(payload):
+    payload["opt_disc"]["v"] = 3
+
+
 @pytest.mark.parametrize("damage, message", [
     (no_state, "missing state gat.layers.0.run_mean"),
     (unknown_state, "unknown state"),
@@ -196,6 +241,17 @@ def wrongly_shaped_moment(payload):
     (no_moment, "missing first moment dec.w1"),
     (unknown_moment, "unknown second moment"),
     (wrongly_shaped_moment, "shape mismatch for second moment edge_mlp.b1"),
+    (unknown_dims_field, "bad checkpoint field 'dims'"),
+    (heads_that_do_not_divide_the_units, "bad checkpoint field 'dims'"),
+    (unknown_config_field, "bad checkpoint field 'config'"),
+    (unknown_nested_config_field, "bad checkpoint field 'config'"),
+    (config_list, "bad checkpoint field 'config'"),
+    (string_step, "bad checkpoint field 't'"),
+    (fractional_step, "bad checkpoint field 't'"),
+    (parameter_list, "checkpoint field 'arrays' is not an object"),
+    (state_string, "checkpoint field 'state' is not an object"),
+    (first_moment_list, "checkpoint field 'm' is not an object"),
+    (second_moment_number, "checkpoint field 'v' is not an object"),
 ])
 def test_a_damaged_training_state_is_a_checkpoint_error(damage, message, tmp_path):
     payload = json.loads(TRAIN_STATE.read_text())
@@ -206,3 +262,28 @@ def test_a_damaged_training_state_is_a_checkpoint_error(damage, message, tmp_pat
         training.load_train_state(str(path))
     assert cli.main(resume_argv(str(path), tmp_path)) == cli.EXIT_SPEC
     assert not (tmp_path / "run").exists()
+
+
+def policy_parameter_list(payload):
+    payload["arrays"] = [1, 2]
+
+
+def policy_state_number(payload):
+    payload["state"] = 0
+
+
+@pytest.mark.parametrize("damage, message", [
+    (unknown_dims_field, "bad checkpoint field 'dims'"),
+    (heads_that_do_not_divide_the_units, "bad checkpoint field 'dims'"),
+    (policy_parameter_list, "checkpoint field 'arrays' is not an object"),
+    (policy_state_number, "checkpoint field 'state' is not an object"),
+])
+def test_a_damaged_policy_is_a_checkpoint_error(damage, message, tmp_path):
+    payload = json.loads(POLICY.read_text())
+    damage(payload)
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=message):
+        load_policy(str(path))
+    argv = ["solve", "--method", "neural-greedy", "--n", "6", "--checkpoint", str(path)]
+    assert cli.main(argv) == cli.EXIT_SPEC

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +20,12 @@ from routeflow.neural import (
     GREEDY,
     SAMPLE,
     Trajectory,
-    _SLICE,
+    _BLOCK,
     _Runs,
     _decode,
     _pair_logits,
     _project,
+    _row_blocks,
     backward_grads,
     batch_log_pf,
     batch_rollouts,
@@ -240,21 +240,24 @@ class TestGatForward:
         # single-head passes in the final layer
         assert_matches_straight_line(200, None, Dims())
 
-    def test_array_mode_peak_memory(self):
-        # n=200, k=50, E = 11,804: no edge array is wider than (d_units, E)
-        # and at most three of those live at once (6.0 MB each); the
-        # per-head (E, d_units) layout before it peaked at 25.8 MB here
+    def test_array_mode_peak_memory(self, traced_peak):
+        # n=200, k=50, E = 11,804: edge arrays are (channels, arcs) and
+        # hold the arcs of one block of rows, never all E of them
         graph = instance_graph(generate_uniform(200, 172), 50)
         assert graph.ei.src.size == 11_804
         policy = init_params(Dims(), 100)
         gat_embed(policy.gat, graph)
-        tracemalloc.start()
-        try:
-            gat_embed(policy.gat, graph)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 21_000_000
+        assert traced_peak(lambda: gat_embed(policy.gat, graph)) < 21_000_000
+
+    def test_encode_graph_peaks_below_one_d_units_by_e_array(self, traced_peak):
+        # n=400, default k: E = 47,146, so one (d_units, E) float64 array
+        # is 24.1 MB; the edge terms, (n_layers, H, E), are 9.1 MB
+        graph = instance_graph(generate_uniform(400, 11))
+        assert graph.ei.src.size == 47_146
+        policy = init_params(Dims(), 100)
+        encode_graph(policy, graph)
+        peak = traced_peak(lambda: encode_graph(policy, graph))
+        assert peak < Dims().d_units * graph.ei.src.size * 8
 
     def test_forward_and_backward_scatter_nothing(self, monkeypatch):
         # every reduction over the arcs is one reduceat along the CSR rows
@@ -332,6 +335,54 @@ class TestGatForward:
         assert not any(np.array_equal(a, b) for a, b in zip(before, stats()))
 
 
+def outputs_at_block(monkeypatch, block: int, graph, training: bool):
+    """gat_embed, the encode_graph logit table and disc_forward in array
+    mode with ``_BLOCK`` set to ``block``."""
+    monkeypatch.setattr(neural, "_BLOCK", block)
+    policy, disc = init_params(Dims(), 1), init_disc(Dims(), 2)
+    return (gat_embed(policy.gat, graph, training), encode_graph(policy, graph, training).logits,
+            disc_forward(disc, graph, training))
+
+
+class TestRowBlocks:
+    """Array mode runs the encoder's edge work on blocks of whole CSR rows
+    and its edge-term gemm on aligned arc blocks; at the default dims a
+    small block and the default one give the bits of one block over the
+    whole graph, which is what the tape runs."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_small_blocks_give_the_bits_of_one_block(self, monkeypatch, training):
+        # 8, not an odd width: OpenBLAS computes a gemm's rows in groups of
+        # up to 8, so a block that starts inside a group may round otherwise
+        graph = instance_graph(generate_uniform(40, 9), 4)
+        ei = graph.ei
+        assert np.diff(ei.start).max() > 8  # the depot's row is wider than a block
+        assert len(_row_blocks(ei, 8)) > 10 and ei.src.size % 8  # the last block is partial
+        one = outputs_at_block(monkeypatch, ei.src.size, graph, training)
+        for got, want in zip(outputs_at_block(monkeypatch, 8, graph, training), one):
+            assert np.array_equal(got, want)
+
+    def test_the_default_block_gives_the_bits_of_one_block_at_n200(self, monkeypatch):
+        graph = instance_graph(generate_uniform(200, 172), 50)
+        assert graph.ei.src.size > 5 * _BLOCK
+        blocked = outputs_at_block(monkeypatch, _BLOCK, graph, False)
+        for got, want in zip(blocked, outputs_at_block(monkeypatch, graph.ei.src.size, graph, False)):
+            assert np.array_equal(got, want)
+
+    def test_each_block_holds_whole_rows_and_only_the_whole_graph_has_reverses(self):
+        ei = instance_graph(generate_uniform(40, 9), 4).ei
+        blocks = _row_blocks(ei, 8)
+        spans = [rows for rows, _, _ in blocks]
+        assert spans[0].start == 0 and spans[-1].stop == ei.n
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        for rows, arcs, (start, dst, rev) in blocks:
+            assert (arcs.start, arcs.stop) == (ei.start[rows.start], ei.start[rows.stop])
+            assert start[0] == 0 and start[-1] == dst.size and rev is None
+            assert arcs.stop - arcs.start - (ei.start[rows.start + 1] - ei.start[rows.start]) < 8
+        [(rows, arcs, (start, dst, rev))] = _row_blocks(ei, ei.src.size)
+        assert rev is ei.rev and np.array_equal(start, ei.start)
+
+
 class TestDecodeStep:
     def test_single_candidate_probability_one(self):
         inst, dm, graph, policy = small_setup(n=1, seed=2, k=1)
@@ -392,7 +443,7 @@ class TestArcLogits:
         ctx = encode_graph(lift(policy) if lifted else policy, graph, training)
         assert isinstance(ctx.logits, F.Tensor) == lifted
         table = F.value(ctx.logits)
-        assert table.shape == ctx.graph.ei.src.shape and table.size > _SLICE
+        assert table.shape == ctx.graph.ei.src.shape and table.size > _BLOCK
         # the raw policy's projections: a lifted table holds the raw values
         proj = _project(policy.dec, gat_embed(policy.gat, graph, training))
         for e, (i, j) in enumerate(zip(ctx.graph.ei.src, ctx.graph.ei.dst)):
@@ -414,8 +465,8 @@ class TestArcLogits:
         monkeypatch.setattr(F, "matvec", counted)
         inst, dm, graph, policy = small_setup(n=120, seed=4, k=30)
         ctx = encode_graph(lift(policy), graph, training=True)
-        assert sum(rows) == ctx.graph.ei.src.size > _SLICE
-        assert max(rows) <= _SLICE
+        assert sum(rows) == ctx.graph.ei.src.size > _BLOCK // 4
+        assert max(rows) <= _BLOCK // 4
         rows.clear()
         trajs = batch_rollouts(policy, inst, ctx, 4, SAMPLE, seed=1)
         batch_log_pf(ctx, trajs)
@@ -466,19 +517,14 @@ class TestCandidates:
                 states[t] = apply_action(inst, states[t], a)
         assert seen == {"depot", "mid", "full"}
 
-    def test_a_greedy_rollout_allocates_no_n_by_n_array(self):
+    def test_a_greedy_rollout_allocates_no_n_by_n_array(self, traced_peak):
         n = 2000
         inst = generate_uniform(n - 1, 1)
         policy = init_params(SMALL, 1)
         ctx = encode_graph(policy, instance_graph(inst, 20))
-        tracemalloc.start()
-        try:
-            traj = rollout(policy, inst, ctx, GREEDY)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(traj.actions) > n
-        assert peak < n * n
+        trajs = []
+        assert traced_peak(lambda: trajs.append(rollout(policy, inst, ctx, GREEDY))) < n * n
+        assert len(trajs[0].actions) > n
 
 
 class TestRollout:
