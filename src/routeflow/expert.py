@@ -366,10 +366,11 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
     """
     n = len(tour)
 
-    def relax(src: list[float], dst: list[float], pred: list[int]) -> None:
-        # extend each reachable prefix i of src by one route tour[i:j+1]
-        for i in range(n):
-            if src[i] == math.inf:
+    def relax(src: list[float], dst: list[float], pred: list[int], starts) -> None:
+        # extend each reachable prefix i of starts by one route tour[i:j+1]
+        for i in starts:
+            base = src[i]
+            if base == math.inf:
                 continue
             load = 0
             inner = 0.0
@@ -381,7 +382,7 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
                     break
                 inner += D[0][c] if prev is None else D[prev][c]
                 prev = c
-                total = src[i] + inner + D[c][0]
+                total = base + inner + D[c][0]
                 if total < dst[j + 1]:
                     dst[j + 1] = total
                     pred[j + 1] = i
@@ -392,7 +393,7 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
         dp = [math.inf] * (n + 1)
         dp[0] = 0.0
         pred = [0] * (n + 1)
-        relax(dp, dp, pred)
+        relax(dp, dp, pred, range(n))
         cut = n
         cuts = []
         while cut > 0:
@@ -400,12 +401,24 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
             cut = pred[cut]
         return [tour[a:b] for a, b in reversed(cuts)]
 
-    # dp[v][i]: cheapest split of the first i customers into exactly v routes
+    # dp[v][i]: cheapest split of the first i customers into exactly v routes.
+    # A state (v - 1, i) that an earlier row matches or beats at prefix i is
+    # not extended: any completion of it completes that row's state with
+    # fewer routes at no higher cost (float sums are monotone), and ties go
+    # to fewer routes, so it is on no returned split and the routes are those
+    # of the full DP.
     dp = [[math.inf] * (n + 1) for _ in range(max_routes + 1)]
     pred = [[-1] * (n + 1) for _ in range(max_routes + 1)]
     dp[0][0] = 0.0
+    best = [math.inf] * n  # least cost of each prefix over the rows before dp[v - 1]
     for v in range(1, max_routes + 1):
-        relax(dp[v - 1], dp[v], pred[v])
+        src = dp[v - 1]
+        live = [i for i in range(n) if src[i] < best[i]]
+        if not live:  # then every later row stays unreached
+            break
+        relax(src, dp[v], pred[v], live)
+        for i in live:
+            best[i] = src[i]
     best_v = None
     best_cost = math.inf
     for v in range(1, max_routes + 1):

@@ -48,7 +48,11 @@ statistics update exactly when a training-mode forward runs on the tape.
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -766,9 +770,20 @@ def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: l
 
 # ---------------------------------------------------------------------------
 # checkpoints
+#
+# A checkpoint is one JSON object. Its envelope (``format_version``,
+# ``kind``, ``dims`` and, in a training state, ``epoch``, ``config`` and
+# ``history``) is plain JSON. From version 3 every array (parameters,
+# batch-norm state, Adam's moments) is ``{"shape": [...], "<f8": base64 of
+# its little-endian float64 bytes}``, so a round trip is exact by
+# construction and neither side formats or parses a float. Version 2 wrote
+# nested lists of shortest-repr floats; its files still load, bit for bit.
+# A save writes the whole file under a temporary name and renames it over
+# the target, so an interrupted save leaves an earlier checkpoint whole.
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_F8 = "<f8"
 
 
 class CheckpointError(ValueError):
@@ -782,13 +797,35 @@ class _Payload(dict):
         raise CheckpointError(f"checkpoint has no field {key!r}")
 
 
+def encode_array(arr: np.ndarray) -> dict:
+    """The version-3 entry of one float64 array."""
+    data = np.asarray(arr, dtype=_F8).tobytes()
+    return {"shape": list(arr.shape), _F8: base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(raw, version: int) -> np.ndarray:
+    """The float64 array of one entry of a checkpoint of ``version``; an
+    entry that is not of that version's form raises ValueError or TypeError."""
+    if version == 2:
+        return np.asarray(raw, dtype=np.float64)
+    if not isinstance(raw, dict) or raw.keys() != {"shape", _F8}:
+        raise ValueError(f"expected an object with the fields 'shape' and {_F8!r}")
+    shape = raw["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative ints")
+    data = base64.b64decode(raw[_F8], validate=True)
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{len(data)} bytes for shape {shape}")
+    return np.frombuffer(data, dtype=_F8).reshape(shape)
+
+
 def container_payload(kind: str, container: _Params) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
         "dims": asdict(container.dims),
-        "arrays": {name: arr.tolist() for name, arr in container.named_arrays()},
-        "state": {name: arr.tolist() for name, arr in container.named_state()},
+        "arrays": {name: encode_array(arr) for name, arr in container.named_arrays()},
+        "state": {name: encode_array(arr) for name, arr in container.named_state()},
     }
 
 
@@ -801,18 +838,26 @@ def read_field(payload: dict, field: str, make):
         raise CheckpointError(f"bad checkpoint field {field!r}: {exc}") from None
 
 
-def fill_arrays(named, payload: dict, field: str, what: str) -> None:
-    """Copy ``payload[field][name]`` into the array of each (name, array) of
-    ``named``; a field that is not an object, or a missing, unknown or
-    wrongly shaped entry, is a ``CheckpointError``."""
+def read_object(payload: dict, field: str) -> dict:
+    """``payload[field]``; a value that is not a JSON object is a CheckpointError."""
     values = payload[field]
     if not isinstance(values, dict):
         raise CheckpointError(f"checkpoint field {field!r} is not an object")
-    values = dict(values)
+    return values
+
+
+def fill_arrays(named, payload: dict, field: str, what: str, version: int) -> None:
+    """Copy the decoded ``payload[field][name]`` into the array of each
+    (name, array) of ``named``; a field that is not an object, or a missing,
+    unknown, undecodable or wrongly shaped entry, is a ``CheckpointError``."""
+    values = dict(read_object(payload, field))
     for name, arr in named:
         if name not in values:
             raise CheckpointError(f"checkpoint missing {what} {name}")
-        incoming = np.asarray(values.pop(name), dtype=np.float64)
+        try:
+            incoming = decode_array(values.pop(name), version)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad {what} {name}: {exc}") from None
         if incoming.shape != arr.shape:
             raise CheckpointError(
                 f"shape mismatch for {what} {name}: checkpoint {incoming.shape}, model {arr.shape}"
@@ -822,29 +867,50 @@ def fill_arrays(named, payload: dict, field: str, what: str) -> None:
         raise CheckpointError(f"checkpoint has unknown {what} {sorted(values)}")
 
 
-def fill_container(container: _Params, payload: dict) -> None:
+def fill_container(container: _Params, payload: dict, version: int) -> None:
     """Load a ``container_payload``'s arrays and state under the same checks."""
-    fill_arrays(container.named_arrays(), payload, "arrays", "parameter")
-    fill_arrays(container.named_state(), payload, "state", "state")
+    fill_arrays(container.named_arrays(), payload, "arrays", "parameter", version)
+    fill_arrays(container.named_state(), payload, "state", "state", version)
 
 
 def load_payload(path: str, kind: str) -> dict:
+    """The checkpoint at ``path``, a JSON object of a readable version and of ``kind``."""
     with open(path) as fh:
-        payload = json.load(fh, object_hook=_Payload)
-    if payload["format_version"] != CHECKPOINT_VERSION:
+        try:
+            payload = json.load(fh, object_hook=_Payload)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise CheckpointError(f"checkpoint is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
+    if payload["format_version"] not in (2, 3):
         raise CheckpointError(f"unsupported checkpoint version {payload['format_version']}")
     if payload["kind"] != kind:
         raise CheckpointError(f"expected a {kind} checkpoint, got {payload['kind']}")
     return payload
 
 
+def write_payload(payload: dict, path: str) -> None:
+    """Write ``payload`` as JSON to a temporary file beside ``path``, then
+    rename it over ``path``: a failed or interrupted save leaves no partial
+    file and any earlier checkpoint at ``path`` whole."""
+    text = json.dumps(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_policy(policy: PolicyParams, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(container_payload("policy", policy), fh)
+    write_payload(container_payload("policy", policy), path)
 
 
 def load_policy(path: str) -> PolicyParams:
     payload = load_payload(path, "policy")
     policy = init_params(read_field(payload, "dims", lambda raw: Dims(**raw)), seed=0)
-    fill_container(policy, payload)
+    fill_container(policy, payload, payload["format_version"])
     return policy

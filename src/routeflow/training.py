@@ -47,6 +47,7 @@ from .neural import (
     best_of,
     container_payload,
     disc_traj_scores_t,
+    encode_array,
     encode_graph,
     fill_arrays,
     fill_container,
@@ -57,8 +58,10 @@ from .neural import (
     lift,
     load_payload,
     read_field,
+    read_object,
     rollout,
     trajectory_from_solution,
+    write_payload,
 )
 
 
@@ -131,17 +134,33 @@ class Adam:
     def to_dict(self) -> dict:
         return {
             "t": self.t,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
+            "m": {k: encode_array(v) for k, v in self.m.items()},
+            "v": {k: encode_array(v) for k, v in self.v.items()},
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, container) -> "Adam":
+    def from_dict(cls, payload: dict, container, version: int) -> "Adam":
+        """The optimizer of a ``to_dict`` payload read from a checkpoint of ``version``."""
         opt = cls(container)
-        opt.t = read_field(payload, "t", operator.index)
-        fill_arrays(opt.m.items(), payload, "m", "first moment")
-        fill_arrays(opt.v.items(), payload, "v", "second moment")
+        opt.t = read_field(payload, "t", _count)
+        fill_arrays(opt.m.items(), payload, "m", "first moment", version)
+        fill_arrays(opt.v.items(), payload, "v", "second moment", version)
         return opt
+
+
+def _count(raw) -> int:
+    """A non-negative integer read from a checkpoint: an epoch or an Adam step."""
+    value = operator.index(raw)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _history(raw) -> list:
+    """A training history read from a checkpoint: a list of objects."""
+    if not isinstance(raw, list) or not all(isinstance(row, dict) for row in raw):
+        raise TypeError("not a list of objects")
+    return raw
 
 
 @dataclass
@@ -320,25 +339,25 @@ def save_train_state(state: TrainState, path: str) -> None:
         "dims": asdict(state.policy.dims),
         "config": asdict(state.config),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_payload(payload, path)
 
 
 def load_train_state(path: str) -> TrainState:
     payload = load_payload(path, "train_state")
+    version = payload["format_version"]
     dims = read_field(payload, "dims", lambda raw: Dims(**raw))
     policy = init_params(dims, 0)
-    fill_container(policy, payload["policy"])
+    fill_container(policy, read_object(payload, "policy"), version)
     disc = init_disc(dims, 0)
-    fill_container(disc, payload["disc"])
+    fill_container(disc, read_object(payload, "disc"), version)
     return TrainState(
         policy,
         disc,
-        Adam.from_dict(payload["opt_policy"], policy),
-        Adam.from_dict(payload["opt_disc"], disc),
+        Adam.from_dict(read_object(payload, "opt_policy"), policy, version),
+        Adam.from_dict(read_object(payload, "opt_disc"), disc, version),
         read_field(payload, "config", config_from_dict),
-        epoch=payload["epoch"],
-        history=payload["history"],
+        epoch=read_field(payload, "epoch", _count),
+        history=read_field(payload, "history", _history),
     )
 
 

@@ -45,6 +45,7 @@ from routeflow.expert import (
     split_giant_tour,
 )
 from routeflow.io import derive_seed, generate_uniform, load_instance
+from reference_split import reference_fleet_split
 
 FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
 
@@ -138,6 +139,23 @@ class TestSplit:
             capped = split_giant_tour(D, demand, capacity, tour, max_routes=n)
             cost = [sum(route_cost(dm, r) for r in routes) for routes in (unlimited, capped)]
             assert abs(cost[0] - cost[1]) <= 1e-12
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
+    def test_fleet_capped_split_returns_the_full_dp_routes(self, rounded):
+        # rounded: integer distances on a 7 x 7 grid, so many splits tie
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(2, 36))
+            pts = rng.integers(0, 7, size=(n + 1, 2)) if rounded else rng.random((n + 1, 2))
+            d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            D = (np.floor(d + 0.5) if rounded else d).tolist()
+            demand = [0] + rng.integers(1, 10, size=n).tolist()
+            capacity = int(rng.integers(max(demand), 31))
+            tour = [int(c) for c in rng.permutation(np.arange(1, n + 1))]
+            fewest = math.ceil(sum(demand) / capacity)
+            for limit in sorted({max(1, fewest - 1), fewest, fewest + 1, fewest + 3, n}):
+                got = split_giant_tour(D, demand, capacity, tour, max_routes=limit)
+                assert got == reference_fleet_split(D, demand, capacity, tour, limit), (trial, limit)
 
 
 class TestHgs:
