@@ -117,20 +117,15 @@ def _check_synthetic(src) -> None:
         raise SpecError(f"synthetic 'seed' must be an integer, got {src['seed']!r}")
 
 
-_METHOD_RE = re.compile(
-    r"^(neural-greedy|hgs|exact|neural-best-of[-(](\d+)\)?|expert-refine[-(](\d+)\)?)$"
-)
+_METHOD_RE = re.compile(r"(neural-greedy|hgs|exact)|(neural-best-of|expert-refine)-([1-9]\d*)")
 
 
 def _parse_method(name: str) -> tuple[str, int | None]:
-    m = _METHOD_RE.match(name)
+    """(kind, count): a count N >= 1 follows ``neural-best-of-`` and ``expert-refine-``."""
+    m = _METHOD_RE.fullmatch(name)
     if not m:
         raise SpecError(f"unknown method {name!r}")
-    if name.startswith("neural-best-of"):
-        return "neural-best-of", int(m.group(2))
-    if name.startswith("expert-refine"):
-        return "expert-refine", int(m.group(3))
-    return name, None
+    return (name, None) if m[1] else (m[2], int(m[3]))
 
 
 def gap_percent(obj: float, ref: float) -> float:
@@ -260,23 +255,27 @@ _SWEPT_METHOD = {"nhat": "neural-best-of", "m": "expert-refine"}  # whose count 
 
 
 def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -> list[tuple]:
-    """Repeat run_bench once per value of one parameter: ``nhat`` and ``m``
-    set the count of every ``neural-best-of-N`` or ``expert-refine-N``
-    method, and of ``reference`` when it names one; ``k_nn`` sets the spec
-    field. Returns (value, record) pairs, written to ``out_csv`` as
-    ``param,value`` followed by the results columns."""
+    """Repeat run_bench once per integer value of one parameter: ``nhat``
+    and ``m`` set the count of every ``neural-best-of-N`` or
+    ``expert-refine-N`` method, and of ``reference`` when it names one;
+    ``k_nn`` sets the spec field. Every value's spec is built, and so
+    checked, before any run. Returns (value, record) pairs, written to
+    ``out_csv`` as ``param,value`` followed by the results columns."""
     if parameter not in SWEEPABLE:
         raise SpecError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    rows = []
+    varied = []
     for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SpecError(f"{parameter} values must be integers, got {value!r}")
         if parameter == "k_nn":
-            varied = replace(spec, k_nn=int(value))
+            changes = {"k_nn": value}
         else:
             prefix = _SWEPT_METHOD[parameter]
-            rename = lambda m: f"{prefix}-{int(value)}" if m.startswith(prefix) else m
+            rename = lambda m: f"{prefix}-{value}" if m.startswith(prefix) else m
             reference = None if spec.reference is None else rename(spec.reference)
-            varied = replace(spec, methods=tuple(map(rename, spec.methods)), reference=reference)
-        rows.extend((value, r) for r in run_bench(varied, write_csv=False))
+            changes = {"methods": tuple(map(rename, spec.methods)), "reference": reference}
+        varied.append((value, replace(spec, **changes)))
+    rows = [(value, r) for value, one in varied for r in run_bench(one, write_csv=False)]
     if out_csv:
         with open(out_csv, "w", newline="") as fh:
             writer = csv.writer(fh)

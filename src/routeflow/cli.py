@@ -83,7 +83,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = BenchSpec.from_json(args.spec)
-    values = [float(v) if "." in v else int(v) for v in args.values.split(",")]
+    values = [int(v) for v in args.values.split(",")]
     sweep(spec, args.param, values, out_csv=args.out)
     print(f"wrote {args.out}")
     return 0

@@ -97,9 +97,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def __getitem__(self, ij) -> float:
-        return self.dist[ij]
-
 
 @dataclass(frozen=True)
 class Route:

@@ -213,7 +213,7 @@ class GatLayer(_Params):
     head's weights are drawn in turn (w, a_src, a_dst, w_edge) into its
     slots of the stacked arrays."""
 
-    def __init__(self, rng: np.random.Generator, d: int, dh: int, n_heads: int):
+    def __init__(self, rng: np.random.Generator | None, d: int, dh: int, n_heads: int):
         self.w = np.empty((d, n_heads * dh))
         self.a_src = np.empty((n_heads, dh))
         self.a_dst = np.empty((n_heads, dh))
@@ -232,7 +232,7 @@ class GatLayer(_Params):
 class GatParams(_Params):
     """Encoder weights: input projections plus per-layer attention heads."""
 
-    def __init__(self, dims: Dims, rng: np.random.Generator):
+    def __init__(self, dims: Dims, rng: np.random.Generator | None):
         d = dims.d_units
         self.dims = dims
         self.w_node = _uniform(rng, (N_NODE_FEATURES, d), N_NODE_FEATURES)
@@ -245,7 +245,7 @@ class GatParams(_Params):
 class Mlp(_Params):
     """Two-layer scoring head LeakyReLU(x @ w1 + b1) @ w2 + b2, one output."""
 
-    def __init__(self, rng: np.random.Generator, fan_in: int, hidden: int):
+    def __init__(self, rng: np.random.Generator | None, fan_in: int, hidden: int):
         self.w1 = _uniform(rng, (fan_in, hidden), fan_in)
         self.b1 = np.zeros(hidden)
         self.w2 = _uniform(rng, (hidden,), hidden)
@@ -256,7 +256,7 @@ class PolicyParams(_Params):
     """Generator: encoder, decoder head scoring a concatenated (current,
     candidate) embedding pair, and the log-partition scalar."""
 
-    def __init__(self, dims: Dims, rng: np.random.Generator):
+    def __init__(self, dims: Dims, rng: np.random.Generator | None):
         self.dims = dims
         self.gat = GatParams(dims, rng)
         self.dec = Mlp(rng, 2 * dims.d_units, dims.mlp_hidden)
@@ -266,15 +266,16 @@ class PolicyParams(_Params):
 class DiscParams(_Params):
     """Discriminator: own encoder plus a per-edge sigmoid MLP head."""
 
-    def __init__(self, dims: Dims, rng: np.random.Generator):
+    def __init__(self, dims: Dims, rng: np.random.Generator | None):
         self.dims = dims
         self.gat = GatParams(dims, rng)
         self.edge_mlp = Mlp(rng, 3 * dims.d_units, dims.mlp_hidden)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    """uniform(-1/sqrt(fan_in), +) weights; unset storage, for a loader to fill, without ``rng``."""
     s = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-s, s, size=shape)
+    return np.empty(shape) if rng is None else rng.uniform(-s, s, size=shape)
 
 
 def init_params(dims: Dims, seed: int) -> PolicyParams:
@@ -773,13 +774,13 @@ def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: l
 #
 # A checkpoint is one JSON object. Its envelope (``format_version``,
 # ``kind``, ``dims`` and, in a training state, ``epoch``, ``config`` and
-# ``history``) is plain JSON. From version 3 every array (parameters,
-# batch-norm state, Adam's moments) is ``{"shape": [...], "<f8": base64 of
-# its little-endian float64 bytes}``, so a round trip is exact by
-# construction and neither side formats or parses a float. Version 2 wrote
-# nested lists of shortest-repr floats; its files still load, bit for bit.
-# A save writes the whole file under a temporary name and renames it over
-# the target, so an interrupted save leaves an earlier checkpoint whole.
+# ``history``) is plain JSON. Every array (parameters, batch-norm state,
+# Adam's moments) is ``{"shape": [...], "<f8": base64 of its little-endian
+# float64 bytes}``, so a round trip is exact by construction and neither
+# side formats or parses a float. A file of another version than
+# ``CHECKPOINT_VERSION`` is refused. A save writes the whole file under a
+# temporary name and renames it over the target, so an interrupted save
+# leaves an earlier checkpoint whole.
 
 
 CHECKPOINT_VERSION = 3
@@ -798,16 +799,14 @@ class _Payload(dict):
 
 
 def encode_array(arr: np.ndarray) -> dict:
-    """The version-3 entry of one float64 array."""
+    """The checkpoint entry of one float64 array."""
     data = np.asarray(arr, dtype=_F8).tobytes()
     return {"shape": list(arr.shape), _F8: base64.b64encode(data).decode("ascii")}
 
 
-def decode_array(raw, version: int) -> np.ndarray:
-    """The float64 array of one entry of a checkpoint of ``version``; an
-    entry that is not of that version's form raises ValueError or TypeError."""
-    if version == 2:
-        return np.asarray(raw, dtype=np.float64)
+def decode_array(raw) -> np.ndarray:
+    """The float64 array of one ``encode_array`` entry; an entry that is not
+    of that form raises ValueError or TypeError."""
     if not isinstance(raw, dict) or raw.keys() != {"shape", _F8}:
         raise ValueError(f"expected an object with the fields 'shape' and {_F8!r}")
     shape = raw["shape"]
@@ -846,7 +845,7 @@ def read_object(payload: dict, field: str) -> dict:
     return values
 
 
-def fill_arrays(named, payload: dict, field: str, what: str, version: int) -> None:
+def fill_arrays(named, payload: dict, field: str, what: str) -> None:
     """Copy the decoded ``payload[field][name]`` into the array of each
     (name, array) of ``named``; a field that is not an object, or a missing,
     unknown, undecodable or wrongly shaped entry, is a ``CheckpointError``."""
@@ -855,7 +854,7 @@ def fill_arrays(named, payload: dict, field: str, what: str, version: int) -> No
         if name not in values:
             raise CheckpointError(f"checkpoint missing {what} {name}")
         try:
-            incoming = decode_array(values.pop(name), version)
+            incoming = decode_array(values.pop(name))
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"bad {what} {name}: {exc}") from None
         if incoming.shape != arr.shape:
@@ -867,14 +866,14 @@ def fill_arrays(named, payload: dict, field: str, what: str, version: int) -> No
         raise CheckpointError(f"checkpoint has unknown {what} {sorted(values)}")
 
 
-def fill_container(container: _Params, payload: dict, version: int) -> None:
+def fill_container(container: _Params, payload: dict) -> None:
     """Load a ``container_payload``'s arrays and state under the same checks."""
-    fill_arrays(container.named_arrays(), payload, "arrays", "parameter", version)
-    fill_arrays(container.named_state(), payload, "state", "state", version)
+    fill_arrays(container.named_arrays(), payload, "arrays", "parameter")
+    fill_arrays(container.named_state(), payload, "state", "state")
 
 
 def load_payload(path: str, kind: str) -> dict:
-    """The checkpoint at ``path``, a JSON object of a readable version and of ``kind``."""
+    """The checkpoint at ``path``, a JSON object of ``CHECKPOINT_VERSION`` and of ``kind``."""
     with open(path) as fh:
         try:
             payload = json.load(fh, object_hook=_Payload)
@@ -882,7 +881,7 @@ def load_payload(path: str, kind: str) -> dict:
             raise CheckpointError(f"checkpoint is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint is not a JSON object")
-    if payload["format_version"] not in (2, 3):
+    if payload["format_version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload['format_version']}")
     if payload["kind"] != kind:
         raise CheckpointError(f"expected a {kind} checkpoint, got {payload['kind']}")
@@ -911,6 +910,6 @@ def save_policy(policy: PolicyParams, path: str) -> None:
 
 def load_policy(path: str) -> PolicyParams:
     payload = load_payload(path, "policy")
-    policy = init_params(read_field(payload, "dims", lambda raw: Dims(**raw)), seed=0)
-    fill_container(policy, payload, payload["format_version"])
+    policy = PolicyParams(read_field(payload, "dims", lambda raw: Dims(**raw)), None)
+    fill_container(policy, payload)
     return policy

@@ -139,12 +139,12 @@ class Adam:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, container, version: int) -> "Adam":
-        """The optimizer of a ``to_dict`` payload read from a checkpoint of ``version``."""
+    def from_dict(cls, payload: dict, container) -> "Adam":
+        """The optimizer of a ``to_dict`` payload read from a checkpoint."""
         opt = cls(container)
         opt.t = read_field(payload, "t", _count)
-        fill_arrays(opt.m.items(), payload, "m", "first moment", version)
-        fill_arrays(opt.v.items(), payload, "v", "second moment", version)
+        fill_arrays(opt.m.items(), payload, "m", "first moment")
+        fill_arrays(opt.v.items(), payload, "v", "second moment")
         return opt
 
 
@@ -344,17 +344,16 @@ def save_train_state(state: TrainState, path: str) -> None:
 
 def load_train_state(path: str) -> TrainState:
     payload = load_payload(path, "train_state")
-    version = payload["format_version"]
     dims = read_field(payload, "dims", lambda raw: Dims(**raw))
-    policy = init_params(dims, 0)
-    fill_container(policy, read_object(payload, "policy"), version)
-    disc = init_disc(dims, 0)
-    fill_container(disc, read_object(payload, "disc"), version)
+    policy = PolicyParams(dims, None)
+    fill_container(policy, read_object(payload, "policy"))
+    disc = DiscParams(dims, None)
+    fill_container(disc, read_object(payload, "disc"))
     return TrainState(
         policy,
         disc,
-        Adam.from_dict(read_object(payload, "opt_policy"), policy, version),
-        Adam.from_dict(read_object(payload, "opt_disc"), disc, version),
+        Adam.from_dict(read_object(payload, "opt_policy"), policy),
+        Adam.from_dict(read_object(payload, "opt_disc"), disc),
         read_field(payload, "config", config_from_dict),
         epoch=read_field(payload, "epoch", _count),
         history=read_field(payload, "history", _history),

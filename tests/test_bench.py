@@ -49,7 +49,10 @@ class TestSolve:
         with pytest.raises(bench.MissingArtifactError):
             bench.solve("neural-greedy", generate_uniform(5, 0), 0)
 
-    @pytest.mark.parametrize("method", ["neural-best-of", "expert-refine-", "2-opt"])
+    @pytest.mark.parametrize("method", [
+        "neural-best-of", "expert-refine-", "2-opt", "neural-best-of-5)", "neural-best-of(5",
+        "neural-best-of(5)", "neural-best-of-0", "expert-refine-0",
+    ])
     def test_unknown_method(self, method):
         with pytest.raises(bench.SpecError):
             bench.solve(method, generate_uniform(5, 0), 0)
@@ -170,6 +173,14 @@ class TestRunBench:
     def test_sweep_rejects_other_parameters(self, tmp_path):
         with pytest.raises(bench.SpecError):
             bench.sweep(self.spec(tmp_path), "population_size", [2])
+
+    @pytest.mark.parametrize("values", [[2.5], [3, 2.0], [3, True], [3, 0]])
+    def test_sweep_refuses_a_bad_value_before_any_run(self, values, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "run_bench", lambda *args, **kwargs: pytest.fail("a value ran"))
+        spec = self.spec(tmp_path, methods=("expert-refine-2", "hgs"))
+        with pytest.raises(bench.SpecError):
+            bench.sweep(spec, "m", values, out_csv=str(tmp_path / "sweep.csv"))
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_report_reads_the_aggregates(self, tmp_path):
         spec = self.spec(tmp_path, methods=("exact",), reference="exact")

@@ -8,21 +8,21 @@ dims=TINY, seed=11, expert_hgs=HgsConfig(population_size=4,
 max_iterations=4))`` and its policy, each pair written by ``train`` (its
 ``checkpoint_final.json``) and ``save_policy``:
 
-- ``*_v2_tiny.json``: checkpoint version 2, arrays as nested lists of
-  floats, written at commit 53031b6, before the parameter containers shared
-  one walk;
 - ``*_v3_tiny.json``: checkpoint version 3, each array as its shape and the
   base64 of its little-endian float64 bytes, written by the run above
-  (``out_dir`` left at ``"runs"``) once version 3 was the writer's. They
-  hold the same values as the version-2 pair, bit for bit.
+  (``out_dir`` left at ``"runs"``) once version 3 was the writer's;
+- ``*_v2_tiny.json``: checkpoint version 2, arrays as nested lists of
+  floats, written at commit 53031b6, before the parameter containers shared
+  one walk. They hold the same values as the version-3 pair.
 
-Both pairs must keep loading bit for bit, and saving a loaded version-3
-file writes it again byte for byte. A checkpoint that is not a JSON object,
-lacks a field, whose dims, config, epoch, history, Adam step or objects are
-of the wrong kind, or whose arrays, batch-norm state or Adam moments are
-missing, unknown, undecodable, of the other version's form or wrongly
-shaped, is a ``CheckpointError``, and the CLI exits 2 on it. A save that
-fails midway leaves the earlier file at its path whole.
+The version-3 pair must keep loading bit for bit, and saving a loaded file
+writes it again byte for byte; the version-2 pair is refused, as a file of
+any version other than ``CHECKPOINT_VERSION`` is. A checkpoint that is not
+a JSON object, lacks a field, whose dims, config, epoch, history, Adam step
+or objects are of the wrong kind, or whose arrays, batch-norm state or Adam
+moments are missing, unknown, undecodable or wrongly shaped, is a
+``CheckpointError``, and the CLI exits 2 on it. A save that fails midway
+leaves the earlier file at its path whole.
 """
 import base64
 import errno
@@ -41,10 +41,10 @@ from routeflow.neural import (
 
 TINY = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=3)
 DATA = Path(__file__).parent / "data"
-POLICY = DATA / "policy_v2_tiny.json"
-TRAIN_STATE = DATA / "train_state_v2_tiny.json"
-POLICY_V3 = DATA / "policy_v3_tiny.json"
-TRAIN_STATE_V3 = DATA / "train_state_v3_tiny.json"
+POLICY = DATA / "policy_v3_tiny.json"
+TRAIN_STATE = DATA / "train_state_v3_tiny.json"
+POLICY_V2 = DATA / "policy_v2_tiny.json"
+TRAIN_STATE_V2 = DATA / "train_state_v2_tiny.json"
 
 GAT = [
     ("gat.w_node", (4, 4)), ("gat.b_node", (4,)), ("gat.w_edge", (1, 4)), ("gat.b_edge", (4,)),
@@ -100,33 +100,32 @@ def decoded(entries: dict) -> dict:
     }
 
 
-def assert_holds_container(container, payload: dict, arrays_of):
-    """``arrays_of`` turns a file's arrays object into name -> values."""
-    assert_holds(container.named_arrays(), arrays_of(payload["arrays"]))
-    assert_holds(container.named_state(), arrays_of(payload["state"]))
+def assert_holds_container(container, payload: dict):
+    assert_holds(container.named_arrays(), decoded(payload["arrays"]))
+    assert_holds(container.named_state(), decoded(payload["state"]))
 
 
-def assert_policy_file(path: Path, arrays_of):
+def assert_policy_file(path: Path):
     policy = load_policy(str(path))
     assert policy.dims == TINY
-    assert_holds_container(policy, json.loads(path.read_text()), arrays_of)
+    assert_holds_container(policy, json.loads(path.read_text()))
 
 
-def assert_train_state_file(path: Path, arrays_of):
+def assert_train_state_file(path: Path):
     payload = json.loads(path.read_text())
     state = training.load_train_state(str(path))
     assert state.epoch == payload["epoch"] == 1
     assert state.history == payload["history"]
     assert state.config == training.config_from_dict(payload["config"])
     assert state.policy.dims == state.disc.dims == state.config.dims == TINY
-    assert_holds_container(state.policy, payload["policy"], arrays_of)
-    assert_holds_container(state.disc, payload["disc"], arrays_of)
+    assert_holds_container(state.policy, payload["policy"])
+    assert_holds_container(state.disc, payload["disc"])
     assert (state.opt_policy.t, state.opt_disc.t) == (4, 1)
     for opt, recorded in ((state.opt_policy, payload["opt_policy"]),
                           (state.opt_disc, payload["opt_disc"])):
         assert opt.t == recorded["t"]
-        assert_holds(opt.m.items(), arrays_of(recorded["m"]))
-        assert_holds(opt.v.items(), arrays_of(recorded["v"]))
+        assert_holds(opt.m.items(), decoded(recorded["m"]))
+        assert_holds(opt.v.items(), decoded(recorded["v"]))
 
 
 def container_bits(container) -> list:
@@ -156,12 +155,22 @@ def assert_decodes_as_it_did(policy):
     assert traj.log_pf == GREEDY_LOG_PF
 
 
-class TestVersion2Files:
+class TestVersion3Files:
     def test_the_policy_loads_bit_for_bit(self):
-        assert_policy_file(POLICY, dict)
+        assert_policy_file(POLICY)
 
     def test_the_training_state_loads_bit_for_bit(self):
-        assert_train_state_file(TRAIN_STATE, dict)
+        assert_train_state_file(TRAIN_STATE)
+
+    def test_loading_draws_no_weights(self, monkeypatch):
+        # Generator.uniform cannot be patched (numpy's Generator is an
+        # immutable type), so a loader may not even make a generator
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a loader made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert_policy_file(POLICY)
+        assert_train_state_file(TRAIN_STATE)
 
     @pytest.mark.parametrize("load", [
         lambda: load_policy(str(POLICY)),
@@ -170,30 +179,9 @@ class TestVersion2Files:
     def test_the_loaded_policy_decodes_as_it_did(self, load):
         assert_decodes_as_it_did(load())
 
-
-class TestVersion3Files:
-    def test_the_policy_loads_bit_for_bit(self):
-        assert_policy_file(POLICY_V3, decoded)
-
-    def test_the_training_state_loads_bit_for_bit(self):
-        assert_train_state_file(TRAIN_STATE_V3, decoded)
-
-    def test_they_hold_the_values_of_the_version_2_files(self):
-        v2, v3 = (training.load_train_state(str(path)) for path in (TRAIN_STATE, TRAIN_STATE_V3))
-        assert every_array(v3) == every_array(v2)
-        assert (v3.epoch, v3.history, v3.config) == (v2.epoch, v2.history, v2.config)
-        assert container_bits(load_policy(str(POLICY_V3))) == container_bits(load_policy(str(POLICY)))
-
-    @pytest.mark.parametrize("load", [
-        lambda: load_policy(str(POLICY_V3)),
-        lambda: training.load_train_state(str(TRAIN_STATE_V3)).policy,
-    ], ids=["policy", "train_state"])
-    def test_the_loaded_policy_decodes_as_it_did(self, load):
-        assert_decodes_as_it_did(load())
-
     @pytest.mark.parametrize("path, load, save", [
-        (POLICY_V3, load_policy, save_policy),
-        (TRAIN_STATE_V3, training.load_train_state, training.save_train_state),
+        (POLICY, load_policy, save_policy),
+        (TRAIN_STATE, training.load_train_state, training.save_train_state),
     ], ids=["policy", "train_state"])
     def test_saving_the_loaded_file_writes_it_again(self, path, load, save, tmp_path):
         out = tmp_path / path.name
@@ -240,7 +228,7 @@ def resume_argv(checkpoint: str, tmp_path) -> list[str]:
     return ["train", "--config", str(path), "--out-dir", str(tmp_path / "run"), "--resume", checkpoint]
 
 
-def test_the_version_2_training_state_resumes_from_the_cli(tmp_path):
+def test_the_training_state_resumes_from_the_cli(tmp_path):
     assert cli.main(resume_argv(str(TRAIN_STATE), tmp_path)) == 0
     assert json.loads((tmp_path / "run" / "checkpoint_final.json").read_text())["epoch"] == 2
 
@@ -268,7 +256,7 @@ def assert_refused(fixture: Path, text: str, message: str, tmp_path):
     ``message`` for the loader of the fixture's kind, and the CLI exits 2 on it."""
     path = tmp_path / "damaged.json"
     path.write_text(text)
-    if fixture in (POLICY, POLICY_V3):
+    if fixture in (POLICY, POLICY_V2):
         with pytest.raises(CheckpointError, match=message):
             load_policy(str(path))
         argv = ["solve", "--method", "neural-greedy", "--n", "6", "--checkpoint", str(path)]
@@ -285,15 +273,15 @@ def no_state(payload):
 
 
 def unknown_state(payload):
-    payload["disc"]["state"]["gat.layers.2.run_mean"] = [0.0] * 4
+    payload["disc"]["state"]["gat.layers.2.run_mean"] = neural.encode_array(np.zeros(4))
 
 
 def scalar_run_var(payload):
-    payload["policy"]["state"]["gat.layers.1.run_var"] = 1.0
+    payload["policy"]["state"]["gat.layers.1.run_var"] = neural.encode_array(np.array(1.0))
 
 
 def unknown_parameter(payload):
-    payload["disc"]["arrays"]["edge_mlp.w3"] = [0.0]
+    payload["disc"]["arrays"]["edge_mlp.w3"] = neural.encode_array(np.zeros(1))
 
 
 def no_moment(payload):
@@ -301,11 +289,11 @@ def no_moment(payload):
 
 
 def unknown_moment(payload):
-    payload["opt_disc"]["v"]["w1"] = [0.0]
+    payload["opt_disc"]["v"]["w1"] = neural.encode_array(np.zeros(1))
 
 
 def wrongly_shaped_moment(payload):
-    payload["opt_disc"]["v"]["edge_mlp.b1"] = [0.0, 0.0]
+    payload["opt_disc"]["v"]["edge_mlp.b1"] = neural.encode_array(np.zeros(2))
 
 
 def unknown_dims_field(payload):
@@ -471,10 +459,6 @@ def list_entry(payload):
     payload["arrays"]["dec.b1"] = [0.0, 0.0, 0.0]
 
 
-def object_entry(payload):
-    payload["arrays"]["dec.b1"] = neural.encode_array(np.zeros(3))
-
-
 def moment_invalid_base64(payload):
     payload["opt_disc"]["m"]["edge_mlp.w1"]["<f8"] = "AAAA=AAA"
 
@@ -497,22 +481,21 @@ def top_level_string(payload):
 
 
 @pytest.mark.parametrize("fixture, damage, message", [
-    (POLICY_V3, invalid_base64, "bad parameter gat.w_node"),
-    (POLICY_V3, short_bytes, r"bad state gat.layers.1.run_var: 24 bytes for shape \[4\]"),
-    (POLICY_V3, negative_shape, "bad parameter dec.w1: shape"),
-    (POLICY_V3, string_shape, "bad parameter dec.b1: shape"),
-    (POLICY_V3, float_shape, "bad parameter dec.b1: shape"),
-    (POLICY_V3, number_bytes, "bad parameter dec.b2"),
-    (POLICY_V3, extra_entry_field, "bad state gat.layers.0.run_mean: expected an object"),
-    (POLICY_V3, list_entry, "bad parameter dec.b1: expected an object"),
-    (POLICY, object_entry, "bad parameter dec.b1"),
-    (TRAIN_STATE_V3, moment_invalid_base64, "bad first moment edge_mlp.w1"),
-    (TRAIN_STATE_V3, moment_long_bytes, r"bad second moment log_z: 16 bytes for shape \[\]"),
-    (TRAIN_STATE_V3, disc_list_entry, "bad parameter edge_mlp.b2: expected an object"),
-    (POLICY_V3, top_level_list, "checkpoint is not a JSON object"),
-    (POLICY, top_level_string, "checkpoint is not a JSON object"),
-    (TRAIN_STATE_V3, top_level_string, "checkpoint is not a JSON object"),
-    (TRAIN_STATE, top_level_list, "checkpoint is not a JSON object"),
+    (POLICY, invalid_base64, "bad parameter gat.w_node"),
+    (POLICY, short_bytes, r"bad state gat.layers.1.run_var: 24 bytes for shape \[4\]"),
+    (POLICY, negative_shape, "bad parameter dec.w1: shape"),
+    (POLICY, string_shape, "bad parameter dec.b1: shape"),
+    (POLICY, float_shape, "bad parameter dec.b1: shape"),
+    (POLICY, number_bytes, "bad parameter dec.b2"),
+    (POLICY, extra_entry_field, "bad state gat.layers.0.run_mean: expected an object"),
+    (POLICY, list_entry, "bad parameter dec.b1: expected an object"),
+    (TRAIN_STATE, moment_invalid_base64, "bad first moment edge_mlp.w1"),
+    (TRAIN_STATE, moment_long_bytes, r"bad second moment log_z: 16 bytes for shape \[\]"),
+    (TRAIN_STATE, disc_list_entry, "bad parameter edge_mlp.b2: expected an object"),
+    (POLICY, top_level_list, "checkpoint is not a JSON object"),
+    (POLICY_V2, top_level_string, "checkpoint is not a JSON object"),
+    (TRAIN_STATE, top_level_string, "checkpoint is not a JSON object"),
+    (TRAIN_STATE_V2, top_level_list, "checkpoint is not a JSON object"),
 ], ids=lambda v: getattr(v, "__name__", None) or (v.name if isinstance(v, Path) else None))
 def test_a_damaged_checkpoint_is_a_checkpoint_error(fixture, damage, message, tmp_path):
     payload = json.loads(fixture.read_text())
@@ -521,10 +504,15 @@ def test_a_damaged_checkpoint_is_a_checkpoint_error(fixture, damage, message, tm
     assert_refused(fixture, text, message, tmp_path)
 
 
-@pytest.mark.parametrize("fixture", [POLICY_V3, TRAIN_STATE_V3], ids=["policy", "train_state"])
+@pytest.mark.parametrize("fixture", [POLICY, TRAIN_STATE], ids=["policy", "train_state"])
 def test_a_truncated_checkpoint_is_a_checkpoint_error(fixture, tmp_path):
     text = fixture.read_text()
     assert_refused(fixture, text[: len(text) // 2], "checkpoint is not JSON", tmp_path)
+
+
+@pytest.mark.parametrize("fixture", [POLICY_V2, TRAIN_STATE_V2], ids=["policy", "train_state"])
+def test_a_version_2_file_is_refused(fixture, tmp_path):
+    assert_refused(fixture, fixture.read_text(), "unsupported checkpoint version 2$", tmp_path)
 
 
 class FullDisk:
@@ -546,8 +534,8 @@ class FullDisk:
 
 
 @pytest.mark.parametrize("fixture, load, save", [
-    (POLICY_V3, load_policy, save_policy),
-    (TRAIN_STATE_V3, training.load_train_state, training.save_train_state),
+    (POLICY, load_policy, save_policy),
+    (TRAIN_STATE, training.load_train_state, training.save_train_state),
 ], ids=["policy", "train_state"])
 def test_a_save_that_fails_midway_leaves_the_earlier_file_whole(fixture, load, save, tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.json"
@@ -563,7 +551,7 @@ def test_a_save_that_fails_midway_leaves_the_earlier_file_whole(fixture, load, s
 def test_loading_a_default_policy_parses_no_float_text(traced_peak, tmp_path):
     # loading a version-3 file of the default dims (61,634 floats) peaks at
     # about 1.8 MB; parsing the same values from lists of floats, as a
-    # version-2 file is read, peaks at about 3.3 MB
+    # version-2 file was read, peaked at about 3.3 MB
     path = str(tmp_path / "policy.json")
     save_policy(init_params(Dims(), 0), path)
     assert traced_peak(lambda: load_policy(path)) < 2.5e6

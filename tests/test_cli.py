@@ -151,6 +151,13 @@ class TestBadSpecs:
         path.write_text("a,b\n1,2\n")
         assert cli.main(["report", str(path)]) == cli.EXIT_SPEC
 
+    def test_fractional_sweep_value_exits_2(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", methods=["hgs", "expert-refine-2"])
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--spec", spec, "--param", "m", "--values", "3,2.5", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_SPEC
+        assert not out.exists()
+
     def test_unknown_sweep_parameter_is_a_usage_error(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", methods=["hgs"])
         with pytest.raises(SystemExit) as exc:

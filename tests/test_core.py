@@ -52,20 +52,20 @@ class TestInstanceInvariants:
 class TestDistanceMatrix:
     def test_345_triangle_continuous(self):
         dm = build_distance_matrix(tiny_instance())
-        assert dm[0, 1] == 5.0
+        assert dm.dist[0, 1] == 5.0
         assert dm.mode == CONTINUOUS
 
     def test_345_triangle_rounded(self):
         dm = build_distance_matrix(tiny_instance(ROUNDED))
-        assert dm[0, 1] == 5
-        assert dm[0, 1] == int(dm[0, 1])
+        assert dm.dist[0, 1] == 5
+        assert dm.dist[0, 1] == int(dm.dist[0, 1])
 
     def test_rounding_is_nearest_integer(self):
         inst = Instance((0.0, 0.0), ((1.4, 0.0), (1.6, 0.0)), (1, 1), 10,
                         distance_mode=ROUNDED)
         dm = build_distance_matrix(inst)
-        assert dm[0, 1] == 1
-        assert dm[0, 2] == 2
+        assert dm.dist[0, 1] == 1
+        assert dm.dist[0, 2] == 2
 
     def test_symmetry_and_zero_diagonal(self):
         inst = generate_uniform(12, 3)
@@ -92,7 +92,7 @@ class TestRouteCost:
         dm = build_distance_matrix(inst)
         route = make_route(inst, [3, 1, 5, 2, 4])
         path = [0, 3, 1, 5, 2, 4, 0]
-        naive = sum(dm[path[i], path[i + 1]] for i in range(len(path) - 1))
+        naive = sum(dm.dist[path[i], path[i + 1]] for i in range(len(path) - 1))
         assert route_cost(dm, route) == pytest.approx(naive, rel=1e-12)
         assert route_cost(dm, route.nodes) == route_cost(dm, route)
 
@@ -182,7 +182,7 @@ class TestKnnSparsify:
         rows = knn_sparsify(dm, 10)
         for i in range(dm.n):
             ranked = sorted(
-                (j for j in range(dm.n) if j != i), key=lambda j: (dm[i, j], j)
+                (j for j in range(dm.n) if j != i), key=lambda j: (dm.dist[i, j], j)
             )
             expected = set(ranked[:10])
             got = set(rows[i].tolist())

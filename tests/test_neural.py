@@ -101,8 +101,8 @@ def dict_edge_index(rows, dm):
     dmap = {}
     for i, row in enumerate(rows.tolist()):
         for j in row:
-            dmap[(i, j)] = float(dm[i, j])
-            dmap[(j, i)] = float(dm[j, i])
+            dmap[(i, j)] = float(dm.dist[i, j])
+            dmap[(j, i)] = float(dm.dist[j, i])
     pairs = sorted(dmap)
     return pairs, [dmap[p] for p in pairs]
 

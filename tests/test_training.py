@@ -158,13 +158,15 @@ def test_a_checkpoint_records_its_own_dims(tmp_path):
 
 
 def test_load_train_state_checks_the_format_version(tmp_path):
+    # one training run serves every refused version
     training.train(tiny_config(tmp_path, epochs=1, instances_per_epoch=1))
     path = tmp_path / "checkpoint_final.json"
     payload = json.loads(path.read_text())
-    payload["format_version"] = neural.CHECKPOINT_VERSION + 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="version"):
-        training.load_train_state(str(path))
+    for version in (2, neural.CHECKPOINT_VERSION + 1):
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}$"):
+            training.load_train_state(str(path))
 
 
 def test_disc_loss_gradients_match_central_differences():
