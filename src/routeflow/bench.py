@@ -72,6 +72,8 @@ class BenchSpec:
             raise SpecError("an instance source (synthetic or files) is required")
         if self.synthetic is not None:
             _check_synthetic(self.synthetic)
+        if self.k_nn is not None and (type(self.k_nn) is not int or self.k_nn < 1):
+            raise SpecError(f"k_nn must be None or an integer >= 1, got {self.k_nn!r}")
         if self.reference is not None and self.reference not in self.methods:
             raise SpecError(f"reference method {self.reference!r} is not in methods")
         for m in self.methods:

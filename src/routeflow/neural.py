@@ -12,18 +12,18 @@ whole graph is one block; a node term gathered onto the arcs' heads has
 its gradient gathered back through ``EdgeIndex.rev``, each arc's reverse,
 so no pass scatters.
 
-The decoder scores (current, candidate) embedding pairs with an MLP
-and constructs routes autoregressively under capacity/visitation masks. A
-pair's logit depends on the arc alone, never on the rollout's state, and
-every candidate is an arc of the sparse graph, so ``encode_graph`` scores
-each arc once into an (E,) logit table. A run's candidates are the slots of
-its current node's CSR row of the edge index, whose positions are arc ids,
-so a step's logits are one gather from the table. Batched rollouts advance
-all rollouts together on array state (current node, residual load, visited
-mask); ``batch_log_pf`` replays fixed trajectories once, in numpy, into
-flat (step, candidate) arc ids and scores them with one gather and a
-segment log-sum-exp on the tape. Both reproduce, bit for bit, a reference
-decoder that lives with the tests (``tests/reference_decoder.py``). The
+The decoder scores (current, candidate) embedding pairs with an MLP and
+builds routes step by step under capacity and visit masks. A pair's logit
+depends on the arc alone and every candidate is an arc of the sparse graph,
+so ``encode_graph`` scores each arc once into an (E,) logit table, and a
+step's logits are one gather by the arc ids of the slots of each run's
+current CSR row. Batched rollouts advance together on array state that
+holds only the runs still going (current node, residual load, visited mask,
+visited count), record each step's arc, and cost each route from its arcs'
+lengths; ``batch_log_pf`` replays fixed trajectories once on the same state
+into flat (step, candidate) arc ids, scored with one gather and a segment
+log-sum-exp on the tape. Both reproduce, bit for bit, a reference decoder
+that lives with the tests (``tests/reference_decoder.py``). The
 discriminator reuses the encoder and scores a trajectory by its arcs.
 
 Every network pass reads one per-instance ``InstanceGraph``: the instance,
@@ -60,7 +60,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
 from .core import (
-    DistanceMatrix, Instance, Solution, build_distance_matrix, knn_sparsify, make_solution,
+    DistanceMatrix, Instance, Route, Solution, build_distance_matrix, knn_sparsify,
 )
 from .io import derive_seed
 
@@ -502,8 +502,9 @@ SAMPLE = "sample"
 
 
 class _Runs:
-    """Array state of several runs of the decoder on one instance: current
-    node, residual load and visited mask per run. A run's candidates are the
+    """Array state of the decoder's runs on one instance that are still
+    going: index ``rows`` among all runs, current node, residual load,
+    visited mask and count of visited customers. A run's candidates are the
     slots of its current node's CSR row; a slot is valid when its head is
     unvisited and fits the residual load. The depot is never visited, has
     demand 0 and no arc to itself, and starts every customer row, so this
@@ -513,45 +514,51 @@ class _Runs:
         instance, ei = graph.instance, graph.ei
         if ei.dst[ei.start[1:-1]].any():
             raise ValueError("a customer's return to the depot is not an arc of the edge index")
-        self.start = ei.start
+        self.start, self.size = ei.start, np.diff(ei.start)
         self.demand = np.array((0, *instance.demands), dtype=np.int64)
         # each arc's window of the widest row's length over the heads and
         # their demands, padded so that the last row's window is whole
-        width = np.diff(ei.start).max()
+        width = self.size.max()
         head = np.concatenate([ei.dst, np.zeros(width, dtype=np.int64)])
         self.head = sliding_window_view(head, width)
         self.need = sliding_window_view(self.demand[head], width)
-        self.capacity = instance.capacity
-        self.current = np.zeros(count, dtype=np.int64)
-        self.residual = np.full(count, instance.capacity, dtype=np.int64)
+        self.capacity, self.n_customers = instance.capacity, instance.n_customers
+        self.rows, self.residual = np.arange(count), np.full(count, instance.capacity, dtype=np.int64)
+        self.current, self.served = np.zeros((2, count), dtype=np.int64)
         self.visited = np.zeros((count, instance.n_nodes), dtype=bool)
 
-    def candidates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(arc ids, valid mask), each (len(rows), widest current row): the
-        slots of each run's current row in order, so the valid ones are
-        sorted by node."""
-        cur = self.current[rows]
-        first = self.start[cur]
-        size = self.start[cur + 1] - first
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(arc ids, valid mask), each (runs, widest current row): the slots
+        of each run's current row in order, valid ones sorted by node."""
+        first, size = self.start[self.current], self.size[self.current]
         slot = np.arange(size.max())
         head = self.head[first, : slot.size]
-        seen = self.visited.reshape(-1)[(rows * self.visited.shape[1])[:, None] + head]
-        fits = self.need[first, : slot.size] <= self.residual[rows, None]
+        offset = np.arange(0, self.visited.size, self.visited.shape[1])
+        seen = self.visited.reshape(-1)[offset[:, None] + head]
+        fits = self.need[first, : slot.size] <= self.residual[:, None]
         return first[:, None] + slot, (slot < size[:, None]) & ~seen & fits
 
-    def apply(self, rows: np.ndarray, actions: np.ndarray) -> None:
-        loaded = self.residual[rows] - self.demand[actions]
-        self.residual[rows] = np.where(actions == 0, self.capacity, loaded)
-        self.current[rows] = actions
-        self.visited[rows, actions] = actions != 0
+    def apply(self, actions: np.ndarray) -> np.ndarray:
+        """Move each run to its action's node; True where it is finished:
+        back at the depot with every customer visited."""
+        customer = actions != 0
+        self.residual = np.where(customer, self.residual - self.demand[actions], self.capacity)
+        self.current = actions
+        self.visited[np.arange(actions.size), actions] = customer
+        self.served += customer
+        return ~customer & (self.served == self.n_customers)
 
-    def finished(self, rows: np.ndarray) -> np.ndarray:
-        return (self.current[rows] == 0) & self.visited[rows, 1:].all(axis=1)
+    def keep(self, alive: np.ndarray) -> None:
+        for name in ("rows", "current", "residual", "visited", "served"):
+            setattr(self, name, getattr(self, name)[alive])
 
 
-def _split_routes(actions: list[int]) -> list[list[int]]:
-    ends = [i for i, a in enumerate(actions) if a == 0]
-    return [actions[i + 1 : j] for i, j in zip([-1] + ends, ends)]
+def _sample(probs: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """Each row's slot for its draw as ``Generator.choice`` with ``p`` picks it:
+    the first whose cdf exceeds the draw, since the cdf never falls and ends at 1."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf > draw[:, None]).argmax(axis=1)
 
 
 def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> list[Trajectory]:
@@ -560,59 +567,63 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     Rollout t reads ``default_rng(seeds[t])`` as one stream of doubles, as
     a lone rollout would: a sample takes one draw and compares it with the
     step's cdf (``Generator.choice`` with ``p``), an epsilon test takes one
-    before it. A rollout takes at most 2 * n_customers steps, so its
-    largest possible share of the stream is drawn up front. A step's
-    candidates are slots of the CSR rows of the runs' current nodes; it
-    gathers their logits from the values of ``ctx.logits`` by arc id (so a
-    context on the tape serves as well), picks a slot, and takes the head
-    of that slot's arc as the action.
+    before it. A rollout takes at most 2 * n_customers steps, so its largest
+    possible share of the stream is drawn up front; in sample mode, column
+    ``step``. A step gathers the candidates' logits from the values of
+    ``ctx.logits`` by arc id (so a context on the tape serves as well),
+    picks a slot and records its arc, whose head is the action; a run leaves
+    the state in the step it finishes. Route costs add the taken arcs'
+    lengths and loads the demands; the distance matrix is not read.
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
-    instance, ei = ctx.graph.instance, ctx.graph.ei
-    table = F.value(ctx.logits)
-    count, max_steps = len(seeds), 2 * instance.n_customers
+    ei, table = ctx.graph.ei, F.value(ctx.logits)
+    count, max_steps = len(seeds), 2 * ctx.graph.instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
     used = np.zeros(count, dtype=np.int64)
     runs = _Runs(ctx.graph, count)
-    paths = np.zeros((count, max_steps), dtype=np.int64)
-    lengths = np.zeros(count, dtype=np.int64)
-    log_pf = np.zeros(count)
-    rows = np.arange(count)
+    taken = np.zeros((count, max_steps), dtype=np.int64)  # arc id of each step
+    lengths, log_pf = np.zeros(count, dtype=np.int64), np.zeros(count)
     step = 0
-    while rows.size:
-        arc, mask = runs.candidates(rows)
+    while runs.rows.size:
+        rows = runs.rows
+        arc, mask = runs.candidates()
         sizes = mask.sum(axis=1)
         if not sizes.all():
             raise RuntimeError("no valid action in a non-terminal state")
-        probs = np.zeros(mask.shape)
-        probs[mask] = _softmax_runs(table[arc[mask]], sizes)
-        pick = probs.argmax(axis=1)
-        explore = np.arange(rows.size if mode == SAMPLE else 0)
+        valid, probs = np.flatnonzero(mask), np.zeros(mask.shape)
+        probs.reshape(-1)[valid] = _softmax_runs(table[arc.reshape(-1)[valid]], sizes)
+        pick = _sample(probs, draws[rows, step]) if mode == SAMPLE else probs.argmax(axis=1)
         if mode == EPSILON_GREEDY:
             explore = np.flatnonzero(draws[rows, used[rows]] < epsilon)
             used[rows] += 1
-        if explore.size:
-            sampled = rows[explore]
-            cdf = probs[explore].cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            pick[explore] = (cdf <= draws[sampled, used[sampled], None]).sum(axis=1)
-            used[sampled] += 1
+            if explore.size:
+                sampled = rows[explore]
+                pick[explore] = _sample(probs[explore], draws[sampled, used[sampled]])
+                used[sampled] += 1
         at = np.arange(rows.size)
         log_pf[rows] += np.log(probs[at, pick])
-        action = ei.dst[arc[at, pick]]
-        runs.apply(rows, action)
-        paths[rows, step] = action
+        taken[rows, step] = chosen = arc[at, pick]
         step += 1
-        done = runs.finished(rows)
-        lengths[rows[done]] = step
-        rows = rows[~done]
-    out = []
+        done = runs.apply(ei.dst[chosen])
+        if done.any():
+            lengths[rows[done]] = step
+            runs.keep(~done)
+    out, demand = [], runs.demand.tolist()
     for t in range(count):
-        actions = paths[t, : lengths[t]].tolist()
-        solution = make_solution(instance, ctx.graph.dm, _split_routes(actions))
-        out.append(Trajectory(tuple(actions), solution, float(log_pf[t])))
+        ids = taken[t, : lengths[t]]
+        actions = ei.dst[ids].tolist()
+        # route costs from 0.0, return arc last, total from 0: core.make_solution's float order
+        routes, total, cost, nodes = [], 0, 0.0, []
+        for a, dist in zip(actions, ei.dist[ids].tolist()):
+            cost += dist
+            if a:
+                nodes.append(a)
+            else:
+                routes.append(Route(tuple(nodes), sum(demand[c] for c in nodes)))
+                total, cost, nodes = total + cost, 0.0, []
+        out.append(Trajectory(tuple(actions), Solution(tuple(routes), total), float(log_pf[t])))
     return out
 
 
@@ -636,11 +647,10 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
     """Independent rollouts with per-index derived seeds (prefix-shared, so a
     larger count extends rather than reshuffles a smaller one).
 
-    All rollouts advance together on array state (current node, residual
-    load, visited mask), one gather from the context's arc logit table per
-    step for every (rollout, candidate) pair. Each rollout's arithmetic
-    reads only its own rows, so rollout t equals
-    ``rollout(seed=derive_seed(seed, t))`` bit for bit.
+    All rollouts advance together on ``_Runs`` state, one gather from the
+    context's arc logit table per step. Each rollout's arithmetic reads only
+    its own rows, so rollout t equals ``rollout(seed=derive_seed(seed, t))``
+    bit for bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -649,28 +659,14 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
 
 def best_of(trajectories: list[Trajectory]) -> Trajectory:
     """Minimum-cost trajectory, ties to the earliest index."""
-    best = trajectories[0]
-    for t in trajectories[1:]:
-        if t.solution.total_cost < best.solution.total_cost:
-            best = t
-    return best
+    return min(trajectories, key=lambda t: t.solution.total_cost)
 
 
-@dataclass(frozen=True)
-class _Tape:
-    """Fixed action sequences replayed into flat index arrays: one entry per
-    (step, candidate) pair, one step per (trajectory, action)."""
-
-    arc: np.ndarray  # (K,) arc id of each entry's (current, candidate) pair
-    step: np.ndarray  # (K,) step of each entry
-    pick: np.ndarray  # (S,) entry of each step's action; -1 if not admissible
-    owner: np.ndarray  # (S,) trajectory of each step
-
-
-def _replay(graph: InstanceGraph, sequences: list) -> _Tape:
-    """Replay every sequence once, in lockstep on ``_Runs`` state: a step's
-    entries are the arcs of its valid slots, and its pick is the action's
-    position among them."""
+def _replay(graph: InstanceGraph, sequences: list) -> tuple[np.ndarray, ...]:
+    """Sequences replayed once in lockstep on ``_Runs`` state, which each
+    leaves after its last action, into flat arrays: the arc id and step of
+    each (step, valid slot) entry; each step's action's entry (-1 if not
+    admissible) and sequence, one step per action."""
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     actions = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.int64)
     for t, seq in enumerate(sequences):
@@ -679,19 +675,21 @@ def _replay(graph: InstanceGraph, sequences: list) -> _Tape:
     parts = [(np.zeros(0, dtype=np.int64),) * 4]  # so that no steps still concatenate
     n_steps = n_entries = 0
     for k in range(actions.shape[1]):
-        rows = np.flatnonzero(lengths > k)
-        arc, mask = runs.candidates(rows)
-        entries = arc[mask]
-        run = np.repeat(np.arange(rows.size), mask.sum(axis=1))
+        if (lengths[runs.rows] == k).any():
+            runs.keep(lengths[runs.rows] > k)
+        rows = runs.rows
+        arc, mask = runs.candidates()
+        valid = np.flatnonzero(mask)
+        entries = arc.reshape(-1)[valid]
+        run = valid // mask.shape[1]
         a = actions[rows, k]
         hit = np.flatnonzero(graph.ei.dst[entries] == a[run])  # at most one per run
         pick = np.full(rows.size, -1)
         pick[run[hit]] = n_entries + hit
         parts.append((entries, n_steps + run, pick, rows))
-        n_steps += rows.size
-        n_entries += entries.size
-        runs.apply(rows, a)
-    return _Tape(*(np.concatenate(col) for col in zip(*parts)))
+        n_steps, n_entries = n_steps + rows.size, n_entries + entries.size
+        runs.apply(a)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
@@ -711,12 +709,12 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
     grows by O(1) nodes, not by steps, and the pair MLP does not run here.
     Returns a (T,) tensor (an array in array mode).
     """
-    tape = _replay(ctx.graph, [t.actions for t in trajectories])
-    if (tape.pick < 0).any():
+    arc, step, pick, owner = _replay(ctx.graph, [t.actions for t in trajectories])
+    if (pick < 0).any():
         raise ValueError("a trajectory takes an action that is not admissible")
-    logits = F.take(ctx.logits, tape.arc)
-    steps = F.take(logits, tape.pick) - F.segment_logsumexp(logits, tape.step, len(tape.pick))
-    return F.segment_sum(steps, tape.owner, len(trajectories))
+    logits = F.take(ctx.logits, arc)
+    steps = F.take(logits, pick) - F.segment_logsumexp(logits, step, len(pick))
+    return F.segment_sum(steps, owner, len(trajectories))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,11 @@ class TestSpec:
         with pytest.raises(bench.SpecError):
             bench.BenchSpec(methods=("hgs",), synthetic=synthetic)
 
+    @pytest.mark.parametrize("k_nn", [0, -1, 2.5, True, "4"], ids=repr)
+    def test_bad_k_nn(self, k_nn):
+        with pytest.raises(bench.SpecError, match="k_nn"):
+            bench.BenchSpec(methods=("hgs",), synthetic={"n": 7, "count": 1}, k_nn=k_nn)
+
     def test_synthetic_seed_is_optional(self):
         spec = bench.BenchSpec(methods=("hgs",), synthetic={"n": 4, "count": 2}, seed=8)
         assert [i.name for i in bench._load_instances(spec)] == [i.name for i in generate_batch(4, 2, 8)]
@@ -174,12 +179,17 @@ class TestRunBench:
         with pytest.raises(bench.SpecError):
             bench.sweep(self.spec(tmp_path), "population_size", [2])
 
-    @pytest.mark.parametrize("values", [[2.5], [3, 2.0], [3, True], [3, 0]])
-    def test_sweep_refuses_a_bad_value_before_any_run(self, values, tmp_path, monkeypatch):
+    # the m cases keep their first ids
+    @pytest.mark.parametrize("param,values", [
+        pytest.param(param, values, id=f"{prefix}values{i}")
+        for param, prefix in (("m", ""), ("k_nn", "k_nn-"))
+        for i, values in enumerate([[2.5], [3, 2.0], [3, True], [3, 0]])
+    ])
+    def test_sweep_refuses_a_bad_value_before_any_run(self, param, values, tmp_path, monkeypatch):
         monkeypatch.setattr(bench, "run_bench", lambda *args, **kwargs: pytest.fail("a value ran"))
         spec = self.spec(tmp_path, methods=("expert-refine-2", "hgs"))
         with pytest.raises(bench.SpecError):
-            bench.sweep(spec, "m", values, out_csv=str(tmp_path / "sweep.csv"))
+            bench.sweep(spec, param, values, out_csv=str(tmp_path / "sweep.csv"))
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_report_reads_the_aggregates(self, tmp_path):

@@ -122,6 +122,11 @@ class TestBadSpecs:
         spec = write_spec(tmp_path / "spec.json", methods=["hgs"], synthetic=synthetic)
         assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
 
+    @pytest.mark.parametrize("k_nn", [0, 2.5])
+    def test_bad_k_nn_exits_2(self, k_nn, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", methods=["hgs"], k_nn=k_nn)
+        assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
+
     def test_malformed_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{methods: ")

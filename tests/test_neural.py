@@ -140,6 +140,38 @@ def step_reference_rollout(ctx, mode, seed, epsilon):
     return tuple(actions), state.log_pf
 
 
+def compaction_case(case):
+    """(instance, graph, policy, count, seed) of a batch whose runs leave the
+    decoder's state in a telling order: "one", a batch of one; "same_step",
+    where every run finishes on the same step (each customer fills a
+    vehicle); "outlives", where one run outlives all the others."""
+    if case == "same_step":
+        inst = replace(generate_uniform(9, 4), demands=(6,) * 9, capacity=10)
+        return inst, instance_graph(inst, 3), init_params(SMALL, 1), 5, 2
+    inst, dm, graph, policy = small_setup(n=12, seed=23, k=4)
+    return (inst, graph, policy, 1, 5) if case == "one" else (inst, graph, policy, 5, 20)
+
+
+def assert_finish_order(case, trajs):
+    """The batch's runs finish in the order ``compaction_case`` promises."""
+    lengths = sorted(len(t.actions) for t in trajs)
+    if case == "one":
+        assert len(lengths) == 1
+    elif case == "same_step":
+        assert len(lengths) > 1 and len(set(lengths)) == 1
+    else:
+        assert lengths[-1] > lengths[-2]
+
+
+# each mode on the mixed batch of its test, then on every compaction case;
+# greedy runs are all alike, so no greedy batch has a run outliving the others
+BATCHES = [
+    *(pytest.param(mode, None, id=mode) for mode in (GREEDY, EPSILON_GREEDY, SAMPLE)),
+    *(pytest.param(mode, case, id=f"{mode}-{case}") for case in ("one", "same_step", "outlives")
+      for mode in (GREEDY, EPSILON_GREEDY, SAMPLE) if (mode, case) != (GREEDY, "outlives")),
+]
+
+
 class TestEdgeIndex:
     @pytest.mark.parametrize("n,k,seed", [(1, 1, 0), (6, 2, 1), (15, 4, 2), (40, 10, 3), (40, 39, 4)])
     @pytest.mark.parametrize("is_rounded", [False, True])
@@ -488,7 +520,7 @@ class TestArcLogits:
 
 
 class TestCandidates:
-    """``_Runs.candidates``: the valid slots of each run's current row."""
+    """``_Runs.candidates``: the valid slots of each run still going."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_match_the_reference_valid_actions(self, seed):
@@ -497,25 +529,48 @@ class TestCandidates:
         graph = instance_graph(inst, 4)
         ei = graph.ei
         rng = np.random.default_rng(seed)
-        count = 5
-        runs = _Runs(graph, count)
-        states = [initial_state(inst)] * count
-        seen = set()
-        while not all(is_terminal(inst, s) for s in states):
-            rows = np.array([t for t, s in enumerate(states) if not is_terminal(inst, s)])
-            arc, mask = runs.candidates(rows)
+        runs = _Runs(graph, 5)
+        states = {t: initial_state(inst) for t in range(5)}  # the runs still going
+        seen, finish_steps, step = set(), set(), 0
+        while states:
+            assert runs.rows.tolist() == list(states)
+            arc, mask = runs.candidates()
             actions = []
-            for r, t in enumerate(rows):
-                state = states[t]
+            for r, state in enumerate(states.values()):
                 ids = arc[r][mask[r]]
                 assert np.all(ei.src[ids] == state.current)
                 assert ei.dst[ids].tolist() == valid_actions(inst, ei, state)
                 seen.add("depot" if state.current == 0 else "full" if state.residual == 0 else "mid")
                 actions.append(int(rng.choice(ei.dst[ids])))
-            runs.apply(rows, np.array(actions))
-            for t, a in zip(rows, actions):
-                states[t] = apply_action(inst, states[t], a)
+            done = runs.apply(np.array(actions))
+            states = {t: apply_action(inst, s, a) for (t, s), a in zip(states.items(), actions)}
+            assert done.tolist() == [is_terminal(inst, s) for s in states.values()]
+            runs.keep(~done)
+            states = {t: s for t, s in states.items() if not is_terminal(inst, s)}
+            step += 1
+            if done.any():
+                finish_steps.add(step)
         assert seen == {"depot", "mid", "full"}
+        assert len(finish_steps) > 1  # runs left the state mid-batch
+
+    @pytest.mark.parametrize("alive", [[0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0], [1, 0, 1, 0, 0, 1],
+                                       [0, 0, 0, 1, 0, 0]])
+    def test_dropping_runs_leaves_the_others_candidates(self, alive):
+        inst = replace(generate_uniform(14, 2), demands=(5,) * 14, capacity=10)
+        graph = instance_graph(inst, 4)
+        rng = np.random.default_rng(7)
+        runs = _Runs(graph, 6)
+        for _ in range(5):
+            arc, mask = runs.candidates()
+            runs.apply(np.array([rng.choice(graph.ei.dst[arc[r][mask[r]]]) for r in range(6)]))
+        assert 0 < (runs.current == 0).sum() < 6  # rows of the depot's width and narrower ones
+        arc, mask = runs.candidates()
+        before = [arc[r][mask[r]].tolist() for r in range(6)]
+        runs.keep(np.array(alive, dtype=bool))
+        kept = np.flatnonzero(alive)
+        assert runs.rows.tolist() == kept.tolist()
+        arc, mask = runs.candidates()
+        assert [arc[r][mask[r]].tolist() for r in range(kept.size)] == [before[t] for t in kept]
 
     def test_a_greedy_rollout_allocates_no_n_by_n_array(self, traced_peak):
         n = 2000
@@ -594,25 +649,36 @@ class TestBatchRollouts:
         b = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=8)
         assert [t.actions for t in a] == [t.actions for t in b]
 
-    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
-    def test_each_index_is_its_single_rollout(self, mode):
-        inst, dm, graph, policy = small_setup(n=12, seed=23, k=4)
+    @pytest.mark.parametrize("mode,case", BATCHES)
+    def test_each_index_is_its_single_rollout(self, mode, case):
+        if case is None:
+            inst, dm, graph, policy = small_setup(n=12, seed=23, k=4)
+            count, seed = 8, 5
+        else:
+            inst, graph, policy, count, seed = compaction_case(case)
         ctx = encode_graph(policy, graph)
-        batch = batch_rollouts(policy, inst, ctx, 8, mode, seed=5, epsilon=0.5)
+        batch = batch_rollouts(policy, inst, ctx, count, mode, seed=seed, epsilon=0.5)
+        if case is not None:
+            assert_finish_order(case, batch)
         for t, traj in enumerate(batch):
-            single = rollout(policy, inst, ctx, mode, seed=derive_seed(5, t), epsilon=0.5)
+            single = rollout(policy, inst, ctx, mode, seed=derive_seed(seed, t), epsilon=0.5)
             assert traj.actions == single.actions
             assert traj.log_pf == single.log_pf
             assert traj.solution.total_cost == single.solution.total_cost
             replay = step_replay_log_pf(ctx, traj.actions)
             assert traj.log_pf == pytest.approx(replay, abs=1e-12)
 
-    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
-    def test_matches_the_step_reference(self, mode):
-        for seed in range(3):
+    @pytest.mark.parametrize("mode,case", BATCHES)
+    def test_matches_the_step_reference(self, mode, case):
+        batches = [] if case is None else [compaction_case(case)]
+        for seed in range(3 if case is None else 0):
             inst, dm, graph, policy = small_setup(n=10, seed=seed, k=4)
+            batches.append((inst, graph, policy, 4, seed))
+        for inst, graph, policy, count, seed in batches:
             ctx = encode_graph(policy, graph)
-            trajs = batch_rollouts(policy, inst, ctx, 4, mode, seed=seed, epsilon=0.3)
+            trajs = batch_rollouts(policy, inst, ctx, count, mode, seed=seed, epsilon=0.3)
+            if case is not None:
+                assert_finish_order(case, trajs)
             for t, traj in enumerate(trajs):
                 actions, log_pf = step_reference_rollout(ctx, mode, derive_seed(seed, t), 0.3)
                 assert traj.actions == actions
@@ -731,6 +797,27 @@ class TestDiscScore:
         assert np.allclose(on_tape.data, got, rtol=1e-12, atol=0)
 
 
+class TestDecodedSolutions:
+    @pytest.mark.parametrize("is_rounded", [False, True])
+    @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
+    def test_each_is_make_solution_of_its_routes_bit_for_bit(self, mode, is_rounded):
+        inst = generate_uniform(30, 8)
+        inst = rounded(inst) if is_rounded else inst
+        graph = instance_graph(inst, 6)
+        policy = init_params(SMALL, 2)
+        trajs = batch_rollouts(policy, inst, encode_graph(policy, graph), 8, mode, seed=3, epsilon=0.5)
+        if mode != GREEDY:  # greedy runs are all alike
+            assert len({len(t.actions) for t in trajs}) > 1
+        for traj in trajs:
+            ends = [i for i, a in enumerate(traj.actions) if a == 0]
+            routes = [traj.actions[i + 1 : j] for i, j in zip([-1] + ends, ends)]
+            ref = make_solution(inst, graph.dm, routes)
+            assert float(traj.solution.total_cost).hex() == float(ref.total_cost).hex()
+            # repr tells Python ints from numpy ones
+            assert repr([(r.nodes, r.load) for r in traj.solution.routes]) == repr(
+                [(r.nodes, r.load) for r in ref.routes])
+
+
 class TestTrajectoryFromSolution:
     def test_replay_matches_actions(self):
         inst, dm, graph, policy = small_setup(n=6, seed=44, k=3)
@@ -739,11 +826,28 @@ class TestTrajectoryFromSolution:
 
 
 class TestBatchLogPf:
-    @pytest.mark.parametrize("n,seed,k", [(6, 1, 3), (11, 2, 4), (16, 3, 5)])
-    def test_equals_sum_of_decode_step_log_probs(self, n, seed, k):
-        inst, dm, graph, policy = small_setup(n=n, seed=seed, k=k)
+    @pytest.mark.parametrize("batch", [
+        *(pytest.param((n, seed, k), id=f"{n}-{seed}-{k}") for n, seed, k in [(6, 1, 3), (11, 2, 4), (16, 3, 5)]),
+        *(pytest.param(case, id=case) for case in ("one", "same_step", "outlives", "lengths")),
+    ])
+    def test_equals_sum_of_decode_step_log_probs(self, batch):
+        if isinstance(batch, tuple) or batch == "lengths":
+            n, seed, k = (16, 3, 5) if batch == "lengths" else batch
+            inst, dm, graph, policy = small_setup(n=n, seed=seed, k=k)
+            count = 6
+        else:
+            inst, graph, policy, count, seed = compaction_case(batch)
         ctx = encode_graph(policy, graph, training=True)
-        trajs = batch_rollouts(policy, inst, ctx, 6, SAMPLE, seed=seed)
+        trajs = batch_rollouts(policy, inst, ctx, count, SAMPLE, seed=seed)
+        if batch == "lengths":
+            # one route per customer, far longer than the sampled sequences,
+            # amid them and last
+            alone = tuple(a for c in range(1, inst.n_nodes) for a in (c, 0))
+            long = Trajectory(alone, None, step_replay_log_pf(ctx, alone))
+            trajs = trajs[:3] + [long] + trajs[3:] + [long]
+            assert len(alone) > 1.2 * max(len(t.actions) for t in trajs if t is not long)
+        elif isinstance(batch, str):
+            assert_finish_order(batch, trajs)
         lifted = lift(policy)
         got = batch_log_pf(encode_graph(lifted, graph, training=True), trajs)
         ref = [step_replay_log_pf(ctx, t.actions) for t in trajs]
