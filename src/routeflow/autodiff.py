@@ -154,18 +154,16 @@ class Tensor:
         return as_tensor(other) @ self
 
     def __getitem__(self, key):
+        """Basic indexing only: slices and integers never select an element
+        twice, so the gradient is assigned, not summed. Gather with ``take``."""
+        if not all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+                   for k in (key if isinstance(key, tuple) else (key,))):
+            raise TypeError(f"a Tensor takes slices and integers only, got {key!r}; use F.take")
         out = Tensor(self.data[key], (self,))
-        basic = all(
-            k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
-            for k in (key if isinstance(key, tuple) else (key,))
-        )
 
         def bw(g):
             full = np.zeros_like(self.data)
-            if basic:  # slices and integers never select an element twice
-                full[key] = g
-            else:
-                np.add.at(full, key, g)
+            full[key] = g
             self._accumulate(full)
 
         out.bw = bw

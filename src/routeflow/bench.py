@@ -66,14 +66,17 @@ class BenchSpec:
     out_csv: str = "results.csv"
 
     def __post_init__(self):
+        for name, (ok, what) in _FIELD_TYPES.items():
+            if not ok(getattr(self, name)):
+                raise SpecError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        for name in ("methods", "files"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.methods:
             raise SpecError("at least one method is required")
         if self.synthetic is None and not self.files:
             raise SpecError("an instance source (synthetic or files) is required")
         if self.synthetic is not None:
             _check_synthetic(self.synthetic)
-        if self.k_nn is not None and (type(self.k_nn) is not int or self.k_nn < 1):
-            raise SpecError(f"k_nn must be None or an integer >= 1, got {self.k_nn!r}")
         if self.reference is not None and self.reference not in self.methods:
             raise SpecError(f"reference method {self.reference!r} is not in methods")
         for m in self.methods:
@@ -88,19 +91,37 @@ class BenchSpec:
             raise MissingArtifactError(path) from None
         except json.JSONDecodeError as exc:
             raise SpecError(f"malformed spec file {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise SpecError(f"spec must be an object, got {type(raw).__name__}")
         kwargs = dict(raw)
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
             raise SpecError(f"unknown spec fields {sorted(unknown)}")
-        for name in ("methods", "files"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
         try:
             if "hgs" in kwargs:
                 kwargs["hgs"] = HgsConfig(**kwargs["hgs"])
             return cls(**kwargs)
         except TypeError as exc:
             raise SpecError(str(exc)) from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_STRINGS = (lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+            "a list of strings")
+_STR_OR_NONE = (lambda v: v is None or isinstance(v, str), "None or a string")
+# BenchSpec field -> (test, what it must be), checked before any other rule
+_FIELD_TYPES = {
+    "methods": _STRINGS, "files": _STRINGS, "reference": _STR_OR_NONE, "checkpoint": _STR_OR_NONE,
+    "ref_table": (lambda v: v is None or isinstance(v, dict) and all(
+        isinstance(k, str) and isinstance(x, (int, float)) and not isinstance(x, bool)
+        for k, x in v.items()), "None or an object of numbers"),
+    "k_nn": (lambda v: v is None or _is_int(v) and v >= 1, "None or an integer >= 1"),
+    "seed": (_is_int, "an integer"),
+    "out_csv": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def _check_synthetic(src) -> None:
@@ -111,11 +132,10 @@ def _check_synthetic(src) -> None:
     unknown = set(src) - {"n", "count", "seed"}
     if unknown:
         raise SpecError(f"unknown synthetic fields {sorted(unknown)}")
-    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
     for key in ("n", "count"):
-        if not (is_int(src.get(key)) and src[key] >= 1):
+        if not (_is_int(src.get(key)) and src[key] >= 1):
             raise SpecError(f"synthetic {key!r} must be an integer >= 1, got {src.get(key)!r}")
-    if "seed" in src and not is_int(src["seed"]):
+    if "seed" in src and not _is_int(src["seed"]):
         raise SpecError(f"synthetic 'seed' must be an integer, got {src['seed']!r}")
 
 
@@ -302,26 +322,16 @@ def report_table(csv_paths: list[str]) -> str:
                 methods_order.append(r.method)
             cells[(r.method, label)] = (r.obj, r.gap_pct, r.time_s)
     header = ["method"] + [f"{c} Obj | Gap% | Time(s)" for c in columns]
-    lines = []
-    body = []
-    for method in methods_order:
-        row = [method]
-        for label in columns:
-            if (method, label) in cells:
-                obj, gap, t = cells[(method, label)]
-                gtxt = "-" if gap is None else f"{gap:.2f}"
-                row.append(f"{obj:.6f} | {gtxt} | {t:.2f}")
-            else:
-                row.append("-")
-        body.append(row)
-    col_widths = [
-        max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-        for i in range(len(header))
-    ]
-    def fmt(row):
-        return "  ".join(cell.ljust(w) for cell, w in zip(row, col_widths))
-    lines.append(fmt(header))
-    lines.append("  ".join("-" * w for w in col_widths))
-    for row in body:
-        lines.append(fmt(row))
-    return "\n".join(lines)
+    body = [[method, *(_cell(cells.get((method, label))) for label in columns)]
+            for method in methods_order]
+    widths = [max(len(row[i]) for row in (header, *body)) for i in range(len(header))]
+    fmt = lambda row: "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+    return "\n".join([fmt(header), "  ".join("-" * w for w in widths), *map(fmt, body)])
+
+
+def _cell(entry: tuple | None) -> str:
+    """One report cell: "obj | gap | time" of an aggregate row, or a dash."""
+    if entry is None:
+        return "-"
+    obj, gap, t = entry
+    return f"{obj:.6f} | {'-' if gap is None else f'{gap:.2f}'} | {t:.2f}"

@@ -84,21 +84,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric non-negative travel costs; entry [0] is the depot."""
-
-    dist: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        self.dist.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-
-@dataclass(frozen=True)
 class Route:
     """Ordered customer indices of one vehicle; depot implicit at both ends."""
 
@@ -142,15 +127,16 @@ def make_route(instance: Instance, nodes) -> Route:
     return Route(nodes, sum(instance.demand_of(c) for c in nodes))
 
 
-def make_solution(instance: Instance, dm: DistanceMatrix, route_nodes) -> Solution:
+def make_solution(instance: Instance, dm: np.ndarray, route_nodes) -> Solution:
     """Construct a Solution from raw node lists, computing loads and cost."""
     routes = tuple(make_route(instance, nodes) for nodes in route_nodes)
     cost = sum(route_cost(dm, r) for r in routes)
     return Solution(routes, cost)
 
 
-def build_distance_matrix(instance: Instance) -> DistanceMatrix:
-    """Pairwise travel costs for all nodes (depot row/column 0).
+def build_distance_matrix(instance: Instance) -> np.ndarray:
+    """Pairwise travel costs for all nodes as a read-only (n_nodes, n_nodes)
+    float64 array, symmetric and non-negative, depot in row/column 0.
 
     Rounded mode applies the benchmark nearest-integer convention
     ``nint(d) = floor(d + 0.5)``; continuous mode keeps full precision.
@@ -160,22 +146,22 @@ def build_distance_matrix(instance: Instance) -> DistanceMatrix:
     d = np.sqrt((diff * diff).sum(axis=2))
     if instance.distance_mode == ROUNDED:
         d = np.floor(d + 0.5)
-    return DistanceMatrix(d, instance.distance_mode)
+    d.setflags(write=False)
+    return d
 
 
-def route_cost(dm: DistanceMatrix, route: Route | Sequence[int]) -> float:
+def route_cost(dm: np.ndarray, route: Route | Sequence[int]) -> float:
     """Depot -> nodes -> depot travel cost of one route, given as a Route or
     as its customer sequence."""
-    d = dm.dist
     prev = 0
     total = 0.0
     for c in route.nodes if isinstance(route, Route) else route:
-        total += d[prev, c]
+        total += dm[prev, c]
         prev = c
-    return total + d[prev, 0]
+    return total + dm[prev, 0]
 
 
-def solution_cost(dm: DistanceMatrix, routes) -> float:
+def solution_cost(dm: np.ndarray, routes) -> float:
     return sum(route_cost(dm, r) for r in routes)
 
 
@@ -211,7 +197,7 @@ def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> np.ndarray:
+def knn_sparsify(dm: np.ndarray, k_nn: int) -> np.ndarray:
     """Each node's k_nn nearest neighbours as an (n, min(k_nn, n - 1)) array
     of node indices, each row sorted by distance, ties toward the lower node
     index. If the depot would fall outside a customer's row it replaces the
@@ -219,9 +205,9 @@ def knn_sparsify(dm: DistanceMatrix, k_nn: int) -> np.ndarray:
     """
     if k_nn < 1:
         raise ValueError("k_nn must be >= 1")
-    n = dm.n
+    n = len(dm)
     k = min(k_nn, n - 1)
-    d = dm.dist.copy()
+    d = dm.copy()
     np.fill_diagonal(d, np.inf)  # a node is never its own neighbour
     idx = np.broadcast_to(np.arange(n), (n, n))
     neighbors = np.lexsort((idx, d), axis=1)[:, :k].astype(np.int64)
@@ -241,7 +227,7 @@ class TooLargeError(ValueError):
 _EXACT_LIMIT = 8
 
 
-def _best_sequence(dm: DistanceMatrix, subset: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+def _best_sequence(dm: np.ndarray, subset: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
     """Optimal visiting order of one route by exhaustive permutation.
 
     Ties resolve to the lexicographically smallest sequence; a route and its
@@ -257,7 +243,7 @@ def _best_sequence(dm: DistanceMatrix, subset: tuple[int, ...]) -> tuple[float, 
     return best_cost, best_seq
 
 
-def exact_solve_small(instance: Instance, dm: DistanceMatrix | None = None) -> Solution:
+def exact_solve_small(instance: Instance) -> Solution:
     """Globally optimal solution by exhaustive set-partition enumeration.
 
     Every partition of the customers into capacity-feasible groups is visited
@@ -269,8 +255,7 @@ def exact_solve_small(instance: Instance, dm: DistanceMatrix | None = None) -> S
     n = instance.n_customers
     if n > _EXACT_LIMIT:
         raise TooLargeError(f"exact solver limited to {_EXACT_LIMIT} customers, got {n}")
-    if dm is None:
-        dm = build_distance_matrix(instance)
+    dm = build_distance_matrix(instance)
     customers = list(range(1, n + 1))
     demand = {c: instance.demand_of(c) for c in customers}
     seq_cache: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}

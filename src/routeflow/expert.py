@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DistanceMatrix,
     Instance,
     InstanceError,
     Route,
@@ -94,7 +93,7 @@ ELITE_FRACTION = 0.5  # share of the population that survives by cost alone
 MUTATION_RATE = 0.2  # chance that a child's tour has a segment reversed
 
 
-def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix) -> Solution:
+def initial_solution(instance: Instance, seed: int, dm: np.ndarray) -> Solution:
     """Angular sweep around the depot and greedy capacity fill, then 2-opt on
     each route to a local optimum. The seed rotates the sweep's starting
     customer.
@@ -110,7 +109,7 @@ def initial_solution(instance: Instance, seed: int, dm: DistanceMatrix) -> Solut
     start = int(np.random.default_rng(seed).integers(n))
     order = order[start:] + order[:start]
 
-    D = dm.dist.tolist()
+    D = dm.tolist()
     demand = [0] + list(instance.demands)
     routes: list[list[int]] = []
     cur: list[int] = []
@@ -221,7 +220,7 @@ def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int):
     return routes
 
 
-def _neighbour_lists(dm: DistanceMatrix) -> list[list[int]]:
+def _neighbour_lists(dm: np.ndarray) -> list[list[int]]:
     """Each customer's GAMMA nearest customers (ties to the lower index),
     indexed by node.
 
@@ -599,7 +598,7 @@ def hgs_solve(
     warm_start: Solution | None = None,
     *,
     cfg: HgsConfig,
-    dm: DistanceMatrix | None = None,
+    dm: np.ndarray | None = None,
 ) -> Solution:
     """Population search over giant tours, deterministic for a fixed seed.
 
@@ -623,7 +622,7 @@ def hgs_solve(
     if dm is None:
         dm = build_distance_matrix(instance)
     start_time = time.monotonic()
-    D = dm.dist.tolist()
+    D = dm.tolist()
     demand = [0] + list(instance.demands)
     q = instance.capacity
     limit = instance.fleet_limit
@@ -807,11 +806,13 @@ def decompose(
     return plan, subproblems
 
 
-def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: DistanceMatrix) -> Solution:
+def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: np.ndarray) -> Solution:
     """Solve one cluster on its rows and columns of the whole instance's
-    ``dm``, depot first: the values its own matrix would have."""
+    ``dm``, depot first: a read-only float64 array holding the values its
+    own matrix would have."""
     rows = [0, *sub.mapping]
-    sub_dm = DistanceMatrix(dm.dist[np.ix_(rows, rows)], dm.mode)
+    sub_dm = dm[np.ix_(rows, rows)]
+    sub_dm.setflags(write=False)
     warm = make_solution(sub.instance, sub_dm, sub.warm_routes)
     local = hgs_solve(sub.instance, warm_start=warm, cfg=cfg, dm=sub_dm)
     global_routes = [tuple(sub.to_global(c) for c in r.nodes) for r in local.routes]
@@ -822,7 +823,7 @@ def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: DistanceMatrix) -> Solution:
 
 
 def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
-                      dm: DistanceMatrix) -> list[Solution]:
+                      dm: np.ndarray) -> list[Solution]:
     """Solve the clusters, each with an even share of the budget, on
     matrices sliced from the whole instance's ``dm``; results in cluster
     order.
@@ -868,7 +869,7 @@ def expert_refine(
     seed_solution: Solution,
     m: int,
     cfg: HgsConfig,
-    dm: DistanceMatrix,
+    dm: np.ndarray,
 ) -> Solution:
     """Decompose, solve the clusters, and merge.
 

@@ -59,9 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
-from .core import (
-    DistanceMatrix, Instance, Route, Solution, build_distance_matrix, knn_sparsify,
-)
+from .core import Instance, Route, Solution, build_distance_matrix, knn_sparsify
 from .io import derive_seed
 
 LEAKY_SLOPE = 0.2
@@ -130,7 +128,7 @@ class EdgeIndex:
     rev: np.ndarray  # (E,) arc id of (dst, src)
 
 
-def build_edge_index(neighbors: np.ndarray, dm: DistanceMatrix) -> EdgeIndex:
+def build_edge_index(neighbors: np.ndarray, dm: np.ndarray) -> EdgeIndex:
     """The arcs (i, j) of the (n, k) k-NN rows ``neighbors`` and their
     reverses, deduplicated and sorted by (src, dst) in O(E log E); each
     arc's distance is read from ``dm``, which is symmetric."""
@@ -140,21 +138,22 @@ def build_edge_index(neighbors: np.ndarray, dm: DistanceMatrix) -> EdgeIndex:
     keys = np.unique(np.concatenate([fwd * n + bwd, bwd * n + fwd]))
     src, dst = keys // n, keys % n
     start = np.searchsorted(src, np.arange(n + 1))
-    return EdgeIndex(n, src, dst, dm.dist[src, dst], start, np.searchsorted(keys, dst * n + src))
+    return EdgeIndex(n, src, dst, dm[src, dst], start, np.searchsorted(keys, dst * n + src))
 
 
 @dataclass(frozen=True)
 class InstanceGraph:
     """One instance as every network pass reads it: the instance, its
-    distances, the sparse edge index and the node features."""
+    distances (``build_distance_matrix``'s read-only float64 array), the
+    sparse edge index and the node features."""
 
     instance: Instance
-    dm: DistanceMatrix
+    dm: np.ndarray
     ei: EdgeIndex
     feats: NodeFeatures
 
 
-def make_graph(instance: Instance, neighbors: np.ndarray, dm: DistanceMatrix) -> InstanceGraph:
+def make_graph(instance: Instance, neighbors: np.ndarray, dm: np.ndarray) -> InstanceGraph:
     """The instance's graph on the k-NN rows ``neighbors`` of ``dm``."""
     return InstanceGraph(instance, dm, build_edge_index(neighbors, dm), node_features(instance))
 
@@ -469,7 +468,7 @@ def encode_graph(policy: PolicyParams, graph: InstanceGraph, training: bool = Fa
 
 
 def encode(policy: PolicyParams, instance: Instance, neighbors: np.ndarray,
-           dm: DistanceMatrix, training: bool = False) -> DecodeContext:
+           dm: np.ndarray, training: bool = False) -> DecodeContext:
     """``encode_graph`` on the graph of the k-NN rows ``neighbors`` of
     ``dm``, for callers that hold those rather than an ``InstanceGraph``."""
     return encode_graph(policy, make_graph(instance, neighbors, dm), training)
@@ -729,7 +728,7 @@ def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarra
     fall outside it, as expert arcs do; each arc's distance is read from
     ``graph.dm``.
     """
-    e_raw = (graph.dm.dist[src, dst] / graph.feats.scale).reshape(-1, 1)
+    e_raw = (graph.dm[src, dst] / graph.feats.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
     hi = F.take(emb, src)
     hj = F.take(emb, dst)
@@ -740,9 +739,12 @@ def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarra
 
 def disc_forward(disc: DiscParams, graph: InstanceGraph, training: bool = False) -> np.ndarray:
     """(E,) probabilities in (0, 1) of the arcs of ``graph.ei``, in its
-    (src, dst) order."""
-    emb = gat_embed(disc.gat, graph, training)
-    return F.sigmoid(F.value(disc_edge_logits(disc, emb, graph, graph.ei.src, graph.ei.dst)))
+    (src, dst) order, scored ``_BLOCK`` arcs at a time."""
+    emb, ei = gat_embed(disc.gat, graph, training), graph.ei
+    return F.sigmoid(np.concatenate([
+        F.value(disc_edge_logits(disc, emb, graph, ei.src[i : i + _BLOCK], ei.dst[i : i + _BLOCK]))
+        for i in range(0, ei.src.size, _BLOCK)
+    ]))
 
 
 def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: list):
@@ -756,7 +758,7 @@ def disc_traj_scores_t(disc: DiscParams, emb, graph: InstanceGraph, sequences: l
     arc keys), so expert routes may use arcs beyond the sparse graph; one
     gather and one segment sum then give each sequence its total.
     """
-    n = graph.dm.n
+    n = graph.ei.n
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     dst = np.array([a for s in sequences for a in s], dtype=np.int64)
     src = np.concatenate(([0], dst[:-1]))

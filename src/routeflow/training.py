@@ -113,23 +113,24 @@ class Adam:
     """Adam over a container's trained arrays, with per-parameter learning
     rates; moments are checkpointable."""
 
-    def __init__(self, container, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, container):
         self.t = 0
         self.m = {name: np.zeros(arr.shape) for name, arr in container.named_arrays()}
         self.v = {name: np.zeros(arr.shape) for name, arr in container.named_arrays()}
 
     def step(self, container, grads: dict[str, np.ndarray], lr_of) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for name, arr in container.named_arrays():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            arr[...] = arr - lr_of(name) * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m[...] = self.BETA1 * m + (1 - self.BETA1) * g
+            v[...] = self.BETA2 * v + (1 - self.BETA2) * g * g
+            arr[...] = arr - lr_of(name) * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
     def to_dict(self) -> dict:
         return {
@@ -247,8 +248,7 @@ def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
         trajs = batch_rollouts(
-            state.policy, graph.instance, ctx, cfg.n_rollouts, SAMPLE,
-            derive_seed(seed, idx), cfg.epsilon,
+            state.policy, graph.instance, ctx, cfg.n_rollouts, SAMPLE, derive_seed(seed, idx)
         )
         d_scores = disc_traj_scores_t(state.disc, disc_emb, graph, [t.actions for t in trajs])
         log_pf = batch_log_pf(ctx, trajs)

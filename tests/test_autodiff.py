@@ -193,6 +193,14 @@ class TestTape:
         assert np.allclose(x.grad, np.exp(x.data) * (1.0 + x.data))
         assert y.grad is None
 
+    @pytest.mark.parametrize("key", [_REPEATED, [0, 2, 2], (slice(None), _REPEATED)],
+                             ids=["array", "list", "slice-and-array"])
+    def test_a_tensor_refuses_fancy_keys(self, key):
+        # assigning the gradient of a repeated index would count it once
+        x = F.parameter(_rand(5, 5))
+        with pytest.raises(TypeError, match="F.take"):
+            x[key]
+
     def test_a_dropped_tape_is_freed_without_the_cyclic_collector(self):
         # a tape in a reference cycle lingers until the collector runs, and
         # in training that held several updates' tapes at once

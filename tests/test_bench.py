@@ -106,6 +106,24 @@ class TestSpec:
         with pytest.raises(bench.SpecError, match="k_nn"):
             bench.BenchSpec(methods=("hgs",), synthetic={"n": 7, "count": 1}, k_nn=k_nn)
 
+    @pytest.mark.parametrize("field, value", [
+        ("methods", 5), ("methods", "hgs"), ("methods", ("hgs", 5)), ("methods", ["hgs", 5]),
+        ("files", 5), ("files", (5,)), ("reference", 5), ("checkpoint", 7), ("out_csv", 7),
+        ("out_csv", None), ("seed", "a"), ("seed", True), ("seed", 1.0), ("ref_table", 3),
+        ("ref_table", {"a": "1"}), ("ref_table", {"a": True}), ("ref_table", {1: 1.0}),
+    ], ids=repr)
+    def test_badly_typed_field(self, field, value):
+        fields = {"methods": ("hgs",), "synthetic": {"n": 3, "count": 1}, field: value}
+        with pytest.raises(bench.SpecError, match=f"{field} must be"):
+            bench.BenchSpec(**fields)
+
+    @pytest.mark.parametrize("top", [5, [1], "spec", None], ids=repr)
+    def test_top_level_must_be_an_object(self, top, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(bench.SpecError, match="spec must be an object"):
+            bench.BenchSpec.from_json(str(path))
+
     def test_synthetic_seed_is_optional(self):
         spec = bench.BenchSpec(methods=("hgs",), synthetic={"n": 4, "count": 2}, seed=8)
         assert [i.name for i in bench._load_instances(spec)] == [i.name for i in generate_batch(4, 2, 8)]

@@ -127,6 +127,20 @@ class TestBadSpecs:
         spec = write_spec(tmp_path / "spec.json", methods=["hgs"], k_nn=k_nn)
         assert cli.main(["bench", "--spec", spec, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_SPEC
 
+    @pytest.mark.parametrize("field, value", [
+        (None, 5), (None, [1]), ("methods", 5), ("files", 5), ("files", [5]), ("seed", "a"),
+        ("ref_table", 3), ("out_csv", 7), ("checkpoint", 7),
+    ], ids=repr)
+    def test_badly_typed_fields_exit_2(self, field, value, tmp_path):
+        path = tmp_path / "spec.json"
+        if field is None:  # the top level itself
+            path.write_text(json.dumps(value))
+        else:
+            write_spec(path, **{"methods": ["hgs"], field: value})
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--spec", str(path), "--out", str(out)]) == cli.EXIT_SPEC
+        assert not out.exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{methods: ")

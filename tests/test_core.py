@@ -7,7 +7,6 @@ import pytest
 from routeflow.core import (
     CONTINUOUS,
     ROUNDED,
-    DistanceMatrix,
     Instance,
     InstanceError,
     TooLargeError,
@@ -52,26 +51,27 @@ class TestInstanceInvariants:
 class TestDistanceMatrix:
     def test_345_triangle_continuous(self):
         dm = build_distance_matrix(tiny_instance())
-        assert dm.dist[0, 1] == 5.0
-        assert dm.mode == CONTINUOUS
+        assert dm[0, 1] == 5.0
+        assert dm.dtype == np.float64 and dm.shape == (2, 2)
+        assert not dm.flags.writeable
 
     def test_345_triangle_rounded(self):
         dm = build_distance_matrix(tiny_instance(ROUNDED))
-        assert dm.dist[0, 1] == 5
-        assert dm.dist[0, 1] == int(dm.dist[0, 1])
+        assert dm[0, 1] == 5
+        assert dm[0, 1] == int(dm[0, 1])
 
     def test_rounding_is_nearest_integer(self):
         inst = Instance((0.0, 0.0), ((1.4, 0.0), (1.6, 0.0)), (1, 1), 10,
                         distance_mode=ROUNDED)
         dm = build_distance_matrix(inst)
-        assert dm.dist[0, 1] == 1
-        assert dm.dist[0, 2] == 2
+        assert dm[0, 1] == 1
+        assert dm[0, 2] == 2
 
     def test_symmetry_and_zero_diagonal(self):
         inst = generate_uniform(12, 3)
         dm = build_distance_matrix(inst)
-        assert np.allclose(dm.dist, dm.dist.T)
-        assert np.all(np.diag(dm.dist) == 0)
+        assert np.allclose(dm, dm.T)
+        assert np.all(np.diag(dm) == 0)
 
 
 class TestRouteCost:
@@ -82,8 +82,7 @@ class TestRouteCost:
         assert route_cost(dm, r) == 10.0
 
     def test_two_customer_triangle(self):
-        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        dm = DistanceMatrix(d, CONTINUOUS)
+        dm = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         inst = Instance((0, 0), ((1, 0), (0, 1)), (1, 1), 5)
         assert route_cost(dm, make_route(inst, [1, 2])) == 3.0
 
@@ -92,7 +91,7 @@ class TestRouteCost:
         dm = build_distance_matrix(inst)
         route = make_route(inst, [3, 1, 5, 2, 4])
         path = [0, 3, 1, 5, 2, 4, 0]
-        naive = sum(dm.dist[path[i], path[i + 1]] for i in range(len(path) - 1))
+        naive = sum(dm[path[i], path[i + 1]] for i in range(len(path) - 1))
         assert route_cost(dm, route) == pytest.approx(naive, rel=1e-12)
         assert route_cost(dm, route.nodes) == route_cost(dm, route)
 
@@ -180,9 +179,9 @@ class TestKnnSparsify:
         inst = generate_uniform(39, 8)
         dm = build_distance_matrix(inst)
         rows = knn_sparsify(dm, 10)
-        for i in range(dm.n):
+        for i in range(len(dm)):
             ranked = sorted(
-                (j for j in range(dm.n) if j != i), key=lambda j: (dm.dist[i, j], j)
+                (j for j in range(len(dm)) if j != i), key=lambda j: (dm[i, j], j)
             )
             expected = set(ranked[:10])
             got = set(rows[i].tolist())
@@ -194,7 +193,7 @@ class TestKnnSparsify:
         inst = generate_uniform(40, 9)
         dm = build_distance_matrix(inst)
         rows = knn_sparsify(dm, 5)
-        for i in range(1, dm.n):
+        for i in range(1, len(dm)):
             assert 0 in rows[i]
 
     def test_deterministic(self):
@@ -206,8 +205,7 @@ class TestKnnSparsify:
 class TestExactSolver:
     def test_single_customer(self):
         inst = tiny_instance()
-        dm = build_distance_matrix(inst)
-        sol = exact_solve_small(inst, dm)
+        sol = exact_solve_small(inst)
         assert sol.total_cost == 10.0
         assert [r.nodes for r in sol.routes] == [(1,)]
 
@@ -238,7 +236,7 @@ class TestExactSolver:
         # spot check: optimal cost is a lower bound over all sequenced partitions
         inst = generate_uniform(5, 77)
         dm = build_distance_matrix(inst)
-        best = exact_solve_small(inst, dm)
+        best = exact_solve_small(inst)
         customers = list(range(1, 6))
         for perm in itertools.permutations(customers):
             for split_mask in range(2 ** 4):

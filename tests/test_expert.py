@@ -84,7 +84,7 @@ class TestSplit:
         for trial in range(10):
             inst = generate_uniform(7, 300 + trial)
             dm = build_distance_matrix(inst)
-            D = dm.dist.tolist()
+            D = dm.tolist()
             demand = [0] + list(inst.demands)
             tour = list(rng.permutation(np.arange(1, 8)))
             tour = [int(c) for c in tour]
@@ -118,7 +118,7 @@ class TestSplit:
             6,
         )
         dm = build_distance_matrix(inst)
-        D = dm.dist.tolist()
+        D = dm.tolist()
         demand = [0] + list(inst.demands)
         assert split_giant_tour(D, demand, 6, [1, 2, 3, 4], max_routes=1) is None
         routes = split_giant_tour(D, demand, 6, [1, 2, 3, 4], max_routes=2)
@@ -131,7 +131,7 @@ class TestSplit:
             n = int(rng.integers(1, 40))
             inst = generate_uniform(n, 500 + trial)
             dm = build_distance_matrix(inst)
-            D = dm.dist.tolist()
+            D = dm.tolist()
             demand = [0] + list(inst.demands)
             capacity = int(rng.integers(max(demand), sum(demand) + 1))
             tour = [int(c) for c in rng.permutation(np.arange(1, n + 1))]
@@ -247,7 +247,7 @@ def split_starts(draw):
     capacity = draw(st.integers(max(demands), sum(demands)))
     inst = Instance((0.5, 0.5), tuple(coords), tuple(demands), capacity)
     tour = draw(st.permutations(list(range(1, n + 1))))
-    D = build_distance_matrix(inst).dist.tolist()
+    D = build_distance_matrix(inst).tolist()
     demand = [0] + list(demands)
     return inst, split_giant_tour(D, demand, capacity, tour)
 
@@ -275,7 +275,7 @@ def _granular_moves(routes, u, v):
 def _check_local_search(inst, start):
     """Run ``_local_search`` and check it against brute force over Γ lists."""
     dm = build_distance_matrix(inst)
-    D = dm.dist.tolist()
+    D = dm.tolist()
     demand = [0] + list(inst.demands)
     neighbours = _neighbour_lists(dm)
     out = _local_search(D, demand, inst.capacity, start, neighbours)
@@ -407,7 +407,7 @@ class TestDecompose:
 
 class TestSolveSubproblems:
     @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
-    def test_sliced_matrices_equal_rebuilt_ones(self, source):
+    def test_sliced_matrices_equal_rebuilt_ones(self, source, monkeypatch):
         if source == "uniform":
             inst = generate_uniform(200, 5)
         else:  # rounded distances
@@ -415,10 +415,13 @@ class TestSolveSubproblems:
         dm = build_distance_matrix(inst)
         _, subs = decompose(inst, initial_solution(inst, 5, dm), m=10)
         assert len(subs) > 1
+        sliced = []
+        monkeypatch.setattr(expert, "hgs_solve",
+                            lambda instance, warm_start, cfg, dm: sliced.append(dm) or warm_start)
         for sub in subs:
-            nodes = [0, *sub.mapping]
-            rebuilt = build_distance_matrix(sub.instance).dist
-            assert np.array_equal(dm.dist[np.ix_(nodes, nodes)], rebuilt)
+            _solve_one(sub, FAST, dm)
+            assert np.array_equal(sliced[-1], build_distance_matrix(sub.instance))
+            assert sliced[-1].dtype == np.float64 and not sliced[-1].flags.writeable
 
     def test_single_subproblem_matches_hgs(self):
         inst = generate_uniform(15, 3)

@@ -101,8 +101,8 @@ def dict_edge_index(rows, dm):
     dmap = {}
     for i, row in enumerate(rows.tolist()):
         for j in row:
-            dmap[(i, j)] = float(dm.dist[i, j])
-            dmap[(j, i)] = float(dm.dist[j, i])
+            dmap[(i, j)] = float(dm[i, j])
+            dmap[(j, i)] = float(dm[j, i])
     pairs = sorted(dmap)
     return pairs, [dmap[p] for p in pairs]
 
@@ -746,6 +746,15 @@ class TestDiscriminator:
         ref = 1 / (1 + np.exp(-logits))
         assert np.abs(probs - ref).max() < 1e-9
 
+    def test_peak_memory_at_n400(self, traced_peak):
+        # E = 46,606: the whole-graph (E, 3 * d_units) concat and (E,
+        # mlp_hidden) hidden array peaked at 279 MB; a block of arcs at a time
+        graph = instance_graph(generate_uniform(400, 3))
+        assert graph.ei.src.size == 46_606
+        disc = init_disc(Dims(), 2)
+        disc_forward(disc, graph)
+        assert traced_peak(lambda: disc_forward(disc, graph)) < 40_000_000
+
 
 class TestDiscScore:
     """Trajectory scores under the discriminator (``disc_traj_scores_t``)."""
@@ -784,7 +793,7 @@ class TestDiscScore:
         mlp = disc.edge_mlp
 
         def log_sigmoid(a, b):
-            e = _lrelu(np.array([[dm.dist[a, b] / feats.scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
+            e = _lrelu(np.array([[dm[a, b] / feats.scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
             hidden = _lrelu(np.concatenate([emb[a], emb[b], e]) @ mlp.w1 + mlp.b1)
             return np.log(1 / (1 + np.exp(-(hidden @ mlp.w2 + float(mlp.b2)))))
 
