@@ -1,16 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray and records its parents plus a backward
-closure; ``backward(loss)`` runs the tape in reverse topological order. A
-closure never captures its own output Tensor: that would be a reference
-cycle, and the tape would then wait for the cyclic collector instead of
-being freed as soon as the loss goes out of scope.
+A Tensor wraps a float64 ndarray and holds its inputs as (input, grad)
+pairs: ``grad`` maps the node's gradient to that input's share.
+``backward(loss)`` walks the tape in reverse topological order and alone
+applies gradients. A ``grad`` never captures its output node: that would be
+a reference cycle, and the tape would then wait for the cyclic collector
+instead of being freed as soon as the loss goes out of scope.
 
-The module-level math helpers (exp, take, segment_sum, ...) run either on
-raw arrays (fast inference) or on Tensors (training with exact gradients).
-Each computes its value once, from ``value(x)``, and ``_lift`` puts it on
-the tape only when ``x`` is a Tensor, so both modes give the same numbers,
-bit for bit: ``Tensor.mean`` is sum / count, as numpy's ``mean`` is, and
+Every op computes its value once, from its operands' values, and ``_node``
+puts it on the tape only when an operand is a Tensor. So the math helpers
+(exp, take, segment_sum, ...) run on raw arrays (fast inference) or on
+Tensors (training with exact gradients) with the same numbers, bit for
+bit: ``Tensor.mean`` is sum / count, as numpy's ``mean`` is, and
 ``matvec`` is one row-local product in both modes.
 
 The CSR helpers (``csr_sum``, ``csr_repeat``, ``csr_gather``) work on
@@ -40,20 +41,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the computation tape. After backward(), a leaf's ``grad``
-    holds its gradient; an interior node's is dropped once passed on."""
+    """Node of the computation tape: a value and its (input Tensor, grad)
+    pairs. After backward(), a leaf's ``grad`` holds its gradient; an
+    interior node's is dropped once passed on."""
 
-    __slots__ = ("data", "grad", "parents", "bw", "requires_grad")
+    __slots__ = ("data", "grad", "inputs", "requires_grad")
 
     # keep numpy from intercepting mixed ndarray (op) Tensor expressions
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), bw=None, requires_grad=False):
+    def __init__(self, data, inputs=(), requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.bw = bw
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.inputs = inputs
+        self.requires_grad = requires_grad or any(x.requires_grad for x, _ in inputs)
 
     @property
     def shape(self):
@@ -61,7 +62,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         # the first write stores a copy: ``g`` may be shared with another
-        # parent or be a view of an array that is still in use
+        # input or be a view of an array that is still in use
         if self.grad is not None:
             self.grad += g
         elif np.shape(g) == self.data.shape:
@@ -72,39 +73,21 @@ class Tensor:
     # -- operator overloads ------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        out.bw = bw
-        return out
+        a, b = self.data, _operand(other)
+        return _node(a + b, (self, lambda g: _unbroadcast(g, a.shape)),
+                     (other, lambda g: _unbroadcast(g, b.shape)))
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        out.bw = bw
-        return out
+        a, b = self.data, _operand(other)
+        return _node(a * b, (self, lambda g: _unbroadcast(g * b, a.shape)),
+                     (other, lambda g: _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out.bw = lambda g: self._accumulate(-g)
-        return out
+        return _node(-self.data, (self, lambda g: -g))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -113,42 +96,20 @@ class Tensor:
         return as_tensor(other) + (-self)
 
     def __truediv__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
-                )
-
-        out.bw = bw
-        return out
+        a, b = self.data, _operand(other)
+        return _node(a / b, (self, lambda g: _unbroadcast(g / b, a.shape)),
+                     (other, lambda g: _unbroadcast(-g * a / (b * b), b.shape)))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
     def __matmul__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def bw(g):
-            a, b = self.data, other.data
-            if self.requires_grad:
-                if b.ndim == 1:
-                    self._accumulate(g * b if a.ndim == 1 else np.outer(g, b))
-                else:
-                    self._accumulate(b @ g if a.ndim == 1 else g @ b.T)
-            if other.requires_grad:
-                if a.ndim == 1:
-                    other._accumulate(g * a if b.ndim == 1 else np.outer(a, g))
-                else:
-                    other._accumulate(a.T @ g)
-
-        out.bw = bw
-        return out
+        a, b = self.data, _operand(other)
+        return _node(a @ b,
+                     (self, lambda g: (g * b if a.ndim == 1 else np.outer(g, b)) if b.ndim == 1
+                      else b @ g if a.ndim == 1 else g @ b.T),
+                     (other, lambda g: (g * a if b.ndim == 1 else np.outer(a, g)) if a.ndim == 1
+                      else a.T @ g))
 
     def __rmatmul__(self, other):
         return as_tensor(other) @ self
@@ -159,35 +120,41 @@ class Tensor:
         if not all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
                    for k in (key if isinstance(key, tuple) else (key,))):
             raise TypeError(f"a Tensor takes slices and integers only, got {key!r}; use F.take")
-        out = Tensor(self.data[key], (self,))
 
-        def bw(g):
+        def grad(g):
             full = np.zeros_like(self.data)
             full[key] = g
-            self._accumulate(full)
+            return full
 
-        out.bw = bw
-        return out
+        return _node(self.data[key], (self, grad))
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-        out.bw = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
+        return _node(self.data.reshape(*shape), (self, lambda g: g.reshape(self.data.shape)))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def bw(g):
+        def grad(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            return np.broadcast_to(g, self.data.shape).copy()
 
-        out.bw = bw
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self, grad))
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / count
+
+
+def _node(val: np.ndarray, *pairs):
+    """An op's result ``val``: the array itself when no operand is a Tensor,
+    else a node holding each (Tensor operand, grad) pair. A ``grad`` maps the
+    node's gradient to that operand's share and never captures the node."""
+    inputs = tuple(pair for pair in pairs if isinstance(pair[0], Tensor))
+    return Tensor(val, inputs) if inputs else val
+
+
+def _operand(x) -> np.ndarray:
+    """``as_tensor(x).data``, with no Tensor built for a constant."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def as_tensor(x) -> Tensor:
@@ -199,7 +166,8 @@ def parameter(data) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-topological sweep seeding d(loss)/d(loss) = 1."""
+    """Reverse-topological sweep seeding d(loss)/d(loss) = 1; each node passes
+    ``grad(node.grad)`` to each input that requires one, then drops its own."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -212,57 +180,46 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
+        for x, _ in node.inputs:
+            if id(x) not in seen and x.requires_grad:
+                stack.append((x, False))
     loss._accumulate(np.ones_like(loss.data))
     for node in reversed(order):
-        if node.bw is not None and node.grad is not None:
-            node.bw(node.grad)
+        if node.inputs:
+            for x, grad in node.inputs:
+                if x.requires_grad:
+                    x._accumulate(grad(node.grad))
             node.grad = None  # every consumer came before, so it is complete and spent
 
 
 # -- dual-mode math helpers --------------------------------------------------
 
 
-def _lift(x, val: np.ndarray, grad):
-    """``val``, computed once from ``value(x)``, as the op's result: the array
-    itself for an array ``x``; for a Tensor, a node on the tape whose
-    backward passes ``grad(g)`` to ``x``. ``grad`` captures arrays only,
-    never the output node."""
-    if not isinstance(x, Tensor):
-        return val
-    out = Tensor(val, (x,))
-    out.bw = lambda g: x._accumulate(grad(g))
-    return out
-
-
 def exp(x):
     val = np.exp(value(x))
-    return _lift(x, val, lambda g: g * val)
+    return _node(val, (x, lambda g: g * val))
 
 
 def sqrt(x):
     val = np.sqrt(value(x))
-    return _lift(x, val, lambda g: g * 0.5 / val)
+    return _node(val, (x, lambda g: g * 0.5 / val))
 
 
 def sigmoid(x):
     val = 1.0 / (1.0 + np.exp(-value(x)))
-    return _lift(x, val, lambda g: g * val * (1.0 - val))
+    return _node(val, (x, lambda g: g * val * (1.0 - val)))
 
 
 def leaky_relu(x, slope: float = 0.2):
     data = value(x)
-    return _lift(
-        x, np.where(data > 0, data, slope * data), lambda g: g * np.where(data > 0, 1.0, slope)
-    )
+    return _node(np.where(data > 0, data, slope * data),
+                 (x, lambda g: g * np.where(data > 0, 1.0, slope)))
 
 
 def log_sigmoid(x):
     """log(sigmoid(x)) computed stably; gradient is sigmoid(-x)."""
     val = -np.logaddexp(0.0, -value(x))
-    return _lift(x, val, lambda g: g * (1.0 - np.exp(val)))
+    return _node(val, (x, lambda g: g * (1.0 - np.exp(val))))
 
 
 def square(x):
@@ -279,7 +236,7 @@ def take(x, idx):
         np.add.at(full, idx, g)
         return full
 
-    return _lift(x, data[idx], grad)
+    return _node(data[idx], (x, grad))
 
 
 def segment_sum(x, owner: np.ndarray, n: int):
@@ -287,7 +244,7 @@ def segment_sum(x, owner: np.ndarray, n: int):
     data = value(x)
     buf = np.zeros((n,) + data.shape[1:], dtype=np.float64)
     np.add.at(buf, owner, data)
-    return _lift(x, buf, lambda g: g[owner])
+    return _node(buf, (x, lambda g: g[owner]))
 
 
 def segment_logsumexp(x, owner: np.ndarray, n: int):
@@ -302,12 +259,12 @@ def segment_logsumexp(x, owner: np.ndarray, n: int):
     ex = np.exp(data - top[owner])
     total = np.zeros(n)
     np.add.at(total, owner, ex)
-    return _lift(x, top + np.log(total), lambda g: g[owner] * ex / total[owner])
+    return _node(top + np.log(total), (x, lambda g: g[owner] * ex / total[owner]))
 
 
 def transpose(x):
     """The transpose of a 2-D x, as a C-contiguous copy."""
-    return _lift(x, np.ascontiguousarray(value(x).T), lambda g: g.T)
+    return _node(np.ascontiguousarray(value(x).T), (x, lambda g: g.T))
 
 
 # -- CSR segments along the last axis ----------------------------------------
@@ -320,15 +277,15 @@ def transpose(x):
 def csr_sum(x, start: np.ndarray):
     """Segment sums along the last axis: out[..., v] = x[..., start[v]:start[v + 1]].sum()."""
     sizes = np.diff(start)
-    return _lift(x, np.add.reduceat(value(x), start[:-1], axis=-1),
-                 lambda g: np.repeat(g, sizes, axis=-1))
+    return _node(np.add.reduceat(value(x), start[:-1], axis=-1),
+                 (x, lambda g: np.repeat(g, sizes, axis=-1)))
 
 
 def csr_repeat(x, start: np.ndarray):
     """Each segment's value over its entries: out[..., a] = x[..., v] for
     ``start[v] <= a < start[v + 1]``; the gradient is ``csr_sum``'s value."""
-    return _lift(x, np.repeat(value(x), np.diff(start), axis=-1),
-                 lambda g: np.add.reduceat(g, start[:-1], axis=-1))
+    return _node(np.repeat(value(x), np.diff(start), axis=-1),
+                 (x, lambda g: np.add.reduceat(g, start[:-1], axis=-1)))
 
 
 def csr_gather(x, col: np.ndarray, rev: np.ndarray, start: np.ndarray):
@@ -338,8 +295,8 @@ def csr_gather(x, col: np.ndarray, rev: np.ndarray, start: np.ndarray):
     so the entries whose column is v are the transposes of segment v, and
     the gradient is one gather by ``rev`` and one segment sum.
     """
-    return _lift(x, np.take(value(x), col, axis=-1),
-                 lambda g: np.add.reduceat(np.take(g, rev, axis=-1), start[:-1], axis=-1))
+    return _node(np.take(value(x), col, axis=-1),
+                 (x, lambda g: np.add.reduceat(np.take(g, rev, axis=-1), start[:-1], axis=-1)))
 
 
 def matvec(a, v):
@@ -347,40 +304,20 @@ def matvec(a, v):
     in a fixed order, so the result for a row never depends on which other
     rows share the call (BLAS blocks rows together), nor on the mode."""
     am, vm = value(a), value(v)
-    val = np.einsum("ij,j->i", am, vm)
-    if not (isinstance(a, Tensor) or isinstance(v, Tensor)):
-        return val
-    a, v = as_tensor(a), as_tensor(v)
-    out = Tensor(val, (a, v))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.outer(g, vm))
-        if v.requires_grad:
-            v._accumulate(am.T @ g)
-
-    out.bw = bw
-    return out
+    return _node(np.einsum("ij,j->i", am, vm),
+                 (a, lambda g: np.outer(g, vm)), (v, lambda g: am.T @ g))
 
 
 def concat(xs, axis=0):
-    val = np.concatenate([value(x) for x in xs], axis=axis)
-    if not any(isinstance(x, Tensor) for x in xs):
-        return val
-    xs = [as_tensor(x) for x in xs]
-    out = Tensor(val, tuple(xs))
-    offsets = np.cumsum([0] + [x.data.shape[axis] for x in xs])
-
-    def bw(g):
-        for x, a, b in zip(xs, offsets[:-1], offsets[1:]):
-            if not x.requires_grad:
-                continue
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(a, b)
-            x._accumulate(g[tuple(sl)])
-
-    out.bw = bw
-    return out
+    parts = [value(x) for x in xs]
+    val = np.concatenate(parts, axis=axis)
+    pairs, end = [], 0
+    for x, part in zip(xs, parts):
+        key = [slice(None)] * val.ndim
+        key[axis] = slice(end, end + part.shape[axis])
+        end += part.shape[axis]
+        pairs.append((x, lambda g, key=tuple(key): g[key]))
+    return _node(val, *pairs)
 
 
 def mean(x, axis=None, keepdims=False):

@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Instance, Solution, build_distance_matrix, exact_solve_small
+from .core import (
+    Instance, Solution, build_distance_matrix, check_fields, exact_solve_small, is_int, is_number,
+)
 from .expert import HgsConfig, expert_refine, hgs_solve, initial_solution
 from .io import (
     AGGREGATE,
@@ -66,9 +68,7 @@ class BenchSpec:
     out_csv: str = "results.csv"
 
     def __post_init__(self):
-        for name, (ok, what) in _FIELD_TYPES.items():
-            if not ok(getattr(self, name)):
-                raise SpecError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        check_fields(self, _FIELD_TYPES, SpecError)
         for name in ("methods", "files"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.methods:
@@ -101,12 +101,8 @@ class BenchSpec:
             if "hgs" in kwargs:
                 kwargs["hgs"] = HgsConfig(**kwargs["hgs"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # a bad HgsConfig field included
             raise SpecError(str(exc)) from None
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 _STRINGS = (lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
@@ -116,10 +112,9 @@ _STR_OR_NONE = (lambda v: v is None or isinstance(v, str), "None or a string")
 _FIELD_TYPES = {
     "methods": _STRINGS, "files": _STRINGS, "reference": _STR_OR_NONE, "checkpoint": _STR_OR_NONE,
     "ref_table": (lambda v: v is None or isinstance(v, dict) and all(
-        isinstance(k, str) and isinstance(x, (int, float)) and not isinstance(x, bool)
-        for k, x in v.items()), "None or an object of numbers"),
-    "k_nn": (lambda v: v is None or _is_int(v) and v >= 1, "None or an integer >= 1"),
-    "seed": (_is_int, "an integer"),
+        isinstance(k, str) and is_number(x) for k, x in v.items()), "None or an object of numbers"),
+    "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),
+    "seed": (is_int, "an integer"),
     "out_csv": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -133,9 +128,9 @@ def _check_synthetic(src) -> None:
     if unknown:
         raise SpecError(f"unknown synthetic fields {sorted(unknown)}")
     for key in ("n", "count"):
-        if not (_is_int(src.get(key)) and src[key] >= 1):
+        if not (is_int(src.get(key)) and src[key] >= 1):
             raise SpecError(f"synthetic {key!r} must be an integer >= 1, got {src.get(key)!r}")
-    if "seed" in src and not _is_int(src["seed"]):
+    if "seed" in src and not is_int(src["seed"]):
         raise SpecError(f"synthetic 'seed' must be an integer, got {src['seed']!r}")
 
 
@@ -287,7 +282,7 @@ def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -
         raise SpecError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     varied = []
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise SpecError(f"{parameter} values must be integers, got {value!r}")
         if parameter == "k_nn":
             changes = {"k_nn": value}

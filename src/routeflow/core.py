@@ -29,6 +29,29 @@ class InstanceError(ValueError):
     """Raised when instance data violates a structural invariant."""
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool: JSON's ``true`` is no count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def int_at_least(low: int):
+    """The rule of ``check_fields`` for an integer field of at least ``low``."""
+    return lambda v: is_int(v) and v >= low, f"an integer >= {low}"
+
+
+def check_fields(obj, rules: dict, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first field of ``obj`` whose value fails
+    its rule; ``rules`` maps a field name to (test, what it must be)."""
+    for name, (ok, what) in rules.items():
+        value = getattr(obj, name)
+        if not ok(value):
+            raise error(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A CVRP instance: depot, customers with demands, capacity, fleet limit.
@@ -111,8 +134,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "missing" | "duplicate" | "capacity" | "fleet"
-    subject: int  # customer id, route index, or vehicle count
+    kind: str  # "unknown" | "missing" | "duplicate" | "capacity" | "fleet"
+    subject: int  # node id, customer id, route index, or vehicle count
     amount: int = 0  # overflow for "capacity", excess vehicles for "fleet"
 
 
@@ -166,19 +189,24 @@ def solution_cost(dm: np.ndarray, routes) -> float:
 
 
 def check_feasible(instance: Instance, solution: Solution) -> FeasibilityReport:
-    """Check coverage, capacity, and fleet-limit constraints.
+    """Check node ids, coverage, capacity, and fleet-limit constraints. A
+    node id outside 1..N (the depot included) is "unknown" and adds no load.
 
     Infeasibility is reported as data, never raised.
     """
     violations: list[Violation] = []
     seen: dict[int, int] = {}
     for r_idx, route in enumerate(solution.routes):
+        load = 0
         for c in route.nodes:
+            if not 1 <= c <= instance.n_customers:
+                violations.append(Violation("unknown", c))
+                continue
+            load += instance.demand_of(c)
             if c in seen:
                 violations.append(Violation("duplicate", c))
             else:
                 seen[c] = r_idx
-        load = sum(instance.demand_of(c) for c in route.nodes)
         if load > instance.capacity:
             violations.append(
                 Violation("capacity", r_idx, load - instance.capacity)

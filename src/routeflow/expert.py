@@ -37,6 +37,10 @@ from .core import (
     Route,
     Solution,
     build_distance_matrix,
+    check_fields,
+    int_at_least,
+    is_int,
+    is_number,
     knn_sparsify,
     make_solution,
     route_cost,
@@ -52,12 +56,13 @@ class HgsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError("time_budget_s must be positive")
+        check_fields(self, {
+            "population_size": int_at_least(2),
+            "max_iterations": int_at_least(0),
+            "time_budget_s": (lambda v: v is None or is_number(v) and v > 0,
+                              "None or a positive number"),
+            "seed": (is_int, "an integer"),
+        })
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
-from .core import Instance, Route, Solution, build_distance_matrix, knn_sparsify
+from .core import (
+    Instance, Route, Solution, build_distance_matrix, check_fields, int_at_least, knn_sparsify,
+)
 from .io import derive_seed
 
 LEAKY_SLOPE = 0.2
@@ -76,6 +78,7 @@ class Dims:
     mlp_hidden: int = 128
 
     def __post_init__(self):
+        check_fields(self, {name: int_at_least(1) for name in self.__dataclass_fields__})
         if self.d_units % self.n_heads != 0:
             raise ValueError("n_heads must divide d_units")
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as F
-from .core import Instance, check_feasible
+from .core import Instance, check_feasible, check_fields, int_at_least, is_int, is_number
 from .expert import HgsConfig, expert_refine
 from .io import derive_seed, generate_uniform
 from .neural import (
@@ -92,10 +92,23 @@ class TrainConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.update_ratio < 1:
-            raise ValueError("update_ratio must be >= 1")
-        if min(self.lr_gen, self.lr_disc, self.lr_logz) < 0:
-            raise ValueError("learning rates must be non-negative")
+        check_fields(self, _CONFIG_RULES)
+
+
+_INT = (is_int, "an integer")
+_NUMBER = (is_number, "a number")
+_RATE = (lambda v: is_number(v) and v >= 0, "a number >= 0")
+# TrainConfig field -> (test, what it must be)
+_CONFIG_RULES = {
+    "n": int_at_least(1), "instances_per_epoch": _INT, "n_rollouts": int_at_least(1),
+    "epsilon": _NUMBER, "update_ratio": int_at_least(1), "lr_gen": _RATE, "lr_disc": _RATE,
+    "lr_logz": _RATE, "epochs": _INT,
+    "expert_hgs": (lambda v: isinstance(v, HgsConfig), "an HgsConfig"), "m": int_at_least(1),
+    "dims": (lambda v: isinstance(v, Dims), "a Dims"),
+    "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),
+    "seed": _INT, "checkpoint_every": int_at_least(0), "grad_clip": _NUMBER,
+    "out_dir": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 # the fields a resumed run may change; every other one defines the run
@@ -226,14 +239,21 @@ def _clip_grads(grads: dict[str, np.ndarray], clip: float) -> dict[str, np.ndarr
     return grads
 
 
-def _check_finite(value: float, what: str, snapshot: dict, out_dir: str):
-    if math.isfinite(value):
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "divergence_snapshot.json")
-    with open(path, "w") as fh:
-        json.dump(snapshot | {"loss": repr(value), "where": what}, fh, indent=2)
-    raise TrainingDivergedError(f"non-finite {what}; snapshot at {path}")
+def _descend(opt: Adam, container, lifted, loss, what: str, lr_of, cfg: TrainConfig,
+             epoch: int) -> float:
+    """One Adam step on ``container`` along the clipped gradients of ``loss``
+    that reach ``lifted``, its mirror on the tape; returns the loss. A
+    non-finite loss writes a diagnostic snapshot and raises instead."""
+    loss_val = float(F.value(loss))
+    if not math.isfinite(loss_val):
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, "divergence_snapshot.json")
+        with open(path, "w") as fh:
+            json.dump({"epoch": epoch, "loss": repr(loss_val), "where": what}, fh, indent=2)
+        raise TrainingDivergedError(f"non-finite {what}; snapshot at {path}")
+    F.backward(loss)
+    opt.step(container, _clip_grads(backward_grads(lifted), cfg.grad_clip), lr_of)
+    return loss_val
 
 
 def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
@@ -255,13 +275,8 @@ def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
         residual_parts.append(lifted.log_z + log_pf - d_scores)
     pooled = F.concat(residual_parts, axis=0)
     loss = F.mean(F.square(pooled))
-    loss_val = float(F.value(loss))
-    _check_finite(loss_val, "tb_loss", {"epoch": state.epoch}, cfg.out_dir)
-    F.backward(loss)
-    grads = _clip_grads(backward_grads(lifted), cfg.grad_clip)
     lr_of = lambda name: cfg.lr_logz if name == "log_z" else cfg.lr_gen
-    state.opt_policy.step(state.policy, grads, lr_of)
-    return loss_val
+    return _descend(state.opt_policy, state.policy, lifted, loss, "tb_loss", lr_of, cfg, state.epoch)
 
 
 def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: TrainConfig,
@@ -281,11 +296,8 @@ def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: Trai
     neg_all = F.concat(neg_parts, axis=0)
     pos_all = F.concat(pos_parts, axis=0)
     loss = disc_loss(neg_all, pos_all)
-    loss_val = float(F.value(loss))
-    _check_finite(loss_val, "disc_loss", {"epoch": state.epoch}, cfg.out_dir)
-    F.backward(loss)
-    grads = _clip_grads(backward_grads(lifted), cfg.grad_clip)
-    state.opt_disc.step(state.disc, grads, lambda name: cfg.lr_disc)
+    loss_val = _descend(state.opt_disc, state.disc, lifted, loss, "disc_loss",
+                        lambda name: cfg.lr_disc, cfg, state.epoch)
     return loss_val, float(F.value(neg_all).mean())
 
 

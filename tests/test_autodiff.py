@@ -28,6 +28,7 @@ _ARCS = sorted({(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2)})
 _ROW, _COL = (np.array(c) for c in zip(*_ARCS))
 _START = np.searchsorted(_ROW, np.arange(5))
 _REV = np.array([_ARCS.index((j, i)) for i, j in _ARCS])
+_CONST = _rand(3, 1, seed=3)  # a constant left operand, broadcast over the columns
 # op -> (function of its inputs, inputs); every function runs on arrays and on Tensors
 OPS = {
     "take": (lambda x: F.take(x, _REPEATED), [_rand(3, 4)]),
@@ -48,7 +49,16 @@ OPS = {
     "sigmoid": (F.sigmoid, [_rand(3, 4)]),
     "log_sigmoid": (F.log_sigmoid, [_rand(3, 4, lo=-6.0, hi=6.0)]),
     "leaky_relu": (lambda x: F.leaky_relu(x, 0.2), [_rand(3, 4)]),
+    "add": (lambda a, b: a + b, [_rand(3, 4), _rand(1, 4, seed=1)]),
+    "radd": (lambda x: _CONST + x, [_rand(3, 4)]),
+    "sub": (lambda a, b: a - b, [_rand(3, 4), _rand(1, 4, seed=1)]),
+    "rsub": (lambda x: _CONST - x, [_rand(3, 4)]),
+    "neg": (lambda x: -x, [_rand(3, 4)]),
+    "mul": (lambda a, b: a * b, [_rand(3, 4), _rand(3, 1, seed=1)]),
+    "rmul": (lambda x: _CONST * x, [_rand(3, 4)]),
     "truediv": (lambda a, b: a / b, [_rand(3, 4), _rand(1, 4, lo=0.5, hi=2.0, seed=1)]),
+    "rtruediv": (lambda x: _CONST / x, [_rand(3, 4, lo=0.5, hi=2.0)]),
+    "reshape": (lambda x: x.reshape(2, 6), [_rand(3, 4)]),
     "getitem_slices": (lambda x: x[1:3, ::2], [_rand(4, 5)]),
     "getitem_column": (lambda x: x[:, 1], [_rand(4, 5)]),
     "sum_all": (lambda x: x.sum(), [_rand(3, 4)]),
@@ -60,6 +70,7 @@ OPS = {
     "matmul_2d_1d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, seed=1)]),
     "matmul_1d_2d": (lambda a, b: a @ b, [_rand(3), _rand(3, 4, seed=1)]),
     "matmul_2d_2d": (lambda a, b: a @ b, [_rand(3, 4), _rand(4, 2, seed=1)]),
+    "rmatmul": (lambda x: _CONST.T @ x, [_rand(3, 4)]),
     "matvec": (F.matvec, [_rand(3, 4), _rand(4, seed=1)]),
 }
 
@@ -68,13 +79,28 @@ OPS = {
 _PLUMBING = {"as_tensor", "parameter", "backward", "value"}
 
 
+def _without_a_case(names):
+    return sorted(h for h in names if not any(op == h or op.startswith(h + "_") for op in OPS))
+
+
 def test_every_dual_mode_helper_has_a_gradient_case():
     helpers = {
         name for name, fn in vars(F).items()
         if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")
     }
-    missing = {h for h in helpers - _PLUMBING if not any(op == h or op.startswith(h + "_") for op in OPS)}
-    assert not missing, f"add an OPS case for {sorted(missing)}"
+    missing = _without_a_case(helpers - _PLUMBING)
+    assert not missing, f"add an OPS case for {missing}"
+
+
+def test_every_tensor_operator_has_a_gradient_case():
+    # each arithmetic dunder and method by its bare name: ``__rsub__`` needs an "rsub" case
+    ops = {
+        name.strip("_") for name, fn in vars(F.Tensor).items()
+        if inspect.isfunction(fn) and name not in ("__init__", "_accumulate")
+    }
+    assert {"radd", "rmatmul", "getitem", "reshape", "mean"} <= ops
+    missing = _without_a_case(ops)
+    assert not missing, f"add an OPS case for {missing}"
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -163,11 +189,7 @@ class TestMatvec:
 
 
 # the ops that pass gradients to two or more operands, each of which may be a constant
-_BINARY = {
-    "add": (lambda a, b: a + b, [_rand(3, 4), _rand(1, 4, seed=1)]),
-    "mul": (lambda a, b: a * b, [_rand(3, 4), _rand(3, 1, seed=1)]),
-    **{name: OPS[name] for name in OPS if len(OPS[name][1]) == 2},
-}
+_BINARY = {name: OPS[name] for name in OPS if len(OPS[name][1]) == 2}
 
 
 @pytest.mark.parametrize("position", [0, 1])

@@ -304,6 +304,18 @@ def heads_that_do_not_divide_the_units(payload):
     payload["dims"]["n_heads"] = 3
 
 
+def zero_heads(payload):
+    payload["dims"]["n_heads"] = 0
+
+
+def fractional_heads(payload):
+    payload["dims"]["n_heads"] = 2.0
+
+
+def boolean_heads(payload):
+    payload["dims"]["n_heads"] = True
+
+
 def unknown_config_field(payload):
     payload["config"]["epochz"] = 1
 
@@ -382,6 +394,9 @@ def history_of_numbers(payload):
     (wrongly_shaped_moment, "shape mismatch for second moment edge_mlp.b1"),
     (unknown_dims_field, "bad checkpoint field 'dims'"),
     (heads_that_do_not_divide_the_units, "bad checkpoint field 'dims'"),
+    (zero_heads, "bad checkpoint field 'dims'"),
+    (fractional_heads, "bad checkpoint field 'dims'"),
+    (boolean_heads, "bad checkpoint field 'dims'"),
     (unknown_config_field, "bad checkpoint field 'config'"),
     (unknown_nested_config_field, "bad checkpoint field 'config'"),
     (config_list, "bad checkpoint field 'config'"),
@@ -417,6 +432,9 @@ def policy_state_number(payload):
 @pytest.mark.parametrize("damage, message", [
     (unknown_dims_field, "bad checkpoint field 'dims'"),
     (heads_that_do_not_divide_the_units, "bad checkpoint field 'dims'"),
+    (zero_heads, "bad checkpoint field 'dims'"),
+    (fractional_heads, "bad checkpoint field 'dims'"),
+    (boolean_heads, "bad checkpoint field 'dims'"),
     (policy_parameter_list, "checkpoint field 'arrays' is not an object"),
     (policy_state_number, "checkpoint field 'state' is not an object"),
 ])

@@ -141,6 +141,29 @@ class TestBadSpecs:
         assert cli.main(["bench", "--spec", str(path), "--out", str(out)]) == cli.EXIT_SPEC
         assert not out.exists()
 
+    @pytest.mark.parametrize("hgs", [
+        {"population_size": 3.5}, {"max_iterations": 2.5}, {"max_iterations": True},
+        {"time_budget_s": "1"}, {"time_budget_s": 0}, {"seed": 1.0},
+    ], ids=repr)
+    def test_badly_typed_hgs_fields_exit_2(self, hgs, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", methods=["hgs"], hgs=hgs)
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--spec", spec, "--out", str(out)]) == cli.EXIT_SPEC
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"n": "20"}, {"n": 0}, {"n_rollouts": 2.0}, {"m": 0}, {"epsilon": True},
+        {"lr_gen": "0.1"}, {"checkpoint_every": -1}, {"k_nn": 2.5}, {"out_dir": 5},
+        {"expert_hgs": {"population_size": 3.5}}, {"dims": {"n_heads": 0}},
+    ], ids=repr)
+    def test_badly_typed_train_config_fields_exit_2(self, config, tmp_path):
+        # zero epochs: a config that is let through ends at once with exit 0
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"epochs": 0} | config))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out-dir", str(run)]) == cli.EXIT_SPEC
+        assert not run.exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{methods: ")

@@ -9,6 +9,8 @@ from routeflow.core import (
     ROUNDED,
     Instance,
     InstanceError,
+    Route,
+    Solution,
     TooLargeError,
     build_distance_matrix,
     check_feasible,
@@ -144,6 +146,15 @@ class TestFeasibility:
         sol = make_solution(inst, dm, [[1], [2]])
         report = check_feasible(inst, sol)
         assert [(v.kind, v.amount) for v in report.violations] == [("fleet", 1)]
+
+    @pytest.mark.parametrize("node", [0, -1, 5, 7])
+    def test_a_node_outside_the_customers_is_unknown_and_adds_no_load(self, node):
+        # 0 and -1 would read another customer's demand, and 5 and 7 are past the end
+        inst = Instance((0, 0), ((1, 0), (0, 1), (1, 1), (2, 0)), (4, 4, 4, 4), 8)
+        sol = Solution((Route((1, node, 2), 8), Route((3, 4), 8)), 0.0)
+        report = check_feasible(inst, sol)
+        assert not report.feasible
+        assert [(v.kind, v.subject) for v in report.violations] == [("unknown", node)]
 
     def test_cached_cost_matches_recomputation(self):
         for seed in range(30):

@@ -159,6 +159,18 @@ class TestSplit:
 
 
 class TestHgs:
+    @pytest.mark.parametrize("fields", [
+        {"population_size": 3.5}, {"population_size": True}, {"population_size": 1},
+        {"max_iterations": 2.5}, {"max_iterations": -1}, {"time_budget_s": "1"},
+        {"time_budget_s": 0}, {"time_budget_s": True}, {"seed": 1.0}, {"seed": None},
+    ], ids=repr)
+    def test_a_bad_config_field_is_a_value_error(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            HgsConfig(**fields)
+
+    def test_a_time_budget_may_be_an_integer(self):
+        assert HgsConfig(time_budget_s=2).time_budget_s == 2
+
     def test_matches_exact_on_tiny(self):
         hits = 0
         for seed in range(40):

@@ -206,6 +206,14 @@ class TestEdgeIndex:
 
 
 class TestInit:
+    @pytest.mark.parametrize("fields", [
+        {"n_layers": 0}, {"n_heads": 0}, {"n_heads": 2.0}, {"n_heads": True}, {"d_units": "8"},
+        {"mlp_hidden": -1},
+    ], ids=repr)
+    def test_a_bad_dims_field_is_a_value_error(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            Dims(**{"n_heads": 2, "d_units": 8} | fields)
+
     def test_deterministic(self):
         a = init_params(SMALL, 9)
         b = init_params(SMALL, 9)
