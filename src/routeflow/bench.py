@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import glob as globlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, replace
@@ -112,7 +113,8 @@ _STR_OR_NONE = (lambda v: v is None or isinstance(v, str), "None or a string")
 _FIELD_TYPES = {
     "methods": _STRINGS, "files": _STRINGS, "reference": _STR_OR_NONE, "checkpoint": _STR_OR_NONE,
     "ref_table": (lambda v: v is None or isinstance(v, dict) and all(
-        isinstance(k, str) and is_number(x) for k, x in v.items()), "None or an object of numbers"),
+        isinstance(k, str) and is_number(x) and 0 < x < math.inf for k, x in v.items()),
+        "None or an object of finite positive numbers"),
     "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),
     "seed": (is_int, "an integer"),
     "out_csv": (lambda v: isinstance(v, str), "a string"),

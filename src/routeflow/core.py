@@ -146,7 +146,11 @@ class FeasibilityReport:
 
 
 def make_route(instance: Instance, nodes) -> Route:
+    """The route over ``nodes`` and its load; a node id outside 1..N raises InstanceError."""
     nodes = tuple(int(v) for v in nodes)
+    for c in nodes:
+        if not 1 <= c <= instance.n_customers:
+            raise InstanceError(f"route node {c} is not a customer id in 1..{instance.n_customers}")
     return Route(nodes, sum(instance.demand_of(c) for c in nodes))
 
 

@@ -14,11 +14,10 @@ modification stamps skip route pairs that have not changed since they were
 last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
 move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
 
-A search that runs long enough forks one helper process, which educates
-(splits and local-searches) a prediction of the next child while this
-process educates the current one. A prediction is used only when its giant
-tour equals the child actually drawn, so every host, with one CPU or many,
-returns the serial search's output.
+A search that runs long enough educates (splits and local-searches) the
+next tour ahead on a forked helper process, ``_Helper``, whose docstring
+holds the protocol; every host, with one CPU or many, returns the serial
+search's output.
 """
 
 from __future__ import annotations
@@ -552,23 +551,59 @@ def _serve(conn, parent_end, from_tour) -> None:
 
 
 class _Helper:
-    """A forked process that educates one giant tour at a time for
-    ``hgs_solve``: ``send`` a tour, then take its ``result``. ``sent`` is the
-    tour in flight, or None."""
+    """Educates the giant tours of one ``hgs_solve``, some of them ahead on a
+    forked process.
 
-    def __init__(self, from_tour):
-        import multiprocessing
+    ``educate(tour, upcoming)`` returns ``from_tour(tour)``. When ``tour``
+    is the tour in flight, it takes the process's individual instead, or
+    raises what its education raised. Otherwise, when the caller passes
+    ``upcoming`` (a thunk for the tour it expects to educate next), the
+    process is sent ``upcoming()`` while this process educates ``tour``;
+    one tour is in flight at a time, and a missed one's result is dropped
+    once it has arrived (with any exception it carries), so the caller never
+    waits for unneeded work. The process is forked, if ``_may_fork`` allows,
+    at the first call with an ``upcoming`` once the solve has run
+    ``_FORK_AFTER_S``, and never after a refusal. A process that dies raises
+    ``RuntimeError`` naming its exit code. ``close`` kills and reaps it.
+    Education is a function of the tour alone, so the individuals are the
+    serial search's whatever the host.
+    """
 
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(child_end, self.conn, from_tour), daemon=True)
-        self.proc.start()
-        child_end.close()
-        self.sent: list[int] | None = None
+    def __init__(self, from_tour, start: float):
+        self.from_tour = from_tour
+        self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
+        self.proc = None
+        self.conn = None
+        self.sent: list[int] | None = None  # the tour in flight
 
-    def send(self, tour: list[int]) -> None:
-        self.conn.send(tour)
-        self.sent = tour
+    def educate(self, tour: list[int], upcoming=None) -> _Individual:
+        if tour == self.sent:
+            msg = self._receive()
+            if isinstance(msg, Exception):
+                raise msg
+            return msg
+        if upcoming is not None and self._forked():
+            if self.sent is not None and self.conn.poll():
+                self._receive()  # the search never drew that tour
+            if self.sent is None:
+                self.sent = upcoming()
+                self.conn.send(self.sent)
+        return self.from_tour(tour)
+
+    def _forked(self) -> bool:
+        if self.fork_at is not None and time.monotonic() >= self.fork_at:
+            self.fork_at = None
+            if _may_fork():
+                import multiprocessing
+
+                ctx = multiprocessing.get_context("fork")
+                self.conn, child_end = ctx.Pipe()
+                self.proc = ctx.Process(
+                    target=_serve, args=(child_end, self.conn, self.from_tour), daemon=True
+                )
+                self.proc.start()
+                child_end.close()
+        return self.proc is not None
 
     def _receive(self):
         try:
@@ -579,23 +614,11 @@ class _Helper:
         self.sent = None
         return msg
 
-    def result(self) -> _Individual:
-        """The individual of the tour in flight; raises what its education raised."""
-        msg = self._receive()
-        if isinstance(msg, Exception):
-            raise msg
-        return msg
-
-    def drop_if_done(self) -> None:
-        """Discard the result of the tour in flight if it has arrived, and
-        any exception it carries: the search never drew that tour."""
-        if self.sent is not None and self.conn.poll():
-            self._receive()
-
     def close(self) -> None:
-        self.proc.kill()
-        self.proc.join()
-        self.conn.close()
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.join()
+            self.conn.close()
 
 
 def hgs_solve(
@@ -613,16 +636,11 @@ def hgs_solve(
     generations; bit-determinism across runs holds when ``max_iterations``
     binds first.
 
-    Once a solve has run ``_FORK_AFTER_S``, it forks one helper process if
-    ``_may_fork`` allows. The helper educates every other tour of the initial
-    population. Then, in each generation whose child the parent educates,
-    the helper educates a prediction of the next child (unless a missed one
-    is still in flight): drawn on the current population from a copy of the
-    random state, before this child lands. The next generation takes the
-    helper's individual only when the predicted tour equals the tour it
-    draws, and educates its child itself otherwise. Education is a function
-    of the tour alone, so the output is the serial search's, bit for bit,
-    whatever the host.
+    Every tour is educated through a ``_Helper``, which may educate the
+    next one ahead on a forked process (see its docstring): each initial
+    tour's next is the following initial tour, and each child's next is a
+    prediction drawn on the current population from a copy of the random
+    state. The output is the serial search's, bit for bit, whatever the host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -652,18 +670,6 @@ def hgs_solve(
             routes = split_giant_tour(D, demand, q, tour, None)
         return evaluate(routes)
 
-    helper: _Helper | None = None
-    decided = False  # set once the fork is decided, either way
-
-    def ahead() -> _Helper | None:
-        """The helper, forked at the first call after ``_FORK_AFTER_S``."""
-        nonlocal helper, decided
-        if not decided and time.monotonic() - start_time >= _FORK_AFTER_S:
-            decided = True
-            if _may_fork():
-                helper = _Helper(from_tour)
-        return helper
-
     population: list[_Individual] = []
     sweep = initial_solution(instance, cfg.seed, dm)
     population.append(evaluate([list(r.nodes) for r in sweep.routes]))
@@ -675,45 +681,35 @@ def hgs_solve(
     tours = [
         [int(c) for c in rng.permutation(base)] for _ in range(cfg.population_size - len(population))
     ]
+    shadow = np.random.default_rng(cfg.seed)  # draws the predictions
+
+    def predict() -> list[int]:
+        shadow.bit_generator.state = rng.bit_generator.state
+        return _draw_child(shadow, population)
+
+    helper = _Helper(from_tour, start_time)
     try:
-        k = 0
-        while k < len(tours):
-            if ahead() is not None and k + 1 < len(tours):
-                helper.send(tours[k + 1])
-                population.append(from_tour(tours[k]))
-                population.append(helper.result())
-                k += 2
-            else:
-                population.append(from_tour(tours[k]))
-                k += 1
+        for k, tour in enumerate(tours):
+            upcoming = (lambda: tours[k + 1]) if k + 1 < len(tours) else None
+            population.append(helper.educate(tour, upcoming))
 
         best = min(
             (ind for ind in population if ind.feasible),
             key=lambda ind: ind.cost,
             default=None,
         )
-        shadow = np.random.default_rng(cfg.seed)  # draws the predictions
         for it in range(cfg.max_iterations):
             if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
                 break
             child = _draw_child(rng, population)
-            if helper is not None and helper.sent == child:
-                ind = helper.result()
-            else:
-                if ahead() is not None and it + 1 < cfg.max_iterations:
-                    helper.drop_if_done()
-                    if helper.sent is None:
-                        shadow.bit_generator.state = rng.bit_generator.state
-                        helper.send(_draw_child(shadow, population))
-                ind = from_tour(child)
+            ind = helper.educate(child, predict if it + 1 < cfg.max_iterations else None)
             if ind.feasible and (best is None or ind.cost < best.cost):
                 best = ind
             population.append(ind)
             if len(population) > cfg.population_size:
                 population = _survivors(population, cfg.population_size)
     finally:
-        if helper is not None:
-            helper.close()
+        helper.close()
 
     if best is None:
         raise InstanceError("no fleet-feasible solution found; raise the budget")
@@ -881,13 +877,8 @@ def expert_refine(
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
-    Each subproblem's matrix is sliced from ``dm``.
-
-    The clusters run on min(cluster count, usable CPUs) worker processes,
-    largest first, or in this process when that is below two; the result
-    does not depend on the schedule. Each cluster's search is capped by
-    ``time_budget_s / k`` of its own, with clusters running at the same time
-    (see ``solve_subproblems``).
+    Each subproblem's matrix is sliced from ``dm``. ``solve_subproblems``
+    says how the clusters share the workers and the budget.
     """
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
     partials = solve_subproblems(subproblems, cfg, dm)

@@ -100,9 +100,10 @@ _NUMBER = (is_number, "a number")
 _RATE = (lambda v: is_number(v) and v >= 0, "a number >= 0")
 # TrainConfig field -> (test, what it must be)
 _CONFIG_RULES = {
-    "n": int_at_least(1), "instances_per_epoch": _INT, "n_rollouts": int_at_least(1),
-    "epsilon": _NUMBER, "update_ratio": int_at_least(1), "lr_gen": _RATE, "lr_disc": _RATE,
-    "lr_logz": _RATE, "epochs": _INT,
+    "n": int_at_least(1), "instances_per_epoch": int_at_least(0), "n_rollouts": int_at_least(1),
+    "epsilon": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "update_ratio": int_at_least(1), "lr_gen": _RATE, "lr_disc": _RATE, "lr_logz": _RATE,
+    "epochs": int_at_least(0),
     "expert_hgs": (lambda v: isinstance(v, HgsConfig), "an HgsConfig"), "m": int_at_least(1),
     "dims": (lambda v: isinstance(v, Dims), "a Dims"),
     "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),

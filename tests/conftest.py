@@ -1,7 +1,16 @@
+import multiprocessing
 import os
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process alive: a helper or a pool
+    must be reaped by the code that started it, on every path."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

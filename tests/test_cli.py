@@ -129,7 +129,9 @@ class TestBadSpecs:
 
     @pytest.mark.parametrize("field, value", [
         (None, 5), (None, [1]), ("methods", 5), ("files", 5), ("files", [5]), ("seed", "a"),
-        ("ref_table", 3), ("out_csv", 7), ("checkpoint", 7),
+        ("ref_table", 3), ("out_csv", 7), ("checkpoint", 7), ("ref_table", {"x": 0}),
+        ("ref_table", {"x": -3.5}), ("ref_table", {"x": float("nan")}),
+        ("ref_table", {"x": float("inf")}),
     ], ids=repr)
     def test_badly_typed_fields_exit_2(self, field, value, tmp_path):
         path = tmp_path / "spec.json"
@@ -154,7 +156,8 @@ class TestBadSpecs:
     @pytest.mark.parametrize("config", [
         {"n": "20"}, {"n": 0}, {"n_rollouts": 2.0}, {"m": 0}, {"epsilon": True},
         {"lr_gen": "0.1"}, {"checkpoint_every": -1}, {"k_nn": 2.5}, {"out_dir": 5},
-        {"expert_hgs": {"population_size": 3.5}}, {"dims": {"n_heads": 0}},
+        {"expert_hgs": {"population_size": 3.5}}, {"dims": {"n_heads": 0}}, {"epsilon": 1.5},
+        {"epsilon": -0.2}, {"epsilon": float("nan")}, {"epochs": -3}, {"instances_per_epoch": -2},
     ], ids=repr)
     def test_badly_typed_train_config_fields_exit_2(self, config, tmp_path):
         # zero epochs: a config that is let through ends at once with exit 0

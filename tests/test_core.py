@@ -156,6 +156,14 @@ class TestFeasibility:
         assert not report.feasible
         assert [(v.kind, v.subject) for v in report.violations] == [("unknown", node)]
 
+    @pytest.mark.parametrize("node", [0, -2, 5])
+    def test_make_route_refuses_a_node_outside_the_customers(self, node):
+        # 0 and -2 would record demands[-1] = 4 and demands[-3] = 2 as load
+        inst = Instance((0, 0), ((1, 0), (0, 1), (1, 1), (2, 0)), (1, 2, 3, 4), 10)
+        with pytest.raises(InstanceError, match=f"route node {node} "):
+            make_route(inst, [node, 1])
+        assert make_route(inst, [4, 1]).load == 5
+
     def test_cached_cost_matches_recomputation(self):
         for seed in range(30):
             inst = generate_uniform(10, seed)

@@ -76,6 +76,37 @@ class TestInitialSolution:
             sol = initial_solution(inst, seed, build_distance_matrix(inst))
             assert check_feasible(inst, sol).feasible
 
+    # Customers on a circle in sweep order, capacity 10. At every starting
+    # customer the sweep's greedy fill opens more routes than the fleet
+    # limit: (4, 7, 4, 7) can merge its two 4s; (4, 5, 3, 5, 3) has no pair
+    # of routes that fits together, but packs into two; (6, 3, 6, 3, 2)
+    # holds 20 units with no subset of 10, so two routes cannot hold it.
+    @pytest.mark.parametrize("demands, limit, repair, n_routes", [
+        ((4, 7, 4, 7), 3, "merge", 3),
+        ((4, 5, 3, 5, 3), 2, "pack", 2),
+        ((6, 3, 6, 3, 2), 2, "none", 3),
+    ])
+    def test_a_tight_fleet_is_repaired(self, demands, limit, repair, n_routes, monkeypatch):
+        packed = []
+        real = expert._pack_into_bins
+        monkeypatch.setattr(expert, "_pack_into_bins", lambda *a: packed.append(real(*a)) or packed[-1])
+        n = len(demands)
+        angles = [-math.pi + (k + 0.5) * 2 * math.pi / n for k in range(n)]
+        coords = tuple((math.cos(a), math.sin(a)) for a in angles)
+        inst = Instance((0.0, 0.0), coords, demands, 10, fleet_limit=limit)
+        for seed in range(25):  # these seeds start the sweep at every customer
+            packed.clear()
+            sol = initial_solution(inst, seed, build_distance_matrix(inst))
+            assert sol.n_routes == n_routes
+            if repair == "merge":
+                assert packed == []
+            else:
+                assert len(packed) == 1 and (packed[0] is None) == (repair == "none")
+            # every route fits and every customer is served once; only the
+            # fleet may be exceeded, as initial_solution documents
+            kinds = [v.kind for v in check_feasible(inst, sol).violations]
+            assert kinds == ([] if n_routes <= limit else ["fleet"])
+
 
 class TestSplit:
     def test_split_optimal_against_enumeration(self):

@@ -33,7 +33,8 @@ def tiny_config(out_dir, **fields):
     {"update_ratio": True}, {"lr_gen": -1e-3}, {"lr_disc": None}, {"lr_logz": False},
     {"epochs": 2.0}, {"m": 0}, {"k_nn": 0}, {"seed": 1.5}, {"checkpoint_every": -1},
     {"grad_clip": "10"}, {"out_dir": 5}, {"expert_hgs": {"population_size": 4}},
-    {"dims": {"n_heads": 2}},
+    {"dims": {"n_heads": 2}}, {"epsilon": 1.5}, {"epsilon": -0.2}, {"epsilon": float("nan")},
+    {"epochs": -3}, {"instances_per_epoch": -2},
 ], ids=repr)
 def test_a_bad_config_field_is_a_value_error(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
@@ -43,6 +44,7 @@ def test_a_bad_config_field_is_a_value_error(fields):
 def test_rates_and_epsilon_may_be_integers():
     cfg = training.TrainConfig(epsilon=0, lr_gen=1, lr_disc=0, lr_logz=1, grad_clip=5)
     assert (cfg.epsilon, cfg.lr_gen, cfg.grad_clip) == (0, 1, 5)
+    assert training.TrainConfig(epsilon=1, epochs=0, instances_per_epoch=0).epsilon == 1
 
 
 def arrays(state):
