@@ -17,14 +17,15 @@ builds routes step by step under capacity and visit masks. A pair's logit
 depends on the arc alone and every candidate is an arc of the sparse graph,
 so ``encode_graph`` scores each arc once into an (E,) logit table, and a
 step's logits are one gather by the arc ids of the slots of each run's
-current CSR row. Batched rollouts advance together on array state that
+current CSR row. One ``_walk`` advances a batch of runs on array state that
 holds only the runs still going (current node, residual load, visited mask,
-visited count), record each step's arc, and cost each route from its arcs'
-lengths; ``batch_log_pf`` replays fixed trajectories once on the same state
-into flat (step, candidate) arc ids, scored with one gather and a segment
-log-sum-exp on the tape. Both reproduce, bit for bit, a reference decoder
-that lives with the tests (``tests/reference_decoder.py``). The
-discriminator reuses the encoder and scores a trajectory by its arcs.
+visited count) by the slots its chooser picks: a rollout's by the policy's
+probabilities, ``batch_log_pf``'s by the given episodes' actions. A walk
+may record its flat (step, candidate) arc ids, which one gather and a
+segment log-sum-exp score on the tape; so ``scored_rollouts`` samples and
+scores in one walk. Rollouts and scores match, bit for bit, a reference
+decoder in the tests (``tests/reference_decoder.py``). The discriminator
+reuses the encoder and scores a trajectory by its arcs.
 
 Every network pass reads one per-instance ``InstanceGraph``: the instance,
 its distance matrix, the symmetrized k-NN ``EdgeIndex`` and the
@@ -42,7 +43,7 @@ gradients and ``training.Adam`` read nothing else. ``lift`` mirrors a
 container into autodiff Tensors for training under the same ``_STATE``
 rule, and the same forward code serves both modes: ``encode_graph`` on a
 lifted policy puts the logit table on the tape, where the rollouts read its
-values and ``batch_log_pf`` differentiates through it. Batch-norm running
+values and their scores differentiate through it. Batch-norm running
 statistics update exactly when a training-mode forward runs on the tape.
 """
 
@@ -60,7 +61,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as F
 from .core import (
-    Instance, Route, Solution, build_distance_matrix, check_fields, int_at_least, knn_sparsify,
+    Instance, Route, Solution, build_distance_matrix, check_fields, int_at_least, is_number,
+    knn_sparsify,
 )
 from .io import derive_seed
 
@@ -563,8 +565,50 @@ def _sample(probs: np.ndarray, draw: np.ndarray) -> np.ndarray:
     return (cdf > draw[:, None]).argmax(axis=1)
 
 
-def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> list[Trajectory]:
-    """One rollout per seed, all advanced together on ``_Runs`` state.
+def _walk(graph: InstanceGraph, count: int, choose, tape: list | None = None) -> np.ndarray:
+    """Advance ``count`` runs on ``_Runs`` state, each until it finishes,
+    by the slots that ``choose(step, rows, arc, mask)`` gives the runs still
+    going. Returns the (count, 2 * n_customers) arc ids taken, -1 past a
+    run's end. A ``tape`` list gets each step's flat entries: the arc id and
+    step of each valid slot, the taken slot's entry and the step's runs."""
+    runs, dst = _Runs(graph, count), graph.ei.dst
+    taken = np.full((count, 2 * graph.instance.n_customers), -1, dtype=np.int64)
+    step = n_steps = n_entries = 0
+    while runs.rows.size:
+        rows = runs.rows
+        arc, mask = runs.candidates()
+        if not mask.any(axis=1).all():
+            raise RuntimeError("no valid action in a non-terminal state")
+        pick = choose(step, rows, arc, mask)
+        at = np.arange(rows.size)
+        taken[rows, step] = chosen = arc[at, pick]
+        if tape is not None:
+            valid, width = np.flatnonzero(mask), mask.shape[1]
+            tape.append((arc.reshape(-1)[valid], n_steps + valid // width,
+                         n_entries + np.searchsorted(valid, at * width + pick), rows))
+            n_steps, n_entries = n_steps + rows.size, n_entries + valid.size
+        step += 1
+        done = runs.apply(dst[chosen])
+        if done.any():
+            runs.keep(~done)
+    return taken
+
+
+def _score(logits, tape: list, count: int):
+    """(count,) log-probabilities of the runs of a ``_walk`` tape: one gather
+    of the arc logit table, one segment log-sum-exp over the steps and one
+    segment sum into the runs, so the autodiff tape grows by O(1) nodes,
+    not by steps, and the pair MLP does not run here."""
+    no_steps = (np.zeros(0, dtype=np.int64),) * 4  # so that an empty tape still concatenates
+    arc, step, pick, owner = (np.concatenate(col) for col in zip(no_steps, *tape))
+    logits = F.take(logits, arc)
+    steps = F.take(logits, pick) - F.segment_logsumexp(logits, step, len(pick))
+    return F.segment_sum(steps, owner, count)
+
+
+def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
+            tape: list | None = None) -> list[Trajectory]:
+    """One rollout per seed, all on one ``_walk``, which records ``tape``.
 
     Rollout t reads ``default_rng(seeds[t])`` as one stream of doubles, as
     a lone rollout would: a sample takes one draw and compares it with the
@@ -572,30 +616,25 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
     before it. A rollout takes at most 2 * n_customers steps, so its largest
     possible share of the stream is drawn up front; in sample mode, column
     ``step``. A step gathers the candidates' logits from the values of
-    ``ctx.logits`` by arc id (so a context on the tape serves as well),
-    picks a slot and records its arc, whose head is the action; a run leaves
-    the state in the step it finishes. Route costs add the taken arcs'
-    lengths and loads the demands; the distance matrix is not read.
+    ``ctx.logits`` by arc id (so a context on the tape serves as well) and
+    picks a slot, whose arc's head is the action. Route costs add the taken
+    arcs' lengths and loads the demands; the distance matrix is not read.
     """
     if mode not in (GREEDY, EPSILON_GREEDY, SAMPLE):
         raise ValueError(f"unknown mode {mode!r}")
+    if not (is_number(epsilon) and 0 <= epsilon <= 1):
+        raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+    if not seeds:
+        raise ValueError("count must be >= 1")
     ei, table = ctx.graph.ei, F.value(ctx.logits)
     count, max_steps = len(seeds), 2 * ctx.graph.instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
-    used = np.zeros(count, dtype=np.int64)
-    runs = _Runs(ctx.graph, count)
-    taken = np.zeros((count, max_steps), dtype=np.int64)  # arc id of each step
-    lengths, log_pf = np.zeros(count, dtype=np.int64), np.zeros(count)
-    step = 0
-    while runs.rows.size:
-        rows = runs.rows
-        arc, mask = runs.candidates()
-        sizes = mask.sum(axis=1)
-        if not sizes.all():
-            raise RuntimeError("no valid action in a non-terminal state")
+    used, log_pf = np.zeros(count, dtype=np.int64), np.zeros(count)
+
+    def choose(step, rows, arc, mask):
         valid, probs = np.flatnonzero(mask), np.zeros(mask.shape)
-        probs.reshape(-1)[valid] = _softmax_runs(table[arc.reshape(-1)[valid]], sizes)
+        probs.reshape(-1)[valid] = _softmax_runs(table[arc.reshape(-1)[valid]], mask.sum(axis=1))
         pick = _sample(probs, draws[rows, step]) if mode == SAMPLE else probs.argmax(axis=1)
         if mode == EPSILON_GREEDY:
             explore = np.flatnonzero(draws[rows, used[rows]] < epsilon)
@@ -604,17 +643,12 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float) -> 
                 sampled = rows[explore]
                 pick[explore] = _sample(probs[explore], draws[sampled, used[sampled]])
                 used[sampled] += 1
-        at = np.arange(rows.size)
-        log_pf[rows] += np.log(probs[at, pick])
-        taken[rows, step] = chosen = arc[at, pick]
-        step += 1
-        done = runs.apply(ei.dst[chosen])
-        if done.any():
-            lengths[rows[done]] = step
-            runs.keep(~done)
-    out, demand = [], runs.demand.tolist()
-    for t in range(count):
-        ids = taken[t, : lengths[t]]
+        log_pf[rows] += np.log(probs[np.arange(rows.size), pick])
+        return pick
+
+    out, demand = [], [0, *map(int, ctx.graph.instance.demands)]
+    for t, ids in enumerate(_walk(ctx.graph, count, choose, tape)):
+        ids = ids[ids >= 0]
         actions = ei.dst[ids].tolist()
         # route costs from 0.0, return arc last, total from 0: core.make_solution's float order
         routes, total, cost, nodes = [], 0, 0.0, []
@@ -654,44 +688,21 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
     its own rows, so rollout t equals ``rollout(seed=derive_seed(seed, t))``
     bit for bit.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return _decode(ctx, [derive_seed(seed, t) for t in range(count)], mode, epsilon)
+
+
+def scored_rollouts(ctx: DecodeContext, count: int, seed: int) -> tuple[list[Trajectory], F.Tensor]:
+    """``batch_rollouts(..., count, SAMPLE, seed)`` on ``ctx`` and their
+    ``batch_log_pf``, bit for bit, from one walk that records the tape that
+    scores them: a lifted ``ctx`` puts the scores on the autodiff tape."""
+    tape = []
+    trajectories = _decode(ctx, [derive_seed(seed, t) for t in range(count)], SAMPLE, 0.0, tape)
+    return trajectories, _score(ctx.logits, tape, count)
 
 
 def best_of(trajectories: list[Trajectory]) -> Trajectory:
     """Minimum-cost trajectory, ties to the earliest index."""
     return min(trajectories, key=lambda t: t.solution.total_cost)
-
-
-def _replay(graph: InstanceGraph, sequences: list) -> tuple[np.ndarray, ...]:
-    """Sequences replayed once in lockstep on ``_Runs`` state, which each
-    leaves after its last action, into flat arrays: the arc id and step of
-    each (step, valid slot) entry; each step's action's entry (-1 if not
-    admissible) and sequence, one step per action."""
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    actions = np.zeros((len(sequences), lengths.max(initial=0)), dtype=np.int64)
-    for t, seq in enumerate(sequences):
-        actions[t, : len(seq)] = seq
-    runs = _Runs(graph, len(sequences))
-    parts = [(np.zeros(0, dtype=np.int64),) * 4]  # so that no steps still concatenate
-    n_steps = n_entries = 0
-    for k in range(actions.shape[1]):
-        if (lengths[runs.rows] == k).any():
-            runs.keep(lengths[runs.rows] > k)
-        rows = runs.rows
-        arc, mask = runs.candidates()
-        valid = np.flatnonzero(mask)
-        entries = arc.reshape(-1)[valid]
-        run = valid // mask.shape[1]
-        a = actions[rows, k]
-        hit = np.flatnonzero(graph.ei.dst[entries] == a[run])  # at most one per run
-        pick = np.full(rows.size, -1)
-        pick[run[hit]] = n_entries + hit
-        parts.append((entries, n_steps + run, pick, rows))
-        n_steps, n_entries = n_steps + rows.size, n_entries + entries.size
-        runs.apply(a)
-    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
@@ -700,23 +711,33 @@ def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
 
 
 def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor:
-    """Differentiable forward log-probabilities of fixed action sequences.
+    """Differentiable forward log-probabilities of fixed action sequences,
+    each one whole episode.
 
     Scores from the arc logit table of ``ctx``, which ``encode_graph`` built
-    from the policy (a lifted one for gradients). The trajectories are replayed
-    once, in numpy, into a flat tape of (step, candidate) arc ids, each
-    step's ids read from the valid slots of its current node's CSR row; the
-    logits then come from one gather of the table, one segment log-sum-exp
-    over the steps and one segment sum into the trajectories, so the tape
-    grows by O(1) nodes, not by steps, and the pair MLP does not run here.
+    from the policy (a lifted one for gradients). One ``_walk`` forces the
+    sequences, each step taking the valid slot whose head (one at most) is
+    the next action without reading logits, and its tape is scored as
+    ``scored_rollouts`` scores its own. A sequence with an inadmissible
+    action, or that ends before or after its episode, raises ValueError.
     Returns a (T,) tensor (an array in array mode).
     """
-    arc, step, pick, owner = _replay(ctx.graph, [t.actions for t in trajectories])
-    if (pick < 0).any():
-        raise ValueError("a trajectory takes an action that is not admissible")
-    logits = F.take(ctx.logits, arc)
-    steps = F.take(logits, pick) - F.segment_logsumexp(logits, step, len(pick))
-    return F.segment_sum(steps, owner, len(trajectories))
+    lengths = np.array([len(t.actions) for t in trajectories], dtype=np.int64)
+    actions = np.full((lengths.size, lengths.max(initial=0) + 1), -1)  # -1 past a sequence's end
+    for t, traj in enumerate(trajectories):
+        actions[t, : lengths[t]] = traj.actions
+
+    def forced(step, rows, arc, mask):
+        hit = mask & (ctx.graph.ei.dst[np.where(mask, arc, 0)] == actions[rows, step, None])
+        if not hit.any(axis=1).all():
+            raise ValueError("a trajectory takes an action that is not admissible or stops early")
+        return hit.argmax(axis=1)
+
+    tape = []
+    taken = _walk(ctx.graph, lengths.size, forced, tape)
+    if ((taken >= 0).sum(axis=1) != lengths).any():
+        raise ValueError("a trajectory goes on after its episode ends")
+    return _score(ctx.logits, tape, lengths.size)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ A training step builds each instance's ``neural.InstanceGraph`` (distance
 matrix, sparse edge index, node features) once, with ``instance_graph`` at
 ``TrainConfig.k_nn``, and every encoder pass of the step reads that object.
 A generator update encodes each instance once, on the lifted policy, and
-scores its rollouts with the frozen discriminator through the
-``disc_traj_scores_t`` that the discriminator update trains through.
+walks the decoder once: ``scored_rollouts`` samples the rollouts with their
+log-probabilities on the tape, and the frozen discriminator scores them by
+the ``disc_traj_scores_t`` that the discriminator update trains through.
 Positives are action sequences, scored only by the discriminator. The
 frozen encodings are also built once per step: the discriminator's for the
 generator updates, the updated policy's for the negatives and the greedy
@@ -38,11 +39,9 @@ from .neural import (
     DiscParams,
     EPSILON_GREEDY,
     GREEDY,
-    SAMPLE,
     InstanceGraph,
     PolicyParams,
     backward_grads,
-    batch_log_pf,
     batch_rollouts,
     best_of,
     container_payload,
@@ -60,6 +59,7 @@ from .neural import (
     read_field,
     read_object,
     rollout,
+    scored_rollouts,
     trajectory_from_solution,
     write_payload,
 )
@@ -88,7 +88,7 @@ class TrainConfig:
     k_nn: int | None = None  # None: quarter of the node count
     seed: int = 0
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
-    grad_clip: float = 10.0
+    grad_clip: float = 10.0  # bound on the global gradient norm; 0 clips nothing
     out_dir: str = "runs"
 
     def __post_init__(self):
@@ -96,8 +96,7 @@ class TrainConfig:
 
 
 _INT = (is_int, "an integer")
-_NUMBER = (is_number, "a number")
-_RATE = (lambda v: is_number(v) and v >= 0, "a number >= 0")
+_RATE = (lambda v: is_number(v) and 0 <= v < math.inf, "a finite number >= 0")
 # TrainConfig field -> (test, what it must be)
 _CONFIG_RULES = {
     "n": int_at_least(1), "instances_per_epoch": int_at_least(0), "n_rollouts": int_at_least(1),
@@ -107,7 +106,7 @@ _CONFIG_RULES = {
     "expert_hgs": (lambda v: isinstance(v, HgsConfig), "an HgsConfig"), "m": int_at_least(1),
     "dims": (lambda v: isinstance(v, Dims), "a Dims"),
     "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),
-    "seed": _INT, "checkpoint_every": int_at_least(0), "grad_clip": _NUMBER,
+    "seed": _INT, "checkpoint_every": int_at_least(0), "grad_clip": _RATE,
     "out_dir": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -268,11 +267,8 @@ def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
         ctx = encode_graph(lifted, graph, training=True)
         # full sampling here: near-deterministic rollouts would let logZ alone
         # satisfy the balance condition on a single repeated trajectory
-        trajs = batch_rollouts(
-            state.policy, graph.instance, ctx, cfg.n_rollouts, SAMPLE, derive_seed(seed, idx)
-        )
+        trajs, log_pf = scored_rollouts(ctx, cfg.n_rollouts, derive_seed(seed, idx))
         d_scores = disc_traj_scores_t(state.disc, disc_emb, graph, [t.actions for t in trajs])
-        log_pf = batch_log_pf(ctx, trajs)
         residual_parts.append(lifted.log_z + log_pf - d_scores)
     pooled = F.concat(residual_parts, axis=0)
     loss = F.mean(F.square(pooled))
@@ -390,17 +386,15 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
     """
     if resume_from is None:
         state = init_train_state(cfg)
-    elif isinstance(resume_from, str):
-        state = load_train_state(resume_from)
     else:
-        state = resume_from
-    differing = [
-        f"{f.name} ({getattr(state.config, f.name)!r} != {getattr(cfg, f.name)!r})"
-        for f in fields(TrainConfig)
-        if f.name not in RESUMABLE_FIELDS and getattr(state.config, f.name) != getattr(cfg, f.name)
-    ]
-    if differing:
-        raise CheckpointError(f"the checkpoint's run differs from the config in {', '.join(differing)}")
+        state = load_train_state(resume_from) if isinstance(resume_from, str) else resume_from
+        differing = ", ".join(
+            f"{f.name} ({getattr(state.config, f.name)!r} != {getattr(cfg, f.name)!r})"
+            for f in fields(TrainConfig)
+            if f.name not in RESUMABLE_FIELDS and getattr(state.config, f.name) != getattr(cfg, f.name)
+        )
+        if differing:
+            raise CheckpointError(f"the checkpoint's run differs from the config in {differing}")
     state.config = cfg
     os.makedirs(cfg.out_dir, exist_ok=True)
     if state.epoch == 0 and cfg.checkpoint_every:

@@ -158,6 +158,8 @@ class TestBadSpecs:
         {"lr_gen": "0.1"}, {"checkpoint_every": -1}, {"k_nn": 2.5}, {"out_dir": 5},
         {"expert_hgs": {"population_size": 3.5}}, {"dims": {"n_heads": 0}}, {"epsilon": 1.5},
         {"epsilon": -0.2}, {"epsilon": float("nan")}, {"epochs": -3}, {"instances_per_epoch": -2},
+        *({name: value} for name in ("grad_clip", "lr_gen", "lr_disc", "lr_logz")
+          for value in (float("nan"), float("inf"), -1)),
     ], ids=repr)
     def test_badly_typed_train_config_fields_exit_2(self, config, tmp_path):
         # zero epochs: a config that is let through ends at once with exit 0

@@ -44,6 +44,7 @@ from routeflow.neural import (
     load_policy,
     rollout,
     save_policy,
+    scored_rollouts,
     trajectory_from_solution,
 )
 from reference_decoder import (
@@ -721,6 +722,50 @@ class TestBatchRollouts:
         for t in (0, 17, 39):
             assert many[t].actions == rollout(policy, inst, ctx, SAMPLE, seed=derive_seed(3, t)).actions
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, 7.0, "0.1", None], ids=repr)
+    def test_an_epsilon_outside_the_unit_interval_is_refused(self, epsilon):
+        # unchecked, nan and -1.0 would decode greedily and 7.0 sample every step
+        inst, dm, graph, policy = small_setup(n=6, seed=2, k=3)
+        ctx = encode_graph(policy, graph)
+        for mode in (GREEDY, EPSILON_GREEDY, SAMPLE):
+            with pytest.raises(ValueError, match="epsilon"):
+                rollout(policy, inst, ctx, mode, seed=1, epsilon=epsilon)
+            with pytest.raises(ValueError, match="epsilon"):
+                batch_rollouts(policy, inst, ctx, 3, mode, seed=1, epsilon=epsilon)
+
+
+class TestScoredRollouts:
+    """``scored_rollouts``: ``batch_rollouts`` in sample mode and their
+    ``batch_log_pf``, from one walk."""
+
+    @pytest.mark.parametrize("case", ["one", "same_step", "outlives", "capacity_tight"])
+    def test_equals_batch_rollouts_and_their_batch_log_pf(self, case):
+        if case == "capacity_tight":  # each visit is followed by a forced return
+            inst = Instance((0.5, 0.5), ((0.1, 0.2), (0.9, 0.8), (0.3, 0.7), (0.6, 0.1), (0.8, 0.4)),
+                            (7, 7, 8, 6, 9), 12)
+            graph, policy, count, seed = instance_graph(inst, 3), init_params(SMALL, 3), 6, 2
+        else:
+            inst, graph, policy, count, seed = compaction_case(case)
+        lifted = [lift(policy), lift(policy)]
+        ctxs = [encode_graph(params, graph, training=True) for params in lifted]
+        trajs, got = scored_rollouts(ctxs[0], count, seed)
+        assert trajs == batch_rollouts(policy, inst, ctxs[1], count, SAMPLE, seed=seed)
+        if case != "capacity_tight":
+            assert_finish_order(case, trajs)
+        want = batch_log_pf(ctxs[1], trajs)
+        assert [v.hex() for v in got.data.tolist()] == [v.hex() for v in want.data.tolist()]
+        for log_pf in (got, want):
+            F.backward(F.mean(F.square(log_pf + 2.0)))
+        grads = [backward_grads(params) for params in lifted]
+        for name, grad in grads[0].items():
+            assert np.array_equal(grad, grads[1][name]), name
+        assert np.abs(grads[0]["dec.w2"]).max() > 0
+
+    def test_count_below_one_is_refused(self):
+        inst, dm, graph, policy = small_setup()
+        with pytest.raises(ValueError, match="count"):
+            scored_rollouts(encode_graph(policy, graph), 0, 1)
+
 
 class TestDiscriminator:
     def test_outputs_strictly_inside_unit_interval(self):
@@ -887,6 +932,21 @@ class TestBatchLogPf:
         traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
         with pytest.raises(ValueError):
             batch_log_pf(ctx, [traj])
+
+    @pytest.mark.parametrize("cut", ["first_route", "no_return", "one_more", "empty"])
+    def test_rejects_a_sequence_that_is_not_one_whole_episode(self, cut):
+        # unchecked, each would be scored as the prefix it is
+        inst, dm, graph, policy = small_setup(n=8, seed=6, k=4)
+        ctx = encode_graph(policy, graph)
+        whole = batch_rollouts(policy, inst, ctx, 3, SAMPLE, seed=1)
+        actions = whole[1].actions
+        assert 0 in actions[:-1]  # more than one route
+        seq = {"first_route": actions[: actions.index(0) + 1], "no_return": actions[:-1],
+               "one_more": actions + (actions[0],), "empty": ()}[cut]
+        batch = [whole[0], Trajectory(seq, None, 0.0), whole[2]]
+        with pytest.raises(ValueError, match="stops early" if cut != "one_more" else "goes on"):
+            batch_log_pf(ctx, batch)
+        assert np.all(np.isfinite(batch_log_pf(ctx, whole)))
 
     def test_gradients_match_central_differences(self):
         dims = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=6)

@@ -35,6 +35,8 @@ def tiny_config(out_dir, **fields):
     {"grad_clip": "10"}, {"out_dir": 5}, {"expert_hgs": {"population_size": 4}},
     {"dims": {"n_heads": 2}}, {"epsilon": 1.5}, {"epsilon": -0.2}, {"epsilon": float("nan")},
     {"epochs": -3}, {"instances_per_epoch": -2},
+    *({name: value} for name in ("grad_clip", "lr_gen", "lr_disc", "lr_logz")
+      for value in (float("nan"), float("inf"), -1)),
 ], ids=repr)
 def test_a_bad_config_field_is_a_value_error(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
@@ -45,6 +47,29 @@ def test_rates_and_epsilon_may_be_integers():
     cfg = training.TrainConfig(epsilon=0, lr_gen=1, lr_disc=0, lr_logz=1, grad_clip=5)
     assert (cfg.epsilon, cfg.lr_gen, cfg.grad_clip) == (0, 1, 5)
     assert training.TrainConfig(epsilon=1, epochs=0, instances_per_epoch=0).epsilon == 1
+
+
+def test_a_zero_grad_clip_clips_nothing():
+    assert training.TrainConfig(grad_clip=0).grad_clip == 0
+    grads = {"w": np.full(3, 1e6)}
+    assert training._clip_grads(grads, 0) is grads
+
+
+def test_a_train_step_keeps_its_recorded_bits(tmp_path):
+    # recorded when the generator update decoded its rollouts and then
+    # replayed them to score them; one walk that does both must give the
+    # same bits. Like the benchmark fingerprints, they hold for one numpy
+    # and BLAS build.
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    training.train_step(state, [generate_uniform(cfg.n, 1), generate_uniform(cfg.n, 2)], cfg)
+    (record,) = state.history
+    assert {k: float(v).hex() for k, v in record.items() if k != "step"} == {
+        "tb_loss": "0x1.1b054f0832201p+3",
+        "disc_loss": "0x1.f97bd6d9bd3d4p-1",
+        "mean_reward": "0x1.4859c0ffbb066p-13",
+        "mean_greedy_cost": "0x1.6ca9f80fc15abp+2",
+    }
 
 
 def arrays(state):
