@@ -14,14 +14,14 @@ modification stamps skip route pairs that have not changed since they were
 last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
 move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
 
-A search that runs long enough educates (splits and local-searches) the
-next tour ahead on a forked helper process, ``_Helper``, whose docstring
-holds the protocol; every host, with one CPU or many, returns the serial
-search's output.
+Each generation educates (splits and local-searches) two children as a
+pair, the second on a forked helper process once the search has run long
+enough (``_Helper``); every host returns the serial search's output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -50,7 +50,7 @@ from .io import derive_seed
 @dataclass(frozen=True)
 class HgsConfig:
     population_size: int = 40
-    max_iterations: int = 400
+    max_iterations: int = 400  # children, drawn two per generation (one in the last if odd)
     time_budget_s: float | None = None
     seed: int = 0
 
@@ -500,9 +500,8 @@ def _survivors(population: list[_Individual], size: int) -> list[_Individual]:
 
 
 def _draw_child(rng, population: list[_Individual]) -> list[int]:
-    """The next child's giant tour: two binary tournaments, order crossover
-    and, at MUTATION_RATE, one reversed segment. Which numbers it draws
-    depends only on the population's size and the tour's length."""
+    """A child's giant tour: two binary tournaments, order crossover and, at
+    MUTATION_RATE, one reversed segment."""
 
     def tournament() -> _Individual:
         i, j = rng.integers(len(population), size=2)
@@ -518,6 +517,7 @@ def _draw_child(rng, population: list[_Individual]) -> list[int]:
 
 
 _FORK_AFTER_S = 0.05  # a fork costs ~10 ms, so shorter solves never start a helper
+_JUDGE_AFTER = 4  # measured pairs before a helper may be found to share this process's CPU
 
 
 def _may_fork() -> bool:
@@ -533,62 +533,75 @@ def _may_fork() -> bool:
 
 def _serve(conn, parent_end, from_tour) -> None:
     """The helper's loop: educate each tour received and send back its
-    individual, or the exception that education raised."""
+    individual with the CPU time of its education, or the exception that
+    education raised."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the solve, which kills this
     parent_end.close()  # so that recv sees the end of a solve whose process died
+    # off the parent's CPU: the pipe's wake-ups tend to hold both on it while another idles
+    with contextlib.suppress(OSError):  # no /proc, no other CPU, or one the host has not got
+        with open(f"/proc/{os.getppid()}/stat") as f:  # field 39: the CPU it last ran on
+            parent_cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
     while True:
         try:
             tour = conn.recv()
         except EOFError:
             return
         try:
-            msg = from_tour(tour)
+            cpu = time.thread_time()
+            msg = from_tour(tour), time.thread_time() - cpu
         except Exception as exc:
             msg = exc
         conn.send(msg)
 
 
 class _Helper:
-    """Educates the giant tours of one ``hgs_solve``, some of them ahead on a
-    forked process.
+    """Educates the giant tours of one ``hgs_solve``, the second tour of a
+    pair on a forked process.
 
-    ``educate(tour, upcoming)`` returns ``from_tour(tour)``. When ``tour``
-    is the tour in flight, it takes the process's individual instead, or
-    raises what its education raised. Otherwise, when the caller passes
-    ``upcoming`` (a thunk for the tour it expects to educate next), the
-    process is sent ``upcoming()`` while this process educates ``tour``;
-    one tour is in flight at a time, and a missed one's result is dropped
-    once it has arrived (with any exception it carries), so the caller never
-    waits for unneeded work. The process is forked, if ``_may_fork`` allows,
-    at the first call with an ``upcoming`` once the solve has run
-    ``_FORK_AFTER_S``, and never after a refusal. A process that dies raises
-    ``RuntimeError`` naming its exit code. ``close`` kills and reaps it.
-    Education is a function of the tour alone, so the individuals are the
-    serial search's whatever the host.
+    ``educate(tours)`` returns ``[from_tour(t) for t in tours]``; a running
+    process educates a pair's second tour while this one educates the first,
+    and what it raises is raised here. It is forked, if ``_may_fork``
+    allows, at the first pair once the solve has run ``_FORK_AFTER_S``, and
+    never after a refusal. It is closed for the rest of the solve once
+    ``_JUDGE_AFTER`` pairs after the first took a summed wall time nearer
+    the sum of their two CPU times than the maximum (it shares this
+    process's CPU). A process that dies raises ``RuntimeError`` naming its
+    exit code. ``close`` kills and reaps it. Education is a function of the
+    tour alone, so the individuals are the serial search's whatever the host.
     """
 
     def __init__(self, from_tour, start: float):
         self.from_tour = from_tour
         self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
-        self.proc = None
-        self.conn = None
-        self.sent: list[int] | None = None  # the tour in flight
+        self.proc = self.conn = None
+        self.pairs = 0  # educated on both processes
+        self.lag = 0.0  # over the measured pairs: wall - (max + min / 2) of the CPU times
 
-    def educate(self, tour: list[int], upcoming=None) -> _Individual:
-        if tour == self.sent:
-            msg = self._receive()
-            if isinstance(msg, Exception):
-                raise msg
-            return msg
-        if upcoming is not None and self._forked():
-            if self.sent is not None and self.conn.poll():
-                self._receive()  # the search never drew that tour
-            if self.sent is None:
-                self.sent = upcoming()
-                self.conn.send(self.sent)
-        return self.from_tour(tour)
+    def educate(self, tours: list[list[int]]) -> list[_Individual]:
+        if len(tours) < 2 or not self._forked():
+            return [self.from_tour(t) for t in tours]
+        wall = time.perf_counter()
+        self.conn.send(tours[1])
+        cpu = time.thread_time()
+        first = self.from_tour(tours[0])
+        cpu = time.thread_time() - cpu
+        try:
+            msg = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"the HGS helper process exited with code {self.proc.exitcode}") from None
+        if isinstance(msg, Exception):
+            raise msg
+        second, other = msg
+        self.pairs += 1
+        if self.pairs > 1:  # the first waited for the fork
+            self.lag += time.perf_counter() - wall - max(cpu, other) - min(cpu, other) / 2
+            if self.pairs > _JUDGE_AFTER and self.lag > 0:
+                self.close()
+        return [first, second]
 
     def _forked(self) -> bool:
         if self.fork_at is not None and time.monotonic() >= self.fork_at:
@@ -605,20 +618,12 @@ class _Helper:
                 child_end.close()
         return self.proc is not None
 
-    def _receive(self):
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            raise RuntimeError(f"the HGS helper process exited with code {self.proc.exitcode}") from None
-        self.sent = None
-        return msg
-
     def close(self) -> None:
         if self.proc is not None:
             self.proc.kill()
             self.proc.join()
             self.conn.close()
+            self.proc = None
 
 
 def hgs_solve(
@@ -636,11 +641,12 @@ def hgs_solve(
     generations; bit-determinism across runs holds when ``max_iterations``
     binds first.
 
-    Every tour is educated through a ``_Helper``, which may educate the
-    next one ahead on a forked process (see its docstring): each initial
-    tour's next is the following initial tour, and each child's next is a
-    prediction drawn on the current population from a copy of the random
-    state. The output is the serial search's, bit for bit, whatever the host.
+    Each generation draws two children from the same population, then
+    educates them as a pair; they join the population (and may become the
+    incumbent) in draw order, and the survivors are chosen once. Initial
+    tours pair up too; an odd number of them or of children leaves a last
+    tour alone. A ``_Helper`` may educate each pair's second tour on a forked
+    process; the output is the serial search's, bit for bit, on any host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -681,31 +687,24 @@ def hgs_solve(
     tours = [
         [int(c) for c in rng.permutation(base)] for _ in range(cfg.population_size - len(population))
     ]
-    shadow = np.random.default_rng(cfg.seed)  # draws the predictions
-
-    def predict() -> list[int]:
-        shadow.bit_generator.state = rng.bit_generator.state
-        return _draw_child(shadow, population)
-
     helper = _Helper(from_tour, start_time)
     try:
-        for k, tour in enumerate(tours):
-            upcoming = (lambda: tours[k + 1]) if k + 1 < len(tours) else None
-            population.append(helper.educate(tour, upcoming))
+        for k in range(0, len(tours), 2):
+            population += helper.educate(tours[k : k + 2])
 
         best = min(
             (ind for ind in population if ind.feasible),
             key=lambda ind: ind.cost,
             default=None,
         )
-        for it in range(cfg.max_iterations):
+        for it in range(0, cfg.max_iterations, 2):
             if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
                 break
-            child = _draw_child(rng, population)
-            ind = helper.educate(child, predict if it + 1 < cfg.max_iterations else None)
-            if ind.feasible and (best is None or ind.cost < best.cost):
-                best = ind
-            population.append(ind)
+            children = [_draw_child(rng, population) for _ in range(min(2, cfg.max_iterations - it))]
+            for ind in helper.educate(children):
+                if ind.feasible and (best is None or ind.cost < best.cost):
+                    best = ind
+                population.append(ind)
             if len(population) > cfg.population_size:
                 population = _survivors(population, cfg.population_size)
     finally:

@@ -25,6 +25,22 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
+def one_cpu(monkeypatch):
+    """Really pins this process to one CPU for the test, and holds the pin:
+    ``os.sched_setaffinity`` is a no-op meanwhile, so neither the code under
+    test nor a child it forks can move off that CPU. With ``cpus(2)`` this is
+    a host that reports two CPUs while only one is free."""
+    set_affinity = os.sched_setaffinity
+    saved = os.sched_getaffinity(0)
+    set_affinity(0, {min(saved)})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+    try:
+        yield
+    finally:
+        set_affinity(0, saved)
+
+
+@pytest.fixture
 def traced_peak():
     """``traced_peak(fn)`` calls ``fn()`` once under tracemalloc and returns
     the peak of the memory traced during the call, in bytes."""

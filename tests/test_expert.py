@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -632,10 +634,25 @@ def starts(tmp_path, monkeypatch):
     return lambda: [int(line) for line in log.read_text().split()]
 
 
+def _serial_and_helped(inst, warm, cfg, cpus, monkeypatch, educations=None):
+    """``hgs_solve`` on one CPU and then on two, each with the number of
+    educations this process ran (a helper counts in its own copy)."""
+    educations = [] if educations is None else educations
+    real = expert._local_search
+    monkeypatch.setattr(expert, "_local_search", lambda *a: educations.append(1) or real(*a))
+    runs = []
+    for k in (1, 2):
+        educations.clear()
+        cpus(k)
+        runs.append((hgs_solve(inst, warm, cfg=cfg), len(educations)))
+    return runs
+
+
 class TestHelper:
-    """hgs_solve's forked helper: the serial output whatever the host, its
-    errors reach the caller, it never outlives the solve, and it is forked
-    only where forking is safe and pays."""
+    """hgs_solve's forked helper: the serial output whatever the host and
+    however the tours pair up, its errors reach the caller, it never
+    outlives the solve, it is forked only where forking is safe and pays,
+    and it stops when it shares the parent's one free CPU."""
 
     @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
     def test_equals_the_one_cpu_search(self, source, cpus, starts, monkeypatch):
@@ -645,24 +662,78 @@ class TestHelper:
         else:  # the fleet-limited Split
             inst, warm = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp")), None
         cfg = HgsConfig(population_size=20, max_iterations=80, seed=2)
-        educations = []  # by this process only: a helper appends to its own copy
-        real = expert._local_search
-        monkeypatch.setattr(expert, "_local_search", lambda *a: educations.append(1) or real(*a))
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
-        cpus(1)
-        serial = hgs_solve(inst, warm, cfg=cfg)
-        serial_educations = len(educations)
-        educations.clear()
-        cpus(2)
-        helped = hgs_solve(inst, warm, cfg=cfg)
+        monkeypatch.setattr(expert, "_JUDGE_AFTER", math.inf)  # a busy host must not stop it here
+        (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
         assert helped == serial
         assert starts() == [os.getpid()]
         assert multiprocessing.active_children() == []
-        # the helper educates every other initial tour from the start, and
-        # each accepted prediction spares the parent one more education
+        # the parent educates exactly the first tour of every pair, from the
+        # first pair of initial tours on
         tours = cfg.population_size - (1 if warm is None else 3)
-        accepted = serial_educations - len(educations) - tours // 2
-        assert accepted >= 1
+        assert educations == serial_educations - tours // 2 - cfg.max_iterations // 2
+
+    @pytest.mark.parametrize("warm, population_size, max_iterations, time_budget_s", [
+        (False, 12, 41, None),  # 11 initial tours, and an odd child count
+        (True, 12, 40, None),  # 9 initial tours after the warm start's two
+        (False, 10, 40, None),  # 9 initial tours
+        (True, 11, 10**9, 10.5),  # the time budget stops the search
+    ], ids=["odd-children", "odd-tours-warm", "odd-tours", "time-budget"])
+    def test_every_pairing_equals_the_one_cpu_search(
+        self, warm, population_size, max_iterations, time_budget_s, cpus, starts, monkeypatch
+    ):
+        inst = generate_uniform(40, 8)
+        warm = initial_solution(inst, 5, build_distance_matrix(inst)) if warm else None
+        cfg = HgsConfig(population_size=population_size, max_iterations=max_iterations,
+                        time_budget_s=time_budget_s, seed=4)
+        if time_budget_s is not None:
+            # a clock that ticks once a reading, so both searches stop at the
+            # same generation: the same readings happen in the same order
+            clock = itertools.count()
+            monkeypatch.setattr(expert, "time", SimpleNamespace(
+                monotonic=lambda: float(next(clock)), perf_counter=time.perf_counter, thread_time=time.thread_time
+            ))
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        (serial, _), (helped, _) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
+        assert helped == serial
+        assert starts() == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_stops_when_it_shares_the_parents_cpu(self, one_cpu, cpus, starts, monkeypatch):
+        inst = generate_uniform(60, 11)
+        cfg = HgsConfig(population_size=20, max_iterations=80, seed=2)
+        counted, stops = [], []  # stops: the parent's educations at each close of a live helper
+        real_close = expert._Helper.close
+        monkeypatch.setattr(expert._Helper, "close", lambda self: (
+            self.proc is not None and stops.append(len(counted)), real_close(self)
+        ))
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        (serial, serial_educations), (helped, educations) = _serial_and_helped(
+            inst, None, cfg, cpus, monkeypatch, counted
+        )
+        assert helped == serial
+        assert starts() == [os.getpid()]
+        assert len(stops) == 1 and stops[0] < educations  # stopped before the search ended
+        assert educations > serial_educations / 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_the_helper_leaves_the_parents_cpu(self, monkeypatch):
+        masks = []  # the helper's CPUs after each pair it educated
+        real = expert._Helper.educate
+
+        def educate(self, tours):
+            out = real(self, tours)
+            if self.proc is not None:
+                masks.append(os.sched_getaffinity(self.proc.pid))
+            return out
+
+        monkeypatch.setattr(expert._Helper, "educate", educate)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(expert, "_JUDGE_AFTER", math.inf)
+        hgs_solve(generate_uniform(30, 5), cfg=FAST)
+        mask = os.sched_getaffinity(0)
+        assert masks and all(m < mask and len(m) == len(mask) - 1 for m in masks)
 
     @pytest.mark.parametrize("where", ["helper", "parent"])
     def test_an_error_reaches_the_caller(self, where, cpus, monkeypatch):
