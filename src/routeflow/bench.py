@@ -116,7 +116,7 @@ _FIELD_TYPES = {
         isinstance(k, str) and is_number(x) and 0 < x < math.inf for k, x in v.items()),
         "None or an object of finite positive numbers"),
     "k_nn": (lambda v: v is None or is_int(v) and v >= 1, "None or an integer >= 1"),
-    "seed": (is_int, "an integer"),
+    "hgs": (lambda v: isinstance(v, HgsConfig), "an HgsConfig"), "seed": (is_int, "an integer"),
     "out_csv": (lambda v: isinstance(v, str), "a string"),
 }
 

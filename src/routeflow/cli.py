@@ -18,7 +18,7 @@ from dataclasses import replace
 from .bench import SWEEPABLE, BenchSpec, load_checkpoint, report_table, run_bench, solve, sweep
 from .core import check_feasible
 from .expert import HgsConfig
-from .io import derive_seed, generate_uniform, load_instance, write_vrplib
+from .io import generate_batch, generate_uniform, load_instance, write_vrplib
 from .training import TrainConfig, config_from_dict, train
 
 EXIT_SPEC = 2
@@ -26,11 +26,11 @@ EXIT_MISSING = 3
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
-    for i in range(args.count):
-        instance = generate_uniform(args.n, derive_seed(args.seed, i))
-        path = os.path.join(args.out_dir, f"{instance.name}.vrp")
-        with open(path, "w") as fh:
+    for instance in generate_batch(args.n, args.count, args.seed):
+        with open(os.path.join(args.out_dir, f"{instance.name}.vrp"), "w") as fh:
             fh.write(write_vrplib(instance))
     print(f"wrote {args.count} instances to {args.out_dir}")
     return 0

@@ -52,6 +52,14 @@ def check_fields(obj, rules: dict, error: type[ValueError] = ValueError) -> None
             raise error(f"{name} must be {what}, got {value!r}")
 
 
+def _count(name: str, value) -> int:
+    """An int or numpy integer ``value`` >= 1 of the instance field ``name``
+    as an int; anything else, a float or a bool too, is an InstanceError."""
+    if not (is_int(value) or isinstance(value, np.integer)) or value < 1:
+        raise InstanceError(f"{name}: {value!r} is not an integer >= 1")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A CVRP instance: depot, customers with demands, capacity, fleet limit.
@@ -72,22 +80,20 @@ class Instance:
     def __post_init__(self):
         if self.distance_mode not in (CONTINUOUS, ROUNDED):
             raise InstanceError(f"unknown distance_mode {self.distance_mode!r}")
+        object.__setattr__(self, "demands", tuple(_count("demands", d) for d in self.demands))
+        object.__setattr__(self, "capacity", _count("capacity", self.capacity))
+        if self.fleet_limit is not None:
+            object.__setattr__(self, "fleet_limit", _count("fleet_limit", self.fleet_limit))
         if len(self.coords) != len(self.demands):
             raise InstanceError("coords and demands length mismatch")
         if not self.coords:
             raise InstanceError("instance needs at least one customer")
-        if self.capacity <= 0:
-            raise InstanceError("capacity must be positive")
-        if self.fleet_limit is not None and self.fleet_limit <= 0:
-            raise InstanceError("fleet_limit must be positive or None")
         for xy in (self.depot, *self.coords):
             if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
                 raise InstanceError(f"non-finite coordinate {xy}")
         for i, d in enumerate(self.demands):
-            if not 0 < d <= self.capacity:
-                raise InstanceError(
-                    f"customer {i + 1} demand {d} outside (0, Q={self.capacity}]"
-                )
+            if d > self.capacity:
+                raise InstanceError(f"customer {i + 1} demand {d} exceeds Q={self.capacity}")
 
     @property
     def n_customers(self) -> int:

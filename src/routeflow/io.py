@@ -206,7 +206,7 @@ def generate_uniform(n: int, seed: int) -> Instance:
     return Instance(
         depot=(float(depot[0]), float(depot[1])),
         coords=tuple((float(x), float(y)) for x, y in pts),
-        demands=tuple(int(d) for d in demands),
+        demands=demands,
         capacity=50,
         fleet_limit=None,
         distance_mode=CONTINUOUS,

@@ -20,12 +20,13 @@ step's logits are one gather by the arc ids of the slots of each run's
 current CSR row. One ``_walk`` advances a batch of runs on array state that
 holds only the runs still going (current node, residual load, visited mask,
 visited count) by the slots its chooser picks: a rollout's by the policy's
-probabilities, ``batch_log_pf``'s by the given episodes' actions. A walk
+probabilities, ``batch_log_pf``'s by the given action sequences. A walk
 may record its flat (step, candidate) arc ids, which one gather and a
-segment log-sum-exp score on the tape; so ``scored_rollouts`` samples and
-scores in one walk. Rollouts and scores match, bit for bit, a reference
-decoder in the tests (``tests/reference_decoder.py``). The discriminator
-reuses the encoder and scores a trajectory by its arcs.
+segment log-sum-exp score on the tape, the policy's one log-probability;
+so ``scored_rollouts`` samples and scores in one walk. Rollouts match a
+reference decoder in the tests (``tests/reference_decoder.py``) bit for
+bit, and scores match its log-probabilities. The discriminator reuses the
+encoder and scores an action sequence by its arcs.
 
 Every network pass reads one per-instance ``InstanceGraph``: the instance,
 its distance matrix, the symmetrized k-NN ``EdgeIndex`` and the
@@ -313,10 +314,8 @@ def lift(container: _Params) -> _Params:
 
 def backward_grads(lifted) -> dict[str, np.ndarray]:
     """name -> gradient array after a backward pass (zeros where untouched)."""
-    out = {}
-    for name, t in lifted.named_arrays():
-        out[name] = np.zeros_like(t.data) if t.grad is None else t.grad
-    return out
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in lifted.named_arrays()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +488,13 @@ def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One complete construction episode and its forward log-probability.
-
-    Construction states are action prefixes with a unique parent each, so the
-    backward probability is identically 1 and needs no field.
-    """
+    """One complete construction episode: its actions and their solution.
+    ``batch_log_pf`` scores the actions; construction states are action
+    prefixes with a unique parent each, so the backward probability is
+    identically 1 and needs no field."""
 
     actions: tuple[int, ...]
     solution: Solution
-    log_pf: float
 
 
 GREEDY = "greedy"
@@ -630,7 +627,7 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
     count, max_steps = len(seeds), 2 * ctx.graph.instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
     draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
-    used, log_pf = np.zeros(count, dtype=np.int64), np.zeros(count)
+    used = np.zeros(count, dtype=np.int64)
 
     def choose(step, rows, arc, mask):
         valid, probs = np.flatnonzero(mask), np.zeros(mask.shape)
@@ -643,11 +640,10 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
                 sampled = rows[explore]
                 pick[explore] = _sample(probs[explore], draws[sampled, used[sampled]])
                 used[sampled] += 1
-        log_pf[rows] += np.log(probs[np.arange(rows.size), pick])
         return pick
 
-    out, demand = [], [0, *map(int, ctx.graph.instance.demands)]
-    for t, ids in enumerate(_walk(ctx.graph, count, choose, tape)):
+    out, demand = [], (0, *ctx.graph.instance.demands)
+    for ids in _walk(ctx.graph, count, choose, tape):
         ids = ids[ids >= 0]
         actions = ei.dst[ids].tolist()
         # route costs from 0.0, return arc last, total from 0: core.make_solution's float order
@@ -659,7 +655,7 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
             else:
                 routes.append(Route(tuple(nodes), sum(demand[c] for c in nodes)))
                 total, cost, nodes = total + cost, 0.0, []
-        out.append(Trajectory(tuple(actions), Solution(tuple(routes), total), float(log_pf[t])))
+        out.append(Trajectory(tuple(actions), Solution(tuple(routes), total)))
     return out
 
 
@@ -669,8 +665,8 @@ def rollout(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
     ``ctx`` was encoded for) starting and ending at the depot.
 
     ``mode`` picks the argmax (greedy), an epsilon-greedy mixture, or a full
-    sample; the recorded log-probability is always the policy's own, not the
-    behaviour distribution's. A batch of one of ``batch_rollouts``. The
+    sample; the actions' ``batch_log_pf`` is the policy's own log-probability,
+    not the behaviour distribution's. A batch of one of ``batch_rollouts``. The
     policy is not read, since ``ctx`` carries its logits; ``policy`` and
     ``instance`` stay for the callers that pass them.
     """
@@ -693,8 +689,8 @@ def batch_rollouts(policy: PolicyParams, instance: Instance, ctx: DecodeContext,
 
 def scored_rollouts(ctx: DecodeContext, count: int, seed: int) -> tuple[list[Trajectory], F.Tensor]:
     """``batch_rollouts(..., count, SAMPLE, seed)`` on ``ctx`` and their
-    ``batch_log_pf``, bit for bit, from one walk that records the tape that
-    scores them: a lifted ``ctx`` puts the scores on the autodiff tape."""
+    actions' ``batch_log_pf``, bit for bit, from one walk that records the
+    tape that scores them: a lifted ``ctx`` puts the scores on the tape."""
     tape = []
     trajectories = _decode(ctx, [derive_seed(seed, t) for t in range(count)], SAMPLE, 0.0, tape)
     return trajectories, _score(ctx.logits, tape, count)
@@ -710,9 +706,9 @@ def trajectory_from_solution(solution: Solution) -> tuple[int, ...]:
     return tuple(a for route in solution.routes for a in (*route.nodes, 0))
 
 
-def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor:
-    """Differentiable forward log-probabilities of fixed action sequences,
-    each one whole episode.
+def batch_log_pf(ctx: DecodeContext, sequences: list) -> F.Tensor:
+    """Differentiable forward log-probabilities of action sequences, each
+    one whole episode: a rollout's actions or ``trajectory_from_solution``'s.
 
     Scores from the arc logit table of ``ctx``, which ``encode_graph`` built
     from the policy (a lifted one for gradients). One ``_walk`` forces the
@@ -722,10 +718,9 @@ def batch_log_pf(ctx: DecodeContext, trajectories: list[Trajectory]) -> F.Tensor
     action, or that ends before or after its episode, raises ValueError.
     Returns a (T,) tensor (an array in array mode).
     """
-    lengths = np.array([len(t.actions) for t in trajectories], dtype=np.int64)
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     actions = np.full((lengths.size, lengths.max(initial=0) + 1), -1)  # -1 past a sequence's end
-    for t, traj in enumerate(trajectories):
-        actions[t, : lengths[t]] = traj.actions
+    actions[np.arange(actions.shape[1]) < lengths[:, None]] = [a for seq in sequences for a in seq]
 
     def forced(step, rows, arc, mask):
         hit = mask & (ctx.graph.ei.dst[np.where(mask, arc, 0)] == actions[rows, step, None])
@@ -754,9 +749,7 @@ def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarra
     """
     e_raw = (graph.dm[src, dst] / graph.feats.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
-    hi = F.take(emb, src)
-    hj = F.take(emb, dst)
-    cat = F.concat([hi, hj, e], axis=1)
+    cat = F.concat([F.take(emb, src), F.take(emb, dst), e], axis=1)
     mlp = disc.edge_mlp
     return F.leaky_relu(cat @ mlp.w1 + mlp.b1, LEAKY_SLOPE) @ mlp.w2 + mlp.b2
 

@@ -2,8 +2,9 @@
 
 One rollout state at a time, in plain Python: ``valid_actions`` lists the
 admissible next nodes, ``decode_step`` gives the policy's distribution over
-them and ``apply_action`` advances the state. ``neural.batch_rollouts`` and
-``neural.batch_log_pf`` must match it bit for bit.
+them and ``apply_action`` advances the state. ``neural.batch_rollouts`` must
+match it bit for bit, and ``neural.batch_log_pf`` the sum of its log
+probabilities along a sequence to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class RolloutState:
     visited: frozenset
     routes: tuple[tuple[int, ...], ...]
     partial: tuple[int, ...]
-    log_pf: float
 
 
 def neighbours(ei: EdgeIndex, node: int) -> list[int]:
@@ -40,7 +40,7 @@ def arc_id(ei: EdgeIndex, tail: int, head: int) -> int:
 
 
 def initial_state(instance: Instance) -> RolloutState:
-    return RolloutState(0, instance.capacity, frozenset(), (), (), 0.0)
+    return RolloutState(0, instance.capacity, frozenset(), (), ())
 
 
 def is_terminal(instance: Instance, state: RolloutState) -> bool:
@@ -60,8 +60,7 @@ def valid_actions(instance: Instance, ei: EdgeIndex, state: RolloutState) -> lis
     return sorted(cands)
 
 
-def apply_action(instance: Instance, state: RolloutState, action: int,
-                 log_p: float = 0.0) -> RolloutState:
+def apply_action(instance: Instance, state: RolloutState, action: int) -> RolloutState:
     if action == 0:
         return RolloutState(
             0,
@@ -69,7 +68,6 @@ def apply_action(instance: Instance, state: RolloutState, action: int,
             state.visited,
             state.routes + (state.partial,),
             (),
-            state.log_pf + log_p,
         )
     return RolloutState(
         action,
@@ -77,7 +75,6 @@ def apply_action(instance: Instance, state: RolloutState, action: int,
         state.visited | {action},
         state.routes,
         state.partial + (action,),
-        state.log_pf + log_p,
     )
 
 

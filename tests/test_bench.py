@@ -112,7 +112,7 @@ class TestSpec:
         ("out_csv", None), ("seed", "a"), ("seed", True), ("seed", 1.0), ("ref_table", 3),
         ("ref_table", {"a": "1"}), ("ref_table", {"a": True}), ("ref_table", {1: 1.0}),
         ("ref_table", {"a": 0}), ("ref_table", {"a": -3.5}), ("ref_table", {"a": float("nan")}),
-        ("ref_table", {"a": float("inf")}),
+        ("ref_table", {"a": float("inf")}), ("hgs", {"max_iterations": 3}), ("hgs", None),
     ], ids=repr)
     def test_badly_typed_field(self, field, value):
         fields = {"methods": ("hgs",), "synthetic": {"n": 3, "count": 1}, field: value}

@@ -35,8 +35,8 @@ import pytest
 from routeflow import cli, neural, training
 from routeflow.io import generate_uniform
 from routeflow.neural import (
-    GREEDY, CheckpointError, Dims, encode_graph, init_disc, init_params, instance_graph,
-    load_policy, rollout, save_policy,
+    GREEDY, CheckpointError, Dims, batch_log_pf, encode_graph, init_disc, init_params,
+    instance_graph, load_policy, rollout, save_policy,
 )
 
 TINY = Dims(n_layers=2, n_heads=2, d_units=4, mlp_hidden=3)
@@ -65,7 +65,7 @@ DISC_ARRAYS = GAT + [("edge_mlp.w1", (12, 3)), ("edge_mlp.b1", (3,)), ("edge_mlp
 # the greedy rollout of the fixture's policy on generate_uniform(9, 4) at k = 4
 GREEDY_ACTIONS = (1, 0, 7, 0, 3, 0, 5, 0, 4, 0, 8, 0, 2, 0, 6, 0, 9, 0)
 GREEDY_COST = 6.421800378439895
-GREEDY_LOG_PF = -20.938794415485987
+GREEDY_LOG_PF = "-0x1.4f054d4b02e04p+4"  # batch_log_pf of the greedy actions, float.hex
 
 
 def shapes(named):
@@ -143,16 +143,13 @@ def every_array(state) -> list:
     return out
 
 
-def greedy(policy):
-    inst = generate_uniform(9, 4)
-    return rollout(policy, inst, encode_graph(policy, instance_graph(inst, 4)), GREEDY)
-
-
 def assert_decodes_as_it_did(policy):
-    traj = greedy(policy)
+    inst = generate_uniform(9, 4)
+    ctx = encode_graph(policy, instance_graph(inst, 4))
+    traj = rollout(policy, inst, ctx, GREEDY)
     assert traj.actions == GREEDY_ACTIONS
     assert traj.solution.total_cost == GREEDY_COST
-    assert traj.log_pf == GREEDY_LOG_PF
+    assert float(batch_log_pf(ctx, [traj.actions])[0]).hex() == GREEDY_LOG_PF
 
 
 class TestVersion3Files:

@@ -8,7 +8,7 @@ import pytest
 
 from routeflow import bench, cli
 from routeflow.expert import HgsConfig
-from routeflow.io import generate_uniform, read_results_csv, write_vrplib
+from routeflow.io import derive_seed, generate_uniform, read_results_csv, write_vrplib
 from routeflow.neural import Dims, init_params, save_policy
 
 
@@ -55,6 +55,22 @@ class TestSolve:
 
     def test_unknown_method_exits_2(self):
         assert cli.main(["solve", "--method", "simulated-annealing", "--n", "6"]) == cli.EXIT_SPEC
+
+
+class TestGen:
+    def test_writes_count_instances(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        assert cli.main(["gen", "--n", "5", "--count", "2", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{generate_uniform(5, derive_seed(0, i)).name}.vrp" for i in range(2))
+        assert "wrote 2 instances" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_a_count_below_one_exits_2(self, count, tmp_path, capsys):
+        # unchecked, it printed "wrote -2 instances" and wrote none
+        out = tmp_path / "inst"
+        assert cli.main(["gen", "--n", "5", "--count", count, "--out-dir", str(out)]) == cli.EXIT_SPEC
+        assert not out.exists() and "count" in capsys.readouterr().err
 
 
 class TestMissingFiles:

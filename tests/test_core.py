@@ -49,6 +49,21 @@ class TestInstanceInvariants:
         with pytest.raises(InstanceError):
             Instance((0, 0), ((1, 1), (2, 2)), (1,), 10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("demands", (1.5, 1.5, 1.5)), ("demands", (1, True, 1)), ("capacity", 3.2),
+        ("capacity", 3.0), ("capacity", True), ("fleet_limit", 2.0), ("fleet_limit", True),
+    ], ids=repr)
+    def test_counts_that_are_not_integers_are_refused(self, field, value):
+        # unchecked, fractional demands truncate in the neural decoder but not in HGS
+        fields = {"demands": (1, 1, 1), "capacity": 3, "fleet_limit": None, field: value}
+        with pytest.raises(InstanceError, match=field):
+            Instance((0, 0), ((1, 0), (0, 1), (1, 1)), **fields)
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        inst = Instance((0, 0), ((1, 0), (0, 1)), np.array([1, 2]), np.int64(3), np.int32(2))
+        assert inst.demands == (1, 2) and inst.capacity == 3 and inst.fleet_limit == 2
+        assert {type(v) for v in (*inst.demands, inst.capacity, inst.fleet_limit)} == {int}
+
 
 class TestDistanceMatrix:
     def test_345_triangle_continuous(self):

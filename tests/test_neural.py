@@ -19,7 +19,6 @@ from routeflow.neural import (
     EPSILON_GREEDY,
     GREEDY,
     SAMPLE,
-    Trajectory,
     _BLOCK,
     _Runs,
     _decode,
@@ -137,8 +136,8 @@ def step_reference_rollout(ctx, mode, seed, epsilon):
         explore = mode == SAMPLE or (mode == EPSILON_GREEDY and rng.random() < epsilon)
         a = int(rng.choice(len(probs), p=probs)) if explore else int(np.argmax(probs))
         actions.append(a)
-        state = apply_action(ctx.graph.instance, state, a, float(np.log(probs[a])))
-    return tuple(actions), state.log_pf
+        state = apply_action(ctx.graph.instance, state, a)
+    return tuple(actions)
 
 
 def compaction_case(case):
@@ -510,7 +509,7 @@ class TestArcLogits:
         assert max(rows) <= _BLOCK // 4
         rows.clear()
         trajs = batch_rollouts(policy, inst, ctx, 4, SAMPLE, seed=1)
-        batch_log_pf(ctx, trajs)
+        batch_log_pf(ctx, [t.actions for t in trajs])
         assert rows == []
 
     def test_a_candidate_that_is_not_an_arc_raises(self):
@@ -521,7 +520,7 @@ class TestArcLogits:
         policy = init_params(SMALL, 0)
         ctx = encode(policy, inst, np.array([[1], [2], [3], [2]]), dm)
         with pytest.raises(ValueError, match="not an arc"):
-            batch_log_pf(ctx, [Trajectory((1, 2, 3, 0), None, 0.0)])
+            batch_log_pf(ctx, [(1, 2, 3, 0)])
         logits = ctx.logits.copy()
         logits[arc_id(ctx.graph.ei, 1, 0)] = -1e3  # the greedy run goes on to customer 2
         with pytest.raises(ValueError, match="not an arc"):
@@ -594,9 +593,10 @@ class TestCandidates:
 class TestRollout:
     def test_single_customer_forced(self):
         inst, dm, graph, policy = small_setup(n=1, seed=5, k=1)
-        traj = rollout(policy, inst, encode_graph(policy, graph), SAMPLE, seed=0)
+        ctx = encode_graph(policy, graph)
+        traj = rollout(policy, inst, ctx, SAMPLE, seed=0)
         assert traj.actions == (1, 0)
-        assert traj.log_pf == 0.0
+        assert batch_log_pf(ctx, [traj.actions])[0] == 0.0
 
     def test_greedy_deterministic(self):
         inst, dm, graph, policy = small_setup(n=15, seed=9, k=4)
@@ -633,7 +633,7 @@ class TestRollout:
             probs = decode_step(ctx, state)
             total += np.log(probs[a])
             state = apply_action(inst, state, a)
-        assert traj.log_pf == pytest.approx(total, abs=1e-12)
+        assert batch_log_pf(ctx, [traj.actions])[0] == pytest.approx(total, abs=1e-12)
 
 
 class TestBatchRollouts:
@@ -669,13 +669,12 @@ class TestBatchRollouts:
         batch = batch_rollouts(policy, inst, ctx, count, mode, seed=seed, epsilon=0.5)
         if case is not None:
             assert_finish_order(case, batch)
+        scores = batch_log_pf(ctx, [t.actions for t in batch])
         for t, traj in enumerate(batch):
             single = rollout(policy, inst, ctx, mode, seed=derive_seed(seed, t), epsilon=0.5)
             assert traj.actions == single.actions
-            assert traj.log_pf == single.log_pf
             assert traj.solution.total_cost == single.solution.total_cost
-            replay = step_replay_log_pf(ctx, traj.actions)
-            assert traj.log_pf == pytest.approx(replay, abs=1e-12)
+            assert scores[t] == pytest.approx(step_replay_log_pf(ctx, traj.actions), abs=1e-12)
 
     @pytest.mark.parametrize("mode,case", BATCHES)
     def test_matches_the_step_reference(self, mode, case):
@@ -688,10 +687,10 @@ class TestBatchRollouts:
             trajs = batch_rollouts(policy, inst, ctx, count, mode, seed=seed, epsilon=0.3)
             if case is not None:
                 assert_finish_order(case, trajs)
+            scores = batch_log_pf(ctx, [t.actions for t in trajs])
             for t, traj in enumerate(trajs):
-                actions, log_pf = step_reference_rollout(ctx, mode, derive_seed(seed, t), 0.3)
-                assert traj.actions == actions
-                assert traj.log_pf == log_pf
+                assert traj.actions == step_reference_rollout(ctx, mode, derive_seed(seed, t), 0.3)
+                assert scores[t] == pytest.approx(step_replay_log_pf(ctx, traj.actions), abs=1e-12)
 
     @pytest.mark.parametrize("mode", [GREEDY, EPSILON_GREEDY, SAMPLE])
     def test_capacity_tight_instance_forces_the_depot(self, mode):
@@ -706,11 +705,12 @@ class TestBatchRollouts:
         dm = build_distance_matrix(inst)
         policy = init_params(SMALL, 3)
         ctx = encode(policy, inst, knn_sparsify(dm, 3), dm)
-        for traj in batch_rollouts(policy, inst, ctx, 6, mode, seed=2, epsilon=0.5):
+        trajs = batch_rollouts(policy, inst, ctx, 6, mode, seed=2, epsilon=0.5)
+        for traj, score in zip(trajs, batch_log_pf(ctx, [t.actions for t in trajs])):
             assert traj.actions[1::2] == (0,) * 5
             assert traj.solution.n_routes == 5
             assert check_feasible(inst, traj.solution).feasible
-            assert traj.log_pf == pytest.approx(step_replay_log_pf(ctx, traj.actions), abs=1e-12)
+            assert score == pytest.approx(step_replay_log_pf(ctx, traj.actions), abs=1e-12)
 
     def test_count_beyond_distinct_trajectories_extends_the_prefix(self):
         inst, dm, graph, policy = small_setup(n=2, seed=7, k=2)
@@ -718,7 +718,7 @@ class TestBatchRollouts:
         many = batch_rollouts(policy, inst, ctx, 40, SAMPLE, seed=3)
         few = batch_rollouts(policy, inst, ctx, 9, SAMPLE, seed=3)
         assert len({t.actions for t in many}) < 40
-        assert [(t.actions, t.log_pf) for t in many[:9]] == [(t.actions, t.log_pf) for t in few]
+        assert many[:9] == few
         for t in (0, 17, 39):
             assert many[t].actions == rollout(policy, inst, ctx, SAMPLE, seed=derive_seed(3, t)).actions
 
@@ -752,7 +752,7 @@ class TestScoredRollouts:
         assert trajs == batch_rollouts(policy, inst, ctxs[1], count, SAMPLE, seed=seed)
         if case != "capacity_tight":
             assert_finish_order(case, trajs)
-        want = batch_log_pf(ctxs[1], trajs)
+        want = batch_log_pf(ctxs[1], [t.actions for t in trajs])
         assert [v.hex() for v in got.data.tolist()] == [v.hex() for v in want.data.tolist()]
         for log_pf in (got, want):
             F.backward(F.mean(F.square(log_pf + 2.0)))
@@ -874,6 +874,9 @@ class TestDecodedSolutions:
             ends = [i for i, a in enumerate(traj.actions) if a == 0]
             routes = [traj.actions[i + 1 : j] for i, j in zip([-1] + ends, ends)]
             ref = make_solution(inst, graph.dm, routes)
+            # the depot has no arc to itself, so no route is empty and the
+            # solution gives back the actions: a sequence stands for its trajectory
+            assert trajectory_from_solution(traj.solution) == traj.actions
             assert float(traj.solution.total_cost).hex() == float(ref.total_cost).hex()
             # repr tells Python ints from numpy ones
             assert repr([(r.nodes, r.load) for r in traj.solution.routes]) == repr(
@@ -901,26 +904,24 @@ class TestBatchLogPf:
             inst, graph, policy, count, seed = compaction_case(batch)
         ctx = encode_graph(policy, graph, training=True)
         trajs = batch_rollouts(policy, inst, ctx, count, SAMPLE, seed=seed)
+        seqs = [t.actions for t in trajs]
         if batch == "lengths":
             # one route per customer, far longer than the sampled sequences,
             # amid them and last
             alone = tuple(a for c in range(1, inst.n_nodes) for a in (c, 0))
-            long = Trajectory(alone, None, step_replay_log_pf(ctx, alone))
-            trajs = trajs[:3] + [long] + trajs[3:] + [long]
-            assert len(alone) > 1.2 * max(len(t.actions) for t in trajs if t is not long)
+            assert len(alone) > 1.2 * max(map(len, seqs))
+            seqs = seqs[:3] + [alone] + seqs[3:] + [alone]
         elif isinstance(batch, str):
             assert_finish_order(batch, trajs)
         lifted = lift(policy)
-        got = batch_log_pf(encode_graph(lifted, graph, training=True), trajs)
-        ref = [step_replay_log_pf(ctx, t.actions) for t in trajs]
+        got = batch_log_pf(encode_graph(lifted, graph, training=True), seqs)
+        ref = [step_replay_log_pf(ctx, seq) for seq in seqs]
         assert np.allclose(got.data, ref, rtol=0, atol=1e-9)
-        assert np.allclose(got.data, [t.log_pf for t in trajs], rtol=0, atol=1e-9)
 
     def test_rejects_an_inadmissible_action(self):
         inst, dm, graph, policy = small_setup(n=4, seed=5, k=3)
-        bad = Trajectory((1, 1, 0), None, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(encode_graph(policy, graph), [bad])
+            batch_log_pf(encode_graph(policy, graph), [(1, 1, 0)])
 
     def test_rejects_an_arc_off_the_sparse_graph(self):
         inst, dm, graph, policy = small_setup(n=8, seed=4, k=2)
@@ -929,23 +930,21 @@ class TestBatchLogPf:
         far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ctx.graph.ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
         solution = make_solution(inst, dm, [[i, far]] + [[c] for c in rest])
-        traj = Trajectory(trajectory_from_solution(solution), solution, 0.0)
         with pytest.raises(ValueError):
-            batch_log_pf(ctx, [traj])
+            batch_log_pf(ctx, [trajectory_from_solution(solution)])
 
     @pytest.mark.parametrize("cut", ["first_route", "no_return", "one_more", "empty"])
     def test_rejects_a_sequence_that_is_not_one_whole_episode(self, cut):
         # unchecked, each would be scored as the prefix it is
         inst, dm, graph, policy = small_setup(n=8, seed=6, k=4)
         ctx = encode_graph(policy, graph)
-        whole = batch_rollouts(policy, inst, ctx, 3, SAMPLE, seed=1)
-        actions = whole[1].actions
+        whole = [t.actions for t in batch_rollouts(policy, inst, ctx, 3, SAMPLE, seed=1)]
+        actions = whole[1]
         assert 0 in actions[:-1]  # more than one route
         seq = {"first_route": actions[: actions.index(0) + 1], "no_return": actions[:-1],
                "one_more": actions + (actions[0],), "empty": ()}[cut]
-        batch = [whole[0], Trajectory(seq, None, 0.0), whole[2]]
         with pytest.raises(ValueError, match="stops early" if cut != "one_more" else "goes on"):
-            batch_log_pf(ctx, batch)
+            batch_log_pf(ctx, [whole[0], seq, whole[2]])
         assert np.all(np.isfinite(batch_log_pf(ctx, whole)))
 
     def test_gradients_match_central_differences(self):
@@ -955,12 +954,12 @@ class TestBatchLogPf:
         policy = init_params(dims, 5)
         policy.log_z[...] = 0.7
         ctx = encode_graph(policy, graph, training=True)
-        trajs = batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=1)
-        target = np.linspace(-3.0, -1.0, len(trajs))
+        seqs = [t.actions for t in batch_rollouts(policy, inst, ctx, 5, SAMPLE, seed=1)]
+        target = np.linspace(-3.0, -1.0, len(seqs))
 
         def tb_loss(params):
             # encode and batch_log_pf are generic over modes: raw arrays give the value
-            log_pf = batch_log_pf(encode_graph(params, graph, training=True), trajs)
+            log_pf = batch_log_pf(encode_graph(params, graph, training=True), seqs)
             return F.mean(F.square(params.log_z + log_pf - target))
 
         lifted = lift(policy)
