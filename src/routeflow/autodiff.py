@@ -56,19 +56,13 @@ class Tensor:
         self.inputs = inputs
         self.requires_grad = requires_grad or any(x.requires_grad for x, _ in inputs)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accumulate(self, g: np.ndarray):
-        # the first write stores a copy: ``g`` may be shared with another
-        # input or be a view of an array that is still in use
-        if self.grad is not None:
-            self.grad += g
-        elif np.shape(g) == self.data.shape:
+        # ``g`` has this node's shape; the first write stores a copy, as ``g``
+        # may be shared with another input or be a view of a live array
+        if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+            self.grad += g
 
     # -- operator overloads ------------------------------------------------
 
@@ -240,11 +234,8 @@ def take(x, idx):
 
 
 def segment_sum(x, owner: np.ndarray, n: int):
-    """Sum edge values into per-node buckets: out[v] = sum of x[owner == v]."""
-    data = value(x)
-    buf = np.zeros((n,) + data.shape[1:], dtype=np.float64)
-    np.add.at(buf, owner, data)
-    return _node(buf, (x, lambda g: g[owner]))
+    """out[v] = sum of the 1-D x[owner == v], added in index order."""
+    return _node(np.bincount(owner, value(x), n), (x, lambda g: g[owner]))
 
 
 def segment_logsumexp(x, owner: np.ndarray, n: int):
@@ -257,8 +248,7 @@ def segment_logsumexp(x, owner: np.ndarray, n: int):
     top = np.full(n, -np.inf)
     np.maximum.at(top, owner, data)
     ex = np.exp(data - top[owner])
-    total = np.zeros(n)
-    np.add.at(total, owner, ex)
+    total = np.bincount(owner, ex, n)
     return _node(top + np.log(total), (x, lambda g: g[owner] * ex / total[owner]))
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import SWEEPABLE, BenchSpec, load_checkpoint, report_table, run_bench, solve, sweep
+from .bench import DEFAULT_HGS, SWEEPABLE, BenchSpec, load_checkpoint, report_table, run_bench, solve, sweep
 from .core import check_feasible
 from .expert import HgsConfig
 from .io import generate_batch, generate_uniform, load_instance, write_vrplib
@@ -26,8 +26,8 @@ EXIT_MISSING = 3
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.n < 1 or args.count < 1:  # checked before anything is written
+        raise ValueError(f"--n and --count must be >= 1, got {args.n} and {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     for instance in generate_batch(args.n, args.count, args.seed):
         with open(os.path.join(args.out_dir, f"{instance.name}.vrp"), "w") as fh:
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-nn", type=int, dest="k_nn")
-    p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--iterations", type=int, default=DEFAULT_HGS.max_iterations)
     p.add_argument("--time-budget", type=float, dest="time_budget")
     p.set_defaults(fn=_cmd_solve)
 

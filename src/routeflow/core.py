@@ -60,6 +60,17 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _is_point(xy) -> bool:
+    """A pair of finite real numbers, Python's or numpy's, bools not."""
+    try:
+        x, y = xy
+    except (TypeError, ValueError):
+        return False
+    real = (int, float, np.integer, np.floating)
+    return (isinstance(x, real) and isinstance(y, real) and bool not in (type(x), type(y))
+            and math.isfinite(x) and math.isfinite(y))
+
+
 @dataclass(frozen=True)
 class Instance:
     """A CVRP instance: depot, customers with demands, capacity, fleet limit.
@@ -88,9 +99,9 @@ class Instance:
             raise InstanceError("coords and demands length mismatch")
         if not self.coords:
             raise InstanceError("instance needs at least one customer")
-        for xy in (self.depot, *self.coords):
-            if not (math.isfinite(xy[0]) and math.isfinite(xy[1])):
-                raise InstanceError(f"non-finite coordinate {xy}")
+        for i, xy in enumerate((self.depot, *self.coords)):
+            if not _is_point(xy):
+                raise InstanceError(f"node {i} coordinate {xy!r} is not two finite numbers")
         for i, d in enumerate(self.demands):
             if d > self.capacity:
                 raise InstanceError(f"customer {i + 1} demand {d} exceeds Q={self.capacity}")
@@ -163,8 +174,7 @@ def make_route(instance: Instance, nodes) -> Route:
 def make_solution(instance: Instance, dm: np.ndarray, route_nodes) -> Solution:
     """Construct a Solution from raw node lists, computing loads and cost."""
     routes = tuple(make_route(instance, nodes) for nodes in route_nodes)
-    cost = sum(route_cost(dm, r) for r in routes)
-    return Solution(routes, cost)
+    return Solution(routes, solution_cost(dm, routes))
 
 
 def build_distance_matrix(instance: Instance) -> np.ndarray:

@@ -42,7 +42,7 @@ from .core import (
     is_number,
     knn_sparsify,
     make_solution,
-    route_cost,
+    solution_cost,
 )
 from .io import derive_seed
 
@@ -62,15 +62,6 @@ class HgsConfig:
                               "None or a positive number"),
             "seed": (is_int, "an integer"),
         })
-
-
-@dataclass(frozen=True)
-class DecompositionPlan:
-    """Route barycenters, their cluster labels, and the subproblem count."""
-
-    barycenters: np.ndarray  # (n_routes, 2)
-    labels: np.ndarray  # (n_routes,) int in [0, k)
-    k: int
 
 
 @dataclass(frozen=True)
@@ -370,11 +361,9 @@ def split_giant_tour(D, demand, capacity: int, tour: list[int], max_routes: int 
     n = len(tour)
 
     def relax(src: list[float], dst: list[float], pred: list[int], starts) -> None:
-        # extend each reachable prefix i of starts by one route tour[i:j+1]
+        # extend each prefix i of starts, all reachable, by one route tour[i:j+1]
         for i in starts:
             base = src[i]
-            if base == math.inf:
-                continue
             load = 0
             inner = 0.0
             prev = None
@@ -661,7 +650,7 @@ def hgs_solve(
     def evaluate(routes: list[list[int]], educate: bool = True) -> _Individual:
         if educate:
             routes = _local_search(D, demand, q, routes, neighbours)
-        cost = sum(route_cost(dm, r) for r in routes)
+        cost = solution_cost(dm, routes)
         feasible = limit is None or len(routes) <= limit
         if not feasible:
             cost += _FLEET_PENALTY * (len(routes) - limit)
@@ -772,8 +761,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
 def decompose(
     instance: Instance, solution: Solution, m: int, seed: int = 0
-) -> tuple[DecompositionPlan, list[Subproblem]]:
-    """Group routes into ceil(N/m) spatial clusters via barycenter k-means.
+) -> tuple[np.ndarray, list[Subproblem]]:
+    """Group routes into ceil(N/m) spatial clusters via barycenter k-means:
+    each route's cluster label, and the clusters' subproblems in label order.
 
     The cluster count is additionally capped by the route count (k-means
     cannot form more non-empty clusters than it has points). Every subproblem
@@ -781,15 +771,11 @@ def decompose(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = instance.n_customers
-    k = max(1, min(math.ceil(n / m), solution.n_routes))
-    bary = compute_barycenters(instance, solution)
-    labels = kmeans(bary, k, seed)
-    plan = DecompositionPlan(bary, labels, k)
+    k = max(1, min(math.ceil(instance.n_customers / m), solution.n_routes))
+    labels = kmeans(compute_barycenters(instance, solution), k, seed)
     subproblems = []
     for ci in range(k):
-        route_ids = [ri for ri in range(solution.n_routes) if labels[ri] == ci]
-        cluster_routes = [solution.routes[ri] for ri in route_ids]
+        cluster_routes = [r for r, label in zip(solution.routes, labels) if label == ci]
         globals_sorted = sorted(c for r in cluster_routes for c in r.nodes)
         local_of = {g: i + 1 for i, g in enumerate(globals_sorted)}
         local_instance = Instance(
@@ -803,7 +789,7 @@ def decompose(
         )
         warm = tuple(tuple(local_of[c] for c in r.nodes) for r in cluster_routes)
         subproblems.append(Subproblem(local_instance, tuple(globals_sorted), warm))
-    return plan, subproblems
+    return labels, subproblems
 
 
 def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: np.ndarray) -> Solution:

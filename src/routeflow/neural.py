@@ -29,8 +29,8 @@ bit, and scores match its log-probabilities. The discriminator reuses the
 encoder and scores an action sequence by its arcs.
 
 Every network pass reads one per-instance ``InstanceGraph``: the instance,
-its distance matrix, the symmetrized k-NN ``EdgeIndex`` and the
-``NodeFeatures``. ``make_graph`` is the one place that builds it from
+its distance matrix, the symmetrized k-NN ``EdgeIndex``, the node features
+and their scale. ``make_graph`` is the one place that builds it from
 (instance, k-NN rows, distances), and ``instance_graph`` the one place that
 picks the k-NN width (``default_knn`` when none is given). A training step
 builds each instance's graph once and hands it to every encoder pass;
@@ -96,15 +96,8 @@ class Dims:
 # static per-instance structures
 
 
-@dataclass(frozen=True)
-class NodeFeatures:
-    """Per-node inputs: bbox-normalized coordinates, demand/Q, depot flag."""
-
-    x: np.ndarray  # (n, 4)
-    scale: float  # bounding-box span used to normalize coordinates
-
-
-def node_features(instance: Instance) -> NodeFeatures:
+def node_features(instance: Instance) -> tuple[np.ndarray, float]:
+    """(n, 4) inputs (bbox-normalized x, y; demand/Q; depot flag) and the bbox span."""
     pts = instance.all_points()
     mins = pts.min(axis=0)
     scale = float(max((pts.max(axis=0) - mins).max(), 1e-12))
@@ -113,7 +106,7 @@ def node_features(instance: Instance) -> NodeFeatures:
     x[:, 0:2] = (pts - mins) / scale
     x[1:, 2] = np.asarray(instance.demands, dtype=np.float64) / instance.capacity
     x[0, 3] = 1.0
-    return NodeFeatures(x, scale)
+    return x, scale
 
 
 @dataclass(frozen=True)
@@ -151,17 +144,18 @@ def build_edge_index(neighbors: np.ndarray, dm: np.ndarray) -> EdgeIndex:
 class InstanceGraph:
     """One instance as every network pass reads it: the instance, its
     distances (``build_distance_matrix``'s read-only float64 array), the
-    sparse edge index and the node features."""
+    sparse edge index and ``node_features``' inputs and scale."""
 
     instance: Instance
     dm: np.ndarray
     ei: EdgeIndex
-    feats: NodeFeatures
+    x: np.ndarray  # (n, 4)
+    scale: float
 
 
 def make_graph(instance: Instance, neighbors: np.ndarray, dm: np.ndarray) -> InstanceGraph:
     """The instance's graph on the k-NN rows ``neighbors`` of ``dm``."""
-    return InstanceGraph(instance, dm, build_edge_index(neighbors, dm), node_features(instance))
+    return InstanceGraph(instance, dm, build_edge_index(neighbors, dm), *node_features(instance))
 
 
 def default_knn(n_nodes: int) -> int:
@@ -352,7 +346,7 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
     floats. On the tape the whole graph is one block.
     """
     ei, d, n_heads = graph.ei, gat.dims.d_units, gat.dims.n_heads
-    h = F.leaky_relu(graph.feats.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
+    h = F.leaky_relu(graph.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
     width = ei.src.size if isinstance(h, F.Tensor) else _BLOCK
     terms, blocks = _edge_terms(gat, graph, width), _row_blocks(ei, width)
     for li, layer in enumerate(gat.layers):
@@ -384,7 +378,7 @@ def _edge_terms(gat: GatParams, graph: InstanceGraph, width: int):
     bounds = [*range(0, max(size - width, 0) + 1, width), size]
     terms = np.empty((len(gat.layers), gat.dims.n_heads, size)) if len(bounds) > 2 else None
     for a0, a1 in zip(bounds[:-1], bounds[1:]):
-        e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist[a0:a1] / graph.feats.scale)
+        e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist[a0:a1] / graph.scale)
                          + gat.b_edge.reshape(d, 1), LEAKY_SLOPE)
         block = [layer.w_edge @ e for layer in gat.layers]
         if terms is None:
@@ -747,7 +741,7 @@ def disc_edge_logits(disc: DiscParams, emb, graph: InstanceGraph, src: np.ndarra
     fall outside it, as expert arcs do; each arc's distance is read from
     ``graph.dm``.
     """
-    e_raw = (graph.dm[src, dst] / graph.feats.scale).reshape(-1, 1)
+    e_raw = (graph.dm[src, dst] / graph.scale).reshape(-1, 1)
     e = F.leaky_relu(e_raw @ disc.gat.w_edge + disc.gat.b_edge, LEAKY_SLOPE)
     cat = F.concat([F.take(emb, src), F.take(emb, dst), e], axis=1)
     mlp = disc.edge_mlp

@@ -33,7 +33,6 @@ _CONST = _rand(3, 1, seed=3)  # a constant left operand, broadcast over the colu
 OPS = {
     "take": (lambda x: F.take(x, _REPEATED), [_rand(3, 4)]),
     "segment_sum_1d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7)]),
-    "segment_sum_2d": (lambda x: F.segment_sum(x, _OWNER, 4), [_rand(7, 3)]),
     "segment_logsumexp": (lambda x: F.segment_logsumexp(x, _OWNER[:6], 3), [_rand(6)]),
     "csr_sum_1d": (lambda x: F.csr_sum(x, _START), [_rand(8)]),
     "csr_sum_3d": (lambda x: F.csr_sum(x, _START), [_rand(2, 3, 8)]),

@@ -72,6 +72,12 @@ class TestGen:
         assert cli.main(["gen", "--n", "5", "--count", count, "--out-dir", str(out)]) == cli.EXIT_SPEC
         assert not out.exists() and "count" in capsys.readouterr().err
 
+    def test_no_customers_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        # checked only by generate_uniform, it left an empty directory behind
+        out = tmp_path / "inst"
+        assert cli.main(["gen", "--n", "0", "--out-dir", str(out)]) == cli.EXIT_SPEC
+        assert not out.exists() and "--n" in capsys.readouterr().err
+
 
 class TestMissingFiles:
     def test_instance(self, tmp_path):

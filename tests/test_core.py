@@ -45,6 +45,14 @@ class TestInstanceInvariants:
         with pytest.raises(InstanceError):
             Instance((0, 0), ((math.nan, 1),), (1,), 10)
 
+    @pytest.mark.parametrize("xy", [(1, 2, 3), ("a", 0), (1,)], ids=repr)
+    def test_a_coordinate_that_is_not_a_pair_of_numbers_is_refused(self, xy):
+        # unchecked, these raised numpy's ValueError, a TypeError or an IndexError
+        with pytest.raises(InstanceError, match="node 1 coordinate"):
+            Instance((0, 0), (xy,), (1,), 3)
+        with pytest.raises(InstanceError, match="node 0 coordinate"):
+            Instance(xy, ((1, 1),), (1,), 3)
+
     def test_length_mismatch(self):
         with pytest.raises(InstanceError):
             Instance((0, 0), ((1, 1), (2, 2)), (1,), 10)

@@ -201,6 +201,29 @@ class TestHgs:
         with pytest.raises(ValueError, match=next(iter(fields))):
             HgsConfig(**fields)
 
+    def test_a_tight_fleet_is_penalised_in_this_process(self, cpus, monkeypatch):
+        # under Q = 11 a 6 pairs only with a 5, so a tour whose Split needs
+        # more than four routes is kept as a penalised individual
+        cpus(1)
+        penalised, make = [], expert._Individual
+
+        def spy(tour, routes, cost, feasible):
+            penalised.append(not feasible)
+            return make(tour, routes, cost, feasible)
+
+        monkeypatch.setattr(expert, "_Individual", spy)
+        circle = tuple((math.cos(math.pi * i / 4), math.sin(math.pi * i / 4)) for i in range(8))
+        inst = Instance((0.0, 0.0), circle, (6, 6, 6, 6, 5, 5, 5, 5), 11, fleet_limit=4)
+        sol = hgs_solve(inst, cfg=HgsConfig(population_size=8, max_iterations=20))
+        assert any(penalised)
+        assert check_feasible(inst, sol).feasible
+
+    def test_no_fleet_feasible_solution_is_an_instance_error(self, cpus):
+        cpus(1)
+        inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (6, 6, 6), 11, fleet_limit=2)
+        with pytest.raises(InstanceError, match="no fleet-feasible"):
+            hgs_solve(inst, cfg=HgsConfig(population_size=8, max_iterations=20))
+
     def test_a_time_budget_may_be_an_integer(self):
         assert HgsConfig(time_budget_s=2).time_budget_s == 2
 
@@ -398,13 +421,22 @@ class TestKmeans:
         labels = kmeans(pts, 7, seed=0)
         assert set(labels.tolist()) == set(range(7))
 
+    def test_coincident_points_fill_every_cluster(self):
+        # with three points at one place, k-means++ seeding finds no distance
+        # left to draw the third centroid by, and a cluster empties and steals
+        pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]])
+        for seed in range(6):
+            labels = kmeans(pts, 3, seed)
+            assert set(labels.tolist()) == {0, 1, 2}
+            assert np.array_equal(kmeans(pts, 3, seed), labels)
+
 
 class TestDecompose:
     def test_single_cluster_when_m_large(self):
         inst = generate_uniform(20, 6)
         sol = initial_solution(inst, 6, build_distance_matrix(inst))
-        plan, subs = decompose(inst, sol, m=100)
-        assert plan.k == 1
+        labels, subs = decompose(inst, sol, m=100)
+        assert labels.tolist() == [0] * sol.n_routes
         assert len(subs) == 1
         assert subs[0].instance.n_customers == 20
         assert len(subs[0].warm_routes) == sol.n_routes
@@ -412,8 +444,8 @@ class TestDecompose:
     def test_partition_property(self):
         inst = generate_uniform(60, 13)
         sol = initial_solution(inst, 13, build_distance_matrix(inst))
-        plan, subs = decompose(inst, sol, m=15)
-        assert plan.k == math.ceil(60 / 15) or plan.k == sol.n_routes
+        _, subs = decompose(inst, sol, m=15)
+        assert len(subs) == math.ceil(60 / 15) or len(subs) == sol.n_routes
         seen = []
         for sub in subs:
             seen.extend(sub.mapping)
@@ -431,8 +463,8 @@ class TestDecompose:
         sol = make_solution(
             inst, dm, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12], [13, 14], [15, 16]]
         )
-        plan, subs = decompose(inst, sol, m=8)
-        assert plan.k == 2
+        _, subs = decompose(inst, sol, m=8)
+        assert len(subs) == 2
         groups = [set(sub.mapping) for sub in subs]
         assert {frozenset(g) for g in groups} == {
             frozenset(range(1, 9)),

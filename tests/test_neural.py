@@ -64,11 +64,11 @@ def _lrelu(x, slope=0.2):
     return np.where(x > 0, x, slope * x)
 
 
-def straight_line_embed(gat, ei, feats):
+def straight_line_embed(gat, ei, x, scale):
     """Independent loop-based re-evaluation of the encoder, one head at a
     time: head k's weights are its slots of the layer's stacked arrays."""
-    h = _lrelu(feats.x @ gat.w_node + gat.b_node)
-    e = _lrelu((ei.dist / feats.scale)[:, None] @ gat.w_edge + gat.b_edge)
+    h = _lrelu(x @ gat.w_node + gat.b_node)
+    e = _lrelu((ei.dist / scale)[:, None] @ gat.w_edge + gat.b_edge)
     n_layers = gat.dims.n_layers
     for li, layer in enumerate(gat.layers):
         outs = []
@@ -264,7 +264,7 @@ def assert_matches_straight_line(n, k, dims):
     """Both modes of gat_embed against the oracle, to within float order."""
     graph = instance_graph(generate_uniform(n, 3), k)
     policy = init_params(dims, 1)
-    slow = straight_line_embed(policy.gat, graph.ei, graph.feats)
+    slow = straight_line_embed(policy.gat, graph.ei, graph.x, graph.scale)
     fast = gat_embed(policy.gat, graph, training=True)
     on_tape = gat_embed(lift(policy).gat, graph, training=True)
     assert np.allclose(fast, slow, rtol=0, atol=1e-12)
@@ -789,10 +789,10 @@ class TestDiscriminator:
     def test_matches_straight_line_reevaluation(self):
         inst, dm, graph, _ = small_setup(n=9, seed=19, k=3)
         disc = init_disc(SMALL, 7)
-        ei, feats = graph.ei, graph.feats
+        ei, scale = graph.ei, graph.scale
         probs = disc_forward(disc, graph, training=True)
-        emb = straight_line_embed(disc.gat, ei, feats)
-        e = _lrelu((ei.dist / feats.scale)[:, None] @ disc.gat.w_edge + disc.gat.b_edge)
+        emb = straight_line_embed(disc.gat, ei, graph.x, scale)
+        e = _lrelu((ei.dist / scale)[:, None] @ disc.gat.w_edge + disc.gat.b_edge)
         cat = np.concatenate([emb[ei.src], emb[ei.dst], e], axis=1)
         mlp = disc.edge_mlp
         logits = _lrelu(cat @ mlp.w1 + mlp.b1) @ mlp.w2 + float(mlp.b2)
@@ -836,17 +836,17 @@ class TestDiscScore:
     def test_matches_straight_line_log_sigmoid_sum(self):
         inst, dm, graph, _ = small_setup(n=8, seed=4, k=2)
         disc = init_disc(SMALL, 7)
-        ei, feats = graph.ei, graph.feats
+        ei, scale = graph.ei, graph.scale
         i = next(j for j in range(1, inst.n_nodes) if len(neighbours(ei, j)) < inst.n_nodes - 1)
         far = next(j for j in range(1, inst.n_nodes) if j != i and j not in neighbours(ei, i))
         rest = [c for c in range(1, inst.n_nodes) if c not in (i, far)]
         # an arc off the sparse graph, then a sequence that stops away from the depot
         seqs = [(i, far, 0, *rest, 0), (far, 0, i), tuple(range(1, inst.n_nodes)) + (0,)]
-        emb = straight_line_embed(disc.gat, ei, feats)
+        emb = straight_line_embed(disc.gat, ei, graph.x, scale)
         mlp = disc.edge_mlp
 
         def log_sigmoid(a, b):
-            e = _lrelu(np.array([[dm[a, b] / feats.scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
+            e = _lrelu(np.array([[dm[a, b] / scale]]) @ disc.gat.w_edge + disc.gat.b_edge)[0]
             hidden = _lrelu(np.concatenate([emb[a], emb[b], e]) @ mlp.w1 + mlp.b1)
             return np.log(1 / (1 + np.exp(-(hidden @ mlp.w2 + float(mlp.b2)))))
 
