@@ -94,8 +94,8 @@ def initial_solution(instance: Instance, seed: int, dm: np.ndarray) -> Solution:
     customer.
 
     Always capacity-feasible. With a tight fleet limit the merge/repack repair
-    is best-effort; a rare excess route is left for the caller's penalty
-    handling rather than raised.
+    is best-effort; a rare excess route is left for the caller to rank or
+    refuse rather than raised.
     """
     n = instance.n_customers
     dx, dy = instance.depot
@@ -105,6 +105,7 @@ def initial_solution(instance: Instance, seed: int, dm: np.ndarray) -> Solution:
     order = order[start:] + order[:start]
 
     D = dm.tolist()
+    tol = _move_tolerance(dm)
     demand = [0] + list(instance.demands)
     routes: list[list[int]] = []
     cur: list[int] = []
@@ -117,14 +118,20 @@ def initial_solution(instance: Instance, seed: int, dm: np.ndarray) -> Solution:
         load += demand[c]
     if cur:
         routes.append(cur)
-    routes = [_two_opt_route(D, r) for r in routes]
+    routes = [_two_opt_route(D, r, tol) for r in routes]
     if instance.fleet_limit is not None and len(routes) > instance.fleet_limit:
-        routes = _repair_fleet(D, demand, instance.capacity, routes, instance.fleet_limit)
+        routes = _repair_fleet(D, demand, instance.capacity, routes, instance.fleet_limit, tol)
     return make_solution(instance, dm, routes)
 
 
-def _two_opt_route(D, route: list[int]) -> list[int]:
-    """Repeated best-improvement 2-opt on one route until local optimum."""
+def _move_tolerance(dm: np.ndarray) -> float:
+    """The gain a move must exceed: 1e-10 of the largest distance, far above
+    a gain's rounding noise (about 1e-15 of it), so the search ends at any scale."""
+    return 1e-10 * float(dm.max())
+
+
+def _two_opt_route(D, route: list[int], tol: float) -> list[int]:
+    """Best-improvement 2-opt on one route until no reversal gains more than tol."""
     r = list(route)
     n = len(r)
     if n < 3:
@@ -132,7 +139,7 @@ def _two_opt_route(D, route: list[int]) -> list[int]:
     improved = True
     while improved:
         improved = False
-        best_delta = -1e-10
+        best_delta = -tol
         best = None
         for i in range(n - 1):
             a = 0 if i == 0 else r[i - 1]
@@ -151,13 +158,13 @@ def _two_opt_route(D, route: list[int]) -> list[int]:
     return r
 
 
-def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int) -> list[list[int]]:
+def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int, tol: float):
     """Reduce the route count toward the fleet limit.
 
     Merges route pairs by best savings; if merging stalls, falls back to
     first-fit-decreasing bin packing with nearest-neighbour sequencing. May
     still return more than ``limit`` routes when no packing is found; callers
-    treat the excess as a penalized constraint violation.
+    rank such a solution below every fleet-feasible one, or refuse it.
     """
     routes = [list(r) for r in routes]
     loads = [sum(demand[c] for c in r) for r in routes]
@@ -173,17 +180,17 @@ def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int)
                     best_saving = saving
                     best = (i, j)
         if best is None:
-            packed = _pack_into_bins(D, demand, capacity, [c for r in routes for c in r], limit)
+            packed = _pack_into_bins(D, demand, capacity, [c for r in routes for c in r], limit, tol)
             return packed if packed is not None else routes
         i, j = best
         merged = routes[i] + routes[j]
         loads[i] += loads[j]
-        routes[i] = _two_opt_route(D, merged)
+        routes[i] = _two_opt_route(D, merged, tol)
         del routes[j], loads[j]
     return routes
 
 
-def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int):
+def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int, tol: float):
     """First-fit-decreasing packing into ``limit`` routes, each sequenced by
     nearest neighbour and 2-opt to a local optimum; None when packing fails."""
     order = sorted(customers, key=lambda c: (-demand[c], c))
@@ -211,7 +218,7 @@ def _pack_into_bins(D, demand, capacity: int, customers: list[int], limit: int):
             seq.append(nxt)
             remaining.remove(nxt)
             cur = nxt
-        routes.append(_two_opt_route(D, seq))
+        routes.append(_two_opt_route(D, seq, tol))
     return routes
 
 
@@ -228,7 +235,7 @@ def _neighbour_lists(dm: np.ndarray) -> list[list[int]]:
 
 
 def _local_search(
-    D, demand, capacity: int, routes: list[list[int]], neighbours: list[list[int]]
+    D, demand, capacity: int, routes: list[list[int]], neighbours: list[list[int]], tol: float
 ) -> list[list[int]]:
     """Granular first-improvement search until stable.
 
@@ -237,10 +244,10 @@ def _local_search(
     order: relocate u directly before or after v (the better of the two);
     then, if u and v are in different routes, swap u and v, and 2-opt*,
     which cuts after u and before v so that (u, v) becomes an arc. The first
-    improving move is applied and the sweep goes on. After each sweep,
-    intra-route 2-opt runs on the routes modified since their last 2-opt.
-    The search stops after a sweep with no move that leaves no route for
-    2-opt to change.
+    move that gains more than ``tol`` is applied and the sweep goes on.
+    After each sweep, intra-route 2-opt runs on the routes modified since
+    their last 2-opt. The search stops after a sweep with no move that
+    leaves no route for 2-opt to change.
 
     Stamps skip work exactly: a route records the clock of its last change
     and a customer the clock of its last test, and (u, v) is skipped when
@@ -272,6 +279,7 @@ def _local_search(
     modified = [0] * len(routes)
     two_opted = [-1] * len(routes)
     tested = [-1] * len(demand)
+    floor = -tol  # an improving move's cost change is below this
     while True:
         moved = False
         for u in customers:
@@ -296,9 +304,9 @@ def _local_search(
                     before = gain if pv == u else Dpv[u] + Du[v] - Dpv[v]
                     after = gain if sv == u else Dv[u] + Du[sv] - Dv[sv]
                     if before <= after:
-                        if before - gain < -1e-10:
+                        if before - gain < floor:
                             move = "before"
-                    elif after - gain < -1e-10:
+                    elif after - gain < floor:
                         move = "after"
                 if move is None and ru != rv:
                     dv = demand[v]
@@ -306,13 +314,13 @@ def _local_search(
                         loads[ru] - du + dv <= capacity
                         and loads[rv] - dv + du <= capacity
                         and Dpu[v] + Dv[su] + Dpv[u] + Du[sv]
-                        - Dpu[u] - Du[su] - Dpv[v] - Dv[sv] < -1e-10
+                        - Dpu[u] - Du[su] - Dpv[v] - Dv[sv] < floor
                     ):
                         move = "swap"
                     elif (
                         pre[u] + loads[rv] - pre[v] + dv <= capacity
                         and pre[v] - dv + loads[ru] - pre[u] <= capacity
-                        and Du[v] + Dpv[su] - Du[su] - Dpv[v] < -1e-10
+                        and Du[v] + Dpv[su] - Du[su] - Dpv[v] < floor
                     ):
                         move = "star"
                 if move is None:
@@ -335,7 +343,7 @@ def _local_search(
         for r, route in enumerate(routes):
             if modified[r] <= two_opted[r]:
                 continue
-            new = _two_opt_route(D, route)
+            new = _two_opt_route(D, route, tol)
             if new != route:
                 routes[r] = new
                 clock += 1
@@ -461,23 +469,26 @@ def _order_crossover(rng, p1: list[int], p2: list[int]) -> list[int]:
 
 
 class _Individual:
-    __slots__ = ("tour", "routes", "cost", "feasible")
+    """An educated giant tour; ``excess`` counts its routes over the fleet
+    limit (0 with none). Ranked by (excess, cost): fewer excess routes first."""
 
-    def __init__(self, tour, routes, cost, feasible):
+    __slots__ = ("tour", "routes", "cost", "excess")
+
+    def __init__(self, tour, routes, cost, excess):
         self.tour = tour
         self.routes = routes
         self.cost = cost
-        self.feasible = feasible
+        self.excess = excess
 
-
-_FLEET_PENALTY = 1e7
+    def rank(self) -> tuple[int, float]:
+        return self.excess, self.cost
 
 
 def _survivors(population: list[_Individual], size: int) -> list[_Individual]:
-    """The next generation: by cost (ties in population order), the elite
+    """The next generation: by rank (ties in population order), the elite
     share first, then the first occurrence of each other tour, then the
     duplicates, truncated to ``size``."""
-    ranked = sorted(population, key=lambda ind: ind.cost)
+    ranked = sorted(population, key=lambda ind: ind.rank())
     n_elite = max(1, int(ELITE_FRACTION * size))
     seen = {tuple(ind.tour) for ind in ranked[:n_elite]}
     firsts, duplicates = [], []
@@ -489,13 +500,13 @@ def _survivors(population: list[_Individual], size: int) -> list[_Individual]:
 
 
 def _draw_child(rng, population: list[_Individual]) -> list[int]:
-    """A child's giant tour: two binary tournaments, order crossover and, at
-    MUTATION_RATE, one reversed segment."""
+    """A child's giant tour: two binary tournaments by rank, order crossover
+    and, at MUTATION_RATE, one reversed segment."""
 
     def tournament() -> _Individual:
         i, j = rng.integers(len(population), size=2)
         a, b = population[int(i)], population[int(j)]
-        return a if a.cost <= b.cost else b
+        return a if a.rank() <= b.rank() else b
 
     p1, p2 = tournament(), tournament()
     child = _order_crossover(rng, p1.tour, p2.tour)
@@ -625,17 +636,17 @@ def hgs_solve(
     """Population search over giant tours, deterministic for a fixed seed.
 
     The warm start (or the angular-sweep construction when absent) enters the
-    initial population, and the incumbent never regresses, so the returned
-    cost is bounded by both. ``time_budget_s`` is a hard cap checked between
-    generations; bit-determinism across runs holds when ``max_iterations``
-    binds first.
+    initial population, and the incumbent (the best-ranked individual) always
+    survives, so the returned cost is bounded by both. ``time_budget_s`` is a
+    hard cap checked between generations; bit-determinism across runs holds
+    when ``max_iterations`` binds first.
 
     Each generation draws two children from the same population, then
-    educates them as a pair; they join the population (and may become the
-    incumbent) in draw order, and the survivors are chosen once. Initial
-    tours pair up too; an odd number of them or of children leaves a last
-    tour alone. A ``_Helper`` may educate each pair's second tour on a forked
-    process; the output is the serial search's, bit for bit, on any host.
+    educates them as a pair; they join the population in draw order, and the
+    survivors are chosen once. Initial tours pair up too; an odd number of
+    them or of children leaves a last tour alone. A ``_Helper`` may educate
+    each pair's second tour on a forked process; the output is the serial
+    search's, bit for bit, on any host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -646,16 +657,13 @@ def hgs_solve(
     limit = instance.fleet_limit
     rng = np.random.default_rng(cfg.seed)
     neighbours = _neighbour_lists(dm)
+    tol = _move_tolerance(dm)
 
     def evaluate(routes: list[list[int]], educate: bool = True) -> _Individual:
         if educate:
-            routes = _local_search(D, demand, q, routes, neighbours)
-        cost = solution_cost(dm, routes)
-        feasible = limit is None or len(routes) <= limit
-        if not feasible:
-            cost += _FLEET_PENALTY * (len(routes) - limit)
-        tour = [c for r in routes for c in r]
-        return _Individual(tour, routes, cost, feasible)
+            routes = _local_search(D, demand, q, routes, neighbours, tol)
+        excess = 0 if limit is None else max(0, len(routes) - limit)
+        return _Individual([c for r in routes for c in r], routes, solution_cost(dm, routes), excess)
 
     def from_tour(tour: list[int]) -> _Individual:
         routes = None
@@ -680,26 +688,18 @@ def hgs_solve(
     try:
         for k in range(0, len(tours), 2):
             population += helper.educate(tours[k : k + 2])
-
-        best = min(
-            (ind for ind in population if ind.feasible),
-            key=lambda ind: ind.cost,
-            default=None,
-        )
         for it in range(0, cfg.max_iterations, 2):
             if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
                 break
             children = [_draw_child(rng, population) for _ in range(min(2, cfg.max_iterations - it))]
-            for ind in helper.educate(children):
-                if ind.feasible and (best is None or ind.cost < best.cost):
-                    best = ind
-                population.append(ind)
+            population += helper.educate(children)
             if len(population) > cfg.population_size:
                 population = _survivors(population, cfg.population_size)
     finally:
         helper.close()
 
-    if best is None:
+    best = min(population, key=lambda ind: ind.rank())
+    if best.excess:
         raise InstanceError("no fleet-feasible solution found; raise the budget")
     return make_solution(instance, dm, _canonical_routes(best.routes))
 
@@ -863,10 +863,16 @@ def expert_refine(
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
     Each subproblem's matrix is sliced from ``dm``. ``solve_subproblems``
-    says how the clusters share the workers and the budget.
+    says how the clusters share the workers and the budget. A cluster never
+    uses more routes than its seed routes, so only a seed solution over the
+    fleet limit can leave the merge over it, which is an ``InstanceError``.
     """
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
     partials = solve_subproblems(subproblems, cfg, dm)
     routes = tuple(r for part in partials for r in part.routes)
+    limit = instance.fleet_limit
+    if limit is not None and len(routes) > limit:
+        raise InstanceError(f"no fleet-feasible solution found; the merged clusters use "
+                            f"{len(routes)} routes against a fleet limit of {limit}")
     total = sum(part.total_cost for part in partials)
     return Solution(routes, total)

@@ -208,16 +208,14 @@ def disc_loss(neg_rewards, pos_rewards):
 # sample generation
 
 
-def make_training_pair(policy: PolicyParams, ctx: DecodeContext, cfg: TrainConfig,
+def make_training_pair(ctx: DecodeContext, cfg: TrainConfig,
                        seed: int = 0) -> tuple[list[tuple], list[tuple]]:
     """Action sequences on ``ctx``, the policy's training-mode encoding of
-    one instance. Negatives: epsilon-greedy rollouts from the policy.
-    Positive: the best negative's solution refined by the
-    decomposition-augmented expert."""
+    one instance. Negatives: epsilon-greedy rollouts from the policy, whose
+    logits ``ctx`` carries. Positive: the best negative's solution refined
+    by the decomposition-augmented expert."""
     instance = ctx.graph.instance
-    neg = batch_rollouts(
-        policy, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon
-    )
+    neg = batch_rollouts(None, instance, ctx, cfg.n_rollouts, EPSILON_GREEDY, seed, cfg.epsilon)
     seed_sol = best_of(neg).solution
     expert_cfg = replace(cfg.expert_hgs, seed=derive_seed(seed, 7))
     refined = expert_refine(instance, seed_sol, cfg.m, expert_cfg, ctx.graph.dm)
@@ -284,7 +282,7 @@ def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: Trai
     lifted = lift(state.disc)
     neg_parts, pos_parts = [], []
     for idx, ctx in enumerate(ctxs):
-        neg, pos = make_training_pair(state.policy, ctx, cfg, derive_seed(seed, idx))
+        neg, pos = make_training_pair(ctx, cfg, derive_seed(seed, idx))
         emb = gat_embed(lifted.gat, ctx.graph, training=True)
         scores = disc_traj_scores_t(lifted, emb, ctx.graph, neg + pos)
         rewards = F.exp(scores)

@@ -1,5 +1,7 @@
+import contextlib
 import multiprocessing
 import os
+import signal
 import tracemalloc
 
 import pytest
@@ -54,3 +56,31 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` raises ``TimeoutError`` inside the block
+    once it has run ``seconds`` of wall time, naming the function it stopped,
+    so a search that never ends fails the test in bounded time. It runs on
+    ``SIGALRM``, so only on the main thread; the previous handler is
+    restored and the timer cleared."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s, in {frame.f_code.co_name}")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        except TimeoutError as exc:
+            # raised afresh here: the interrupted frame may have no line
+            # number, and pytest's report of its traceback then fails
+            raise TimeoutError(*exc.args) from None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

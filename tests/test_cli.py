@@ -3,10 +3,12 @@ command's output and the documented exit codes (0 success, 2 specification
 or usage error, 3 missing artifact)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from routeflow import bench, cli
+from routeflow.core import Instance
 from routeflow.expert import HgsConfig
 from routeflow.io import derive_seed, generate_uniform, read_results_csv, write_vrplib
 from routeflow.neural import Dims, init_params, save_policy
@@ -55,6 +57,27 @@ class TestSolve:
 
     def test_unknown_method_exits_2(self):
         assert cli.main(["solve", "--method", "simulated-annealing", "--n", "6"]) == cli.EXIT_SPEC
+
+    @pytest.mark.parametrize("method", ["hgs", "exact", "expert-refine-5"])
+    def test_no_fleet_feasible_solution_exits_2(self, method, tmp_path, capsys):
+        # three customers of demand 6 under Q = 11 need three routes, against a fleet of two
+        inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (6, 6, 6), 11, fleet_limit=2)
+        path = tmp_path / "tight.vrp"
+        path.write_text(write_vrplib(inst))
+        assert cli.main(["solve", "--method", method, "--instance", str(path)]) == cli.EXIT_SPEC
+        assert "fleet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["hgs", "expert-refine-10"])
+    def test_coordinates_near_1e7_end_feasible(self, method, tmp_path, capsys, cpus, deadline):
+        cpus(1)
+        inst = generate_uniform(30, 1)
+        big = replace(inst, depot=tuple(v * 1e7 for v in inst.depot),
+                      coords=tuple((x * 1e7, y * 1e7) for x, y in inst.coords))
+        path = tmp_path / "big.vrp"
+        path.write_text(write_vrplib(big))
+        with deadline(30):
+            assert cli.main(["solve", "--method", method, "--instance", str(path)]) == 0
+        assert "feasible: True" in capsys.readouterr().out
 
 
 class TestGen:

@@ -31,8 +31,10 @@ from routeflow.expert import (
     ELITE_FRACTION,
     GAMMA,
     HgsConfig,
+    _draw_child,
     _Individual,
     _local_search,
+    _move_tolerance,
     _neighbour_lists,
     _solve_one,
     _survivors,
@@ -50,6 +52,12 @@ from routeflow.io import derive_seed, generate_uniform, load_instance
 from reference_split import reference_fleet_split
 
 FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
+
+
+def scaled(inst: Instance, factor: float) -> Instance:
+    """``inst`` with every coordinate, the depot's too, times ``factor``."""
+    return replace(inst, depot=tuple(v * factor for v in inst.depot),
+                   coords=tuple((x * factor, y * factor) for x, y in inst.coords))
 
 
 class TestInitialSolution:
@@ -207,9 +215,9 @@ class TestHgs:
         cpus(1)
         penalised, make = [], expert._Individual
 
-        def spy(tour, routes, cost, feasible):
-            penalised.append(not feasible)
-            return make(tour, routes, cost, feasible)
+        def spy(tour, routes, cost, excess):
+            penalised.append(excess > 0)
+            return make(tour, routes, cost, excess)
 
         monkeypatch.setattr(expert, "_Individual", spy)
         circle = tuple((math.cos(math.pi * i / 4), math.sin(math.pi * i / 4)) for i in range(8))
@@ -292,10 +300,30 @@ class TestHgs:
             size = int(rng.integers(2, 12))
             tours = [list(rng.permutation(4)) for _ in range(int(rng.integers(1, 6)))]
             population = [
-                _Individual(tours[int(rng.integers(len(tours)))], None, float(rng.integers(5)), True)
+                _Individual(tours[int(rng.integers(len(tours)))], None, float(rng.integers(5)), 0)
                 for _ in range(size + 1)
             ]
             assert [id(i) for i in _survivors(population, size)] == [id(i) for i in loops(population, size)]
+
+    # one route over the fleet limit at cost 5e6 against a fleet-feasible 2e7:
+    # cost plus any fixed penalty below 1.5e7 a route would put the first ahead
+    OVER = dict(tour=[1, 2, 3], routes=[[1], [2], [3]], cost=5e6, excess=1)
+    WITHIN = dict(tour=[3, 2, 1], routes=[[3, 2, 1]], cost=2e7, excess=0)
+
+    def test_the_fleet_feasible_survives_a_cheaper_one_over_the_limit(self):
+        over, within = _Individual(**self.OVER), _Individual(**self.WITHIN)
+        assert _survivors([over, within], 1) == [within]
+
+    def test_a_tournament_picks_the_fleet_feasible_over_a_cheaper_one(self):
+        # both tournaments draw (over, within); the crossover of two copies
+        # of one tour is that tour, and no mutation is drawn
+        rng = SimpleNamespace(
+            integers=lambda n, size: np.array([0, 1]),
+            choice=lambda n, size, replace: np.array([0, 1]),
+            random=lambda: 1.0,
+        )
+        population = [_Individual(**self.OVER), _Individual(**self.WITHIN)]
+        assert _draw_child(rng, population) == self.WITHIN["tour"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_n32_k5_reaches_bks(self, seed):
@@ -346,11 +374,12 @@ def _check_local_search(inst, start):
     D = dm.tolist()
     demand = [0] + list(inst.demands)
     neighbours = _neighbour_lists(dm)
-    out = _local_search(D, demand, inst.capacity, start, neighbours)
+    tol = _move_tolerance(dm)
+    out = _local_search(D, demand, inst.capacity, start, neighbours, tol)
     sol = make_solution(inst, dm, out)
     assert check_feasible(inst, sol).feasible
     assert sol.total_cost <= solution_cost(dm, make_solution(inst, dm, start).routes) + 1e-9
-    assert all(_two_opt_route(D, r) == r for r in out)
+    assert all(_two_opt_route(D, r, tol) == r for r in out)
     n = inst.n_customers
     for u in range(1, n + 1):
         # Γ(u): the GAMMA nearest customers, ties toward the lower index
@@ -647,6 +676,48 @@ class TestExpertRefine:
         a = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         b = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         assert a == b
+
+    def test_a_merge_over_the_fleet_limit_is_an_instance_error(self, cpus):
+        # three customers of demand 6 under Q = 11 need three routes, against a fleet of two
+        cpus(1)
+        inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (6, 6, 6), 11, fleet_limit=2)
+        dm = build_distance_matrix(inst)
+        start = initial_solution(inst, 0, dm)
+        assert start.n_routes == 3
+        with pytest.raises(InstanceError, match="no fleet-feasible solution found; .* 3 routes .* of 2"):
+            expert_refine(inst, start, m=5, cfg=FAST, dm=dm)
+
+
+class TestScale:
+    """Continuous instances with coordinates near 1e7. The rounding noise in
+    a move's gain grows with the distances; it must never pass for a gain,
+    or the search moves back and forth forever. Each run has a deadline."""
+
+    def test_the_deadline_stops_an_endless_loop(self, deadline):
+        with pytest.raises(TimeoutError):
+            with deadline(0.2):
+                while True:
+                    pass
+
+    def test_two_opt_ends_where_a_reversal_gains_only_rounding_noise(self, deadline):
+        inst = scaled(generate_uniform(4, 5), 1e7)
+        dm = build_distance_matrix(inst)
+        D, tol = dm.tolist(), _move_tolerance(dm)
+        with deadline(5):
+            route = _two_opt_route(D, [1, 2, 3, 4], tol)
+        assert route == [1, 3, 2, 4]
+        # reversing the whole route changes nothing in exact arithmetic, yet
+        # it is scored as a small gain, which the tolerance rejects
+        a, b = route[0], route[-1]
+        noise = D[0][b] + D[a][0] - D[0][a] - D[b][0]
+        assert -tol < noise < 0
+
+    def test_hgs_ends_and_is_feasible(self, cpus, deadline):
+        cpus(1)
+        inst = scaled(generate_uniform(60, 3), 1e7)
+        with deadline(30):
+            sol = hgs_solve(inst, cfg=HgsConfig(max_iterations=100, seed=1))
+        assert check_feasible(inst, sol).feasible
 
 
 @pytest.fixture
