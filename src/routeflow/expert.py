@@ -516,19 +516,40 @@ def _draw_child(rng, population: list[_Individual]) -> list[int]:
     return child
 
 
-_FORK_AFTER_S = 0.05  # a fork costs ~10 ms, so shorter solves never start a helper
+# A solve forks its helper only once it has run this long. The fork itself
+# takes about 2 ms (``Process.start`` of a training step's worker at n=20);
+# a shorter solve has too few pairs left to repay it and each pair's pipe trip.
+_FORK_AFTER_S = 0.05
 _JUDGE_AFTER = 4  # measured pairs before a helper may be found to share this process's CPU
+# A pair's wall time above the longer education, as a share of the shorter
+# one, summed over a solve's judged pairs at n=100: 0.03-0.46 on an idle
+# two-CPU host (one burst reached 1.4, then fell back), and 1.02-1.39 when
+# the helper shares the parent's CPU (both pinned to one, or a busy loop on
+# the other). A helper is closed once its pairs sum above this share.
+_SHARED_AT = 0.9
 
 
-def _may_fork() -> bool:
+def may_fork() -> bool:
     """Whether this process may fork: it is the main process (not a pool
-    worker or a helper), at least two CPUs are usable, and no other thread
-    runs (forking a threaded process is unsafe)."""
+    worker, a helper or a training step's worker), at least two CPUs are
+    usable, and no other thread runs (forking a threaded process is
+    unsafe)."""
     if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
         return False
     import multiprocessing  # only here, so that `import routeflow` stays light
 
     return multiprocessing.parent_process() is None
+
+
+def leave_parent_cpu() -> None:
+    """Move this forked process off the CPU its parent last ran on: the
+    wake-ups of a pipe between them tend to hold both on one CPU while
+    another idles. Nothing moves without /proc, without another usable CPU,
+    or onto a CPU the host has not got."""
+    with contextlib.suppress(OSError):
+        with open(f"/proc/{os.getppid()}/stat") as f:  # field 39: the CPU it last ran on
+            parent_cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
 
 
 def _serve(conn, parent_end, from_tour) -> None:
@@ -539,11 +560,7 @@ def _serve(conn, parent_end, from_tour) -> None:
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the solve, which kills this
     parent_end.close()  # so that recv sees the end of a solve whose process died
-    # off the parent's CPU: the pipe's wake-ups tend to hold both on it while another idles
-    with contextlib.suppress(OSError):  # no /proc, no other CPU, or one the host has not got
-        with open(f"/proc/{os.getppid()}/stat") as f:  # field 39: the CPU it last ran on
-            parent_cpu = int(f.read().rsplit(")", 1)[1].split()[36])
-        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
+    leave_parent_cpu()
     while True:
         try:
             tour = conn.recv()
@@ -563,14 +580,15 @@ class _Helper:
 
     ``educate(tours)`` returns ``[from_tour(t) for t in tours]``; a running
     process educates a pair's second tour while this one educates the first,
-    and what it raises is raised here. It is forked, if ``_may_fork``
+    and what it raises is raised here. It is forked, if ``may_fork``
     allows, at the first pair once the solve has run ``_FORK_AFTER_S``, and
     never after a refusal. It is closed for the rest of the solve once
-    ``_JUDGE_AFTER`` pairs after the first took a summed wall time nearer
-    the sum of their two CPU times than the maximum (it shares this
-    process's CPU). A process that dies raises ``RuntimeError`` naming its
-    exit code. ``close`` kills and reaps it. Education is a function of the
-    tour alone, so the individuals are the serial search's whatever the host.
+    ``_JUDGE_AFTER`` pairs after the first took a summed wall time above the
+    longer education plus ``_SHARED_AT`` times the shorter, close to the
+    serial sum (it shares this process's CPU). A process that dies raises
+    ``RuntimeError`` naming its exit code. ``close`` kills and reaps it.
+    Education is a function of the tour alone, so the individuals are the
+    serial search's whatever the host.
     """
 
     def __init__(self, from_tour, start: float):
@@ -578,7 +596,7 @@ class _Helper:
         self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
         self.proc = self.conn = None
         self.pairs = 0  # educated on both processes
-        self.lag = 0.0  # over the measured pairs: wall - (max + min / 2) of the CPU times
+        self.lag = 0.0  # over the measured pairs: wall - (max + _SHARED_AT * min) of the CPU times
 
     def educate(self, tours: list[list[int]]) -> list[_Individual]:
         if len(tours) < 2 or not self._forked():
@@ -598,7 +616,7 @@ class _Helper:
         second, other = msg
         self.pairs += 1
         if self.pairs > 1:  # the first waited for the fork
-            self.lag += time.perf_counter() - wall - max(cpu, other) - min(cpu, other) / 2
+            self.lag += time.perf_counter() - wall - max(cpu, other) - _SHARED_AT * min(cpu, other)
             if self.pairs > _JUDGE_AFTER and self.lag > 0:
                 self.close()
         return [first, second]
@@ -606,7 +624,7 @@ class _Helper:
     def _forked(self) -> bool:
         if self.fork_at is not None and time.monotonic() >= self.fork_at:
             self.fork_at = None
-            if _may_fork():
+            if may_fork():
                 import multiprocessing
 
                 ctx = multiprocessing.get_context("fork")
@@ -817,7 +835,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
     The clusters run on min(cluster count, usable CPUs) fork-started worker
     processes, submitted largest first (by customer count) so that the
     largest cluster, which bounds the wall time, starts at once. With fewer
-    than two workers (one cluster, or one CPU), or when ``_may_fork``
+    than two workers (one cluster, or one CPU), or when ``may_fork``
     refuses (another thread runs, or this is not the main process), they run
     in turn in this process, with no pool. Each cluster gets a
     seed derived from its index and its own slice of ``dm``, so its result
@@ -835,7 +853,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
         for i in range(len(subproblems))
     ]
     workers = min(len(subproblems), len(os.sched_getaffinity(0)))
-    if workers < 2 or not _may_fork():
+    if workers < 2 or not may_fork():
         return [_solve_one(sub, c, dm) for sub, c in zip(subproblems, configs)]
     # imported here: they would add ~24 ms to every `import routeflow`
     import multiprocessing

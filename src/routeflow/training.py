@@ -8,10 +8,17 @@ A generator update encodes each instance once, on the lifted policy, and
 walks the decoder once: ``scored_rollouts`` samples the rollouts with their
 log-probabilities on the tape, and the frozen discriminator scores them by
 the ``disc_traj_scores_t`` that the discriminator update trains through.
-Positives are action sequences, scored only by the discriminator. The
-frozen encodings are also built once per step: the discriminator's for the
-generator updates, the updated policy's for the negatives and the greedy
-cost.
+Positives are action sequences, scored only by the discriminator.
+
+The two halves of a step read nothing of each other's output. The
+generator updates read the discriminator as the step found it. The
+discriminator half (``train_discriminator``) reads the policy as the step
+found it: its frozen encoding serves the epsilon-greedy negatives, whose
+best solution seeds the expert. So when ``expert.may_fork`` allows, the
+discriminator half runs on a forked worker beside the generator updates,
+and its result is installed after them; otherwise it runs first, on a copy
+of the discriminator. Both give the same bits. The greedy cost is the
+updated policy's.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -19,6 +26,9 @@ purpose), so a run resumed from any checkpoint continues bit-identically.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
 import json
 import math
 import operator
@@ -29,7 +39,7 @@ import numpy as np
 
 from . import autodiff as F
 from .core import Instance, check_feasible, check_fields, int_at_least, is_int, is_number
-from .expert import HgsConfig, expert_refine
+from .expert import HgsConfig, expert_refine, leave_parent_cpu, may_fork
 from .io import derive_seed, generate_uniform
 from .neural import (
     CHECKPOINT_VERSION,
@@ -274,12 +284,12 @@ def generator_update(state: TrainState, graphs: list[InstanceGraph], disc_embs,
     return _descend(state.opt_policy, state.policy, lifted, loss, "tb_loss", lr_of, cfg, state.epoch)
 
 
-def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: TrainConfig,
-                         seed: int) -> tuple[float, float]:
-    """One LSGAN step on the discriminator; generator frozen. ``ctxs``
-    holds the policy's training-mode encoding of each instance. Returns the
-    loss and the mean negative-sample reward."""
-    lifted = lift(state.disc)
+def discriminator_update(disc: DiscParams, opt_disc: Adam, ctxs: list[DecodeContext],
+                         cfg: TrainConfig, seed: int, epoch: int) -> tuple[float, float]:
+    """One LSGAN step on ``disc``; generator frozen. ``ctxs`` holds the
+    policy's training-mode encoding of each instance. Returns the loss and
+    the mean negative-sample reward."""
+    lifted = lift(disc)
     neg_parts, pos_parts = [], []
     for idx, ctx in enumerate(ctxs):
         neg, pos = make_training_pair(ctx, cfg, derive_seed(seed, idx))
@@ -291,34 +301,111 @@ def discriminator_update(state: TrainState, ctxs: list[DecodeContext], cfg: Trai
     neg_all = F.concat(neg_parts, axis=0)
     pos_all = F.concat(pos_parts, axis=0)
     loss = disc_loss(neg_all, pos_all)
-    loss_val = _descend(state.opt_disc, state.disc, lifted, loss, "disc_loss",
-                        lambda name: cfg.lr_disc, cfg, state.epoch)
+    loss_val = _descend(opt_disc, disc, lifted, loss, "disc_loss", lambda name: cfg.lr_disc, cfg, epoch)
     return loss_val, float(F.value(neg_all).mean())
+
+
+def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
+                        graphs: list[InstanceGraph], cfg: TrainConfig, seed: int,
+                        epoch: int) -> tuple[DiscParams, Adam, dict[str, float]]:
+    """The discriminator half of a step, a function of its inputs alone: the
+    policy's frozen encoding of each graph serves the negatives and the
+    expert's seed solution, and one ``discriminator_update`` trains a copy
+    of ``disc`` and ``opt_disc``. Returns the trained copies (arrays,
+    batch-norm state, Adam ``t``/``m``/``v``) and the record fields
+    ``disc_loss`` and ``mean_reward``."""
+    disc, opt_disc = copy.deepcopy((disc, opt_disc))
+    ctxs = [encode_graph(policy, g, training=True) for g in graphs]
+    loss, mean_reward = discriminator_update(disc, opt_disc, ctxs, cfg, seed, epoch)
+    return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
+
+
+def _serve(conn, fn) -> None:
+    """A worker's body: send back ``(True, fn())``, or ``(False, exc)`` for
+    the exception that ``fn`` raised."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the step, which kills this
+    leave_parent_cpu()
+    try:
+        msg = True, fn()
+    except Exception as exc:
+        msg = False, exc
+    conn.send(msg)
+
+
+@contextlib.contextmanager
+def _beside(fn):
+    """Run ``fn()`` on a forked worker process, off this one's CPU, and
+    yield a function that waits for its value and raises what it raised. A
+    worker that dies raises ``RuntimeError`` naming its exit code. On
+    leaving, the worker is killed and reaped, whatever happened."""
+    import multiprocessing  # only here, so that `import routeflow` stays light
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_serve, args=(writer, fn), daemon=True)
+    proc.start()
+    writer.close()  # so that recv sees the end of a worker that died
+
+    def result():
+        try:
+            ok, value = reader.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(f"the training worker exited with code {proc.exitcode}") from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        proc.kill()
+        proc.join()
+        reader.close()
 
 
 def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
-    discriminator frozen, then one discriminator update with the generator
-    frozen. Appends one history record. Each instance's graph and frozen
-    encodings are built once, here: array mode never updates batch-norm
-    statistics, so they equal what each update would compute."""
+    discriminator frozen, and one discriminator update with the generator
+    frozen (``train_discriminator``), both from the state the step found.
+    Where ``may_fork`` allows, the discriminator half runs on a forked
+    worker while this process runs the generator updates; otherwise it runs
+    first, here, on a copy. Either way its result replaces ``state.disc``
+    and ``state.opt_disc`` after the generator updates, with the same bits.
+    Appends one history record, whose greedy cost is the updated policy's.
+    Each instance's graph is built once, here, and so is the frozen
+    discriminator's encoding: array mode never updates batch-norm
+    statistics, so it equals what each update would compute."""
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
-    disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
-    tb = math.nan
-    for u in range(cfg.update_ratio):
-        tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
-    ctxs = [encode_graph(state.policy, g, training=True) for g in graphs]
-    d_loss, mean_reward = discriminator_update(state, ctxs, cfg, derive_seed(base, 2000))
-    greedy_costs = [rollout(state.policy, c.graph.instance, c, GREEDY).solution.total_cost
-                    for c in ctxs]
+    half = functools.partial(train_discriminator, state.policy, state.disc, state.opt_disc,
+                             graphs, cfg, derive_seed(base, 2000), state.epoch)
+    if may_fork():
+        worker = _beside(half)
+    else:
+        done = half()
+        worker = contextlib.nullcontext(lambda: done)
+    with worker as disc_half:
+        disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
+        tb = math.nan
+        for u in range(cfg.update_ratio):
+            tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
+        state.disc, state.opt_disc, record = disc_half()
+        # still inside: meanwhile a worker that has sent its result exits, so
+        # leaving need not wait for its teardown
+        greedy_costs = [
+            rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
+            .solution.total_cost
+            for g in graphs
+        ]
     state.history.append(
         {
             "step": len(state.history),
             "tb_loss": tb,
-            "disc_loss": d_loss,
-            "mean_reward": mean_reward,
+            **record,
             "mean_greedy_cost": float(np.mean(greedy_costs)),
         }
     )

@@ -16,6 +16,23 @@ def no_child_left_running():
 
 
 @pytest.fixture
+def starts(tmp_path, monkeypatch):
+    """The pids of the processes that call ``Process.start``, in call order:
+    a file records them, so a start inside a forked worker counts too."""
+    log = tmp_path / "starts"
+    log.touch()
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return lambda: [int(line) for line in log.read_text().split()]
+
+
+@pytest.fixture
 def cpus(monkeypatch):
     """``cpus(k)`` makes ``os.sched_getaffinity`` report k usable CPUs, so a
     test runs the one-CPU or the multi-CPU path on any host."""

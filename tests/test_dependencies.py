@@ -1,9 +1,11 @@
 """The package needs nothing at run time beyond numpy and the standard
 library: every absolute import of every module under ``src/routeflow``,
-at any depth of the module, names one of those or the package itself. And
-no module takes another one's private (underscore) names."""
+at any depth of the module, names one of those or the package itself. No
+module takes another one's private (underscore) names. And importing the
+modules that the benchmark sets up loads no process machinery."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +71,12 @@ def test_the_private_guard_sees_every_form(tmp_path):
                       "from routeflow.neural import _b\nimport routeflow.bench\n"
                       "F._c(F.value(core._d), E._e, routeflow.bench._f, self._own, F.__name__)\n")
     assert sorted(private_names(module)) == ["_a", "_b", "_c", "_d", "_e", "_f"]
+
+
+def test_importing_bench_and_training_loads_no_process_machinery():
+    # they cost about 24 ms of every import; a forking call imports them itself
+    probe = ("import sys, routeflow.bench, routeflow.training; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {"PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -720,23 +720,6 @@ class TestScale:
         assert check_feasible(inst, sol).feasible
 
 
-@pytest.fixture
-def starts(tmp_path, monkeypatch):
-    """The pids of the processes that call ``Process.start``, in call order:
-    a file records them, so a start inside a forked worker counts too."""
-    log = tmp_path / "starts"
-    log.touch()
-    real = multiprocessing.process.BaseProcess.start
-
-    def start(self):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        real(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
-    return lambda: [int(line) for line in log.read_text().split()]
-
-
 def _serial_and_helped(inst, warm, cfg, cpus, monkeypatch, educations=None):
     """``hgs_solve`` on one CPU and then on two, each with the number of
     educations this process ran (a helper counts in its own copy)."""
@@ -905,33 +888,27 @@ class TestHelper:
         solve_subproblems(subs, FAST, dm)
         assert starts() == [os.getpid()] * 2  # the pool's two workers, and no helper
 
-    def test_none_early_in_a_default_train_step(self, cpus, monkeypatch, tmp_path):
-        # a default n=20 train_step's expert solve takes tens of milliseconds,
-        # less than _FORK_AFTER_S on an idle host; on a host slowed by load
-        # it may outlast that, and then its fork must come no sooner
+    def test_none_inside_the_train_step_worker(self, cpus, starts, monkeypatch, tmp_path):
+        # a two-CPU default train_step forks one worker for its discriminator
+        # half, and the expert runs there, where it forks nothing, even once
+        # its solve has run _FORK_AFTER_S
         from routeflow import training
 
-        solves, forks = [], []
+        solvers = tmp_path / "solvers"
+        solvers.touch()
         real_solve = expert.hgs_solve
-        real_start = multiprocessing.process.BaseProcess.start
 
-        def timed(*args, **kwargs):
-            t0 = time.monotonic()
-            try:
-                return real_solve(*args, **kwargs)
-            finally:
-                solves.append((t0, time.monotonic()))
+        def logged(*args, **kwargs):
+            with open(solvers, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real_solve(*args, **kwargs)
 
-        def start(self):
-            forks.append(time.monotonic())
-            real_start(self)
-
-        monkeypatch.setattr(expert, "hgs_solve", timed)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        monkeypatch.setattr(expert, "hgs_solve", logged)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
         cpus(2)
         cfg = training.TrainConfig(checkpoint_every=0, out_dir=str(tmp_path))
         state = training.init_train_state(cfg)
         training.train_step(state, [generate_uniform(cfg.n, 0)], cfg, 0, 0)
-        assert solves
-        for t in forks:
-            assert any(t0 + expert._FORK_AFTER_S <= t <= t1 for t0, t1 in solves)
+        assert starts() == [os.getpid()]  # the step's worker, and nothing inside it
+        pids = {int(line) for line in solvers.read_text().split()}
+        assert pids and os.getpid() not in pids  # every expert solve ran in the worker

@@ -47,7 +47,7 @@ def test_every_trace_target_resolves(harness):
         assert callable(_resolve(module, path)), name
 
 
-def test_tracer_hooks_see_the_package_and_uninstall_restores_it(harness, tmp_path):
+def test_tracer_hooks_see_the_package_and_uninstall_restores_it(harness, tmp_path, cpus):
     run, spans = harness
     targets = run.trace_targets()
     originals = [_resolve(module, path) for _, module, path, _ in targets]
@@ -63,6 +63,7 @@ def test_tracer_hooks_see_the_package_and_uninstall_restores_it(harness, tmp_pat
     try:
         bench.solve("neural-greedy", inst, 5, policy, k_nn=3)
         bench.solve("expert-refine-4", inst, 5, hgs=HgsConfig(population_size=4, max_iterations=6))
+        cpus(1)  # the inline path: the tracer sees this process only, not a step's worker
         training.train_step(state, [generate_uniform(cfg.n, 4)], cfg)
     finally:
         tracer.uninstall()

@@ -1,10 +1,17 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
 bit-identical to an uninterrupted run and refuses another run's config, a
-divergence writes its snapshot before raising, one update runs each
-network's encoder once, one step builds each instance's graph once, and the
-discriminator loss has the gradients of its central differences."""
+step's forked worker gives the inline step's bits, raises its errors here
+and never outlives the step, a divergence writes its snapshot before
+raising, one update runs each network's encoder once, one step builds each
+instance's graph once, and the discriminator loss has the gradients of its
+central differences."""
 
 import json
+import math
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -12,7 +19,7 @@ import pytest
 
 from routeflow import autodiff as F
 from routeflow import neural, training
-from routeflow.core import Instance
+from routeflow.core import Instance, InstanceError
 from routeflow.expert import HgsConfig
 from routeflow.io import generate_uniform
 from routeflow.neural import CheckpointError, Dims
@@ -56,19 +63,18 @@ def test_a_zero_grad_clip_clips_nothing():
 
 
 def test_a_train_step_keeps_its_recorded_bits(tmp_path):
-    # recorded when the generator update decoded its rollouts and then
-    # replayed them to score them; one walk that does both must give the
-    # same bits. Like the benchmark fingerprints, they hold for one numpy
-    # and BLAS build.
-    cfg = tiny_config(tmp_path)
+    # recorded when the discriminator half moved to the policy as the step
+    # found it (n=8: at n=6 the updated policy drew the same negatives).
+    # Like the benchmark fingerprints, they hold for one numpy and BLAS build.
+    cfg = tiny_config(tmp_path, n=8)
     state = training.init_train_state(cfg)
     training.train_step(state, [generate_uniform(cfg.n, 1), generate_uniform(cfg.n, 2)], cfg)
     (record,) = state.history
     assert {k: float(v).hex() for k, v in record.items() if k != "step"} == {
-        "tb_loss": "0x1.1b054f0832201p+3",
-        "disc_loss": "0x1.f97bd6d9bd3d4p-1",
-        "mean_reward": "0x1.4859c0ffbb066p-13",
-        "mean_greedy_cost": "0x1.6ca9f80fc15abp+2",
+        "tb_loss": "0x1.478dd08fa52f2p+0",
+        "disc_loss": "0x1.fe9e54496bf2ap-1",
+        "mean_reward": "0x1.17db1757441f7p-14",
+        "mean_greedy_cost": "0x1.c4a7dac795b01p+2",
     }
 
 
@@ -108,7 +114,95 @@ def test_non_finite_tb_loss_writes_a_snapshot_before_raising(tmp_path):
     assert state.history == []
 
 
-def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch):
+def moments(state):
+    out = {}
+    for prefix, opt in (("opt_policy", state.opt_policy), ("opt_disc", state.opt_disc)):
+        out[f"{prefix}.t"] = np.array(opt.t)
+        for kind in ("m", "v"):
+            out.update({f"{prefix}.{kind}.{name}": arr for name, arr in getattr(opt, kind).items()})
+    return out
+
+
+@pytest.mark.parametrize("host", ["one_cpu", "two_cpus"])
+def test_the_worker_gives_the_inline_bits(host, request, cpus, starts, tmp_path):
+    # one_cpu with cpus(2): the worker forks and shares this process's CPU
+    if host == "one_cpu":
+        request.getfixturevalue("one_cpu")
+    cfg = tiny_config(tmp_path, n=8)
+    instances = [generate_uniform(cfg.n, 1), generate_uniform(cfg.n, 2)]
+    runs = []
+    for k in (1, 2):
+        cpus(k)
+        state = training.init_train_state(cfg)
+        for step in range(2):
+            training.train_step(state, instances, cfg, 0, step)
+        runs.append(state)
+    assert starts() == [os.getpid()] * 2  # a worker per step on two CPUs, none on one
+    inline, forked = runs
+    hexed = lambda history: [{k: float(v).hex() for k, v in r.items()} for r in history]
+    assert hexed(forked.history) == hexed(inline.history)
+    for expected, got in ((arrays(inline), arrays(forked)), (moments(inline), moments(forked))):
+        assert got.keys() == expected.keys()
+        for name, arr in expected.items():
+            assert np.array_equal(got[name], arr), name
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["inline", "worker"])
+def test_non_finite_disc_loss_writes_a_snapshot_before_raising(k, cpus, starts, monkeypatch, tmp_path):
+    real = training.disc_loss
+    monkeypatch.setattr(training, "disc_loss", lambda neg, pos: real(neg, pos) * math.nan)
+    cpus(k)
+    cfg = tiny_config(tmp_path / "run")
+    state = training.init_train_state(cfg)
+    with pytest.raises(training.TrainingDivergedError, match="disc_loss"):
+        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert starts() == [os.getpid()] * (k - 1)
+    snapshot = json.loads((tmp_path / "run" / "divergence_snapshot.json").read_text())
+    assert snapshot["where"] == "disc_loss"
+    assert snapshot["loss"] == "nan"
+    assert state.history == []
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["inline", "worker"])
+def test_an_error_in_the_expert_reaches_the_caller(k, cpus, monkeypatch, tmp_path):
+    def failing(*args):
+        raise InstanceError(f"refined in {os.getpid()}")
+
+    monkeypatch.setattr(training, "expert_refine", failing)
+    cpus(k)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    with pytest.raises(InstanceError, match="refined in") as raised:
+        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert (str(raised.value) == f"refined in {os.getpid()}") == (k == 1)
+    assert state.history == []
+
+
+def test_a_worker_that_dies_is_an_error(cpus, monkeypatch, tmp_path):
+    monkeypatch.setattr(training, "expert_refine", lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+    cpus(2)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    with pytest.raises(RuntimeError, match=f"worker exited with code {-signal.SIGKILL}"):
+        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert state.history == []
+
+
+def test_an_error_in_a_generator_update_kills_the_worker(cpus, starts, deadline, monkeypatch, tmp_path):
+    # the worker would sleep out the test if it were waited for, not killed
+    monkeypatch.setattr(training, "expert_refine", lambda *a: time.sleep(60))
+    cpus(2)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    state.policy.log_z[...] = np.nan
+    with deadline(20), pytest.raises(training.TrainingDivergedError, match="tb_loss"):
+        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert starts() == [os.getpid()]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch, cpus):
+    cpus(1)  # the inline path: a worker's calls would not be counted here
     calls = []
     embed = neural.gat_embed
 
@@ -121,11 +215,12 @@ def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path)
     state = training.init_train_state(cfg)
     training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
-    # the frozen discriminator once; per generator update the lifted policy;
-    # then the updated policy once, for the negatives and the greedy
-    # rollout; and the lifted discriminator
+    # the discriminator half: the policy as the step found it, for the
+    # negatives, and the lifted discriminator; then the frozen discriminator
+    # once and the lifted policy per generator update; and the updated
+    # policy once, for the greedy rollout
     assert cfg.update_ratio == 4
-    assert len(calls) == 1 + 4 + 1 + 1
+    assert len(calls) == 1 + 1 + 1 + 4 + 1
 
 
 def test_one_graph_per_instance_per_step(tmp_path, monkeypatch):
