@@ -3,9 +3,9 @@
 A compact hybrid-genetic-search metaheuristic (giant-tour chromosomes with
 optimal Split decoding, order crossover, and a granular local search) plus
 the route-barycenter clustering pipeline that partitions a solution into
-independent subproblems, solves them at the same time on up to one worker
-process per usable CPU (largest cluster first, the same results whatever the
-schedule), and merges.
+independent subproblems, solves them at the same time on up to one lane per
+usable CPU (this process and a forked ``Worker`` each other lane; the same
+results whatever the schedule), and merges.
 
 The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
 2-opt* are tried only between a customer and its GAMMA nearest customers
@@ -15,8 +15,8 @@ last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
 move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
 
 Each generation educates (splits and local-searches) two children as a
-pair, the second on a forked helper process once the search has run long
-enough (``_Helper``); every host returns the serial search's output.
+pair, the second on a ``Worker`` once the search has run long enough
+(``_Helper``); every host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -530,18 +530,20 @@ _SHARED_AT = 0.9
 
 
 def may_fork() -> bool:
-    """Whether this process may fork: it is the main process (not a pool
-    worker, a helper or a training step's worker), at least two CPUs are
-    usable, and no other thread runs (forking a threaded process is
+    """Whether this process may fork a ``Worker``: it is the main process
+    (not itself a worker), live children leave at least two of its usable
+    CPUs (so that a cluster lane run here forks no helper onto a cluster
+    worker's CPU), and no other thread runs (forking a threaded process is
     unsafe)."""
-    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or threading.active_count() > 1:
         return False
     import multiprocessing  # only here, so that `import routeflow` stays light
 
-    return multiprocessing.parent_process() is None
+    return multiprocessing.parent_process() is None and cpus - len(multiprocessing.active_children()) >= 2
 
 
-def leave_parent_cpu() -> None:
+def _leave_parent_cpu() -> None:
     """Move this forked process off the CPU its parent last ran on: the
     wake-ups of a pipe between them tend to hold both on one CPU while
     another idles. Nothing moves without /proc, without another usable CPU,
@@ -552,68 +554,106 @@ def leave_parent_cpu() -> None:
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
 
 
-def _serve(conn, parent_end, from_tour) -> None:
-    """The helper's loop: educate each tour received and send back its
-    individual with the CPU time of its education, or the exception that
-    education raised."""
-    import signal
+class Worker:
+    """The package's one way to fork (the HGS helper, a cluster lane, a
+    training step's discriminator half): a process that answers ``fn(arg)``
+    for each ``arg`` sent on ``requests``, in order. It ignores SIGINT
+    (Ctrl-C stops the caller, which closes it) and leaves this process's
+    CPU. ``fn`` and what it reads come with the fork; only each ``arg`` and
+    answer are pickled. ``recv`` returns the next answer and raises what
+    ``fn`` raised; a process that died raises ``RuntimeError`` naming
+    ``what`` and its exit code. Once ``requests`` is closed, the process
+    exits by itself after answering, so ``close`` (kill and reap) finds it
+    gone."""
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the solve, which kills this
-    parent_end.close()  # so that recv sees the end of a solve whose process died
-    leave_parent_cpu()
-    while True:
+    def __init__(self, fn, what: str):
+        import multiprocessing  # only here, so that `import routeflow` stays light
+
+        ctx = multiprocessing.get_context("fork")
+        self.what = what
+        requests, self.requests = ctx.Pipe(duplex=False)
+        self._answers, answers = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=self._serve, args=(fn, requests, answers), daemon=True)
+        self.proc.start()
+        requests.close()
+        answers.close()  # so that recv sees the end of a process that died
+
+    def _serve(self, fn, requests, answers) -> None:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self.requests.close()  # so that recv sees the end of the requests
+        self._answers.close()
+        _leave_parent_cpu()
+        with contextlib.suppress(EOFError):
+            while True:
+                answers.send(self.answer(fn, requests.recv()))
+
+    @staticmethod
+    def answer(fn, arg) -> tuple[bool, object]:
+        """``(True, fn(arg))``, or ``(False, exc)`` for what ``fn`` raised."""
         try:
-            tour = conn.recv()
-        except EOFError:
-            return
-        try:
-            cpu = time.thread_time()
-            msg = from_tour(tour), time.thread_time() - cpu
+            return True, fn(arg)
         except Exception as exc:
-            msg = exc
-        conn.send(msg)
+            return False, exc
+
+    @staticmethod
+    def value(answer: tuple[bool, object]):
+        """The value of an ``answer``, or its exception raised."""
+        ok, value = answer
+        if not ok:
+            raise value
+        return value
+
+    def recv(self):
+        try:
+            answer = self._answers.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"the {self.what} exited with code {self.proc.exitcode}") from None
+        return self.value(answer)
+
+    def close(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.requests.close()
+        self._answers.close()
 
 
 class _Helper:
     """Educates the giant tours of one ``hgs_solve``, the second tour of a
-    pair on a forked process.
+    pair on a ``Worker``.
 
-    ``educate(tours)`` returns ``[from_tour(t) for t in tours]``; a running
-    process educates a pair's second tour while this one educates the first,
+    ``educate(tours)`` returns ``[from_tour(t) for t in tours]``; the worker
+    educates a pair's second tour while this process educates the first,
     and what it raises is raised here. It is forked, if ``may_fork``
     allows, at the first pair once the solve has run ``_FORK_AFTER_S``, and
     never after a refusal. It is closed for the rest of the solve once
     ``_JUDGE_AFTER`` pairs after the first took a summed wall time above the
     longer education plus ``_SHARED_AT`` times the shorter, close to the
-    serial sum (it shares this process's CPU). A process that dies raises
-    ``RuntimeError`` naming its exit code. ``close`` kills and reaps it.
-    Education is a function of the tour alone, so the individuals are the
-    serial search's whatever the host.
+    serial sum (it shares this process's CPU). Education is a function of
+    the tour alone, so the individuals are the serial search's whatever the
+    host.
     """
 
     def __init__(self, from_tour, start: float):
         self.from_tour = from_tour
         self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
-        self.proc = self.conn = None
+        self.worker = None
         self.pairs = 0  # educated on both processes
         self.lag = 0.0  # over the measured pairs: wall - (max + _SHARED_AT * min) of the CPU times
 
     def educate(self, tours: list[list[int]]) -> list[_Individual]:
-        if len(tours) < 2 or not self._forked():
+        if len(tours) == 2 and self.fork_at is not None and time.monotonic() >= self.fork_at:
+            self.fork_at = None
+            if may_fork():
+                self.worker = Worker(self._timed, "HGS helper process")
+        if len(tours) < 2 or self.worker is None:
             return [self.from_tour(t) for t in tours]
         wall = time.perf_counter()
-        self.conn.send(tours[1])
-        cpu = time.thread_time()
-        first = self.from_tour(tours[0])
-        cpu = time.thread_time() - cpu
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            raise RuntimeError(f"the HGS helper process exited with code {self.proc.exitcode}") from None
-        if isinstance(msg, Exception):
-            raise msg
-        second, other = msg
+        self.worker.requests.send(tours[1])
+        first, cpu = self._timed(tours[0])
+        second, other = self.worker.recv()
         self.pairs += 1
         if self.pairs > 1:  # the first waited for the fork
             self.lag += time.perf_counter() - wall - max(cpu, other) - _SHARED_AT * min(cpu, other)
@@ -621,27 +661,15 @@ class _Helper:
                 self.close()
         return [first, second]
 
-    def _forked(self) -> bool:
-        if self.fork_at is not None and time.monotonic() >= self.fork_at:
-            self.fork_at = None
-            if may_fork():
-                import multiprocessing
-
-                ctx = multiprocessing.get_context("fork")
-                self.conn, child_end = ctx.Pipe()
-                self.proc = ctx.Process(
-                    target=_serve, args=(child_end, self.conn, self.from_tour), daemon=True
-                )
-                self.proc.start()
-                child_end.close()
-        return self.proc is not None
+    def _timed(self, tour: list[int]) -> tuple[_Individual, float]:
+        """The tour's individual and the thread CPU time of its education."""
+        cpu = time.thread_time()
+        return self.from_tour(tour), time.thread_time() - cpu
 
     def close(self) -> None:
-        if self.proc is not None:
-            self.proc.kill()
-            self.proc.join()
-            self.conn.close()
-            self.proc = None
+        if self.worker is not None:
+            self.worker.close()
+            self.worker = None
 
 
 def hgs_solve(
@@ -663,7 +691,7 @@ def hgs_solve(
     educates them as a pair; they join the population in draw order, and the
     survivors are chosen once. Initial tours pair up too; an odd number of
     them or of children leaves a last tour alone. A ``_Helper`` may educate
-    each pair's second tour on a forked process; the output is the serial
+    each pair's second tour on a ``Worker``; the output is the serial
     search's, bit for bit, on any host.
     """
     if dm is None:
@@ -828,44 +856,56 @@ def _solve_one(sub: Subproblem, cfg: HgsConfig, dm: np.ndarray) -> Solution:
 
 def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
                       dm: np.ndarray) -> list[Solution]:
-    """Solve the clusters, each with an even share of the budget, on
-    matrices sliced from the whole instance's ``dm``; results in cluster
-    order.
+    """Solve the clusters, each with an even share of the budget (at least
+    one child while the budget is above 0), on matrices sliced from the
+    whole instance's ``dm``; results in cluster order.
 
-    The clusters run on min(cluster count, usable CPUs) fork-started worker
-    processes, submitted largest first (by customer count) so that the
-    largest cluster, which bounds the wall time, starts at once. With fewer
-    than two workers (one cluster, or one CPU), or when ``may_fork``
-    refuses (another thread runs, or this is not the main process), they run
-    in turn in this process, with no pool. Each cluster gets a
-    seed derived from its index and its own slice of ``dm``, so its result
-    does not depend on which worker runs it or when: every schedule returns
-    the serial loop's output.
-    ``time_budget_s / k`` caps each cluster's own search; clusters run at
-    the same time, so the whole call stays within ``time_budget_s`` and,
-    with several workers, ends sooner.
+    The clusters are dealt, largest first (by customer count), each to the
+    lane with the fewest customers, over min(cluster count, usable CPUs)
+    lanes. This process runs lane 0 and a ``Worker`` each other lane: one
+    request, one list of solutions back. With fewer than two lanes (one
+    cluster, or one CPU), or when ``may_fork`` refuses (another thread
+    runs, or this is itself a worker), they run in turn here. Each cluster
+    gets a seed derived from its index and its own slice of ``dm``, so its
+    result does not depend on its lane: every schedule returns the serial
+    loop's output. ``time_budget_s / k`` caps each cluster's own search, so
+    the whole call stays within ``time_budget_s`` and, with several lanes,
+    ends sooner.
     """
     k = max(1, len(subproblems))
-    per_iter = max(1, cfg.max_iterations // k)
+    per_iter = min(cfg.max_iterations, max(1, cfg.max_iterations // k))
     per_time = cfg.time_budget_s / k if cfg.time_budget_s is not None else None
     configs = [
         replace(cfg, max_iterations=per_iter, time_budget_s=per_time, seed=derive_seed(cfg.seed, i))
         for i in range(len(subproblems))
     ]
-    workers = min(len(subproblems), len(os.sched_getaffinity(0)))
-    if workers < 2 or not may_fork():
-        return [_solve_one(sub, c, dm) for sub, c in zip(subproblems, configs)]
-    # imported here: they would add ~24 ms to every `import routeflow`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    order = sorted(range(len(subproblems)), key=lambda i: -len(subproblems[i].mapping))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    def solve(lane: list[int]) -> list[Solution]:
+        return [_solve_one(subproblems[i], configs[i], dm) for i in lane]
+
+    n_lanes = min(len(subproblems), len(os.sched_getaffinity(0)))
+    if n_lanes < 2 or not may_fork():
+        return solve(list(range(len(subproblems))))
+    lanes = [[] for _ in range(n_lanes)]
+    sizes = [0] * n_lanes  # customers per lane
+    for i in sorted(range(len(subproblems)), key=lambda i: -len(subproblems[i].mapping)):
+        j = sizes.index(min(sizes))
+        lanes[j].append(i)
+        sizes[j] += len(subproblems[i].mapping)
+    workers = []
     try:
-        futures = {i: pool.submit(_solve_one, subproblems[i], configs[i], dm) for i in order}
-        return [futures[i].result() for i in range(len(subproblems))]
+        for lane in lanes[1:]:
+            worker = Worker(solve, "cluster worker")
+            workers.append(worker)
+            worker.requests.send(lane)
+            worker.requests.close()  # before the next fork, which would hold it open
+        solved = dict(zip(lanes[0], solve(lanes[0])))
+        for lane, worker in zip(lanes[1:], workers):
+            solved.update(zip(lane, worker.recv()))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.close()
+    return [solved[i] for i in range(len(subproblems))]
 
 
 def expert_refine(
@@ -881,7 +921,7 @@ def expert_refine(
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
     Each subproblem's matrix is sliced from ``dm``. ``solve_subproblems``
-    says how the clusters share the workers and the budget. A cluster never
+    says how the clusters share the lanes and the budget. A cluster never
     uses more routes than its seed routes, so only a seed solution over the
     fleet limit can leave the merge over it, which is an ``InstanceError``.
     """

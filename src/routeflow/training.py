@@ -15,10 +15,10 @@ generator updates read the discriminator as the step found it. The
 discriminator half (``train_discriminator``) reads the policy as the step
 found it: its frozen encoding serves the epsilon-greedy negatives, whose
 best solution seeds the expert. So when ``expert.may_fork`` allows, the
-discriminator half runs on a forked worker beside the generator updates,
-and its result is installed after them; otherwise it runs first, on a copy
-of the discriminator. Both give the same bits. The greedy cost is the
-updated policy's.
+discriminator half runs on an ``expert.Worker`` beside the generator
+updates; otherwise it runs first, on a copy of the discriminator. Either
+way its result, or what it raised, is taken after them, with the same bits.
+The greedy cost is the updated policy's.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -26,7 +26,6 @@ purpose), so a run resumed from any checkpoint continues bit-identically.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import json
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import autodiff as F
 from .core import Instance, check_feasible, check_fields, int_at_least, is_int, is_number
-from .expert import HgsConfig, expert_refine, leave_parent_cpu, may_fork
+from .expert import HgsConfig, Worker, expert_refine, may_fork
 from .io import derive_seed, generate_uniform
 from .neural import (
     CHECKPOINT_VERSION,
@@ -320,61 +319,16 @@ def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
     return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
 
 
-def _serve(conn, fn) -> None:
-    """A worker's body: send back ``(True, fn())``, or ``(False, exc)`` for
-    the exception that ``fn`` raised."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the step, which kills this
-    leave_parent_cpu()
-    try:
-        msg = True, fn()
-    except Exception as exc:
-        msg = False, exc
-    conn.send(msg)
-
-
-@contextlib.contextmanager
-def _beside(fn):
-    """Run ``fn()`` on a forked worker process, off this one's CPU, and
-    yield a function that waits for its value and raises what it raised. A
-    worker that dies raises ``RuntimeError`` naming its exit code. On
-    leaving, the worker is killed and reaped, whatever happened."""
-    import multiprocessing  # only here, so that `import routeflow` stays light
-
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_serve, args=(writer, fn), daemon=True)
-    proc.start()
-    writer.close()  # so that recv sees the end of a worker that died
-
-    def result():
-        try:
-            ok, value = reader.recv()
-        except EOFError:
-            proc.join()
-            raise RuntimeError(f"the training worker exited with code {proc.exitcode}") from None
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield result
-    finally:
-        proc.kill()
-        proc.join()
-        reader.close()
-
-
 def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, and one discriminator update with the generator
     frozen (``train_discriminator``), both from the state the step found.
-    Where ``may_fork`` allows, the discriminator half runs on a forked
-    worker while this process runs the generator updates; otherwise it runs
-    first, here, on a copy. Either way its result replaces ``state.disc``
-    and ``state.opt_disc`` after the generator updates, with the same bits.
+    Where ``may_fork`` allows, the discriminator half runs on a ``Worker``
+    while this process runs the generator updates; otherwise it runs first,
+    here, on a copy. Either way its result replaces ``state.disc`` and
+    ``state.opt_disc`` after the generator updates, with the same bits, and
+    what it raised is raised there, so a failed half leaves the same state.
     Appends one history record, whose greedy cost is the updated policy's.
     Each instance's graph is built once, here, and so is the frozen
     discriminator's encoding: array mode never updates batch-norm
@@ -382,25 +336,29 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
     half = functools.partial(train_discriminator, state.policy, state.disc, state.opt_disc,
-                             graphs, cfg, derive_seed(base, 2000), state.epoch)
+                             graphs, cfg, epoch=state.epoch)
+    worker = None
     if may_fork():
-        worker = _beside(half)
+        worker = Worker(half, "training worker")
+        worker.requests.send(derive_seed(base, 2000))
+        worker.requests.close()  # it exits once it has answered
     else:
-        done = half()
-        worker = contextlib.nullcontext(lambda: done)
-    with worker as disc_half:
+        held = Worker.answer(half, derive_seed(base, 2000))
+    try:
         disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
         tb = math.nan
         for u in range(cfg.update_ratio):
             tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
-        state.disc, state.opt_disc, record = disc_half()
-        # still inside: meanwhile a worker that has sent its result exits, so
-        # leaving need not wait for its teardown
+        state.disc, state.opt_disc, record = Worker.value(held) if worker is None else worker.recv()
+        # before closing: meanwhile the worker exits, so close need not wait for its teardown
         greedy_costs = [
             rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
             .solution.total_cost
             for g in graphs
         ]
+    finally:
+        if worker is not None:
+            worker.close()
     state.history.append(
         {
             "step": len(state.history),

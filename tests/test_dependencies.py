@@ -1,8 +1,9 @@
 """The package needs nothing at run time beyond numpy and the standard
 library: every absolute import of every module under ``src/routeflow``,
 at any depth of the module, names one of those or the package itself. No
-module takes another one's private (underscore) names. And importing the
-modules that the benchmark sets up loads no process machinery."""
+module takes another one's private (underscore) names. Only ``expert``
+forks, with ``multiprocessing`` alone. And importing the modules that the
+benchmark sets up loads no process machinery."""
 
 import ast
 import subprocess
@@ -71,6 +72,13 @@ def test_the_private_guard_sees_every_form(tmp_path):
                       "from routeflow.neural import _b\nimport routeflow.bench\n"
                       "F._c(F.value(core._d), E._e, routeflow.bench._f, self._own, F.__name__)\n")
     assert sorted(private_names(module)) == ["_a", "_b", "_c", "_d", "_e", "_f"]
+
+
+def test_one_module_forks_and_by_one_facility():
+    # expert.Worker is the package's one way to fork
+    imports = {path.name: absolute_imports(path) for path in PACKAGE.rglob("*.py")}
+    assert {name for name, names in imports.items() if "multiprocessing" in names} == {"expert.py"}
+    assert not any("concurrent" in names for names in imports.values())
 
 
 def test_importing_bench_and_training_loads_no_process_machinery():

@@ -1,8 +1,8 @@
-import concurrent.futures
 import itertools
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -557,35 +557,77 @@ class TestSolveSubproblems:
         assert [p.total_cost for p in pooled] == [s.total_cost for s in serial]
 
     def test_a_worker_error_reaches_the_caller(self, cpus, monkeypatch):
+        # a cluster fails once in this process's lane and once in a worker's
+        caller = os.getpid()
         real = expert.hgs_solve
-
-        def failing(instance, *args, **kwargs):
-            if instance.name.endswith("#sub1"):
-                raise InstanceError("cluster 1 failed")
-            return real(instance, *args, **kwargs)
-
-        monkeypatch.setattr(expert, "hgs_solve", failing)  # inherited by forked workers
         cpus(2)
         inst = generate_uniform(60, 4)
         dm = build_distance_matrix(inst)
         _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
         assert len(subs) >= 3
-        with pytest.raises(InstanceError, match="cluster 1 failed"):
+
+        def failing(instance, *args, **kwargs):
+            if (os.getpid() == caller) == (where == "parent"):
+                raise InstanceError(f"a cluster failed in the {where}")
+            return real(instance, *args, **kwargs)
+
+        monkeypatch.setattr(expert, "hgs_solve", failing)  # inherited by forked workers
+        for where in ("parent", "worker"):
+            with pytest.raises(InstanceError, match=f"failed in the {where}"):
+                solve_subproblems(subs, FAST, dm)
+            assert multiprocessing.active_children() == []
+
+    def test_a_cluster_worker_that_dies_is_an_error(self, cpus, monkeypatch):
+        caller = os.getpid()
+        real = expert.hgs_solve
+        monkeypatch.setattr(expert, "hgs_solve",
+                            lambda *a, **kw: os._exit(3) if os.getpid() != caller else real(*a, **kw))
+        cpus(2)
+        inst = generate_uniform(60, 4)
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
+        with pytest.raises(RuntimeError, match="the cluster worker exited with code 3"):
             solve_subproblems(subs, FAST, dm)
         assert multiprocessing.active_children() == []
 
+    def test_a_zero_budget_draws_no_child(self, cpus, monkeypatch):
+        drawn = []
+        real = expert._draw_child
+        monkeypatch.setattr(expert, "_draw_child", lambda *a: drawn.append(1) or real(*a))
+        cpus(1)  # every cluster in this process, where the draws are counted
+        inst = generate_uniform(60, 4)
+        dm = build_distance_matrix(inst)
+        start = initial_solution(inst, 4, dm)
+        assert len(decompose(inst, start, m=15)[1]) == 4
+        refined = expert_refine(inst, start, m=15, cfg=replace(FAST, max_iterations=0), dm=dm)
+        assert drawn == []
+        assert refined.total_cost <= start.total_cost + 1e-9
+        expert_refine(inst, start, m=15, cfg=replace(FAST, max_iterations=1), dm=dm)
+        assert len(drawn) == 4  # a budget above 0 still gives each cluster one child
+
+    def test_the_lane_workers_exit_by_themselves(self, cpus, monkeypatch):
+        # close waits for each worker first: one still waiting for requests
+        # would hold the test up to the join's timeout and end killed
+        exits = []
+        real_close = expert.Worker.close
+        monkeypatch.setattr(expert.Worker, "close", lambda self: (
+            self.proc.join(30), exits.append(self.proc.exitcode), real_close(self)
+        ))
+        cpus(3)
+        inst = generate_uniform(60, 4)
+        dm = build_distance_matrix(inst)
+        _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
+        solve_subproblems(subs, FAST, dm)
+        assert exits == [0, 0]
+
     @pytest.mark.parametrize(
-        "n_cpus, clusters, pools",
+        "n_cpus, clusters, forks",
         [(2, 1, 0), (1, 2, 0), (2, 2, 1)],
         ids=["one cluster", "one CPU", "two workers"],
     )
     @pytest.mark.parametrize("threaded", [False, True], ids=["alone", "another thread"])
-    def test_a_pool_only_from_two_workers(self, n_cpus, clusters, pools, threaded, cpus, monkeypatch):
-        built = []
-        real = concurrent.futures.ProcessPoolExecutor
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: built.append(a) or real(*a, **kw)
-        )
+    def test_a_pool_only_from_two_workers(self, n_cpus, clusters, forks, threaded, cpus, starts, monkeypatch):
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", math.inf)  # so that only lane workers start
         cpus(n_cpus)
         inst = generate_uniform(40, 6)
         dm = build_distance_matrix(inst)
@@ -602,7 +644,7 @@ class TestSolveSubproblems:
             if threaded:
                 other.join(timeout=30)
         assert not other.is_alive()
-        assert len(built) == (0 if threaded else pools)
+        assert len(starts()) == (0 if threaded else forks)
 
     def test_importing_the_package_loads_no_pool(self):
         code = (
@@ -791,7 +833,7 @@ class TestHelper:
         counted, stops = [], []  # stops: the parent's educations at each close of a live helper
         real_close = expert._Helper.close
         monkeypatch.setattr(expert._Helper, "close", lambda self: (
-            self.proc is not None and stops.append(len(counted)), real_close(self)
+            self.worker is not None and stops.append(len(counted)), real_close(self)
         ))
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
         (serial, serial_educations), (helped, educations) = _serial_and_helped(
@@ -810,8 +852,8 @@ class TestHelper:
 
         def educate(self, tours):
             out = real(self, tours)
-            if self.proc is not None:
-                masks.append(os.sched_getaffinity(self.proc.pid))
+            if self.worker is not None:
+                masks.append(os.sched_getaffinity(self.worker.proc.pid))
             return out
 
         monkeypatch.setattr(expert._Helper, "educate", educate)
@@ -879,14 +921,28 @@ class TestHelper:
         assert starts() == []
 
     def test_none_inside_a_pool_worker(self, cpus, starts, monkeypatch):
-        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)  # inherited by the workers
+        # the worker's lane ends only once this process has ended its own,
+        # so the worker holds the other CPU throughout this lane
+        caller = os.getpid()
+        lane_done = multiprocessing.get_context("fork").Event()
+        solve, recv = expert._solve_one, expert.Worker.recv
+
+        def held(*args):
+            out = solve(*args)
+            if os.getpid() != caller:
+                assert lane_done.wait(30)
+            return out
+
+        monkeypatch.setattr(expert, "_solve_one", held)
+        monkeypatch.setattr(expert.Worker, "recv", lambda self: (lane_done.set(), recv(self))[1])
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)  # inherited by the worker
         cpus(2)
         inst = generate_uniform(60, 4)
         dm = build_distance_matrix(inst)
         _, subs = decompose(inst, initial_solution(inst, 4, dm), m=15)
         assert len(subs) >= 3
         solve_subproblems(subs, FAST, dm)
-        assert starts() == [os.getpid()] * 2  # the pool's two workers, and no helper
+        assert starts() == [os.getpid()]  # the lane's worker, and no helper there or here
 
     def test_none_inside_the_train_step_worker(self, cpus, starts, monkeypatch, tmp_path):
         # a two-CPU default train_step forks one worker for its discriminator
@@ -912,3 +968,69 @@ class TestHelper:
         assert starts() == [os.getpid()]  # the step's worker, and nothing inside it
         pids = {int(line) for line in solvers.read_text().split()}
         assert pids and os.getpid() not in pids  # every expert solve ran in the worker
+
+
+class TestWorker:
+    """The one way the package forks: answers in order, errors and deaths
+    reach the caller, Ctrl-C does not stop it, and it exits by itself once
+    its requests are closed and answered."""
+
+    def test_answers_each_request_in_order(self):
+        worker = expert.Worker(lambda x: (x, os.getpid()), "test worker")
+        try:
+            for x in range(3):
+                worker.requests.send(x)
+            answers = [worker.recv() for _ in range(3)]
+        finally:
+            worker.close()
+        assert [x for x, _ in answers] == [0, 1, 2]
+        assert {pid for _, pid in answers} == {worker.proc.pid} != {os.getpid()}
+
+    def test_an_error_reaches_the_caller_and_the_worker_goes_on(self):
+        def fn(x):
+            if x == 1:
+                raise InstanceError(f"request {x} failed")
+            return x
+
+        worker = expert.Worker(fn, "test worker")
+        try:
+            worker.requests.send(1)
+            with pytest.raises(InstanceError, match="request 1 failed"):
+                worker.recv()
+            worker.requests.send(2)
+            assert worker.recv() == 2
+        finally:
+            worker.close()
+
+    def test_a_worker_sent_sigint_still_answers(self):
+        worker = expert.Worker(lambda x: x + 1, "test worker")
+        try:
+            worker.requests.send(0)
+            assert worker.recv() == 1  # so its handlers are set
+            os.kill(worker.proc.pid, signal.SIGINT)
+            worker.requests.send(1)
+            assert worker.recv() == 2
+            assert worker.proc.is_alive()
+        finally:
+            worker.close()
+
+    def test_a_one_shot_worker_exits_by_itself(self):
+        worker = expert.Worker(lambda x: x * 2, "test worker")
+        try:
+            worker.requests.send(21)
+            worker.requests.close()
+            assert worker.recv() == 42
+            worker.proc.join(timeout=30)
+            assert worker.proc.exitcode == 0
+        finally:
+            worker.close()
+
+    def test_a_worker_that_dies_is_an_error(self):
+        worker = expert.Worker(lambda x: os._exit(x), "test worker")
+        try:
+            worker.requests.send(5)
+            with pytest.raises(RuntimeError, match="the test worker exited with code 5"):
+                worker.recv()
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []

@@ -1,10 +1,10 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
 bit-identical to an uninterrupted run and refuses another run's config, a
 step's forked worker gives the inline step's bits, raises its errors here
-and never outlives the step, a divergence writes its snapshot before
-raising, one update runs each network's encoder once, one step builds each
-instance's graph once, and the discriminator loss has the gradients of its
-central differences."""
+where the inline step raises them, exits by itself and never outlives the
+step, a divergence writes its snapshot before raising, one update runs each
+network's encoder once, one step builds each instance's graph once, and the
+discriminator loss has the gradients of its central differences."""
 
 import json
 import math
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from routeflow import autodiff as F
-from routeflow import neural, training
+from routeflow import expert, neural, training
 from routeflow.core import Instance, InstanceError
 from routeflow.expert import HgsConfig
 from routeflow.io import generate_uniform
@@ -176,6 +176,43 @@ def test_an_error_in_the_expert_reaches_the_caller(k, cpus, monkeypatch, tmp_pat
         training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
     assert (str(raised.value) == f"refined in {os.getpid()}") == (k == 1)
     assert state.history == []
+
+
+def test_a_failed_discriminator_half_leaves_the_same_state(cpus, tmp_path, monkeypatch):
+    # inline, the half's error is held until after the generator updates,
+    # where the worker's answer is read, so both hosts update the policy
+    def failing(*args):
+        raise InstanceError("the expert failed")
+
+    monkeypatch.setattr(training, "expert_refine", failing)
+    cfg = tiny_config(tmp_path, n=8)
+    states = []
+    for k in (1, 2):
+        cpus(k)
+        state = training.init_train_state(cfg)
+        with pytest.raises(InstanceError, match="the expert failed"):
+            training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+        states.append(state)
+    inline, forked = states
+    assert inline.opt_policy.t == forked.opt_policy.t == cfg.update_ratio
+    assert float(inline.policy.log_z).hex() == float(forked.policy.log_z).hex()
+    assert inline.opt_disc.t == forked.opt_disc.t == 0
+    assert inline.history == forked.history == []
+
+
+def test_the_worker_exits_by_itself_once_it_has_answered(cpus, monkeypatch, tmp_path):
+    # close waits for it first: a worker still waiting for requests would
+    # hold the test up to the join's timeout and end killed
+    exits = []
+    real_close = expert.Worker.close
+    monkeypatch.setattr(expert.Worker, "close", lambda self: (
+        self.proc.join(30), exits.append(self.proc.exitcode), real_close(self)
+    ))
+    cpus(2)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert exits == [0]
 
 
 def test_a_worker_that_dies_is_an_error(cpus, monkeypatch, tmp_path):
