@@ -534,7 +534,8 @@ def may_fork() -> bool:
     (not itself a worker), live children leave at least two of its usable
     CPUs (so that a cluster lane run here forks no helper onto a cluster
     worker's CPU), and no other thread runs (forking a threaded process is
-    unsafe)."""
+    unsafe). A live child is any worker not yet closed, a ``TrainState``'s
+    idle discriminator worker between training steps included."""
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or threading.active_count() > 1:
         return False
@@ -556,15 +557,18 @@ def _leave_parent_cpu() -> None:
 
 class Worker:
     """The package's one way to fork (the HGS helper, a cluster lane, a
-    training step's discriminator half): a process that answers ``fn(arg)``
-    for each ``arg`` sent on ``requests``, in order. It ignores SIGINT
-    (Ctrl-C stops the caller, which closes it) and leaves this process's
-    CPU. ``fn`` and what it reads come with the fork; only each ``arg`` and
-    answer are pickled. ``recv`` returns the next answer and raises what
-    ``fn`` raised; a process that died raises ``RuntimeError`` naming
-    ``what`` and its exit code. Once ``requests`` is closed, the process
-    exits by itself after answering, so ``close`` (kill and reap) finds it
-    gone."""
+    ``TrainState``'s discriminator worker): a process that answers
+    ``fn(arg)`` for each ``arg`` sent on ``requests``, in order. It may
+    answer many requests and outlive the call that forked it: a training
+    state's worker serves every step of the state until it is closed. It
+    ignores SIGINT (Ctrl-C stops the caller, which closes it) and leaves
+    this process's CPU. ``fn`` and what it reads come with the fork, as they
+    were then; only each ``arg`` and answer are pickled. ``recv`` returns
+    the next answer and raises what ``fn`` raised; a process that died
+    raises ``RuntimeError`` naming ``what`` and its exit code. Once
+    ``requests`` is closed, the process exits by itself after answering,
+    so ``close`` (kill and reap) finds it gone; ``close`` kills one still
+    waiting or working, and closing twice is harmless."""
 
     def __init__(self, fn, what: str):
         import multiprocessing  # only here, so that `import routeflow` stays light

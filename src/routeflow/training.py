@@ -14,11 +14,20 @@ The two halves of a step read nothing of each other's output. The
 generator updates read the discriminator as the step found it. The
 discriminator half (``train_discriminator``) reads the policy as the step
 found it: its frozen encoding serves the epsilon-greedy negatives, whose
-best solution seeds the expert. So when ``expert.may_fork`` allows, the
-discriminator half runs on an ``expert.Worker`` beside the generator
-updates; otherwise it runs first, on a copy of the discriminator. Either
-way its result, or what it raised, is taken after them, with the same bits.
-The greedy cost is the updated policy's.
+best solution seeds the expert. So the discriminator half runs on an
+``expert.Worker`` beside the generator updates, when the state has one;
+otherwise it runs first, on a copy of the discriminator. Either way its
+result, or what it raised, is taken after them, with the same bits. The
+greedy cost is the updated policy's.
+
+A ``TrainState`` has at most one such worker, forked at the first of its
+steps at which ``expert.may_fork`` allows it, and reused by every later
+step. Each step sends it the whole input of the half, so it holds no
+training state, and a state's checkpoints and copies carry none. It is
+killed and reaped when its state is freed, when ``train`` returns, and when
+a step raises before it has read the worker's answer; the next step forks
+a fresh one. A step that finds its worker dead reaps it and forks a fresh
+one itself.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -27,11 +36,11 @@ purpose), so a run resumed from any checkpoint continues bit-identically.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 import operator
 import os
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -150,9 +159,12 @@ class Adam:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m[...] = self.BETA1 * m + (1 - self.BETA1) * g
-            v[...] = self.BETA2 * v + (1 - self.BETA2) * g * g
-            arr[...] = arr - lr_of(name) * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
+            # m, v and arr in place; the order of operations fixes the bits
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            arr -= lr_of(name) * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
     def to_dict(self) -> dict:
         return {
@@ -195,6 +207,13 @@ class TrainState:
     config: TrainConfig  # the run's config, as its checkpoints record it
     epoch: int = 0
     history: list[dict] = field(default_factory=list)
+
+    # (the discriminator Worker of train_step, its weakref.finalize) while
+    # one is live: not a field, and left out of copies and pickles
+    _worker = None
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_worker"}
 
 
 def init_train_state(cfg: TrainConfig) -> TrainState:
@@ -319,46 +338,75 @@ def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
     return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
 
 
+def _train_discriminator(request: tuple):
+    """``train_discriminator`` of one step's request, a worker's ``fn``."""
+    return train_discriminator(*request)
+
+
+def _worker_of(state: TrainState) -> Worker | None:
+    """``state``'s discriminator worker: its live one, else a fresh one if
+    ``may_fork`` allows (which counts a live one as a child), else None. A
+    fresh one is killed and reaped when ``state`` is freed, if not before."""
+    if state._worker is not None and not state._worker[0].proc.is_alive():
+        _close_worker(state)  # it died between steps
+    if state._worker is None and may_fork():
+        worker = Worker(_train_discriminator, "training worker")
+        state._worker = worker, weakref.finalize(state, worker.close)
+    return None if state._worker is None else state._worker[0]
+
+
+def _close_worker(state: TrainState) -> None:
+    """Kill and reap ``state``'s discriminator worker, if it has one."""
+    if state._worker is not None:
+        _, finalizer = state._worker
+        state._worker = None
+        finalizer()
+
+
 def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, and one discriminator update with the generator
     frozen (``train_discriminator``), both from the state the step found.
-    Where ``may_fork`` allows, the discriminator half runs on a ``Worker``
-    while this process runs the generator updates; otherwise it runs first,
-    here, on a copy. Either way its result replaces ``state.disc`` and
-    ``state.opt_disc`` after the generator updates, with the same bits, and
-    what it raised is raised there, so a failed half leaves the same state.
+    The discriminator half runs on the state's worker, sent the half's whole
+    input, while this process runs the generator updates; a state has at
+    most one, forked at the first of its steps at which ``may_fork`` allows
+    it. Without one the half runs first, here, on a copy. Either way its
+    result replaces ``state.disc`` and ``state.opt_disc`` after the
+    generator updates, with the same bits, and what it raised is raised
+    there, so a failed half leaves the same state. A step that raises before
+    it has read the answer kills and reaps the worker, and the next step
+    forks a fresh one; a step that finds it dead replaces it. ``train``
+    closes it when it returns, and otherwise it lives as long as ``state``.
     Appends one history record, whose greedy cost is the updated policy's.
     Each instance's graph is built once, here, and so is the frozen
     discriminator's encoding: array mode never updates batch-norm
-    statistics, so it equals what each update would compute."""
+    statistics, so it equals what each update would compute. An empty
+    ``instances`` is a ``ValueError``."""
+    if not instances:
+        raise ValueError("train_step needs at least one instance")
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
-    half = functools.partial(train_discriminator, state.policy, state.disc, state.opt_disc,
-                             graphs, cfg, epoch=state.epoch)
-    worker = None
-    if may_fork():
-        worker = Worker(half, "training worker")
-        worker.requests.send(derive_seed(base, 2000))
-        worker.requests.close()  # it exits once it has answered
-    else:
-        held = Worker.answer(half, derive_seed(base, 2000))
+    request = (state.policy, state.disc, state.opt_disc, graphs, cfg, derive_seed(base, 2000), state.epoch)
+    worker = _worker_of(state)
+    if worker is None:
+        held = Worker.answer(_train_discriminator, request)
     try:
+        if worker is not None:
+            worker.requests.send(request)
         disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
         tb = math.nan
         for u in range(cfg.update_ratio):
             tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
         state.disc, state.opt_disc, record = Worker.value(held) if worker is None else worker.recv()
-        # before closing: meanwhile the worker exits, so close need not wait for its teardown
-        greedy_costs = [
-            rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
-            .solution.total_cost
-            for g in graphs
-        ]
-    finally:
-        if worker is not None:
-            worker.close()
+    except BaseException:
+        _close_worker(state)  # it may still be working on this request
+        raise
+    greedy_costs = [
+        rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
+        .solution.total_cost
+        for g in graphs
+    ]
     state.history.append(
         {
             "step": len(state.history),
@@ -425,7 +473,8 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
     randomness is keyed off (seed, epoch, step), never off live state. A
     resumed state whose run's config differs from ``cfg`` outside
     ``RESUMABLE_FIELDS`` is rejected with a ``CheckpointError`` that names
-    each differing field.
+    each differing field. The state's discriminator worker, if any, is
+    closed before it returns or raises.
     """
     if resume_from is None:
         state = init_train_state(cfg)
@@ -442,13 +491,16 @@ def train(cfg: TrainConfig, resume_from: TrainState | str | None = None) -> Trai
     os.makedirs(cfg.out_dir, exist_ok=True)
     if state.epoch == 0 and cfg.checkpoint_every:
         save_train_state(state, os.path.join(cfg.out_dir, "checkpoint_epoch0.json"))
-    for epoch in range(state.epoch, cfg.epochs):
-        for idx in range(cfg.instances_per_epoch):
-            instance = _instance_for(cfg, epoch, idx)
-            train_step(state, [instance], cfg, epoch, idx)
-        state.epoch = epoch + 1
-        if cfg.checkpoint_every and state.epoch % cfg.checkpoint_every == 0:
-            save_train_state(state, os.path.join(cfg.out_dir, f"checkpoint_epoch{state.epoch}.json"))
+    try:
+        for epoch in range(state.epoch, cfg.epochs):
+            for idx in range(cfg.instances_per_epoch):
+                instance = _instance_for(cfg, epoch, idx)
+                train_step(state, [instance], cfg, epoch, idx)
+            state.epoch = epoch + 1
+            if cfg.checkpoint_every and state.epoch % cfg.checkpoint_every == 0:
+                save_train_state(state, os.path.join(cfg.out_dir, f"checkpoint_epoch{state.epoch}.json"))
+    finally:
+        _close_worker(state)
     save_train_state(state, os.path.join(cfg.out_dir, "checkpoint_final.json"))
     _write_log(state, cfg)
     return state

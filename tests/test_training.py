@@ -1,11 +1,14 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
 bit-identical to an uninterrupted run and refuses another run's config, a
-step's forked worker gives the inline step's bits, raises its errors here
-where the inline step raises them, exits by itself and never outlives the
-step, a divergence writes its snapshot before raising, one update runs each
-network's encoder once, one step builds each instance's graph once, and the
-discriminator loss has the gradients of its central differences."""
+state's one forked worker gives the inline step's bits over many steps,
+raises its errors here where the inline step raises them, is replaced after
+a step that fails or finds it dead, and lives no longer than its state or a
+``train`` call, a divergence writes its snapshot before raising, one update
+runs each network's encoder once, one step builds each instance's graph
+once, and the discriminator loss has the gradients of its central
+differences."""
 
+import copy
 import json
 import math
 import multiprocessing
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from routeflow import autodiff as F
-from routeflow import expert, neural, training
+from routeflow import neural, training
 from routeflow.core import Instance, InstanceError
 from routeflow.expert import HgsConfig
 from routeflow.io import generate_uniform
@@ -78,6 +81,10 @@ def test_a_train_step_keeps_its_recorded_bits(tmp_path):
     }
 
 
+def hexed(history):
+    return [{k: float(v).hex() for k, v in record.items()} for record in history]
+
+
 def arrays(state):
     out = {}
     for prefix, container in (("policy", state.policy), ("disc", state.disc)):
@@ -134,12 +141,11 @@ def test_the_worker_gives_the_inline_bits(host, request, cpus, starts, tmp_path)
     for k in (1, 2):
         cpus(k)
         state = training.init_train_state(cfg)
-        for step in range(2):
+        for step in range(3):
             training.train_step(state, instances, cfg, 0, step)
         runs.append(state)
-    assert starts() == [os.getpid()] * 2  # a worker per step on two CPUs, none on one
+    assert starts() == [os.getpid()]  # one worker for three steps on two CPUs, none on one
     inline, forked = runs
-    hexed = lambda history: [{k: float(v).hex() for k, v in r.items()} for r in history]
     assert hexed(forked.history) == hexed(inline.history)
     for expected, got in ((arrays(inline), arrays(forked)), (moments(inline), moments(forked))):
         assert got.keys() == expected.keys()
@@ -200,42 +206,139 @@ def test_a_failed_discriminator_half_leaves_the_same_state(cpus, tmp_path, monke
     assert inline.history == forked.history == []
 
 
-def test_the_worker_exits_by_itself_once_it_has_answered(cpus, monkeypatch, tmp_path):
-    # close waits for it first: a worker still waiting for requests would
-    # hold the test up to the join's timeout and end killed
-    exits = []
-    real_close = expert.Worker.close
-    monkeypatch.setattr(expert.Worker, "close", lambda self: (
-        self.proc.join(30), exits.append(self.proc.exitcode), real_close(self)
-    ))
+def test_the_worker_lives_until_its_state_is_freed(cpus, tmp_path):
     cpus(2)
     cfg = tiny_config(tmp_path)
     state = training.init_train_state(cfg)
     training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
-    assert exits == [0]
+    (worker,) = multiprocessing.active_children()
+    training.train_step(state, [generate_uniform(cfg.n, 2)], cfg, 0, 1)
+    assert multiprocessing.active_children() == [worker]  # the same process, idle between steps
+    del state
+    assert multiprocessing.active_children() == []
+    assert worker.exitcode == -signal.SIGKILL
 
 
-def test_a_worker_that_dies_is_an_error(cpus, monkeypatch, tmp_path):
-    monkeypatch.setattr(training, "expert_refine", lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+def test_train_returns_with_no_child_alive(cpus, starts, tmp_path):
+    cpus(2)
+    state = training.train(tiny_config(tmp_path))
+    assert len(state.history) == 4
+    assert starts() == [os.getpid()]  # one worker for the four steps
+    assert multiprocessing.active_children() == []
+
+
+def test_an_empty_instance_list_is_refused_before_any_fork(cpus, starts, tmp_path):
     cpus(2)
     cfg = tiny_config(tmp_path)
     state = training.init_train_state(cfg)
-    with pytest.raises(RuntimeError, match=f"worker exited with code {-signal.SIGKILL}"):
-        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    with pytest.raises(ValueError, match="at least one instance"):
+        training.train_step(state, [], cfg)
+    assert starts() == []
+    assert state.history == [] and state.opt_policy.t == state.opt_disc.t == 0
+
+
+def test_copies_and_checkpoints_carry_no_worker(cpus, tmp_path):
+    cpus(2)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
+    assert len(multiprocessing.active_children()) == 1
+    path = str(tmp_path / "state.json")
+    training.save_train_state(state, path)
+    names = {f.name for f in fields(training.TrainState)}
+    for twin in (copy.deepcopy(state), copy.copy(state), training.load_train_state(path)):
+        assert vars(twin).keys() == names
+    del state  # the copies keep no worker alive
+    assert multiprocessing.active_children() == []
+
+
+def test_a_new_state_never_reaches_another_states_worker(cpus, starts, tmp_path):
+    # a state freed and one made after it may share an id, never a worker
+    cfg = tiny_config(tmp_path, n=8)
+    instances = [generate_uniform(cfg.n, 1)]
+    cpus(1)
+    inline = training.init_train_state(cfg)
+    training.train_step(inline, instances, cfg)
+    cpus(2)
+    first = training.init_train_state(cfg)
+    training.train_step(first, instances, cfg)
+    (worker,) = multiprocessing.active_children()
+    # while it lives it counts as a child, so a second state runs inline
+    second = training.init_train_state(cfg)
+    training.train_step(second, instances, cfg)
+    assert starts() == [os.getpid()]
+    assert hexed(first.history) == hexed(inline.history)
+    del first
+    assert worker.exitcode == -signal.SIGKILL
+    third = training.init_train_state(cfg)
+    training.train_step(third, instances, cfg)
+    assert starts() == [os.getpid()] * 2
+    (fresh,) = multiprocessing.active_children()
+    assert fresh is not worker and fresh.pid != worker.pid
+    for state in (second, third):
+        assert hexed(state.history) == hexed(inline.history)
+
+
+def inline_history(cfg, instances, cpus, steps=1):
+    cpus(1)
+    state = training.init_train_state(cfg)
+    for step in range(steps):
+        training.train_step(state, instances, cfg, 0, step)
+    return hexed(state.history)
+
+
+def test_a_worker_that_dies_is_an_error(cpus, starts, monkeypatch, tmp_path):
+    cfg = tiny_config(tmp_path)
+    instances = [generate_uniform(cfg.n, 1)]
+    cpus(2)
+    state = training.init_train_state(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "expert_refine", lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"worker exited with code {-signal.SIGKILL}"):
+            training.train_step(state, instances, cfg)
     assert state.history == []
+    # the next step forks a fresh worker, which sees the real expert
+    cpus(1)
+    inline = training.train_step(copy.deepcopy(state), instances, cfg, 0, 1)
+    cpus(2)
+    training.train_step(state, instances, cfg, 0, 1)
+    assert starts() == [os.getpid()] * 2
+    assert hexed(state.history) == hexed(inline.history)
+
+
+def test_a_worker_that_died_between_steps_is_replaced(cpus, starts, tmp_path):
+    cfg = tiny_config(tmp_path)
+    instances = [generate_uniform(cfg.n, 1)]
+    inline = inline_history(cfg, instances, cpus, steps=2)
+    cpus(2)
+    state = training.init_train_state(cfg)
+    training.train_step(state, instances, cfg, 0, 0)
+    (worker,) = multiprocessing.active_children()
+    worker.kill()
+    worker.join(30)
+    training.train_step(state, instances, cfg, 0, 1)
+    assert starts() == [os.getpid()] * 2
+    assert hexed(state.history) == inline
 
 
 def test_an_error_in_a_generator_update_kills_the_worker(cpus, starts, deadline, monkeypatch, tmp_path):
     # the worker would sleep out the test if it were waited for, not killed
-    monkeypatch.setattr(training, "expert_refine", lambda *a: time.sleep(60))
-    cpus(2)
     cfg = tiny_config(tmp_path)
+    instances = [generate_uniform(cfg.n, 1)]
+    inline = inline_history(cfg, instances, cpus)
+    cpus(2)
     state = training.init_train_state(cfg)
-    state.policy.log_z[...] = np.nan
-    with deadline(20), pytest.raises(training.TrainingDivergedError, match="tb_loss"):
-        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg)
-    assert starts() == [os.getpid()]
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "expert_refine", lambda *a: time.sleep(60))
+        state.policy.log_z[...] = np.nan
+        with deadline(20), pytest.raises(training.TrainingDivergedError, match="tb_loss"):
+            training.train_step(state, instances, cfg)
     assert multiprocessing.active_children() == []
+    # the step failed before any update, so the state is the one it found
+    state.policy.log_z[...] = training.init_train_state(cfg).policy.log_z
+    training.train_step(state, instances, cfg)
+    assert starts() == [os.getpid()] * 2  # a fresh worker, which sees the real expert
+    assert hexed(state.history) == inline
 
 
 def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch, cpus):
