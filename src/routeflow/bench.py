@@ -179,8 +179,12 @@ def solve(
     """Solve one instance with one method at ``seed``, which replaces
     ``hgs.seed``. Builds the distance matrix and the sparse graph itself, so
     a caller timing it times those too. Neural methods need ``policy`` and
-    encode ``neural.instance_graph(instance, k_nn)``."""
+    encode ``neural.instance_graph(instance, k_nn)``; every method refuses a
+    ``k_nn`` that ``BenchSpec`` would refuse."""
     kind, arg = _parse_method(method)
+    ok, what = _FIELD_TYPES["k_nn"]
+    if not ok(k_nn):
+        raise ValueError(f"k_nn must be {what}, got {k_nn!r}")
     if kind == "exact":
         return exact_solve_small(instance)
     if kind == "hgs":

@@ -15,8 +15,9 @@ last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
 move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
 
 Each generation educates (splits and local-searches) two children as a
-pair, the second on a ``Worker`` once the search has run long enough
-(``_Helper``); every host returns the serial search's output.
+pair. Once the search has run long enough, and where ``may_fork`` allows, a
+``Worker`` educates the second child of every later pair until the search
+ends (``_Helper``); every host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -520,13 +521,6 @@ def _draw_child(rng, population: list[_Individual]) -> list[int]:
 # takes about 2 ms (``Process.start`` of a training step's worker at n=20);
 # a shorter solve has too few pairs left to repay it and each pair's pipe trip.
 _FORK_AFTER_S = 0.05
-_JUDGE_AFTER = 4  # measured pairs before a helper may be found to share this process's CPU
-# A pair's wall time above the longer education, as a share of the shorter
-# one, summed over a solve's judged pairs at n=100: 0.03-0.46 on an idle
-# two-CPU host (one burst reached 1.4, then fell back), and 1.02-1.39 when
-# the helper shares the parent's CPU (both pinned to one, or a busy loop on
-# the other). A helper is closed once its pairs sum above this share.
-_SHARED_AT = 0.9
 
 
 def may_fork() -> bool:
@@ -632,43 +626,25 @@ class _Helper:
     educates a pair's second tour while this process educates the first,
     and what it raises is raised here. It is forked, if ``may_fork``
     allows, at the first pair once the solve has run ``_FORK_AFTER_S``, and
-    never after a refusal. It is closed for the rest of the solve once
-    ``_JUDGE_AFTER`` pairs after the first took a summed wall time above the
-    longer education plus ``_SHARED_AT`` times the shorter, close to the
-    serial sum (it shares this process's CPU). Education is a function of
-    the tour alone, so the individuals are the serial search's whatever the
-    host.
+    never after a refusal; once forked, it educates every later pair until
+    the solve ends or raises. Education is a function of the tour alone, so
+    the individuals are the serial search's whatever the host.
     """
 
     def __init__(self, from_tour, start: float):
         self.from_tour = from_tour
         self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
         self.worker = None
-        self.pairs = 0  # educated on both processes
-        self.lag = 0.0  # over the measured pairs: wall - (max + _SHARED_AT * min) of the CPU times
 
     def educate(self, tours: list[list[int]]) -> list[_Individual]:
         if len(tours) == 2 and self.fork_at is not None and time.monotonic() >= self.fork_at:
             self.fork_at = None
             if may_fork():
-                self.worker = Worker(self._timed, "HGS helper process")
+                self.worker = Worker(self.from_tour, "HGS helper process")
         if len(tours) < 2 or self.worker is None:
             return [self.from_tour(t) for t in tours]
-        wall = time.perf_counter()
         self.worker.requests.send(tours[1])
-        first, cpu = self._timed(tours[0])
-        second, other = self.worker.recv()
-        self.pairs += 1
-        if self.pairs > 1:  # the first waited for the fork
-            self.lag += time.perf_counter() - wall - max(cpu, other) - _SHARED_AT * min(cpu, other)
-            if self.pairs > _JUDGE_AFTER and self.lag > 0:
-                self.close()
-        return [first, second]
-
-    def _timed(self, tour: list[int]) -> tuple[_Individual, float]:
-        """The tour's individual and the thread CPU time of its education."""
-        cpu = time.thread_time()
-        return self.from_tour(tour), time.thread_time() - cpu
+        return [self.from_tour(tours[0]), self.worker.recv()]
 
     def close(self) -> None:
         if self.worker is not None:
@@ -687,8 +663,10 @@ def hgs_solve(
 
     The warm start (or the angular-sweep construction when absent) enters the
     initial population, and the incumbent (the best-ranked individual) always
-    survives, so the returned cost is bounded by both. ``time_budget_s`` is a
-    hard cap checked between generations; bit-determinism across runs holds
+    survives, so the returned cost is bounded by both. ``time_budget_s`` is
+    checked before each pair of initial tours and each generation, once the
+    sweep and the warm start have entered the population, so a solve overruns
+    it by at most one pair of educations; bit-determinism across runs holds
     when ``max_iterations`` binds first.
 
     Each generation draws two children from the same population, then
@@ -723,6 +701,9 @@ def hgs_solve(
             routes = split_giant_tour(D, demand, q, tour, None)
         return evaluate(routes)
 
+    def over_budget() -> bool:
+        return cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s
+
     population: list[_Individual] = []
     sweep = initial_solution(instance, cfg.seed, dm)
     population.append(evaluate([list(r.nodes) for r in sweep.routes]))
@@ -737,9 +718,11 @@ def hgs_solve(
     helper = _Helper(from_tour, start_time)
     try:
         for k in range(0, len(tours), 2):
+            if over_budget():
+                break
             population += helper.educate(tours[k : k + 2])
         for it in range(0, cfg.max_iterations, 2):
-            if cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s:
+            if over_budget():
                 break
             children = [_draw_child(rng, population) for _ in range(min(2, cfg.max_iterations - it))]
             population += helper.educate(children)

@@ -59,6 +59,12 @@ class TestSolve:
         assert cli.main(["solve", "--method", "simulated-annealing", "--n", "6"]) == cli.EXIT_SPEC
 
     @pytest.mark.parametrize("method", ["hgs", "exact", "expert-refine-5"])
+    def test_k_nn_0_exits_2_off_the_neural_path_too(self, method, capsys):
+        # unread off the neural path, it exited 0
+        assert cli.main(["solve", "--method", method, "--n", "6", "--k-nn", "0"]) == cli.EXIT_SPEC
+        assert "k_nn must be None or an integer >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["hgs", "exact", "expert-refine-5"])
     def test_no_fleet_feasible_solution_exits_2(self, method, tmp_path, capsys):
         # three customers of demand 6 under Q = 11 need three routes, against a fleet of two
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (6, 6, 6), 11, fleet_limit=2)

@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -762,10 +761,18 @@ class TestScale:
         assert check_feasible(inst, sol).feasible
 
 
-def _serial_and_helped(inst, warm, cfg, cpus, monkeypatch, educations=None):
+def _tick_once_a_reading(monkeypatch) -> None:
+    """Give ``expert`` a clock that ticks once a reading, so a one-CPU and a
+    two-CPU search stop at the same point: the same readings happen in the
+    same order."""
+    clock = itertools.count()
+    monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+
+
+def _serial_and_helped(inst, warm, cfg, cpus, monkeypatch):
     """``hgs_solve`` on one CPU and then on two, each with the number of
     educations this process ran (a helper counts in its own copy)."""
-    educations = [] if educations is None else educations
+    educations = []
     real = expert._local_search
     monkeypatch.setattr(expert, "_local_search", lambda *a: educations.append(1) or real(*a))
     runs = []
@@ -778,9 +785,9 @@ def _serial_and_helped(inst, warm, cfg, cpus, monkeypatch, educations=None):
 
 class TestHelper:
     """hgs_solve's forked helper: the serial output whatever the host and
-    however the tours pair up, its errors reach the caller, it never
-    outlives the solve, it is forked only where forking is safe and pays,
-    and it stops when it shares the parent's one free CPU."""
+    however the tours pair up, once forked it educates every later pair, its
+    errors reach the caller, it never outlives the solve, and it is forked
+    only where forking is safe and pays."""
 
     @pytest.mark.parametrize("source", ["uniform", "A-n32-k5"])
     def test_equals_the_one_cpu_search(self, source, cpus, starts, monkeypatch):
@@ -791,7 +798,6 @@ class TestHelper:
             inst, warm = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp")), None
         cfg = HgsConfig(population_size=20, max_iterations=80, seed=2)
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
-        monkeypatch.setattr(expert, "_JUDGE_AFTER", math.inf)  # a busy host must not stop it here
         (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
         assert helped == serial
         assert starts() == [os.getpid()]
@@ -815,34 +821,45 @@ class TestHelper:
         cfg = HgsConfig(population_size=population_size, max_iterations=max_iterations,
                         time_budget_s=time_budget_s, seed=4)
         if time_budget_s is not None:
-            # a clock that ticks once a reading, so both searches stop at the
-            # same generation: the same readings happen in the same order
-            clock = itertools.count()
-            monkeypatch.setattr(expert, "time", SimpleNamespace(
-                monotonic=lambda: float(next(clock)), perf_counter=time.perf_counter, thread_time=time.thread_time
-            ))
+            _tick_once_a_reading(monkeypatch)
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
         (serial, _), (helped, _) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
         assert helped == serial
         assert starts() == [os.getpid()]
         assert multiprocessing.active_children() == []
 
-    def test_stops_when_it_shares_the_parents_cpu(self, one_cpu, cpus, starts, monkeypatch):
+    def test_a_budget_stops_the_initial_population(self, cpus, starts, monkeypatch):
+        # readings: 0 at the start, 1 before the first pair of initial tours,
+        # 2 at the fork, 3 before the second pair, past the budget
+        inst = generate_uniform(40, 8)
+        warm = initial_solution(inst, 5, build_distance_matrix(inst))
+        cfg = HgsConfig(population_size=11, max_iterations=10**9, time_budget_s=2.5, seed=4)
+        _tick_once_a_reading(monkeypatch)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
+        assert helped == serial
+        # the sweep, the warm start and one pair of the eight initial tours;
+        # the helper educated the pair's second tour
+        assert (serial_educations, educations) == (4, 3)
+        assert check_feasible(inst, serial).feasible
+        assert serial.total_cost <= warm.total_cost + 1e-9
+        assert starts() == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_a_helper_on_the_parents_only_free_cpu_runs_to_the_end(
+        self, one_cpu, cpus, starts, deadline, monkeypatch
+    ):
         inst = generate_uniform(60, 11)
         cfg = HgsConfig(population_size=20, max_iterations=80, seed=2)
-        counted, stops = [], []  # stops: the parent's educations at each close of a live helper
-        real_close = expert._Helper.close
-        monkeypatch.setattr(expert._Helper, "close", lambda self: (
-            self.worker is not None and stops.append(len(counted)), real_close(self)
-        ))
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
-        (serial, serial_educations), (helped, educations) = _serial_and_helped(
-            inst, None, cfg, cpus, monkeypatch, counted
-        )
+        with deadline(30):
+            (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, None, cfg, cpus, monkeypatch)
         assert helped == serial
         assert starts() == [os.getpid()]
-        assert len(stops) == 1 and stops[0] < educations  # stopped before the search ended
-        assert educations > serial_educations / 2
+        # the parent educates exactly the first tour of every pair: nothing
+        # closed the helper before the search ended
+        tours = cfg.population_size - 1
+        assert educations == serial_educations - tours // 2 - cfg.max_iterations // 2
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
@@ -858,7 +875,6 @@ class TestHelper:
 
         monkeypatch.setattr(expert._Helper, "educate", educate)
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
-        monkeypatch.setattr(expert, "_JUDGE_AFTER", math.inf)
         hgs_solve(generate_uniform(30, 5), cfg=FAST)
         mask = os.sched_getaffinity(0)
         assert masks and all(m < mask and len(m) == len(mask) - 1 for m in masks)
