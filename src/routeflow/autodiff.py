@@ -14,15 +14,20 @@ Tensors (training with exact gradients) with the same numbers, bit for
 bit: ``Tensor.mean`` is sum / count, as numpy's ``mean`` is, and
 ``matvec`` is one row-local product in both modes.
 
+No op scatters with ``np.add.at``. ``take``'s gradient and
+``segment_sum``'s value are one ``np.bincount`` each, which starts every
+bin at zero and adds its entries in index order, as that scatter would.
 The CSR helpers (``csr_sum``, ``csr_repeat``, ``csr_gather``) work on
 segments that tile the last axis, given by their offsets. Each one's
 forward and backward is one ``np.add.reduceat``, ``np.repeat`` or
-``np.take`` along that axis, never an ``np.add.at`` scatter.
+``np.take`` along that axis.
 ``csr_gather`` reads a symmetric pattern's columns and gathers its gradient
 back through each entry's transpose.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -221,14 +226,22 @@ def square(x):
 
 
 def take(x, idx):
-    """Rows of x at integer indices idx (gather along axis 0)."""
+    """Rows of x at non-negative integer indices idx (gather along axis 0).
+
+    The gradient is one ``np.bincount`` over the flattened (row, column)
+    bins. Each bin starts at zero and adds its entries in index order, as
+    an ``np.add.at`` scatter does, so a repeated row sums to the same bits.
+    A negative index is a ``ValueError``: bincount takes none.
+    """
     idx = np.asarray(idx)
+    if idx.size and idx.min() < 0:
+        raise ValueError(f"take needs non-negative indices, got {idx.min()}")
     data = value(x)
 
     def grad(g):
-        full = np.zeros_like(data)
-        np.add.at(full, idx, g)
-        return full
+        width = math.prod(data.shape[1:])
+        bins = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        return np.bincount(bins, g.ravel(), data.size).reshape(data.shape)
 
     return _node(data[idx], (x, grad))
 

@@ -902,22 +902,24 @@ def expert_refine(
     cfg: HgsConfig,
     dm: np.ndarray,
 ) -> Solution:
-    """Decompose, solve the clusters, and merge.
+    """Decompose, solve the clusters, and merge; the result never ranks
+    below the seed solution by (fleet excess, cost), as ``hgs_solve`` ranks.
 
     Each subproblem is warm-started with its own cluster's routes, so the
     merged cost never exceeds the seed solution's cost, and it equals the sum
     of the subproblem costs exactly (the depot is the only shared node).
     Each subproblem's matrix is sliced from ``dm``. ``solve_subproblems``
     says how the clusters share the lanes and the budget. A cluster never
-    uses more routes than its seed routes, so only a seed solution over the
-    fleet limit can leave the merge over it, which is an ``InstanceError``.
+    uses more routes than its seed routes, so a seed within the fleet limit
+    merges within it. A seed over the limit is refined instead by one
+    ``hgs_solve`` on the whole instance, warm-started with the seed: it
+    returns a fleet-feasible solution or raises ``InstanceError``.
     """
+    limit = instance.fleet_limit
+    if limit is not None and seed_solution.n_routes > limit:
+        return hgs_solve(instance, warm_start=seed_solution, cfg=cfg, dm=dm)
     _, subproblems = decompose(instance, seed_solution, m, seed=cfg.seed)
     partials = solve_subproblems(subproblems, cfg, dm)
     routes = tuple(r for part in partials for r in part.routes)
-    limit = instance.fleet_limit
-    if limit is not None and len(routes) > limit:
-        raise InstanceError(f"no fleet-feasible solution found; the merged clusters use "
-                            f"{len(routes)} routes against a fleet limit of {limit}")
     total = sum(part.total_cost for part in partials)
     return Solution(routes, total)

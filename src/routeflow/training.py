@@ -22,12 +22,18 @@ greedy cost is the updated policy's.
 
 A ``TrainState`` has at most one such worker, forked at the first of its
 steps at which ``expert.may_fork`` allows it, and reused by every later
-step. Each step sends it the whole input of the half, so it holds no
-training state, and a state's checkpoints and copies carry none. It is
-killed and reaped when its state is freed, when ``train`` returns, and when
-a step raises before it has read the worker's answer; the next step forks
-a fresh one. A step that finds its worker dead reaps it and forks a fresh
-one itself.
+step. The worker keeps the ``(disc, opt_disc)`` of its last answer, and the
+state records the objects it adopted from that answer. While
+``state.disc`` and ``state.opt_disc`` are still those objects, a step
+sends the worker the policy, graphs, config, seed and epoch alone; a fresh
+worker, or a discriminator or optimizer rebound since, gets the half's
+whole input. So a caller that changes either in place between steps must
+rebind it for the worker to see the change. A state's checkpoints and
+copies carry no worker and no record. The worker is killed and reaped
+when its state is freed, when ``train`` returns, and when a step raises
+before it has read the worker's answer or reads an error there; the next
+step forks a fresh one. A step that finds its worker dead reaps it and
+forks a fresh one itself.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -208,7 +214,8 @@ class TrainState:
     epoch: int = 0
     history: list[dict] = field(default_factory=list)
 
-    # (the discriminator Worker of train_step, its weakref.finalize) while
+    # (the discriminator Worker of train_step, its weakref.finalize, the
+    # (disc, opt_disc) adopted from its last answer, or (None, None)) while
     # one is live: not a field, and left out of copies and pickles
     _worker = None
 
@@ -338,9 +345,24 @@ def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
     return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
 
 
-def _train_discriminator(request: tuple):
-    """``train_discriminator`` of one step's request, a worker's ``fn``."""
-    return train_discriminator(*request)
+class _KeptDiscriminator:
+    """``train_discriminator`` of one step's request, which it answers from
+    the ``(disc, opt_disc)`` of its last answer when the request carries
+    ``None`` for them: a discriminator worker's ``fn``, and a throwaway one
+    on the one-CPU path. It keeps the trained copies it answers with;
+    ``train_discriminator`` trains copies of what it kept, so a half that
+    raises leaves them as they were."""
+
+    def __init__(self):
+        self.kept = None
+
+    def __call__(self, request: tuple):
+        policy, disc, opt_disc, *rest = request
+        if disc is None:
+            disc, opt_disc = self.kept
+        answer = train_discriminator(policy, disc, opt_disc, *rest)
+        self.kept = answer[:2]
+        return answer
 
 
 def _worker_of(state: TrainState) -> Worker | None:
@@ -350,15 +372,15 @@ def _worker_of(state: TrainState) -> Worker | None:
     if state._worker is not None and not state._worker[0].proc.is_alive():
         _close_worker(state)  # it died between steps
     if state._worker is None and may_fork():
-        worker = Worker(_train_discriminator, "training worker")
-        state._worker = worker, weakref.finalize(state, worker.close)
+        worker = Worker(_KeptDiscriminator(), "training worker")
+        state._worker = worker, weakref.finalize(state, worker.close), (None, None)
     return None if state._worker is None else state._worker[0]
 
 
 def _close_worker(state: TrainState) -> None:
     """Kill and reap ``state``'s discriminator worker, if it has one."""
     if state._worker is not None:
-        _, finalizer = state._worker
+        finalizer = state._worker[1]
         state._worker = None
         finalizer()
 
@@ -368,18 +390,21 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, and one discriminator update with the generator
     frozen (``train_discriminator``), both from the state the step found.
-    The discriminator half runs on the state's worker, sent the half's whole
-    input, while this process runs the generator updates; a state has at
-    most one, forked at the first of its steps at which ``may_fork`` allows
-    it. Without one the half runs first, here, on a copy. Either way its
-    result replaces ``state.disc`` and ``state.opt_disc`` after the
-    generator updates, with the same bits, and what it raised is raised
-    there, so a failed half leaves the same state. A step that raises before
-    it has read the answer kills and reaps the worker, and the next step
-    forks a fresh one; a step that finds it dead replaces it. ``train``
-    closes it when it returns, and otherwise it lives as long as ``state``.
-    Appends one history record, whose greedy cost is the updated policy's.
-    Each instance's graph is built once, here, and so is the frozen
+    The discriminator half runs on the state's worker while this process
+    runs the generator updates; a state has at most one, forked at the
+    first of its steps at which ``may_fork`` allows it. The worker is sent
+    the half's whole input, less the ``(disc, opt_disc)`` it answered with
+    last while the state still holds those very objects: rebind them, not
+    edit them in place, to have a changed one trained. Without a worker the
+    half runs first, here, on a copy. Either way its result replaces
+    ``state.disc`` and ``state.opt_disc`` after the generator updates, with
+    the same bits, and what it raised is raised there, so a failed half
+    leaves the same state. A step that raises before it has read a value
+    from the worker kills and reaps it, and the next step forks a fresh
+    one; a step that finds it dead replaces it. ``train`` closes it when it
+    returns, and otherwise it lives as long as ``state``. Appends one
+    history record, whose greedy cost is the updated policy's. Each
+    instance's graph is built once, here, and so is the frozen
     discriminator's encoding: array mode never updates batch-norm
     statistics, so it equals what each update would compute. An empty
     ``instances`` is a ``ValueError``."""
@@ -387,10 +412,13 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
         raise ValueError("train_step needs at least one instance")
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
-    request = (state.policy, state.disc, state.opt_disc, graphs, cfg, derive_seed(base, 2000), state.epoch)
     worker = _worker_of(state)
+    pair = (state.disc, state.opt_disc)
+    if worker is not None and all(map(operator.is_, state._worker[2], pair)):
+        pair = (None, None)  # the worker holds them
+    request = (state.policy, *pair, graphs, cfg, derive_seed(base, 2000), state.epoch)
     if worker is None:
-        held = Worker.answer(_train_discriminator, request)
+        held = Worker.answer(_KeptDiscriminator(), request)
     try:
         if worker is not None:
             worker.requests.send(request)
@@ -402,6 +430,8 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
     except BaseException:
         _close_worker(state)  # it may still be working on this request
         raise
+    if worker is not None:
+        state._worker = (*state._worker[:2], (state.disc, state.opt_disc))
     greedy_costs = [
         rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
         .solution.total_cost

@@ -187,6 +187,51 @@ class TestMatvec:
         assert np.allclose(v.grad, a.data.sum(axis=0))
 
 
+def _scattered(data, idx, g):
+    """The gradient of ``take`` by the ``np.add.at`` scatter it replaced."""
+    full = np.zeros_like(data)
+    np.add.at(full, idx, g)
+    return full
+
+
+class TestTake:
+    @pytest.mark.parametrize("shape", [(6,), (6, 5)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("idx", [
+        np.array([4, 1, 4, 0, 1, 4, 5, 2, 1]),  # repeated and unsorted
+        np.array([[3, 0, 3], [5, 3, 1]]),  # a 2-D index
+        np.array([], dtype=np.int64),
+    ], ids=["repeated", "index_2d", "empty"])
+    def test_the_gradient_is_the_scatter_bit_for_bit(self, shape, idx):
+        data = _rand(*shape)
+        x = F.parameter(data)
+        out = F.take(x, idx)
+        # wide magnitudes, so a sum in another order would show in the bits
+        g = _rand(*out.data.shape, seed=4) * 10.0 ** (np.arange(out.data.size) % 7).reshape(out.data.shape)
+        F.backward((out * g).sum())
+        assert np.array_equal(x.grad.view(np.int64), _scattered(data, idx, g).view(np.int64))
+
+    def test_each_row_adds_its_entries_in_index_order(self):
+        # 1 + 2**-53 rounds back to 1, twice; the two halves first would sum to 2**-52
+        x = F.parameter(np.zeros(2))
+        F.backward((F.take(x, [0, 1, 0, 0]) * np.array([1.0, 5.0, 2.0**-53, 2.0**-53])).sum())
+        assert x.grad.tolist() == [1.0, 5.0]
+
+    def test_a_negative_zero_contribution_gives_positive_zero(self):
+        # both start the bin at +0.0, and +0.0 + -0.0 is +0.0
+        x = F.parameter(_rand(3, 2))
+        g = np.array([[-0.0, 1.5], [-0.0, -0.0]])
+        F.backward((F.take(x, [2, 0]) * g).sum())
+        expected = _scattered(x.data, np.array([2, 0]), g)
+        assert np.array_equal(x.grad.view(np.int64), expected.view(np.int64))
+        assert not np.signbit(x.grad).any()
+
+    @pytest.mark.parametrize("mode", ["array", "tensor"])
+    def test_a_negative_index_is_refused(self, mode):
+        data = _rand(4, 3)
+        with pytest.raises(ValueError, match="non-negative indices, got -1"):
+            F.take(F.parameter(data) if mode == "tensor" else data, [0, -1, 2])
+
+
 # the ops that pass gradients to two or more operands, each of which may be a constant
 _BINARY = {name: OPS[name] for name in OPS if len(OPS[name][1]) == 2}
 

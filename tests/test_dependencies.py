@@ -1,9 +1,10 @@
 """The package needs nothing at run time beyond numpy and the standard
 library: every absolute import of every module under ``src/routeflow``,
 at any depth of the module, names one of those or the package itself. No
-module takes another one's private (underscore) names. Only ``expert``
-forks, with ``multiprocessing`` alone. And importing the modules that the
-benchmark sets up loads no process machinery."""
+module takes another one's private (underscore) names, and none reaches
+``np.add.at``, whose scatter ``np.bincount`` does faster with the same
+bits. Only ``expert`` forks, with ``multiprocessing`` alone. And importing
+the modules that the benchmark sets up loads no process machinery."""
 
 import ast
 import subprocess
@@ -72,6 +73,43 @@ def test_the_private_guard_sees_every_form(tmp_path):
                       "from routeflow.neural import _b\nimport routeflow.bench\n"
                       "F._c(F.value(core._d), E._e, routeflow.bench._f, self._own, F.__name__)\n")
     assert sorted(private_names(module)) == ["_a", "_b", "_c", "_d", "_e", "_f"]
+
+
+def add_at_lines(path: Path) -> list[int]:
+    """The lines where ``path`` reaches ``np.add.at``: the ``at`` of
+    ``add`` on a name bound to numpy, or of a name bound to ``numpy.add``."""
+    tree = ast.parse(path.read_text(), str(path))
+    numpy_names, add_names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy" or alias.name.startswith("numpy.") and not alias.asname:
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            add_names.update(alias.asname or alias.name for alias in node.names if alias.name == "add")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "at":
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in add_names
+                    or isinstance(base, ast.Attribute) and base.attr == "add"
+                    and isinstance(base.value, ast.Name) and base.value.id in numpy_names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_module_scatters_with_np_add_at(path):
+    assert add_at_lines(path) == []
+
+
+def test_the_add_at_guard_sees_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nimport numpy.linalg\nfrom numpy import add, add as plus\n"
+                      "np.add.at(a, i, g)\nnumpy.add.at(a, i, g)\nadd.at(a, i, g)\nscatter = plus.at\n"
+                      "np.maximum.at(a, i, g)\nnp.add.reduceat(g, i)\nother.add.at(a, i, g)\n"
+                      "'np.add.at'\n")
+    assert add_at_lines(module) == [4, 5, 6, 7]
 
 
 def test_one_module_forks_and_by_one_facility():

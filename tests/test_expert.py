@@ -718,15 +718,30 @@ class TestExpertRefine:
         b = expert_refine(inst, start, m=10, cfg=FAST, dm=dm)
         assert a == b
 
-    def test_a_merge_over_the_fleet_limit_is_an_instance_error(self, cpus):
+    def test_an_instance_with_no_fleet_feasible_solution_is_an_instance_error(self, cpus):
         # three customers of demand 6 under Q = 11 need three routes, against a fleet of two
         cpus(1)
         inst = Instance((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (6, 6, 6), 11, fleet_limit=2)
         dm = build_distance_matrix(inst)
         start = initial_solution(inst, 0, dm)
         assert start.n_routes == 3
-        with pytest.raises(InstanceError, match="no fleet-feasible solution found; .* 3 routes .* of 2"):
+        with pytest.raises(InstanceError, match="no fleet-feasible solution found"):
             expert_refine(inst, start, m=5, cfg=FAST, dm=dm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_seed_over_the_fleet_limit_is_refined_into_it(self, seed, cpus):
+        # the sweep packs the hexagon's customers into three routes; two
+        # routes of loads 10 (5 + 3 + 2) and 10 (4 + 3 + 3) fit the fleet
+        cpus(1)
+        hexagon = tuple((math.cos(2 * math.pi * i / 6), math.sin(2 * math.pi * i / 6)) for i in range(6))
+        inst = Instance((0.0, 0.0), hexagon, (5, 4, 3, 3, 3, 2), 10, fleet_limit=2)
+        dm = build_distance_matrix(inst)
+        start = initial_solution(inst, seed, dm)
+        assert start.n_routes == 3
+        refined = expert_refine(inst, start, m=5, cfg=replace(FAST, max_iterations=100, seed=seed), dm=dm)
+        assert refined.n_routes == 2
+        assert check_feasible(inst, refined).feasible
+        assert refined.total_cost == pytest.approx(solution_cost(dm, refined.routes), rel=1e-12)
 
 
 class TestScale:

@@ -1,7 +1,8 @@
 """The training loop's promises at tiny sizes: resuming from a checkpoint is
 bit-identical to an uninterrupted run and refuses another run's config, a
 state's one forked worker gives the inline step's bits over many steps,
-raises its errors here where the inline step raises them, is replaced after
+is sent the discriminator only when it does not hold it already, raises
+its errors here where the inline step raises them, is replaced after
 a step that fails or finds it dead, and lives no longer than its state or a
 ``train`` call, a divergence writes its snapshot before raising, one update
 runs each network's encoder once, one step builds each instance's graph
@@ -9,6 +10,7 @@ once, and the discriminator loss has the gradients of its central
 differences."""
 
 import copy
+import gc
 import json
 import math
 import multiprocessing
@@ -339,6 +341,112 @@ def test_an_error_in_a_generator_update_kills_the_worker(cpus, starts, deadline,
     training.train_step(state, instances, cfg)
     assert starts() == [os.getpid()] * 2  # a fresh worker, which sees the real expert
     assert hexed(state.history) == inline
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """``sent()`` lists the requests that ``train_step`` sends to its
+    workers, in order, as the objects they were when sent."""
+    requests = []
+
+    class Recording(training.Worker):
+        def __init__(self, fn, what):
+            super().__init__(fn, what)
+
+            def send(request, _send=self.requests.send):
+                requests.append(request)
+                _send(request)
+
+            self.requests.send = send
+
+    monkeypatch.setattr(training, "Worker", Recording)
+    return lambda: list(requests)
+
+
+def holds_disc(request) -> bool:
+    """Whether a request carries a discriminator or its optimizer."""
+    return any(isinstance(part, (neural.DiscParams, training.Adam)) for part in request)
+
+
+def assert_same_bits(expected, got):
+    assert hexed(got.history) == hexed(expected.history)
+    for want, have in ((arrays(expected), arrays(got)), (moments(expected), moments(got))):
+        assert have.keys() == want.keys()
+        for name, arr in want.items():
+            assert np.array_equal(have[name], arr), name
+
+
+def test_after_its_first_step_the_worker_is_sent_no_discriminator(cpus, starts, sent, tmp_path):
+    cpus(2)
+    cfg = tiny_config(tmp_path)
+    state = training.init_train_state(cfg)
+    for step in range(3):
+        training.train_step(state, [generate_uniform(cfg.n, 1)], cfg, 0, step)
+    assert starts() == [os.getpid()]
+    # it keeps the (disc, opt_disc) it answered with, which the state adopted
+    assert [holds_disc(request) for request in sent()] == [True, False, False]
+
+
+# the first trained array of a discriminator, or the first moment of its optimizer
+FIRST = {"disc": lambda disc: next(iter(disc.named_arrays()))[1],
+         "opt_disc": lambda opt: next(iter(opt.m.values()))}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST))
+def test_a_rebound_discriminator_is_sent_and_trained(name, cpus, starts, sent, tmp_path):
+    cfg = tiny_config(tmp_path, n=8)
+    instances = [generate_uniform(cfg.n, 1), generate_uniform(cfg.n, 2)]
+    cpus(2)
+    state = training.init_train_state(cfg)
+    training.train_step(state, instances, cfg, 0, 0)
+    untouched = copy.deepcopy(state)
+    twin = copy.deepcopy(getattr(state, name))
+    FIRST[name](twin).flat[0] += 1e-3
+    setattr(state, name, twin)
+    cpus(1)
+    inline = training.train_step(copy.deepcopy(state), instances, cfg, 0, 1)
+    training.train_step(untouched, instances, cfg, 0, 1)
+    cpus(2)
+    training.train_step(state, instances, cfg, 0, 1)
+    assert starts() == [os.getpid()]  # the same worker for both steps
+    assert any(part is twin for part in sent()[-1])
+    assert_same_bits(inline, state)
+    # and the nudge shows, so a worker that trained what it kept would differ
+    assert not all(np.array_equal(arrays(untouched)[k], arr) for k, arr in arrays(state).items())
+
+
+def test_after_a_failed_half_a_fresh_worker_is_sent_the_whole_input(cpus, starts, sent, monkeypatch,
+                                                                    tmp_path):
+    # a file flag, so that it reaches the worker forked before it is set
+    failing = tmp_path / "failing"
+    real = training.expert_refine
+
+    def refine(*args):
+        if failing.exists():
+            raise InstanceError("the expert failed")
+        return real(*args)
+
+    monkeypatch.setattr(training, "expert_refine", refine)
+    cfg = tiny_config(tmp_path, n=8)
+    instances = [generate_uniform(cfg.n, 1)]
+    runs = []
+    for k in (1, 2):
+        cpus(k)
+        state = training.init_train_state(cfg)
+        training.train_step(state, instances, cfg, 0, 0)
+        failing.touch()
+        with pytest.raises(InstanceError, match="the expert failed"):
+            training.train_step(state, instances, cfg, 0, 1)
+        failing.unlink()
+        training.train_step(state, instances, cfg, 0, 1)
+        runs.append(state)
+    assert starts() == [os.getpid()] * 2  # the failed half killed the first worker
+    assert [holds_disc(request) for request in sent()] == [True, False, True]
+    assert_same_bits(*runs)
+    # the failed step's traceback holds the state in a reference cycle
+    # (exception, frame of Worker.value), so its fresh worker waits for the collector
+    del state, runs
+    gc.collect()
 
 
 def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch, cpus):
