@@ -11,13 +11,17 @@ The local search follows HGS-CVRP (Vidal, C&OR 2022): relocate, swap and
 2-opt* are tried only between a customer and its GAMMA nearest customers
 (the granular neighbourhood of Toth & Vigo, 2003), and per-route
 modification stamps skip route pairs that have not changed since they were
-last scanned. Intra-route 2-opt runs on the routes a sweep modified. The
-move set is fixed: every search tries relocate, swap, 2-opt* and 2-opt.
+last scanned. Intra-route 2-opt runs on the routes a sweep modified, and
+reads each arc length once a pass. The move set is fixed: every search
+tries relocate, swap, 2-opt* and 2-opt.
 
 Each generation educates (splits and local-searches) two children as a
-pair. Once the search has run long enough, and where ``may_fork`` allows, a
-``Worker`` educates the second child of every later pair until the search
-ends (``_Helper``); every host returns the serial search's output.
+pair, and the initial tours pair up too. When the sweep's education time
+predicts a search long enough to repay a fork, and where ``may_fork``
+allows, a ``Worker`` educates the second tour of every pair from the first
+initial pair on (``_Helper``): the initial pairs are pipelined, so neither
+process waits on the other, and each generation's pair is collected before
+the next is drawn. Every host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -132,31 +136,32 @@ def _move_tolerance(dm: np.ndarray) -> float:
 
 
 def _two_opt_route(D, route: list[int], tol: float) -> list[int]:
-    """Best-improvement 2-opt on one route until no reversal gains more than tol."""
-    r = list(route)
-    n = len(r)
+    """Best-improvement 2-opt on one route until no reversal gains more than tol.
+
+    Runs on a depot-padded copy ``p`` and reads its arc lengths once a pass."""
+    n = len(route)
     if n < 3:
-        return r
-    improved = True
-    while improved:
-        improved = False
+        return list(route)
+    p = [0, *route, 0]
+    while True:
+        arc = []  # arc[k]: from p[k] to p[k + 1]
+        a = 0
+        for b in p[1:]:
+            arc.append(D[a][b])
+            a = b
         best_delta = -tol
         best = None
-        for i in range(n - 1):
-            a = 0 if i == 0 else r[i - 1]
-            b = r[i]
-            for j in range(i + 1, n):
-                c = r[j]
-                d = 0 if j == n - 1 else r[j + 1]
-                delta = D[a][c] + D[b][d] - D[a][b] - D[c][d]
+        for i in range(1, n):  # reversing p[i..j] replaces arcs i - 1 and j
+            Da, Db, ab = D[p[i - 1]], D[p[i]], arc[i - 1]
+            for j in range(i + 1, n + 1):
+                delta = Da[p[j]] + Db[p[j + 1]] - ab - arc[j]
                 if delta < best_delta:
                     best_delta = delta
                     best = (i, j)
-        if best is not None:
-            i, j = best
-            r[i : j + 1] = reversed(r[i : j + 1])
-            improved = True
-    return r
+        if best is None:
+            return p[1:-1]
+        i, j = best
+        p[i : j + 1] = reversed(p[i : j + 1])
 
 
 def _repair_fleet(D, demand, capacity: int, routes: list[list[int]], limit: int, tol: float):
@@ -253,8 +258,9 @@ def _local_search(
     Stamps skip work exactly: a route records the clock of its last change
     and a customer the clock of its last test, and (u, v) is skipped when
     neither route changed since u was tested, because a move's evaluation
-    reads only those two routes. Emptied routes keep their index until the
-    search returns. The scan order is fixed, so the result is deterministic.
+    reads only those two routes. u's route facts are read once per u and
+    again after each move. Emptied routes keep their index until the search
+    returns. The scan order is fixed, so the result is deterministic.
     """
     routes = [list(r) for r in routes if r]
     # per customer: route, neighbours, and the load of the prefix ending there
@@ -287,60 +293,85 @@ def _local_search(
             last = tested[u]
             tested[u] = clock
             du, Du = demand[u], D[u]
-            stale = None  # u's route facts, read again after every move
-            for v in neighbours[u]:
-                if stale is None:
-                    ru, pu, su = route_of[u], pred[u], succ[u]
-                    Dpu = D[pu]
-                    gain = Dpu[u] + Du[su] - Dpu[su]  # saving from removing u
-                    stale = modified[ru] <= last
-                rv = route_of[v]
-                if stale and modified[rv] <= last:
-                    continue
-                pv, sv, Dv = pred[v], succ[v], D[v]
-                Dpv = D[pv]
-                move = None
-                if ru == rv or loads[rv] + du <= capacity:
-                    # u already next to v: that insertion restores the route
-                    before = gain if pv == u else Dpv[u] + Du[v] - Dpv[v]
-                    after = gain if sv == u else Dv[u] + Du[sv] - Dv[sv]
-                    if before <= after:
-                        if before - gain < floor:
-                            move = "before"
-                    elif after - gain < floor:
-                        move = "after"
-                if move is None and ru != rv:
-                    dv = demand[v]
-                    if (
-                        loads[ru] - du + dv <= capacity
-                        and loads[rv] - dv + du <= capacity
-                        and Dpu[v] + Dv[su] + Dpv[u] + Du[sv]
-                        - Dpu[u] - Du[su] - Dpv[v] - Dv[sv] < floor
-                    ):
-                        move = "swap"
-                    elif (
-                        pre[u] + loads[rv] - pre[v] + dv <= capacity
-                        and pre[v] - dv + loads[ru] - pre[u] <= capacity
-                        and Du[v] + Dpv[su] - Du[su] - Dpv[v] < floor
-                    ):
-                        move = "star"
-                if move is None:
-                    continue
-                a, b = routes[ru], routes[rv]
-                if move == "swap":
-                    a[a.index(u)], b[b.index(v)] = v, u
-                elif move == "star":
-                    i, j = a.index(u) + 1, b.index(v)
-                    routes[ru], routes[rv] = a[:i] + b[j:], b[:j] + a[i:]
+            room = capacity - du  # the most another route may hold to take u
+            scan = iter(neighbours[u])
+            while True:  # u's route facts, read again after every move
+                ru, pu, su, pre_u = route_of[u], pred[u], succ[u], pre[u]
+                lu = loads[ru]
+                # the most v may weigh to swap with u; in 2-opt*, the most v's
+                # route may hold from v on to follow u's head, and before v to
+                # precede u's tail
+                swap_room = capacity - lu + du
+                head_room, tail_room = capacity - pre_u, capacity - lu + pre_u
+                Dpu = D[pu]
+                pu_u, u_su = Dpu[u], Du[su]
+                gain = pu_u + u_su - Dpu[su]  # saving from removing u
+                stale = modified[ru] <= last
+                for v in scan:
+                    rv = route_of[v]
+                    if stale and modified[rv] <= last:
+                        continue
+                    pv, sv, Dv = pred[v], succ[v], D[v]
+                    Dpv = D[pv]
+                    # move: 0 or 1 relocates u before or after v, 2 swaps, 3 is 2-opt*
+                    if rv == ru:
+                        # u already next to v: that insertion restores the route
+                        before = gain if pv == u else Dpv[u] + Du[v] - Dpv[v]
+                        after = gain if sv == u else Dv[u] + Du[sv] - Dv[sv]
+                        if before <= after:
+                            if before - gain >= floor:
+                                continue
+                            move = 0
+                        elif after - gain < floor:
+                            move = 1
+                        else:
+                            continue
+                    else:
+                        lv = loads[rv]
+                        move = -1
+                        if lv <= room:
+                            before = Dpv[u] + Du[v] - Dpv[v]
+                            after = Dv[u] + Du[sv] - Dv[sv]
+                            if before <= after:
+                                if before - gain < floor:
+                                    move = 0
+                            elif after - gain < floor:
+                                move = 1
+                        if move < 0:
+                            dv = demand[v]
+                            if (
+                                dv <= swap_room
+                                and lv - dv <= room
+                                and Dpu[v] + Dv[su] + Dpv[u] + Du[sv]
+                                - pu_u - u_su - Dpv[v] - Dv[sv] < floor
+                            ):
+                                move = 2
+                            elif (
+                                lv - pre[v] + dv <= head_room
+                                and pre[v] - dv <= tail_room
+                                and Du[v] + Dpv[su] - u_su - Dpv[v] < floor
+                            ):
+                                move = 3
+                            else:
+                                continue
+                    a, b = routes[ru], routes[rv]
+                    if move == 2:
+                        a[a.index(u)], b[b.index(v)] = v, u
+                    elif move == 3:
+                        i, j = a.index(u) + 1, b.index(v)
+                        routes[ru], routes[rv] = a[:i] + b[j:], b[:j] + a[i:]
+                    else:
+                        a.remove(u)
+                        b.insert(b.index(v) + move, u)
+                    clock += 1
+                    modified[ru] = modified[rv] = clock
+                    index(ru)
+                    if rv != ru:
+                        index(rv)
+                    moved = True
+                    break
                 else:
-                    a.remove(u)
-                    b.insert(b.index(v) + (move == "after"), u)
-                clock += 1
-                for r in {ru, rv}:
-                    modified[r] = clock
-                    index(r)
-                moved = True
-                stale = None
+                    break
         for r, route in enumerate(routes):
             if modified[r] <= two_opted[r]:
                 continue
@@ -517,9 +548,13 @@ def _draw_child(rng, population: list[_Individual]) -> list[int]:
     return child
 
 
-# A solve forks its helper only once it has run this long. The fork itself
-# takes about 2 ms (``Process.start`` of a training step's worker at n=20);
-# a shorter solve has too few pairs left to repay it and each pair's pipe trip.
+# A solve forks its helper only if it predicts at least this long a search
+# after its sweep: the sweep's education time times the tours left to
+# educate, capped by the time budget. The fork itself takes about 2 ms
+# (``Process.start`` of a training step's worker at n=20); a shorter search
+# has too few pairs to repay it and each pair's pipe trip. On a 2-vCPU
+# virtual machine the default ``HgsConfig`` predicts about 9 ms at n=5,
+# 27 ms at n=10 and 100 ms at n=20. ``math.inf`` never forks.
 _FORK_AFTER_S = 0.05
 
 
@@ -557,12 +592,13 @@ class Worker:
     state's worker serves every step of the state until it is closed. It
     ignores SIGINT (Ctrl-C stops the caller, which closes it) and leaves
     this process's CPU. ``fn`` and what it reads come with the fork, as they
-    were then; only each ``arg`` and answer are pickled. ``recv`` returns
-    the next answer and raises what ``fn`` raised; a process that died
-    raises ``RuntimeError`` naming ``what`` and its exit code. Once
-    ``requests`` is closed, the process exits by itself after answering,
-    so ``close`` (kill and reap) finds it gone; ``close`` kills one still
-    waiting or working, and closing twice is harmless."""
+    were then; only each ``arg`` and answer are pickled. ``send`` sends an
+    ``arg``; ``recv`` returns the next answer and raises what ``fn`` raised.
+    Either raises ``RuntimeError`` naming ``what`` and its exit code once
+    the process has died. Once ``requests`` is closed, the process exits by
+    itself after answering, so ``close`` (kill and reap) finds it gone;
+    ``close`` kills one still waiting or working, and closing twice is
+    harmless."""
 
     def __init__(self, fn, what: str):
         import multiprocessing  # only here, so that `import routeflow` stays light
@@ -597,19 +633,31 @@ class Worker:
 
     @staticmethod
     def value(answer: tuple[bool, object]):
-        """The value of an ``answer``, or its exception raised."""
+        """The value of an ``answer``, or its exception raised. The raised
+        exception's traceback holds this frame, so the frame lets go of the
+        exception: a cycle between them would keep every object that the
+        traceback's frames hold alive until the collector runs."""
         ok, value = answer
-        if not ok:
-            raise value
-        return value
-
-    def recv(self):
+        if ok:
+            return value
         try:
-            answer = self._answers.recv()
-        except EOFError:
+            raise value
+        finally:
+            answer = value = None
+
+    def _alive(self, io, *args, died: type[Exception]):
+        """``io(*args)``, with ``died`` read as the process having died."""
+        try:
+            return io(*args)
+        except died:
             self.proc.join()
             raise RuntimeError(f"the {self.what} exited with code {self.proc.exitcode}") from None
-        return self.value(answer)
+
+    def send(self, arg) -> None:
+        self._alive(self.requests.send, arg, died=BrokenPipeError)
+
+    def recv(self):
+        return self.value(self._alive(self._answers.recv, died=EOFError))
 
     def close(self) -> None:
         self.proc.kill()
@@ -619,31 +667,67 @@ class Worker:
 
 
 class _Helper:
-    """Educates the giant tours of one ``hgs_solve``, the second tour of a
-    pair on a ``Worker``.
+    """Educates the giant tours of one ``hgs_solve``, the second tour of
+    each pair on a ``Worker``.
 
-    ``educate(tours)`` returns ``[from_tour(t) for t in tours]``; the worker
-    educates a pair's second tour while this process educates the first,
-    and what it raises is raised here. It is forked, if ``may_fork``
-    allows, at the first pair once the solve has run ``_FORK_AFTER_S``, and
-    never after a refusal; once forked, it educates every later pair until
-    the solve ends or raises. Education is a function of the tour alone, so
-    the individuals are the serial search's whatever the host.
+    ``initial(over_budget)`` educates the initial ``tours`` a pair at a
+    time until ``over_budget()`` before a pair, and ``educate(tours)`` one
+    generation's children; each returns ``[from_tour(t) for t in tours]``
+    for the tours it took, and what the worker raises is raised here. The
+    worker is forked at the first pair if ``fork`` (the solve predicts a
+    search that repays it) and ``may_fork`` allow, and never later; it then
+    educates the second tour of every pair until the solve ends or raises.
+
+    Initial tours do not depend on each other, so this process sends a
+    pair's second tour, educates its first, and collects the worker's
+    answer only once it has sent the next pair's: neither waits on the other
+    until the last pair. An initial tour is sent as its index (the worker
+    has the tours from the fork), so a request never waits for room in a
+    pipe that an uncollected answer fills. A generation's children are
+    drawn from the population the previous pair joined, so its pair is
+    sent, educated and collected in turn. Education is a function of the
+    tour alone, so the individuals are the serial search's whatever the
+    host.
     """
 
-    def __init__(self, from_tour, start: float):
+    def __init__(self, from_tour, tours: list[list[int]], fork: bool):
         self.from_tour = from_tour
-        self.fork_at = start + _FORK_AFTER_S  # on time.monotonic(); None once decided
+        self.tours = tours
+        self.fork = fork  # until the first pair
         self.worker = None
 
-    def educate(self, tours: list[list[int]]) -> list[_Individual]:
-        if len(tours) == 2 and self.fork_at is not None and time.monotonic() >= self.fork_at:
-            self.fork_at = None
+    def _for_pair(self) -> Worker | None:
+        if self.fork:
+            self.fork = False
             if may_fork():
-                self.worker = Worker(self.from_tour, "HGS helper process")
-        if len(tours) < 2 or self.worker is None:
+                self.worker = Worker(self._educate, "HGS helper process")
+        return self.worker
+
+    def _educate(self, tour: list[int] | int) -> _Individual:
+        return self.from_tour(self.tours[tour] if isinstance(tour, int) else tour)
+
+    def initial(self, over_budget) -> list[_Individual]:
+        out = []
+        sent = []  # the positions in out that the worker answers, in order
+        for k in range(0, len(self.tours), 2):
+            if over_budget():
+                break
+            if k + 1 < len(self.tours) and self._for_pair() is not None:
+                self.worker.send(k + 1)
+                sent.append(k + 1)
+                out += [self.from_tour(self.tours[k]), None]
+            else:
+                out += map(self.from_tour, self.tours[k : k + 2])
+            if len(sent) == 2:
+                out[sent.pop(0)] = self.worker.recv()
+        for k in sent:
+            out[k] = self.worker.recv()
+        return out
+
+    def educate(self, tours: list[list[int]]) -> list[_Individual]:
+        if len(tours) < 2 or self._for_pair() is None:
             return [self.from_tour(t) for t in tours]
-        self.worker.requests.send(tours[1])
+        self.worker.send(tours[1])
         return [self.from_tour(tours[0]), self.worker.recv()]
 
     def close(self) -> None:
@@ -665,16 +749,21 @@ def hgs_solve(
     initial population, and the incumbent (the best-ranked individual) always
     survives, so the returned cost is bounded by both. ``time_budget_s`` is
     checked before each pair of initial tours and each generation, once the
-    sweep and the warm start have entered the population, so a solve overruns
-    it by at most one pair of educations; bit-determinism across runs holds
-    when ``max_iterations`` binds first.
+    sweep and the warm start have entered the population. After a check
+    passes, at most one pair of tours is educated here or sent to the
+    helper before the next check, and the helper holds at most one other
+    unanswered tour; so a solve overruns the budget by at most one pair of
+    educations: this process educates one more tour, and the helper
+    finishes the one it holds and one more. Bit-determinism across runs
+    holds when ``max_iterations`` binds first.
 
     Each generation draws two children from the same population, then
     educates them as a pair; they join the population in draw order, and the
     survivors are chosen once. Initial tours pair up too; an odd number of
     them or of children leaves a last tour alone. A ``_Helper`` may educate
-    each pair's second tour on a ``Worker``; the output is the serial
-    search's, bit for bit, on any host.
+    each pair's second tour on a ``Worker``, forked at the first pair when
+    the sweep's education time predicts ``_FORK_AFTER_S`` of search or
+    more; the output is the serial search's, bit for bit, on any host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -706,7 +795,9 @@ def hgs_solve(
 
     population: list[_Individual] = []
     sweep = initial_solution(instance, cfg.seed, dm)
+    educated_at = time.monotonic()
     population.append(evaluate([list(r.nodes) for r in sweep.routes]))
+    education_s = time.monotonic() - educated_at
     if warm_start is not None:
         population.append(evaluate([list(r.nodes) for r in warm_start.routes]))
         # preserve the untouched warm start as a monotonicity anchor
@@ -715,12 +806,12 @@ def hgs_solve(
     tours = [
         [int(c) for c in rng.permutation(base)] for _ in range(cfg.population_size - len(population))
     ]
-    helper = _Helper(from_tour, start_time)
+    search_s = education_s * (len(tours) + cfg.max_iterations)
+    if cfg.time_budget_s is not None:
+        search_s = min(search_s, cfg.time_budget_s)
+    helper = _Helper(from_tour, tours, fork=search_s >= _FORK_AFTER_S)
     try:
-        for k in range(0, len(tours), 2):
-            if over_budget():
-                break
-            population += helper.educate(tours[k : k + 2])
+        population += helper.initial(over_budget)
         for it in range(0, cfg.max_iterations, 2):
             if over_budget():
                 break
@@ -884,7 +975,7 @@ def solve_subproblems(subproblems: list[Subproblem], cfg: HgsConfig,
         for lane in lanes[1:]:
             worker = Worker(solve, "cluster worker")
             workers.append(worker)
-            worker.requests.send(lane)
+            worker.send(lane)
             worker.requests.close()  # before the next fork, which would hold it open
         solved = dict(zip(lanes[0], solve(lanes[0])))
         for lane, worker in zip(lanes[1:], workers):

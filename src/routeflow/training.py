@@ -421,13 +421,14 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
         held = Worker.answer(_KeptDiscriminator(), request)
     try:
         if worker is not None:
-            worker.requests.send(request)
+            worker.send(request)
         disc_embs = [gat_embed(state.disc.gat, g, training=True) for g in graphs]
         tb = math.nan
         for u in range(cfg.update_ratio):
             tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
         state.disc, state.opt_disc, record = Worker.value(held) if worker is None else worker.recv()
     except BaseException:
+        held = None  # the traceback holds this frame: let go of the exception in it
         _close_worker(state)  # it may still be working on this request
         raise
     if worker is not None:

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import routeflow
 from routeflow import expert
 from routeflow.core import (
+    CONTINUOUS,
+    ROUNDED,
     Instance,
     InstanceError,
     build_distance_matrix,
@@ -48,6 +50,7 @@ from routeflow.expert import (
     split_giant_tour,
 )
 from routeflow.io import derive_seed, generate_uniform, load_instance
+from reference_local_search import reference_local_search, reference_two_opt_route
 from reference_split import reference_fleet_split
 
 FAST = HgsConfig(population_size=6, max_iterations=30, seed=0)
@@ -392,12 +395,62 @@ def _check_local_search(inst, start):
                 assert cost >= sol.total_cost - 1e-9, (u, v, new)
 
 
+@st.composite
+def kernel_starts(draw):
+    """A random instance (n <= 45, so N <= GAMMA and N > GAMMA both occur),
+    with continuous or rounded distances and a capacity from the largest
+    demand (tight) to the total (loose), and a start: the Split of a random
+    giant tour, or one route per customer."""
+    n = draw(st.integers(1, 45))
+    mode = draw(st.sampled_from([CONTINUOUS, ROUNDED]))
+    scale = 1000 if mode == CONTINUOUS else 1  # rounded: small integer distances, many ties
+    grid = st.integers(0, 40).map(lambda k: k / scale)
+    coords = draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n))
+    demands = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    capacity = draw(st.one_of(st.just(max(demands)), st.integers(max(demands), sum(demands)),
+                              st.just(sum(demands))))
+    inst = Instance((20 / scale, 20 / scale), tuple(coords), tuple(demands), capacity, distance_mode=mode)
+    tour = draw(st.permutations(list(range(1, n + 1))))
+    if draw(st.booleans()):
+        return inst, [[c] for c in tour]
+    demand = [0] + list(demands)
+    return inst, split_giant_tour(build_distance_matrix(inst).tolist(), demand, capacity, tour)
+
+
 class TestLocalSearch:
     @settings(max_examples=40, deadline=None)
     @given(split_starts())
     def test_granular_local_optimum(self, case):
         inst, start = case
         _check_local_search(inst, start)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_starts())
+    def test_returns_the_reference_routes(self, case):
+        inst, start = case
+        dm = build_distance_matrix(inst)
+        args = dm.tolist(), [0] + list(inst.demands), inst.capacity
+        neighbours, tol = _neighbour_lists(dm), _move_tolerance(dm)
+        optimum = reference_local_search(*args, start, neighbours, tol)
+        assert _local_search(*args, start, neighbours, tol) == optimum
+        # a local optimum fed back in: every pair is evaluated and none moves
+        assert _local_search(*args, optimum, neighbours, tol) == reference_local_search(*args, optimum, neighbours, tol)
+        D = args[0]
+        for route in start + optimum + [list(reversed(r)) for r in start]:
+            assert _two_opt_route(D, route, tol) == reference_two_opt_route(D, route, tol)
+
+    @pytest.mark.parametrize("n", [45, 100])
+    def test_returns_the_reference_routes_on_many_random_tours(self, n):
+        # some stamp faults change one education in tens, so a search run
+        # many times on one instance is checked too
+        inst = generate_uniform(n, n)
+        dm = build_distance_matrix(inst)
+        args = dm.tolist(), [0] + list(inst.demands), inst.capacity
+        neighbours, tol = _neighbour_lists(dm), _move_tolerance(dm)
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            start = split_giant_tour(*args, [int(c) for c in rng.permutation(np.arange(1, n + 1))])
+            assert _local_search(*args, start, neighbours, tol) == reference_local_search(*args, start, neighbours, tol)
 
 
 class TestBarycenters:
@@ -844,11 +897,12 @@ class TestHelper:
         assert multiprocessing.active_children() == []
 
     def test_a_budget_stops_the_initial_population(self, cpus, starts, monkeypatch):
-        # readings: 0 at the start, 1 before the first pair of initial tours,
-        # 2 at the fork, 3 before the second pair, past the budget
+        # readings: 0 at the start, 1 and 2 around the sweep's education,
+        # 3 before the first pair of initial tours, 4 before the second pair,
+        # past the budget
         inst = generate_uniform(40, 8)
         warm = initial_solution(inst, 5, build_distance_matrix(inst))
-        cfg = HgsConfig(population_size=11, max_iterations=10**9, time_budget_s=2.5, seed=4)
+        cfg = HgsConfig(population_size=11, max_iterations=10**9, time_budget_s=3.5, seed=4)
         _tick_once_a_reading(monkeypatch)
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
         (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, warm, cfg, cpus, monkeypatch)
@@ -859,6 +913,76 @@ class TestHelper:
         assert check_feasible(inst, serial).feasible
         assert serial.total_cost <= warm.total_cost + 1e-9
         assert starts() == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("reading_s, forks", [(1.0, True), (1e-5, False)])
+    def test_the_fork_follows_the_predicted_search_time(self, reading_s, forks, cpus, starts, monkeypatch):
+        # readings reading_s apart, so the sweep's education reads reading_s;
+        # the search left is predicted at reading_s times the 19 initial
+        # tours and 40 children: 59 s, or 0.6 ms, against _FORK_AFTER_S
+        inst = generate_uniform(40, 8)
+        cfg = HgsConfig(population_size=20, max_iterations=40, seed=4)
+        clock = itertools.count()
+        monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=lambda: next(clock) * reading_s))
+        (serial, serial_educations), (helped, educations) = _serial_and_helped(inst, None, cfg, cpus, monkeypatch)
+        assert helped == serial
+        if forks:  # at the first pair of initial tours
+            assert starts() == [os.getpid()]
+            assert educations == serial_educations - 19 // 2 - cfg.max_iterations // 2
+        else:
+            assert starts() == []
+            assert educations == serial_educations
+        assert multiprocessing.active_children() == []
+
+    def test_a_small_solve_forks_nothing(self, cpus, starts):
+        # the default config at n=5 predicts about 9 ms of search after its
+        # sweep, which a fork would not repay
+        cpus(2)
+        hgs_solve(generate_uniform(5, 1), cfg=HgsConfig(seed=1))
+        assert starts() == []
+
+    @pytest.mark.parametrize("budget", [1, 3, 6, 11, 19, 26, 41])
+    def test_a_budget_is_overrun_by_at_most_one_pair_of_educations(self, budget, cpus, monkeypatch):
+        # a clock that reads the tours handed out so far (educated here or
+        # sent to the helper): a budget check passes while at most `budget`
+        # are, then at most one pair is before the next check; at every
+        # reading the helper holds at most one unanswered tour
+        caller = os.getpid()
+        counts = {"here": 0, "sent": 0, "answered": 0}
+        backlog = []
+        real_search, real_send, real_recv = expert._local_search, expert.Worker.send, expert.Worker.recv
+
+        def counted(*args):
+            counts["here"] += os.getpid() == caller
+            return real_search(*args)
+
+        def send(self, arg):
+            counts["sent"] += 1
+            real_send(self, arg)
+
+        def recv(self):
+            out = real_recv(self)
+            counts["answered"] += 1
+            return out
+
+        def clock():
+            backlog.append(counts["sent"] - counts["answered"])
+            return float(counts["here"] + counts["sent"])
+
+        monkeypatch.setattr(expert, "_local_search", counted)
+        monkeypatch.setattr(expert.Worker, "send", send)
+        monkeypatch.setattr(expert.Worker, "recv", recv)
+        monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=clock))
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        inst = generate_uniform(40, 3)
+        cfg = HgsConfig(population_size=20, max_iterations=10**9, time_budget_s=budget + 0.5, seed=1)
+        for k in (1, 2):
+            cpus(k)
+            counts.update(here=0, sent=0, answered=0)
+            hgs_solve(inst, cfg=cfg)
+            assert budget < counts["here"] + counts["sent"] <= budget + 2
+            assert counts["sent"] == counts["answered"] and (counts["sent"] > 0) == (k == 2)
+        assert max(backlog) == 1
         assert multiprocessing.active_children() == []
 
     def test_a_helper_on_the_parents_only_free_cpu_runs_to_the_end(
@@ -912,6 +1036,27 @@ class TestHelper:
         cpus(2)
         with pytest.raises(InstanceError, match=f"failed in the {where}"):
             hgs_solve(generate_uniform(30, 2), cfg=replace(FAST, max_iterations=100))
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_initial_population_reaches_the_caller(self, cpus, starts, monkeypatch):
+        caller = os.getpid()
+        educations = []
+        real = expert._local_search
+
+        def failing(*args):
+            # the helper's copy of the count goes on from the fork: it fails
+            # at its third tour, with the next pair's already sent to it
+            educations.append(1)
+            if os.getpid() != caller and len(educations) > 3:
+                raise InstanceError("education failed in the helper")
+            return real(*args)
+
+        monkeypatch.setattr(expert, "_local_search", failing)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(2)
+        with pytest.raises(InstanceError, match="failed in the helper"):
+            hgs_solve(generate_uniform(30, 2), cfg=HgsConfig(population_size=30, max_iterations=0, seed=1))
+        assert starts() == [os.getpid()]
         assert multiprocessing.active_children() == []
 
     def test_a_helper_that_dies_is_an_error(self, cpus, monkeypatch):
@@ -1055,6 +1200,18 @@ class TestWorker:
             assert worker.proc.exitcode == 0
         finally:
             worker.close()
+
+    def test_sending_to_a_worker_that_died_is_an_error(self):
+        worker = expert.Worker(lambda x: x, "test worker")
+        try:
+            os.kill(worker.proc.pid, signal.SIGKILL)
+            worker.proc.join(timeout=30)
+            assert worker.proc.exitcode == -signal.SIGKILL
+            with pytest.raises(RuntimeError, match=f"the test worker exited with code {-signal.SIGKILL}"):
+                worker.send(1)
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
 
     def test_a_worker_that_dies_is_an_error(self):
         worker = expert.Worker(lambda x: os._exit(x), "test worker")

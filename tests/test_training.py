@@ -415,8 +415,21 @@ def test_a_rebound_discriminator_is_sent_and_trained(name, cpus, starts, sent, t
     assert not all(np.array_equal(arrays(untouched)[k], arr) for k, arr in arrays(state).items())
 
 
+@pytest.fixture
+def collector_off():
+    """Automatic garbage collection is off during the test, so an object
+    that only a reference cycle holds stays alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_after_a_failed_half_a_fresh_worker_is_sent_the_whole_input(cpus, starts, sent, monkeypatch,
-                                                                    tmp_path):
+                                                                    tmp_path, collector_off):
     # a file flag, so that it reaches the worker forked before it is set
     failing = tmp_path / "failing"
     real = training.expert_refine
@@ -443,10 +456,37 @@ def test_after_a_failed_half_a_fresh_worker_is_sent_the_whole_input(cpus, starts
     assert starts() == [os.getpid()] * 2  # the failed half killed the first worker
     assert [holds_disc(request) for request in sent()] == [True, False, True]
     assert_same_bits(*runs)
-    # the failed step's traceback holds the state in a reference cycle
-    # (exception, frame of Worker.value), so its fresh worker waits for the collector
+    # the failed step's traceback holds no reference cycle, so freeing the
+    # state reaps its fresh worker at once, without the collector
     del state, runs
-    gc.collect()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_half_that_failed_here_leaves_no_cycle_to_hold_a_later_worker(cpus, starts, monkeypatch,
+                                                                       tmp_path, collector_off):
+    # the half runs here (one CPU) and fails; the next step forks a worker
+    failing = tmp_path / "failing"
+    real = training.expert_refine
+
+    def refine(*args):
+        if failing.exists():
+            raise InstanceError("the expert failed")
+        return real(*args)
+
+    monkeypatch.setattr(training, "expert_refine", refine)
+    cfg = tiny_config(tmp_path, n=8)
+    instances = [generate_uniform(cfg.n, 1)]
+    cpus(1)
+    state = training.init_train_state(cfg)
+    failing.touch()
+    with pytest.raises(InstanceError, match="the expert failed"):
+        training.train_step(state, instances, cfg, 0, 0)
+    failing.unlink()
+    cpus(2)
+    training.train_step(state, instances, cfg, 0, 0)
+    assert starts() == [os.getpid()]
+    del state
+    assert multiprocessing.active_children() == []
 
 
 def test_one_encoder_pass_per_network_per_update(tmp_path, monkeypatch, cpus):
