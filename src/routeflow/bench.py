@@ -274,7 +274,8 @@ def _aggregate(records: list[RunRecord], methods) -> list[RunRecord]:
 
 
 SWEEPABLE = ("nhat", "k_nn", "m")
-_SWEPT_METHOD = {"nhat": "neural-best-of", "m": "expert-refine"}  # whose count the value sets
+# the prefix of the methods that read each parameter; nhat and m set their count
+_READ_BY = {"nhat": "neural-best-of", "m": "expert-refine", "k_nn": "neural"}
 
 
 def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -> list[tuple]:
@@ -282,10 +283,14 @@ def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -
     and ``m`` set the count of every ``neural-best-of-N`` or
     ``expert-refine-N`` method, and of ``reference`` when it names one;
     ``k_nn`` sets the spec field. Every value's spec is built, and so
-    checked, before any run. Returns (value, record) pairs, written to
-    ``out_csv`` as ``param,value`` followed by the results columns."""
+    checked, before any run; then a parameter that no method of the spec
+    reads (``nhat`` without a ``neural-best-of-N``, ``m`` without an
+    ``expert-refine-N``, ``k_nn`` without a neural method) is refused.
+    Returns (value, record) pairs, written to ``out_csv`` as
+    ``param,value`` followed by the results columns."""
     if parameter not in SWEEPABLE:
         raise SpecError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
+    prefix = _READ_BY[parameter]
     varied = []
     for value in values:
         if not is_int(value):
@@ -293,11 +298,12 @@ def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -
         if parameter == "k_nn":
             changes = {"k_nn": value}
         else:
-            prefix = _SWEPT_METHOD[parameter]
             rename = lambda m: f"{prefix}-{value}" if m.startswith(prefix) else m
             reference = None if spec.reference is None else rename(spec.reference)
             changes = {"methods": tuple(map(rename, spec.methods)), "reference": reference}
         varied.append((value, replace(spec, **changes)))
+    if not any(m.startswith(prefix) for m in spec.methods):
+        raise SpecError(f"no method of the spec reads {parameter}: it needs a {prefix} method")
     rows = [(value, r) for value, one in varied for r in run_bench(one, write_csv=False)]
     if out_csv:
         with open(out_csv, "w", newline="") as fh:
@@ -309,21 +315,20 @@ def sweep(spec: BenchSpec, parameter: str, values, out_csv: str | None = None) -
 
 def report_table(csv_paths: list[str]) -> str:
     """Text grid of per-method aggregate Obj/Gap/Time, one column group per
-    CSV (columns follow the given order); missing cells render as a dash."""
-    columns = []
-    cells: dict[tuple[str, str], tuple] = {}
+    CSV (columns follow the given order, labelled by file name, so two CSVs
+    of one name keep their own columns); missing cells render as a dash."""
+    columns = [path.rsplit("/", 1)[-1].removesuffix(".csv") for path in csv_paths]
+    cells: dict[tuple[str, int], tuple] = {}  # (method, column position) -> cell
     methods_order: list[str] = []
-    for path in csv_paths:
-        label = path.rsplit("/", 1)[-1].removesuffix(".csv")
-        columns.append(label)
+    for col, path in enumerate(csv_paths):
         for r in read_results_csv(path):
             if r.instance != AGGREGATE:
                 continue
             if r.method not in methods_order:
                 methods_order.append(r.method)
-            cells[(r.method, label)] = (r.obj, r.gap_pct, r.time_s)
+            cells[(r.method, col)] = (r.obj, r.gap_pct, r.time_s)
     header = ["method"] + [f"{c} Obj | Gap% | Time(s)" for c in columns]
-    body = [[method, *(_cell(cells.get((method, label))) for label in columns)]
+    body = [[method, *(_cell(cells.get((method, col))) for col in range(len(columns)))]
             for method in methods_order]
     widths = [max(len(row[i]) for row in (header, *body)) for i in range(len(header))]
     fmt = lambda row: "  ".join(cell.ljust(w) for cell, w in zip(row, widths))

@@ -17,11 +17,12 @@ tries relocate, swap, 2-opt* and 2-opt.
 
 Each generation educates (splits and local-searches) two children as a
 pair, and the initial tours pair up too. When the sweep's education time
-predicts a search long enough to repay a fork, and where ``may_fork``
-allows, a ``Worker`` educates the second tour of every pair from the first
-initial pair on (``_Helper``): the initial pairs are pipelined, so neither
-process waits on the other, and each generation's pair is collected before
-the next is drawn. Every host returns the serial search's output.
+predicts a search long enough to repay a fork, the search has a pair to
+educate, and ``may_fork`` allows, the solve forks a ``Worker`` before its
+initial tours, which educates the second tour of every pair (``_Helper``):
+the initial pairs are pipelined, so neither process waits on the other,
+and each generation's pair is collected before the next is drawn. Every
+host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -592,8 +593,10 @@ class Worker:
     state's worker serves every step of the state until it is closed. It
     ignores SIGINT (Ctrl-C stops the caller, which closes it) and leaves
     this process's CPU. ``fn`` and what it reads come with the fork, as they
-    were then; only each ``arg`` and answer are pickled. ``send`` sends an
-    ``arg``; ``recv`` returns the next answer and raises what ``fn`` raised.
+    were then; only each ``arg`` and answer are pickled, so a caller forks
+    a worker with what every request reads rather than send it. ``send``
+    sends an ``arg``; ``recv`` returns the next answer, ``fn(arg)``, and
+    raises what ``fn`` raised (an ``Exception``; the worker goes on).
     Either raises ``RuntimeError`` naming ``what`` and its exit code once
     the process has died. Once ``requests`` is closed, the process exits by
     itself after answering, so ``close`` (kill and reap) finds it gone;
@@ -621,29 +624,13 @@ class Worker:
         _leave_parent_cpu()
         with contextlib.suppress(EOFError):
             while True:
-                answers.send(self.answer(fn, requests.recv()))
-
-    @staticmethod
-    def answer(fn, arg) -> tuple[bool, object]:
-        """``(True, fn(arg))``, or ``(False, exc)`` for what ``fn`` raised."""
-        try:
-            return True, fn(arg)
-        except Exception as exc:
-            return False, exc
-
-    @staticmethod
-    def value(answer: tuple[bool, object]):
-        """The value of an ``answer``, or its exception raised. The raised
-        exception's traceback holds this frame, so the frame lets go of the
-        exception: a cycle between them would keep every object that the
-        traceback's frames hold alive until the collector runs."""
-        ok, value = answer
-        if ok:
-            return value
-        try:
-            raise value
-        finally:
-            answer = value = None
+                arg = requests.recv()
+                try:
+                    answer = True, fn(arg)
+                except Exception as exc:
+                    answer = False, exc
+                answers.send(answer)
+                del arg, answer  # not held while waiting for the next request
 
     def _alive(self, io, *args, died: type[Exception]):
         """``io(*args)``, with ``died`` read as the process having died."""
@@ -657,7 +644,13 @@ class Worker:
         self._alive(self.requests.send, arg, died=BrokenPipeError)
 
     def recv(self):
-        return self.value(self._alive(self._answers.recv, died=EOFError))
+        ok, value = self._alive(self._answers.recv, died=EOFError)
+        if ok:
+            return value
+        try:
+            raise value
+        finally:
+            value = None  # the traceback holds this frame: no cycle through it
 
     def close(self) -> None:
         self.proc.kill()
@@ -674,9 +667,10 @@ class _Helper:
     time until ``over_budget()`` before a pair, and ``educate(tours)`` one
     generation's children; each returns ``[from_tour(t) for t in tours]``
     for the tours it took, and what the worker raises is raised here. The
-    worker is forked at the first pair if ``fork`` (the solve predicts a
-    search that repays it) and ``may_fork`` allow, and never later; it then
-    educates the second tour of every pair until the solve ends or raises.
+    worker is forked when the helper is made, if ``fork`` (the solve's
+    decision), and never later; it then educates the second tour of every
+    pair until the solve ends or raises. Without one, this process
+    educates every tour.
 
     Initial tours do not depend on each other, so this process sends a
     pair's second tour, educates its first, and collects the worker's
@@ -693,15 +687,7 @@ class _Helper:
     def __init__(self, from_tour, tours: list[list[int]], fork: bool):
         self.from_tour = from_tour
         self.tours = tours
-        self.fork = fork  # until the first pair
-        self.worker = None
-
-    def _for_pair(self) -> Worker | None:
-        if self.fork:
-            self.fork = False
-            if may_fork():
-                self.worker = Worker(self._educate, "HGS helper process")
-        return self.worker
+        self.worker = Worker(self._educate, "HGS helper process") if fork else None
 
     def _educate(self, tour: list[int] | int) -> _Individual:
         return self.from_tour(self.tours[tour] if isinstance(tour, int) else tour)
@@ -712,7 +698,7 @@ class _Helper:
         for k in range(0, len(self.tours), 2):
             if over_budget():
                 break
-            if k + 1 < len(self.tours) and self._for_pair() is not None:
+            if k + 1 < len(self.tours) and self.worker is not None:
                 self.worker.send(k + 1)
                 sent.append(k + 1)
                 out += [self.from_tour(self.tours[k]), None]
@@ -725,7 +711,7 @@ class _Helper:
         return out
 
     def educate(self, tours: list[list[int]]) -> list[_Individual]:
-        if len(tours) < 2 or self._for_pair() is None:
+        if len(tours) < 2 or self.worker is None:
             return [self.from_tour(t) for t in tours]
         self.worker.send(tours[1])
         return [self.from_tour(tours[0]), self.worker.recv()]
@@ -760,10 +746,12 @@ def hgs_solve(
     Each generation draws two children from the same population, then
     educates them as a pair; they join the population in draw order, and the
     survivors are chosen once. Initial tours pair up too; an odd number of
-    them or of children leaves a last tour alone. A ``_Helper`` may educate
-    each pair's second tour on a ``Worker``, forked at the first pair when
-    the sweep's education time predicts ``_FORK_AFTER_S`` of search or
-    more; the output is the serial search's, bit for bit, on any host.
+    them or of children leaves a last tour alone. A ``_Helper`` educates
+    each pair's second tour on a ``Worker``, forked before the initial
+    tours, when all three hold: the sweep's education time predicts
+    ``_FORK_AFTER_S`` of search or more, there is a pair to educate (two
+    initial tours or two children), and ``may_fork`` allows it. The output
+    is the serial search's, bit for bit, on any host.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -809,7 +797,8 @@ def hgs_solve(
     search_s = education_s * (len(tours) + cfg.max_iterations)
     if cfg.time_budget_s is not None:
         search_s = min(search_s, cfg.time_budget_s)
-    helper = _Helper(from_tour, tours, fork=search_s >= _FORK_AFTER_S)
+    has_pair = len(tours) >= 2 or cfg.max_iterations >= 2  # two initial tours or two children
+    helper = _Helper(from_tour, tours, fork=search_s >= _FORK_AFTER_S and has_pair and may_fork())
     try:
         population += helper.initial(over_budget)
         for it in range(0, cfg.max_iterations, 2):

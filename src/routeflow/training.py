@@ -16,24 +16,23 @@ discriminator half (``train_discriminator``) reads the policy as the step
 found it: its frozen encoding serves the epsilon-greedy negatives, whose
 best solution seeds the expert. So the discriminator half runs on an
 ``expert.Worker`` beside the generator updates, when the state has one;
-otherwise it runs first, on a copy of the discriminator. Either way its
-result, or what it raised, is taken after them, with the same bits. The
-greedy cost is the updated policy's.
+otherwise it runs after them, on a copy of the policy taken before them.
+Either way its result, or what it raised, is taken after them, with the
+same bits. The greedy cost is the updated policy's.
 
-A ``TrainState`` has at most one such worker, forked at the first of its
-steps at which ``expert.may_fork`` allows it, and reused by every later
-step. The worker keeps the ``(disc, opt_disc)`` of its last answer, and the
-state records the objects it adopted from that answer. While
-``state.disc`` and ``state.opt_disc`` are still those objects, a step
-sends the worker the policy, graphs, config, seed and epoch alone; a fresh
-worker, or a discriminator or optimizer rebound since, gets the half's
-whole input. So a caller that changes either in place between steps must
-rebind it for the worker to see the change. A state's checkpoints and
-copies carry no worker and no record. The worker is killed and reaped
-when its state is freed, when ``train`` returns, and when a step raises
-before it has read the worker's answer or reads an error there; the next
-step forks a fresh one. A step that finds its worker dead reaps it and
-forks a fresh one itself.
+A ``TrainState`` has at most one such worker, forked with the state's
+``(disc, opt_disc)`` at the first of its steps at which ``expert.may_fork``
+allows it, and reused by every later step. The worker keeps that pair,
+then the trained pair of each answer, which the state adopts; so no
+request carries a discriminator, only the policy, graphs, config, seed and
+epoch. A step whose state no longer holds the pair the worker keeps (a
+discriminator or optimizer rebound since) replaces the worker with a fresh
+fork, and so does a step that finds it dead. So a caller that changes
+either in place between steps must rebind it for the worker to see the
+change. A state's checkpoints and copies carry no worker. The worker is
+killed and reaped when its state is freed, when ``train`` returns, and
+when a step raises before it has read the worker's answer or reads an
+error there; the next step forks a fresh one.
 
 Every random draw is derived statelessly from (master seed, epoch, step,
 purpose), so a run resumed from any checkpoint continues bit-identically.
@@ -214,9 +213,10 @@ class TrainState:
     epoch: int = 0
     history: list[dict] = field(default_factory=list)
 
-    # (the discriminator Worker of train_step, its weakref.finalize, the
-    # (disc, opt_disc) adopted from its last answer, or (None, None)) while
-    # one is live: not a field, and left out of copies and pickles
+    # (the discriminator Worker of train_step, its weakref.finalize, and the
+    # (disc, opt_disc) it keeps: the pair it was forked with, then the one
+    # adopted from its last answer) while one is live: not a field, and left
+    # out of copies and pickles
     _worker = None
 
     def __getstate__(self):
@@ -346,34 +346,37 @@ def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
 
 
 class _KeptDiscriminator:
-    """``train_discriminator`` of one step's request, which it answers from
-    the ``(disc, opt_disc)`` of its last answer when the request carries
-    ``None`` for them: a discriminator worker's ``fn``, and a throwaway one
-    on the one-CPU path. It keeps the trained copies it answers with;
-    ``train_discriminator`` trains copies of what it kept, so a half that
-    raises leaves them as they were."""
+    """A discriminator worker's ``fn``: ``train_discriminator`` of each
+    step's request ``(policy, graphs, cfg, seed, epoch)`` on the
+    ``(disc, opt_disc)`` it keeps, which are the pair it was forked with
+    until its first answer and the trained copies of its last answer after.
+    ``train_discriminator`` trains copies, so a half that raises leaves the
+    kept pair as it was."""
 
-    def __init__(self):
-        self.kept = None
+    def __init__(self, disc: DiscParams, opt_disc: Adam):
+        self.kept = disc, opt_disc
 
     def __call__(self, request: tuple):
-        policy, disc, opt_disc, *rest = request
-        if disc is None:
-            disc, opt_disc = self.kept
-        answer = train_discriminator(policy, disc, opt_disc, *rest)
+        policy, *rest = request
+        answer = train_discriminator(policy, *self.kept, *rest)
         self.kept = answer[:2]
         return answer
 
 
 def _worker_of(state: TrainState) -> Worker | None:
-    """``state``'s discriminator worker: its live one, else a fresh one if
-    ``may_fork`` allows (which counts a live one as a child), else None. A
-    fresh one is killed and reaped when ``state`` is freed, if not before."""
-    if state._worker is not None and not state._worker[0].proc.is_alive():
-        _close_worker(state)  # it died between steps
+    """``state``'s discriminator worker. Its live one, while the state still
+    holds the ``(disc, opt_disc)`` that the worker keeps; else a fresh one,
+    forked with the state's pair, if ``may_fork`` allows (which counts a
+    live one as a child); else None. A fresh one is killed and reaped when
+    ``state`` is freed, if not before."""
+    pair = (state.disc, state.opt_disc)
+    if state._worker is not None and not (
+        state._worker[0].proc.is_alive() and all(map(operator.is_, state._worker[2], pair))
+    ):
+        _close_worker(state)  # it died, or the state rebound what it keeps
     if state._worker is None and may_fork():
-        worker = Worker(_KeptDiscriminator(), "training worker")
-        state._worker = worker, weakref.finalize(state, worker.close), (None, None)
+        worker = Worker(_KeptDiscriminator(*pair), "training worker")
+        state._worker = worker, weakref.finalize(state, worker.close), pair
     return None if state._worker is None else state._worker[0]
 
 
@@ -390,35 +393,28 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, and one discriminator update with the generator
     frozen (``train_discriminator``), both from the state the step found.
-    The discriminator half runs on the state's worker while this process
-    runs the generator updates; a state has at most one, forked at the
-    first of its steps at which ``may_fork`` allows it. The worker is sent
-    the half's whole input, less the ``(disc, opt_disc)`` it answered with
-    last while the state still holds those very objects: rebind them, not
-    edit them in place, to have a changed one trained. Without a worker the
-    half runs first, here, on a copy. Either way its result replaces
-    ``state.disc`` and ``state.opt_disc`` after the generator updates, with
-    the same bits, and what it raised is raised there, so a failed half
-    leaves the same state. A step that raises before it has read a value
-    from the worker kills and reaps it, and the next step forks a fresh
-    one; a step that finds it dead replaces it. ``train`` closes it when it
-    returns, and otherwise it lives as long as ``state``. Appends one
-    history record, whose greedy cost is the updated policy's. Each
-    instance's graph is built once, here, and so is the frozen
-    discriminator's encoding: array mode never updates batch-norm
-    statistics, so it equals what each update would compute. An empty
-    ``instances`` is a ``ValueError``."""
+    The discriminator half runs on the state's worker, which is sent only
+    the policy and the step's inputs, while this process runs the generator
+    updates; without a worker it runs after them, here, on a copy of the
+    policy taken before them. Either way its result replaces ``state.disc``
+    and ``state.opt_disc`` after the generator updates, with the same bits,
+    and what it raised is raised there, so a failed half leaves the same
+    state. The module docstring says when a step forks, replaces or kills
+    the worker: rebind the discriminator or its optimizer, not edit them in
+    place, to have a changed one trained. Appends one history record, whose
+    greedy cost is the updated policy's. Each instance's graph is built
+    once, here, and so is the frozen discriminator's encoding: array mode
+    never updates batch-norm statistics, so it equals what each update
+    would compute. An empty ``instances`` is a ``ValueError``."""
     if not instances:
         raise ValueError("train_step needs at least one instance")
     base = derive_seed(derive_seed(cfg.seed, epoch), step)
     graphs = [instance_graph(instance, cfg.k_nn) for instance in instances]
     worker = _worker_of(state)
-    pair = (state.disc, state.opt_disc)
-    if worker is not None and all(map(operator.is_, state._worker[2], pair)):
-        pair = (None, None)  # the worker holds them
-    request = (state.policy, *pair, graphs, cfg, derive_seed(base, 2000), state.epoch)
-    if worker is None:
-        held = Worker.answer(_KeptDiscriminator(), request)
+    # the policy as the step found it; without a worker, a copy that the
+    # generator updates leave as it was
+    policy = state.policy if worker is not None else copy.deepcopy(state.policy)
+    request = (policy, graphs, cfg, derive_seed(base, 2000), state.epoch)
     try:
         if worker is not None:
             worker.send(request)
@@ -426,13 +422,15 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
         tb = math.nan
         for u in range(cfg.update_ratio):
             tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
-        state.disc, state.opt_disc, record = Worker.value(held) if worker is None else worker.recv()
+        if worker is None:
+            state.disc, state.opt_disc, record = train_discriminator(policy, state.disc, state.opt_disc,
+                                                                     *request[1:])
+        else:
+            state.disc, state.opt_disc, record = worker.recv()
+            state._worker = (*state._worker[:2], (state.disc, state.opt_disc))
     except BaseException:
-        held = None  # the traceback holds this frame: let go of the exception in it
         _close_worker(state)  # it may still be working on this request
         raise
-    if worker is not None:
-        state._worker = (*state._worker[:2], (state.disc, state.opt_disc))
     greedy_costs = [
         rollout(state.policy, g.instance, encode_graph(state.policy, g, training=True), GREEDY)
         .solution.total_cost

@@ -10,7 +10,8 @@ from routeflow import bench
 from routeflow.core import build_distance_matrix, check_feasible, exact_solve_small, knn_sparsify
 from routeflow.expert import HgsConfig, expert_refine, hgs_solve, initial_solution
 from routeflow.io import (
-    AGGREGATE, generate_batch, generate_uniform, load_instance, read_results_csv, write_vrplib,
+    AGGREGATE, RunRecord, generate_batch, generate_uniform, load_instance, read_results_csv,
+    write_results_csv, write_vrplib,
 )
 from routeflow.neural import GREEDY, Dims, encode, init_params, rollout, save_policy
 
@@ -212,9 +213,32 @@ class TestRunBench:
             bench.sweep(spec, param, values, out_csv=str(tmp_path / "sweep.csv"))
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param, methods", [
+        ("nhat", ("neural-greedy", "expert-refine-2")),
+        ("m", ("neural-best-of-2", "hgs")),
+        ("k_nn", ("expert-refine-2", "hgs")),
+    ])
+    def test_sweep_refuses_a_parameter_no_method_reads(self, param, methods, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "run_bench", lambda *args, **kwargs: pytest.fail("a value ran"))
+        spec = self.spec(tmp_path, methods=methods)
+        with pytest.raises(bench.SpecError, match=f"no method of the spec reads {param}"):
+            bench.sweep(spec, param, [2, 3], out_csv=str(tmp_path / "sweep.csv"))
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_report_reads_the_aggregates(self, tmp_path):
         spec = self.spec(tmp_path, methods=("exact",), reference="exact")
         (mean,) = [r for r in bench.run_bench(spec) if r.instance == AGGREGATE]
         table = bench.report_table([spec.out_csv]).splitlines()
         assert table[0].startswith("method  r Obj | Gap% | Time(s)")
         assert table[2].split()[:4] == ["exact", f"{mean.obj:.6f}", "|", "0.00"]
+
+    def test_report_keeps_two_csvs_of_one_name_apart(self, tmp_path):
+        paths = []
+        for obj in (1.0, 2.0):
+            path = tmp_path / str(obj) / "results.csv"
+            path.parent.mkdir()
+            write_results_csv([RunRecord(AGGREGATE, "hgs", obj, None, 0.5, 0)], str(path))
+            paths.append(str(path))
+        header, _, row = bench.report_table(paths).splitlines()
+        assert header.count("results Obj | Gap% | Time(s)") == 2
+        assert row.split() == ["hgs", "1.000000", "|", "-", "|", "0.50", "2.000000", "|", "-", "|", "0.50"]

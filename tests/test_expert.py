@@ -941,6 +941,16 @@ class TestHelper:
         hgs_solve(generate_uniform(5, 1), cfg=HgsConfig(seed=1))
         assert starts() == []
 
+    def test_a_search_with_no_pair_to_educate_forks_nothing(self, cpus, starts, monkeypatch):
+        # one initial tour beside the sweep and one child: every tour is
+        # educated alone, so a helper would have nothing to do
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(2)
+        inst = generate_uniform(30, 5)
+        sol = hgs_solve(inst, cfg=HgsConfig(population_size=2, max_iterations=1, seed=1))
+        assert check_feasible(inst, sol).feasible
+        assert starts() == []
+
     @pytest.mark.parametrize("budget", [1, 3, 6, 11, 19, 26, 41])
     def test_a_budget_is_overrun_by_at_most_one_pair_of_educations(self, budget, cpus, monkeypatch):
         # a clock that reads the tours handed out so far (educated here or
