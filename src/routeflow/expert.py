@@ -16,13 +16,14 @@ reads each arc length once a pass. The move set is fixed: every search
 tries relocate, swap, 2-opt* and 2-opt.
 
 Each generation educates (splits and local-searches) two children as a
-pair, and the initial tours pair up too. When the sweep's education time
+pair, and the initial tours pair up too. A pair joins the population only
+once the next pair is drawn and under way, so each generation is drawn
+from a population one pair behind. When the sweep's education time
 predicts a search long enough to repay a fork, the search has a pair to
 educate, and ``may_fork`` allows, the solve forks a ``Worker`` before its
 initial tours, which educates the second tour of every pair (``_Helper``):
-the initial pairs are pipelined, so neither process waits on the other,
-and each generation's pair is collected before the next is drawn. Every
-host returns the serial search's output.
+it always has its next tour waiting, so neither process waits on the
+other. Every host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -660,61 +661,48 @@ class Worker:
 
 
 class _Helper:
-    """Educates the giant tours of one ``hgs_solve``, the second tour of
-    each pair on a ``Worker``.
+    """Educates the giant tours of one ``hgs_solve`` a pair at a time, the
+    second tour of each pair on a ``Worker``, one pair ahead of the
+    population.
 
-    ``initial(over_budget)`` educates the initial ``tours`` a pair at a
-    time until ``over_budget()`` before a pair, and ``educate(tours)`` one
-    generation's children; each returns ``[from_tour(t) for t in tours]``
-    for the tours it took, and what the worker raises is raised here. The
-    worker is forked when the helper is made, if ``fork`` (the solve's
-    decision), and never later; it then educates the second tour of every
-    pair until the solve ends or raises. Without one, this process
-    educates every tour.
+    ``educate(tours)`` takes the next pair (or a last tour alone), sends
+    its second tour to the worker, educates the first here, and only then
+    returns the individuals of the tours it took the call before (none at
+    the first call); ``educate([])`` returns the last ones and takes none.
+    So the worker always has its next tour waiting when it finishes one,
+    and an answer has a whole education's time to arrive before it is read.
+    What the worker raises is raised here. The worker is forked when the
+    helper is made, if ``fork`` (the solve's decision), and never later; it
+    then educates the second tour of every pair until the solve ends or
+    raises. Without one, this process educates every tour, in the same
+    calls.
 
-    Initial tours do not depend on each other, so this process sends a
-    pair's second tour, educates its first, and collects the worker's
-    answer only once it has sent the next pair's: neither waits on the other
-    until the last pair. An initial tour is sent as its index (the worker
-    has the tours from the fork), so a request never waits for room in a
-    pipe that an uncollected answer fills. A generation's children are
-    drawn from the population the previous pair joined, so its pair is
-    sent, educated and collected in turn. Education is a function of the
-    tour alone, so the individuals are the serial search's whatever the
-    host.
+    A tour is an initial tour's index (the worker has the tours from the
+    fork) or a child's tour. Each request is sent before the previous
+    answer is read, so the two processes could each wait for the other to
+    read if a child's pickle overfilled the pipe's buffer (64 KiB on Linux:
+    a tour of up to about 21,000 customers fits); an index always fits.
+    Education is a function of the tour alone, so the individuals are the
+    serial search's whatever the host.
     """
 
     def __init__(self, from_tour, tours: list[list[int]], fork: bool):
         self.from_tour = from_tour
         self.tours = tours
         self.worker = Worker(self._educate, "HGS helper process") if fork else None
+        self.pending: list[_Individual | None] = []  # the last call's; None: the worker's answer
 
     def _educate(self, tour: list[int] | int) -> _Individual:
         return self.from_tour(self.tours[tour] if isinstance(tour, int) else tour)
 
-    def initial(self, over_budget) -> list[_Individual]:
-        out = []
-        sent = []  # the positions in out that the worker answers, in order
-        for k in range(0, len(self.tours), 2):
-            if over_budget():
-                break
-            if k + 1 < len(self.tours) and self.worker is not None:
-                self.worker.send(k + 1)
-                sent.append(k + 1)
-                out += [self.from_tour(self.tours[k]), None]
-            else:
-                out += map(self.from_tour, self.tours[k : k + 2])
-            if len(sent) == 2:
-                out[sent.pop(0)] = self.worker.recv()
-        for k in sent:
-            out[k] = self.worker.recv()
-        return out
-
-    def educate(self, tours: list[list[int]]) -> list[_Individual]:
-        if len(tours) < 2 or self.worker is None:
-            return [self.from_tour(t) for t in tours]
-        self.worker.send(tours[1])
-        return [self.from_tour(tours[0]), self.worker.recv()]
+    def educate(self, tours: range | list[list[int]]) -> list[_Individual]:
+        if len(tours) == 2 and self.worker is not None:
+            self.worker.send(tours[1])
+            here = [self._educate(tours[0]), None]
+        else:
+            here = [self._educate(t) for t in tours]
+        done, self.pending = self.pending, here
+        return [self.worker.recv() if ind is None else ind for ind in done]
 
     def close(self) -> None:
         if self.worker is not None:
@@ -733,25 +721,32 @@ def hgs_solve(
 
     The warm start (or the angular-sweep construction when absent) enters the
     initial population, and the incumbent (the best-ranked individual) always
-    survives, so the returned cost is bounded by both. ``time_budget_s`` is
-    checked before each pair of initial tours and each generation, once the
-    sweep and the warm start have entered the population. After a check
-    passes, at most one pair of tours is educated here or sent to the
-    helper before the next check, and the helper holds at most one other
-    unanswered tour; so a solve overruns the budget by at most one pair of
-    educations: this process educates one more tour, and the helper
-    finishes the one it holds and one more. Bit-determinism across runs
-    holds when ``max_iterations`` binds first.
+    survives, so the returned cost is bounded by both.
 
-    Each generation draws two children from the same population, then
-    educates them as a pair; they join the population in draw order, and the
-    survivors are chosen once. Initial tours pair up too; an odd number of
-    them or of children leaves a last tour alone. A ``_Helper`` educates
-    each pair's second tour on a ``Worker``, forked before the initial
-    tours, when all three hold: the sweep's education time predicts
-    ``_FORK_AFTER_S`` of search or more, there is a pair to educate (two
-    initial tours or two children), and ``may_fork`` allows it. The output
-    is the serial search's, bit for bit, on any host.
+    The initial tours and then the generations' children are educated a pair
+    at a time (an odd number of either leaves a last tour alone), one pair
+    ahead of the population: pair k - 1 joins only after pair k is drawn,
+    its second tour is sent to the helper and its first is educated here,
+    and once the population is full the survivors are chosen after each
+    join that a draw follows. So pair k is drawn from the population
+    holding pair k - 2 but not pair k - 1, and the first generation without
+    the last initial pair. A ``_Helper`` educates each pair's second tour
+    on a ``Worker``, forked before the initial tours, when all three hold:
+    the sweep's education time predicts ``_FORK_AFTER_S`` of search or
+    more, there is a pair to educate (two initial tours or two children),
+    and ``may_fork`` allows it. Without one, this process educates both
+    tours in the same order, so the output is the serial search's, bit for
+    bit, on any host.
+
+    ``time_budget_s`` is checked before each pair, once the sweep and the
+    warm start have entered the population. When a check stops the search,
+    one pair at most is in flight (its second tour on the helper), and it
+    still joins. After a check passes, one pair is drawn and educated here
+    or sent to the helper before the next check, and the helper holds at
+    most one other unanswered tour; so a solve overruns the budget by at
+    most one pair of educations: this process educates one more tour, and
+    the helper finishes the one it holds and one more. Bit-determinism
+    across runs holds when ``max_iterations`` binds first.
     """
     if dm is None:
         dm = build_distance_matrix(instance)
@@ -781,6 +776,18 @@ def hgs_solve(
     def over_budget() -> bool:
         return cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s
 
+    def pairs():
+        """The initial tours' indices, then each generation's children, a
+        pair at a time while the budget allows."""
+        for k in range(0, len(tours), 2):
+            if over_budget():
+                return
+            yield range(k, min(k + 2, len(tours)))
+        for it in range(0, cfg.max_iterations, 2):
+            if over_budget():
+                return
+            yield [_draw_child(rng, population) for _ in range(min(2, cfg.max_iterations - it))]
+
     population: list[_Individual] = []
     sweep = initial_solution(instance, cfg.seed, dm)
     educated_at = time.monotonic()
@@ -800,14 +807,11 @@ def hgs_solve(
     has_pair = len(tours) >= 2 or cfg.max_iterations >= 2  # two initial tours or two children
     helper = _Helper(from_tour, tours, fork=search_s >= _FORK_AFTER_S and has_pair and may_fork())
     try:
-        population += helper.initial(over_budget)
-        for it in range(0, cfg.max_iterations, 2):
-            if over_budget():
-                break
-            children = [_draw_child(rng, population) for _ in range(min(2, cfg.max_iterations - it))]
-            population += helper.educate(children)
+        for pair in pairs():
+            population += helper.educate(pair)  # the previous pair
             if len(population) > cfg.population_size:
                 population = _survivors(population, cfg.population_size)
+        population += helper.educate([])  # the pair in flight joins
     finally:
         helper.close()
 

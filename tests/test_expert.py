@@ -896,6 +896,99 @@ class TestHelper:
         assert starts() == [os.getpid()]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_pair_is_drawn_from_the_population_two_pairs_back(self, k, cpus, starts, monkeypatch):
+        joined = []  # joined[c]: what the c-th educate call returned, pair c - 1's individuals
+        draws = []  # (the pair being drawn, the population it is drawn from)
+        events = []  # each educate call's tour count, then what it did, in order
+        real_draw, real_educate = expert._draw_child, expert._Helper.educate
+        real_search, real_send, real_recv = expert._local_search, expert.Worker.send, expert.Worker.recv
+
+        def draw(rng, population):
+            draws.append((len(joined), list(population)))
+            return real_draw(rng, population)
+
+        def educate(self, tours):
+            events.append([len(tours)])
+            joined.append(real_educate(self, tours))
+            return joined[-1]
+
+        def log(event, real):
+            return lambda *args: events and events[-1].append(event) or real(*args)
+
+        monkeypatch.setattr(expert, "_draw_child", draw)
+        monkeypatch.setattr(expert._Helper, "educate", educate)
+        monkeypatch.setattr(expert, "_local_search", log("here", real_search))  # the helper logs in its copy
+        monkeypatch.setattr(expert.Worker, "send", log("send", real_send))
+        monkeypatch.setattr(expert.Worker, "recv", log("recv", real_recv))
+        # every individual stays, so that each draw shows which pairs have joined
+        monkeypatch.setattr(expert, "_survivors", lambda population, size: population)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(k)
+        hgs_solve(generate_uniform(30, 5), cfg=HgsConfig(population_size=9, max_iterations=11, seed=1))
+        assert starts() == [os.getpid()] * (k - 1)
+        # 8 initial tours in pairs 0-3, 11 children in pairs 4-9 (the last
+        # alone), then the call that collects pair 9
+        assert [len(individuals) for individuals in joined] == [0] + [2] * 9 + [1]
+        assert [pair for pair, _ in draws] == [4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9]
+        for pair, population in draws:
+            ids = {id(ind) for ind in population}
+            assert {id(ind) for ind in joined[pair - 1]} <= ids  # pair - 2, the last initial pair at first
+            assert not {id(ind) for ind in joined[pair]} & ids  # pair - 1
+        # a pair's second tour is sent and its first educated here before
+        # the answer for the pair before is read
+        if k == 2:
+            expected = [[2, "send", "here"]] + [[2, "send", "here", "recv"]] * 8 + [[1, "here", "recv"], [0]]
+        else:
+            expected = [[2, "here", "here"]] * 9 + [[1, "here"], [0]]
+        assert events == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_budget_stop_joins_the_pair_in_flight(self, k, cpus, starts, monkeypatch):
+        # readings: 0 at the start, 1 and 2 around the sweep's education,
+        # 3 to 7 before pairs 0-4 (two initial, three generations), 8 past
+        # the budget
+        counts = {"sent": 0, "answered": 0}
+        collected, chosen = [], []
+        real_send, real_recv, real_educate = expert.Worker.send, expert.Worker.recv, expert._Helper.educate
+        real_canonical = expert._canonical_routes
+
+        def send(self, arg):
+            counts["sent"] += 1
+            real_send(self, arg)
+
+        def recv(self):
+            out = real_recv(self)
+            counts["answered"] += 1
+            return out
+
+        def educate(self, tours):
+            out = real_educate(self, tours)
+            if not tours:  # the pair in flight: ranked first, so the solve returns it once it joins
+                for ind in out:
+                    ind.cost = -1.0
+                collected.extend(out)
+            return out
+
+        monkeypatch.setattr(expert.Worker, "send", send)
+        monkeypatch.setattr(expert.Worker, "recv", recv)
+        monkeypatch.setattr(expert._Helper, "educate", educate)
+        monkeypatch.setattr(expert, "_canonical_routes", lambda routes: chosen.append(routes) or real_canonical(routes))
+        _tick_once_a_reading(monkeypatch)
+        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
+        cpus(k)
+        inst = generate_uniform(30, 5)
+        sol = hgs_solve(inst, cfg=HgsConfig(population_size=5, max_iterations=10**9, time_budget_s=7.5, seed=1))
+        assert len(collected) == 2
+        assert chosen == [collected[0].routes] and chosen[0] is collected[0].routes  # the best of the population
+        assert check_feasible(inst, sol).feasible
+        # the second tour of each of the five pairs went to the helper, and
+        # every answer was read
+        assert counts == ({"sent": 5, "answered": 5} if k == 2 else {"sent": 0, "answered": 0})
+        assert starts() == [os.getpid()] * (k - 1)
+        assert multiprocessing.active_children() == []
+
     def test_a_budget_stops_the_initial_population(self, cpus, starts, monkeypatch):
         # readings: 0 at the start, 1 and 2 around the sweep's education,
         # 3 before the first pair of initial tours, 4 before the second pair,
@@ -1013,16 +1106,15 @@ class TestHelper:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
     def test_the_helper_leaves_the_parents_cpu(self, monkeypatch):
-        masks = []  # the helper's CPUs after each pair it educated
-        real = expert._Helper.educate
+        masks = []  # the helper's CPUs after each tour it educated
+        real = expert.Worker.recv
 
-        def educate(self, tours):
-            out = real(self, tours)
-            if self.worker is not None:
-                masks.append(os.sched_getaffinity(self.worker.proc.pid))
+        def recv(self):
+            out = real(self)
+            masks.append(os.sched_getaffinity(self.proc.pid))
             return out
 
-        monkeypatch.setattr(expert._Helper, "educate", educate)
+        monkeypatch.setattr(expert.Worker, "recv", recv)
         monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
         hgs_solve(generate_uniform(30, 5), cfg=FAST)
         mask = os.sched_getaffinity(0)

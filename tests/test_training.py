@@ -202,8 +202,8 @@ def test_an_error_in_the_expert_reaches_the_caller(k, cpus, monkeypatch, tmp_pat
 
 
 def test_a_failed_discriminator_half_leaves_the_same_state(cpus, tmp_path, monkeypatch):
-    # inline, the half's error is held until after the generator updates,
-    # where the worker's answer is read, so both hosts update the policy
+    # inline, the half runs after the generator updates, where the
+    # worker's answer is read, so both hosts update the policy before it fails
     def failing(*args):
         raise InstanceError("the expert failed")
 
@@ -408,7 +408,7 @@ FIRST = {"disc": lambda disc: next(iter(disc.named_arrays()))[1],
 
 
 @pytest.mark.parametrize("name", sorted(FIRST))
-def test_a_rebound_discriminator_is_sent_and_trained(name, cpus, starts, sent, tmp_path):
+def test_a_rebound_discriminator_is_trained_by_a_fresh_worker_and_sent_nowhere(name, cpus, starts, sent, tmp_path):
     cfg = tiny_config(tmp_path, n=8)
     instances = [generate_uniform(cfg.n, 1), generate_uniform(cfg.n, 2)]
     cpus(2)
@@ -443,8 +443,8 @@ def collector_off():
             gc.enable()
 
 
-def test_after_a_failed_half_a_fresh_worker_is_sent_the_whole_input(cpus, starts, sent, monkeypatch,
-                                                                    tmp_path, collector_off):
+def test_after_a_failed_half_a_fresh_worker_is_sent_no_discriminator(cpus, starts, sent, monkeypatch,
+                                                                      tmp_path, collector_off):
     # a file flag, so that it reaches the worker forked before it is set
     failing = tmp_path / "failing"
     real = training.expert_refine
