@@ -185,10 +185,12 @@ def build_distance_matrix(instance: Instance) -> np.ndarray:
     ``nint(d) = floor(d + 0.5)``; continuous mode keeps full precision.
     """
     pts = instance.all_points()
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    d, dy = (pts[:, None, i] - pts[None, :, i] for i in (0, 1))  # two (n, n) arrays at most
+    d *= d
+    d += np.square(dy, out=dy)
+    np.sqrt(d, out=d)
     if instance.distance_mode == ROUNDED:
-        d = np.floor(d + 0.5)
+        np.floor(np.add(d, 0.5, out=d), out=d)
     d.setflags(write=False)
     return d
 

@@ -338,22 +338,34 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
     neighborhood, then residual + batch-norm over the aggregated heads
     (concatenated in hidden layers, averaged in the final one).
 
-    ``h @ w``, the per-node score terms and batch-norm run on all nodes at
-    once; the scores, softmax and messages on blocks of whole CSR rows
+    ``h @ w``, the per-node score terms and batch-norm run over all nodes;
+    the scores, softmax and messages on blocks of whole CSR rows
     (``_row_blocks``), messages in groups of heads ``d_units`` wide. Every
-    layer's edge term is computed first (``_edge_terms``), so an array-mode
-    pass holds O(n_layers * H * E + n * H * d_units + _BLOCK * d_units)
-    floats. On the tape the whole graph is one block.
+    layer's edge term is computed first (``_edge_terms``). In array mode z =
+    (h @ w)^T and the score terms are built ``_BLOCK // 4`` nodes at a time,
+    none alone (numpy hands a one-row product to gemv, of other bits), so a
+    pass holds O(n_layers * H * E + (n + _BLOCK) * H * d_units) floats. On
+    the tape the whole graph is one block.
     """
     ei, d, n_heads = graph.ei, gat.dims.d_units, gat.dims.n_heads
     h = F.leaky_relu(graph.x @ gat.w_node + gat.b_node, LEAKY_SLOPE)
-    width = ei.src.size if isinstance(h, F.Tensor) else _BLOCK
-    terms, blocks = _edge_terms(gat, graph, width), _row_blocks(ei, width)
+    tape = isinstance(h, F.Tensor)
+    width = ei.src.size if tape else _BLOCK
+    terms, blocks = _edge_terms(gat, graph), _row_blocks(ei, width)
     for li, layer in enumerate(gat.layers):
-        z = F.transpose(h @ layer.w)  # (H * dh, n): head k in rows k * dh:(k + 1) * dh
-        heads = z.reshape(n_heads, -1, ei.n)
-        s_src = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)  # (H, n)
-        s_dst = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
+        if tape:
+            z = F.transpose(h @ layer.w)  # (H * dh, n): head k in rows k * dh:(k + 1) * dh
+            heads = z.reshape(n_heads, -1, ei.n)
+            s_src = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)  # (H, n)
+            s_dst = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
+        else:
+            z, (s_src, s_dst) = np.empty((layer.w.shape[1], ei.n)), np.empty((2, n_heads, ei.n))
+            bounds = [*range(0, max(ei.n - 1, 1), _BLOCK // 4), ei.n]
+            for c0, c1 in zip(bounds[:-1], bounds[1:]):
+                z[:, c0:c1] = (h[c0:c1] @ layer.w).T
+                heads = z[:, c0:c1].reshape(n_heads, -1, c1 - c0)
+                s_src[:, c0:c1] = (heads * layer.a_src.reshape(n_heads, -1, 1)).sum(axis=1)
+                s_dst[:, c0:c1] = (heads * layer.a_dst.reshape(n_heads, -1, 1)).sum(axis=1)
         group = d // gat.dims.head_dim(li)  # heads per message pass
         aggr = F.concat([_aggregate(z, s_src[:, rows], s_dst, terms[li][:, arcs], part, group)
                          for rows, arcs, part in blocks])
@@ -363,27 +375,36 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
 
 # arcs of one block of an array-mode encoder's edge work, and the least
 # width of its edge-term gemm; a multiple of 8, so that each gemm block starts
-# an OpenBLAS row group. The pair MLP's (arcs, mlp_hidden) temporaries stay in
-# cache at a quarter block: a whole one made an n=200 encode 15-25 ms slower
+# an OpenBLAS row group. A quarter block is the step of the nodes that fill z
+# and of the arcs the pair MLP scores, whose (arcs, mlp_hidden) temporaries
+# stay in cache there: a whole block made an n=200 encode 15-25 ms slower
 _BLOCK = 2048
 
 
-def _edge_terms(gat: GatParams, graph: InstanceGraph, width: int):
-    """Every layer's (H, E) edge term w_edge . e, with the edge features e =
-    LeakyReLU(w_edge * length / scale + b_edge) built one arc block at a time.
-    Blocks start at multiples of ``width`` and the last takes the rest (one
-    block, Tensors on the tape, if E < 2 * width): OpenBLAS gives other bits
-    to a gemm of <= 10^6 multiply-adds; _BLOCK arcs make more at default dims."""
+def _edge_terms(gat: GatParams, graph: InstanceGraph):
+    """Every layer's (H, E) edge term w_edge . e of the edge features e =
+    LeakyReLU(w_edge * length / scale + b_edge): on the tape, a list of
+    Tensors of the whole graph; in array mode, one (n_layers, H, E) array.
+    It is built an arc block at a time in one (d_units, block) buffer, each
+    layer's gemm writing its rows of the block. Blocks start at multiples of
+    ``_BLOCK`` and the last takes the rest (one block if E < 2 * _BLOCK), so
+    it is the widest: OpenBLAS gives other bits to a gemm of <= 10^6
+    multiply-adds; _BLOCK arcs make more at default dims."""
     ei, d, size = graph.ei, gat.dims.d_units, graph.ei.src.size
-    bounds = [*range(0, max(size - width, 0) + 1, width), size]
-    terms = np.empty((len(gat.layers), gat.dims.n_heads, size)) if len(bounds) > 2 else None
+    w_edge, b_edge = gat.w_edge.reshape(d, 1), gat.b_edge.reshape(d, 1)
+    if isinstance(w_edge, F.Tensor):
+        e = F.leaky_relu(w_edge * (ei.dist / graph.scale) + b_edge, LEAKY_SLOPE)
+        return [layer.w_edge @ e for layer in gat.layers]
+    bounds = [*range(0, max(size - _BLOCK, 0) + 1, _BLOCK), size]
+    terms = np.empty((len(gat.layers), gat.dims.n_heads, size))
+    buf = np.empty(d * (size - bounds[-2]))
     for a0, a1 in zip(bounds[:-1], bounds[1:]):
-        e = F.leaky_relu(gat.w_edge.reshape(d, 1) * (ei.dist[a0:a1] / graph.scale)
-                         + gat.b_edge.reshape(d, 1), LEAKY_SLOPE)
-        block = [layer.w_edge @ e for layer in gat.layers]
-        if terms is None:
-            return block
-        terms[:, :, a0:a1] = block
+        e = buf[: d * (a1 - a0)].reshape(d, -1)
+        np.multiply(w_edge, ei.dist[a0:a1] / graph.scale, out=e)
+        e += b_edge
+        np.multiply(e, LEAKY_SLOPE, out=e, where=~(e > 0))  # np.where's LeakyReLU, in place
+        for li, layer in enumerate(gat.layers):
+            np.matmul(layer.w_edge, e, out=terms[li, :, a0:a1])
     return terms
 
 
@@ -416,8 +437,10 @@ def _aggregate(z, s_src, s_dst, term, part, group: int):
     aggr = None
     for k in range(0, n_heads, group):  # (group * dh, arcs) temporaries, one pass at a time
         zj = F.csr_gather(z[k * dh : (k + group) * dh], dst, rev, start).reshape(group, -1, dst.size)
-        msg = F.transpose(F.csr_sum(zj * alpha[k : k + group].reshape(group, 1, -1), start)
-                          .reshape(-1, n_rows))
+        weight = alpha[k : k + group].reshape(group, 1, -1)
+        zj = zj * weight if isinstance(zj, F.Tensor) else np.multiply(zj, weight, out=zj)
+        msg = F.transpose(F.csr_sum(zj, start).reshape(-1, n_rows))
+        del zj  # before the next pass gathers its own
         aggr = msg if aggr is None else aggr + msg
     return aggr if group == n_heads else aggr * (1.0 / n_heads)
 
@@ -620,7 +643,9 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
     ei, table = ctx.graph.ei, F.value(ctx.logits)
     count, max_steps = len(seeds), 2 * ctx.graph.instance.n_customers
     per_step = {GREEDY: 0, SAMPLE: 1, EPSILON_GREEDY: 2}[mode]
-    draws = np.array([np.random.default_rng(s).random(per_step * max_steps) for s in seeds])
+    draws = np.empty((count, per_step * max_steps))
+    for row, s in zip(draws, seeds):  # each stream straight into its row
+        np.random.default_rng(s).random(out=row)
     used = np.zeros(count, dtype=np.int64)
 
     def choose(step, rows, arc, mask):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from routeflow.core import (
     route_cost,
     solution_cost,
 )
-from routeflow.io import generate_uniform
+from routeflow.io import generate_uniform, load_instance
 
 
 def tiny_instance(mode=CONTINUOUS):
@@ -91,6 +93,29 @@ class TestDistanceMatrix:
         dm = build_distance_matrix(inst)
         assert dm[0, 1] == 1
         assert dm[0, 2] == 2
+
+    @pytest.mark.parametrize("source", ["uniform", "uniform-rounded", "A-n32-k5"])
+    def test_matches_the_straight_formula_bit_for_bit(self, source):
+        if source == "A-n32-k5":
+            inst = load_instance(os.path.join(os.path.dirname(__file__), "data", "A-n32-k5.vrp"))
+        else:
+            inst = generate_uniform(300, 5)
+            if source == "uniform-rounded":
+                inst = replace(inst, depot=(1e3 * inst.depot[0], 1e3 * inst.depot[1]),
+                               coords=tuple((1e3 * x, 1e3 * y) for x, y in inst.coords),
+                               distance_mode=ROUNDED)
+        pts = inst.all_points()
+        diff = pts[:, None, :] - pts[None, :, :]
+        want = np.sqrt((diff * diff).sum(axis=2))
+        if inst.distance_mode == ROUNDED:
+            want = np.floor(want + 0.5)
+        assert np.array_equal(build_distance_matrix(inst), want)
+
+    def test_peak_memory_is_two_n_by_n_arrays(self, traced_peak):
+        # the result and one (n, n) temporary; no (n, n, 2) difference array
+        inst = generate_uniform(999, 4)
+        n = inst.n_nodes
+        assert traced_peak(lambda: build_distance_matrix(inst)) < 2.1 * n * n * 8
 
     def test_symmetry_and_zero_diagonal(self):
         inst = generate_uniform(12, 3)

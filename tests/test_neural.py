@@ -282,12 +282,49 @@ class TestGatForward:
 
     def test_array_mode_peak_memory(self, traced_peak):
         # n=200, k=50, E = 11,804: edge arrays are (channels, arcs) and
-        # hold the arcs of one block of rows, never all E of them
+        # hold the arcs of one block, fewer than 2 * _BLOCK, never all E of
+        # them; beside the (n_layers, H, E) edge terms a pass holds at most
+        # two (d_units, 2 * _BLOCK) arrays' worth
         graph = instance_graph(generate_uniform(200, 172), 50)
         assert graph.ei.src.size == 11_804
-        policy = init_params(Dims(), 100)
+        dims = Dims()
+        policy = init_params(dims, 100)
         gat_embed(policy.gat, graph)
-        assert traced_peak(lambda: gat_embed(policy.gat, graph)) < 21_000_000
+        terms = dims.n_layers * dims.n_heads * graph.ei.src.size * 8
+        bound = terms + 2 * dims.d_units * 2 * _BLOCK * 8
+        assert traced_peak(lambda: gat_embed(policy.gat, graph)) < bound
+
+    def test_array_mode_node_side_peak_memory(self, traced_peak):
+        # n=1,001, k=20: the final layer's z = (h @ w)^T, (H * d_units, n),
+        # is as large as the edge terms; it is filled _BLOCK // 4 nodes at
+        # a time, so beside it and the terms a pass holds at most one
+        # chunk's h @ w, of fewer than 2 * (_BLOCK // 4) rows, never all of it
+        graph = instance_graph(generate_uniform(1000, 11), 20)
+        dims = Dims()
+        policy = init_params(dims, 0)
+        gat_embed(policy.gat, graph)
+        terms = dims.n_layers * dims.n_heads * graph.ei.src.size * 8
+        z = dims.n_heads * dims.d_units * graph.ei.n * 8
+        chunk = 2 * (_BLOCK // 4) * dims.n_heads * dims.d_units * 8
+        assert graph.ei.n - 1 > _BLOCK // 4  # more than one chunk
+        assert traced_peak(lambda: gat_embed(policy.gat, graph)) < terms + z + chunk
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_array_mode_gives_the_bits_of_the_lifted_tape(self, training):
+        # the array-only paths (edge blocks built in place, z by node
+        # chunks, score terms summed row by row) against the tape's
+        # whole-graph forward; n=200, k=50 spans several edge blocks
+        graph = instance_graph(generate_uniform(200, 172), 50)
+        assert graph.ei.src.size > 2 * _BLOCK
+        policy, disc = init_params(Dims(), 1), init_disc(Dims(), 2)
+        arrays = (gat_embed(policy.gat, graph, training), encode_graph(policy, graph, training).logits,
+                  disc_forward(disc, graph, training))
+        lifted, lifted_disc = lift(policy), lift(disc)
+        on_tape = (gat_embed(lifted.gat, graph, training), encode_graph(lifted, graph, training).logits,
+                   disc_forward(lifted_disc, graph, training))
+        assert isinstance(on_tape[0], F.Tensor)
+        for got, want in zip(arrays, on_tape):
+            assert np.array_equal(got, F.value(want))
 
     def test_encode_graph_peaks_below_one_d_units_by_e_array(self, traced_peak):
         # n=400, default k: E = 47,146, so one (d_units, E) float64 array
@@ -407,6 +444,18 @@ class TestRowBlocks:
         assert graph.ei.src.size > 5 * _BLOCK
         blocked = outputs_at_block(monkeypatch, _BLOCK, graph, False)
         for got, want in zip(blocked, outputs_at_block(monkeypatch, graph.ei.src.size, graph, False)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,k,block", [(44, 4, 32), (699, 10, _BLOCK)])
+    def test_a_partial_last_z_chunk_gives_the_bits_of_one_block(self, monkeypatch, n, k, block):
+        # array mode fills z = (h @ w)^T block // 4 nodes at a time, the
+        # last chunk taking the rest; here there are several and the last
+        # is partial, while one block over the graph is one chunk
+        graph = instance_graph(generate_uniform(n, 9), k)
+        step, ei = block // 4, graph.ei
+        assert step < ei.n - 1 <= ei.src.size // 4 and ei.n % step > 1
+        one = outputs_at_block(monkeypatch, ei.src.size, graph, False)
+        for got, want in zip(outputs_at_block(monkeypatch, block, graph, False), one):
             assert np.array_equal(got, want)
 
     def test_each_block_holds_whole_rows_and_only_the_whole_graph_has_reverses(self):
