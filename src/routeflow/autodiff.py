@@ -20,7 +20,7 @@ bin at zero and adds its entries in index order, as that scatter would.
 The CSR helpers (``csr_sum``, ``csr_repeat``, ``csr_gather``) work on
 segments that tile the last axis, given by their offsets. Each one's
 forward and backward is one ``np.add.reduceat``, ``np.repeat`` or
-``np.take`` along that axis.
+``np.take`` along that axis; ``csr_softmax`` is their softmax as one op.
 ``csr_gather`` reads a symmetric pattern's columns and gathers its gradient
 back through each entry's transpose.
 """
@@ -289,6 +289,21 @@ def csr_repeat(x, start: np.ndarray):
     ``start[v] <= a < start[v + 1]``; the gradient is ``csr_sum``'s value."""
     return _node(np.repeat(value(x), np.diff(start), axis=-1),
                  (x, lambda g: np.add.reduceat(g, start[:-1], axis=-1)))
+
+
+def csr_softmax(x, start: np.ndarray):
+    """Softmax within each segment along the last axis, each shifted by its
+    own maximum; the gradient is, bit for bit, what ``exp``, ``csr_sum``,
+    ``csr_repeat`` and a division would pass back."""
+    data, first, sizes = value(x), start[:-1], start[1:] - start[:-1]
+    ex = np.exp(data - np.maximum.reduceat(data, first, axis=-1).repeat(sizes, axis=-1))
+    total = np.add.reduceat(ex, first, axis=-1).repeat(sizes, axis=-1)
+
+    def grad(g):
+        back = np.add.reduceat(-g * ex / (total * total), first, axis=-1)
+        return (g / total + back.repeat(sizes, axis=-1)) * ex
+
+    return _node(ex / total, (x, grad))
 
 
 def csr_gather(x, col: np.ndarray, rev: np.ndarray, start: np.ndarray):

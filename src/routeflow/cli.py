@@ -1,10 +1,11 @@
 """Command-line entry points: gen, train, solve, bench, sweep, report.
 
-Exit codes: 0 success, 2 specification/usage error, 3 missing artifact.
-``main`` maps them in one place: any missing input file (instance, spec,
-config, checkpoint, results CSV, ``--resume`` state) exits 3, and any
-``ValueError`` (``bench.SpecError``, ``io.ParseError``, malformed JSON, an
-unknown field in a ``train --config`` file) exits 2.
+Exit codes: 0 success, 2 specification/usage error, 3 missing artifact,
+each with a one-line message from ``main``: an input path (instance, spec,
+config, checkpoint, results CSV, ``--resume`` state) that is missing, a
+directory, under a file or not permitted exits 3, and any ``ValueError``
+(``bench.SpecError``, ``io.ParseError``, malformed JSON, an unknown field
+in a ``train --config`` file) exits 2.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:  # bench.MissingArtifactError included
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except ValueError as exc:  # bench.SpecError and io.ParseError included

@@ -677,30 +677,24 @@ class _Helper:
     raises. Without one, this process educates every tour, in the same
     calls.
 
-    A tour is an initial tour's index (the worker has the tours from the
-    fork) or a child's tour. Each request is sent before the previous
-    answer is read, so the two processes could each wait for the other to
-    read if a child's pickle overfilled the pipe's buffer (64 KiB on Linux:
-    a tour of up to about 21,000 customers fits); an index always fits.
-    Education is a function of the tour alone, so the individuals are the
-    serial search's whatever the host.
+    Every request is a tour, sent before the previous answer is read, so
+    the two processes could each wait for the other to read if a tour's
+    pickle overfilled the pipe's buffer (64 KiB on Linux: a tour of up to
+    about 21,000 customers fits). Education is a function of the tour
+    alone, so the individuals are the serial search's whatever the host.
     """
 
-    def __init__(self, from_tour, tours: list[list[int]], fork: bool):
+    def __init__(self, from_tour, fork: bool):
         self.from_tour = from_tour
-        self.tours = tours
-        self.worker = Worker(self._educate, "HGS helper process") if fork else None
+        self.worker = Worker(from_tour, "HGS helper process") if fork else None
         self.pending: list[_Individual | None] = []  # the last call's; None: the worker's answer
 
-    def _educate(self, tour: list[int] | int) -> _Individual:
-        return self.from_tour(self.tours[tour] if isinstance(tour, int) else tour)
-
-    def educate(self, tours: range | list[list[int]]) -> list[_Individual]:
+    def educate(self, tours: list[list[int]]) -> list[_Individual]:
         if len(tours) == 2 and self.worker is not None:
             self.worker.send(tours[1])
-            here = [self._educate(tours[0]), None]
+            here = [self.from_tour(tours[0]), None]
         else:
-            here = [self._educate(t) for t in tours]
+            here = [self.from_tour(t) for t in tours]
         done, self.pending = self.pending, here
         return [self.worker.recv() if ind is None else ind for ind in done]
 
@@ -777,12 +771,12 @@ def hgs_solve(
         return cfg.time_budget_s is not None and time.monotonic() - start_time > cfg.time_budget_s
 
     def pairs():
-        """The initial tours' indices, then each generation's children, a
+        """The random initial tours, then each generation's children, a
         pair at a time while the budget allows."""
-        for k in range(0, len(tours), 2):
+        for k in range(0, n_tours, 2):
             if over_budget():
                 return
-            yield range(k, min(k + 2, len(tours)))
+            yield [(rng.permutation(instance.n_customers) + 1).tolist() for _ in range(min(2, n_tours - k))]
         for it in range(0, cfg.max_iterations, 2):
             if over_budget():
                 return
@@ -797,15 +791,12 @@ def hgs_solve(
         population.append(evaluate([list(r.nodes) for r in warm_start.routes]))
         # preserve the untouched warm start as a monotonicity anchor
         population.append(evaluate([list(r.nodes) for r in warm_start.routes], educate=False))
-    base = list(range(1, instance.n_customers + 1))
-    tours = [
-        [int(c) for c in rng.permutation(base)] for _ in range(cfg.population_size - len(population))
-    ]
-    search_s = education_s * (len(tours) + cfg.max_iterations)
+    n_tours = max(0, cfg.population_size - len(population))  # random initial tours
+    search_s = education_s * (n_tours + cfg.max_iterations)
     if cfg.time_budget_s is not None:
         search_s = min(search_s, cfg.time_budget_s)
-    has_pair = len(tours) >= 2 or cfg.max_iterations >= 2  # two initial tours or two children
-    helper = _Helper(from_tour, tours, fork=search_s >= _FORK_AFTER_S and has_pair and may_fork())
+    has_pair = n_tours >= 2 or cfg.max_iterations >= 2  # two initial tours or two children
+    helper = _Helper(from_tour, fork=search_s >= _FORK_AFTER_S and has_pair and may_fork())
     try:
         for pair in pairs():
             population += helper.educate(pair)  # the previous pair

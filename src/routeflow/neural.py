@@ -369,6 +369,7 @@ def gat_embed(gat: GatParams, graph: InstanceGraph, training: bool = False):
         group = d // gat.dims.head_dim(li)  # heads per message pass
         aggr = F.concat([_aggregate(z, s_src[:, rows], s_dst, terms[li][:, arcs], part, group)
                          for rows, arcs, part in blocks])
+        del z, heads, s_src, s_dst  # not read again: in array mode, freed before the batch-norm
         h = h + _batchnorm(layer, F.leaky_relu(aggr, LEAKY_SLOPE), training)
     return h
 
@@ -431,9 +432,7 @@ def _aggregate(z, s_src, s_dst, term, part, group: int):
     dh = F.value(z).shape[0] // n_heads
     score = F.leaky_relu(F.csr_repeat(s_src, start) + F.csr_gather(s_dst, dst, rev, start),
                          LEAKY_SLOPE) + term
-    smax = np.maximum.reduceat(F.value(score), start[:-1], axis=1)
-    ex = F.exp(score - F.csr_repeat(smax, start))
-    alpha = ex / F.csr_repeat(F.csr_sum(ex, start), start)
+    alpha = F.csr_softmax(score, start)
     aggr = None
     for k in range(0, n_heads, group):  # (group * dh, arcs) temporaries, one pass at a time
         zj = F.csr_gather(z[k * dh : (k + group) * dh], dst, rev, start).reshape(group, -1, dst.size)
@@ -493,14 +492,6 @@ def encode(policy: PolicyParams, instance: Instance, neighbors: np.ndarray,
     """``encode_graph`` on the graph of the k-NN rows ``neighbors`` of
     ``dm``, for callers that hold those rather than an ``InstanceGraph``."""
     return encode_graph(policy, make_graph(instance, neighbors, dm), training)
-
-
-def _softmax_runs(logits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Softmax within consecutive runs of ``sizes`` entries. Each run is
-    reduced on its own, so its result never depends on the others."""
-    starts = sizes.cumsum() - sizes
-    ex = np.exp(logits - np.maximum.reduceat(logits, starts).repeat(sizes))
-    return ex / np.add.reduceat(ex, starts).repeat(sizes)
 
 
 @dataclass(frozen=True)
@@ -650,7 +641,8 @@ def _decode(ctx: DecodeContext, seeds: list[int], mode: str, epsilon: float,
 
     def choose(step, rows, arc, mask):
         valid, probs = np.flatnonzero(mask), np.zeros(mask.shape)
-        probs.reshape(-1)[valid] = _softmax_runs(table[arc.reshape(-1)[valid]], mask.sum(axis=1))
+        start = np.searchsorted(valid, np.arange(0, mask.size + 1, mask.shape[1]))  # rows in valid
+        probs.reshape(-1)[valid] = F.csr_softmax(table[arc.reshape(-1)[valid]], start)
         pick = _sample(probs, draws[rows, step]) if mode == SAMPLE else probs.argmax(axis=1)
         if mode == EPSILON_GREEDY:
             explore = np.flatnonzero(draws[rows, used[rows]] < epsilon)

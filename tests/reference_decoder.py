@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from routeflow.autodiff import value
+from routeflow.autodiff import csr_softmax, value
 from routeflow.core import Instance
-from routeflow.neural import DecodeContext, EdgeIndex, _softmax_runs
+from routeflow.neural import DecodeContext, EdgeIndex
 
 
 @dataclass(frozen=True)
@@ -94,5 +94,5 @@ def decode_step(ctx: DecodeContext, state: RolloutState) -> np.ndarray:
             return probs
         raise RuntimeError("no valid action in a non-terminal state")
     logits = value(ctx.logits)[[arc_id(ei, state.current, j) for j in cands]]
-    probs[cands] = _softmax_runs(logits, np.array([len(cands)]))
+    probs[cands] = csr_softmax(logits, np.array([0, len(cands)]))
     return probs

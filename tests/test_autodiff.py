@@ -37,6 +37,8 @@ OPS = {
     "csr_sum_1d": (lambda x: F.csr_sum(x, _START), [_rand(8)]),
     "csr_sum_3d": (lambda x: F.csr_sum(x, _START), [_rand(2, 3, 8)]),
     "csr_repeat": (lambda x: F.csr_repeat(x, _START), [_rand(3, 4)]),
+    "csr_softmax_1d": (lambda x: F.csr_softmax(x, _START), [_rand(8)]),
+    "csr_softmax_2d": (lambda x: F.csr_softmax(x, _START), [_rand(3, 8)]),
     "csr_gather_1d": (lambda x: F.csr_gather(x, _COL, _REV, _START), [_rand(4)]),
     "csr_gather_2d": (lambda x: F.csr_gather(x, _COL, _REV, _START), [_rand(3, 4)]),
     "transpose": (F.transpose, [_rand(3, 4)]),

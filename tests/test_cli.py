@@ -144,6 +144,23 @@ class TestMissingFiles:
     def test_report_csv(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "no.csv")]) == cli.EXIT_MISSING
 
+    @pytest.mark.parametrize("path", ["directory", "through-a-file"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--method", "hgs", "--instance"],
+        ["bench", "--spec"],
+        ["report"],
+        ["train", "--config"],
+        ["train", "--resume"],
+    ], ids=["solve-instance", "bench-spec", "report", "train-config", "train-resume"])
+    def test_an_unreadable_path_exits_3(self, command, path, tmp_path, capsys):
+        # it ended in a traceback and exit 1, outside the documented codes
+        (tmp_path / "file").write_text("")
+        target = tmp_path if path == "directory" else tmp_path / "file" / "x"
+        argv = [*command, str(target)] + (["--out-dir", str(tmp_path / "run")] if command[0] == "train" else [])
+        assert cli.main(argv) == cli.EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("missing artifact: ") and err.count("\n") == 1
+
 
 class TestBadSpecs:
     @pytest.mark.parametrize(

@@ -901,6 +901,7 @@ class TestHelper:
         joined = []  # joined[c]: what the c-th educate call returned, pair c - 1's individuals
         draws = []  # (the pair being drawn, the population it is drawn from)
         events = []  # each educate call's tour count, then what it did, in order
+        sent = []  # what each Worker.send carried
         real_draw, real_educate = expert._draw_child, expert._Helper.educate
         real_search, real_send, real_recv = expert._local_search, expert.Worker.send, expert.Worker.recv
 
@@ -919,7 +920,7 @@ class TestHelper:
         monkeypatch.setattr(expert, "_draw_child", draw)
         monkeypatch.setattr(expert._Helper, "educate", educate)
         monkeypatch.setattr(expert, "_local_search", log("here", real_search))  # the helper logs in its copy
-        monkeypatch.setattr(expert.Worker, "send", log("send", real_send))
+        monkeypatch.setattr(expert.Worker, "send", log("send", lambda self, arg: sent.append(arg) or real_send(self, arg)))
         monkeypatch.setattr(expert.Worker, "recv", log("recv", real_recv))
         # every individual stays, so that each draw shows which pairs have joined
         monkeypatch.setattr(expert, "_survivors", lambda population, size: population)
@@ -942,6 +943,9 @@ class TestHelper:
         else:
             expected = [[2, "here", "here"]] * 9 + [[1, "here"], [0]]
         assert events == expected
+        # every request, an initial tour's too, is a tour of all 30 customers
+        assert len(sent) == 9 * (k - 1)
+        assert all(type(tour) is list and sorted(tour) == list(range(1, 31)) for tour in sent)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("k", [1, 2])

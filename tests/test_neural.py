@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,26 @@ class TestGatForward:
         chunk = 2 * (_BLOCK // 4) * dims.n_heads * dims.d_units * 8
         assert graph.ei.n - 1 > _BLOCK // 4  # more than one chunk
         assert traced_peak(lambda: gat_embed(policy.gat, graph)) < terms + z + chunk
+
+    def test_array_mode_frees_z_before_batch_norm(self, monkeypatch):
+        # n=1,001, k=20: at each layer's batch-norm the layer's z and score
+        # terms are no longer read, so what the pass holds there stays below
+        # the edge terms plus one final-layer z (8.19 MiB)
+        graph = instance_graph(generate_uniform(1000, 11), 20)
+        dims = Dims()
+        policy = init_params(dims, 0)
+        terms = dims.n_layers * dims.n_heads * graph.ei.src.size * 8
+        z = dims.n_heads * dims.d_units * graph.ei.n * 8
+        held, real = [], neural._batchnorm
+        monkeypatch.setattr(neural, "_batchnorm",
+                            lambda *args: held.append(tracemalloc.get_traced_memory()[0]) or real(*args))
+        tracemalloc.start()
+        try:
+            gat_embed(policy.gat, graph)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == dims.n_layers
+        assert max(held) < terms + z
 
     @pytest.mark.parametrize("training", [False, True])
     def test_array_mode_gives_the_bits_of_the_lifted_tape(self, training):
