@@ -279,15 +279,14 @@ def transpose(x):
 
 def csr_sum(x, start: np.ndarray):
     """Segment sums along the last axis: out[..., v] = x[..., start[v]:start[v + 1]].sum()."""
-    sizes = np.diff(start)
     return _node(np.add.reduceat(value(x), start[:-1], axis=-1),
-                 (x, lambda g: np.repeat(g, sizes, axis=-1)))
+                 (x, lambda g: np.repeat(g, start[1:] - start[:-1], axis=-1)))
 
 
 def csr_repeat(x, start: np.ndarray):
     """Each segment's value over its entries: out[..., a] = x[..., v] for
     ``start[v] <= a < start[v + 1]``; the gradient is ``csr_sum``'s value."""
-    return _node(np.repeat(value(x), np.diff(start), axis=-1),
+    return _node(np.repeat(value(x), start[1:] - start[:-1], axis=-1),
                  (x, lambda g: np.add.reduceat(g, start[:-1], axis=-1)))
 
 

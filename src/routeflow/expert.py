@@ -22,8 +22,8 @@ from a population one pair behind. When the sweep's education time
 predicts a search long enough to repay a fork, the search has a pair to
 educate, and ``may_fork`` allows, the solve forks a ``Worker`` before its
 initial tours, which educates the second tour of every pair (``_Helper``):
-it always has its next tour waiting, so neither process waits on the
-other. Every host returns the serial search's output.
+it always has its next tour waiting, so the parent waits for an answer
+only when the helper educates more slowly. Every host returns the serial search's output.
 """
 
 from __future__ import annotations
@@ -575,33 +575,22 @@ def may_fork() -> bool:
     return multiprocessing.parent_process() is None and cpus - len(multiprocessing.active_children()) >= 2
 
 
-def _leave_parent_cpu() -> None:
-    """Move this forked process off the CPU its parent last ran on: the
-    wake-ups of a pipe between them tend to hold both on one CPU while
-    another idles. Nothing moves without /proc, without another usable CPU,
-    or onto a CPU the host has not got."""
-    with contextlib.suppress(OSError):
-        with open(f"/proc/{os.getppid()}/stat") as f:  # field 39: the CPU it last ran on
-            parent_cpu = int(f.read().rsplit(")", 1)[1].split()[36])
-        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
-
-
 class Worker:
     """The package's one way to fork (the HGS helper, a cluster lane, a
     ``TrainState``'s discriminator worker): a process that answers
     ``fn(arg)`` for each ``arg`` sent on ``requests``, in order. It may
     answer many requests and outlive the call that forked it: a training
     state's worker serves every step of the state until it is closed. It
-    ignores SIGINT (Ctrl-C stops the caller, which closes it) and leaves
-    this process's CPU. ``fn`` and what it reads come with the fork, as they
-    were then; only each ``arg`` and answer are pickled, so a caller forks
-    a worker with what every request reads rather than send it. ``send``
-    sends an ``arg``; ``recv`` returns the next answer, ``fn(arg)``, and
-    raises what ``fn`` raised (an ``Exception``; the worker goes on).
-    Either raises ``RuntimeError`` naming ``what`` and its exit code once
-    the process has died. Once ``requests`` is closed, the process exits by
-    itself after answering, so ``close`` (kill and reap) finds it gone;
-    ``close`` kills one still waiting or working, and closing twice is
+    runs on the CPUs it inherits and ignores SIGINT (Ctrl-C stops the
+    caller, which closes it). ``fn`` and what it reads come with the fork,
+    as they were then; only each ``arg`` and answer are pickled, so a caller
+    forks a worker with what every request reads rather than send it.
+    ``send`` sends an ``arg``; ``recv`` returns the next answer,
+    ``fn(arg)``, and raises what ``fn`` raised (an ``Exception``; the worker
+    goes on). Either raises ``RuntimeError`` naming ``what`` and its exit
+    code once the process has died. Once ``requests`` is closed, the process
+    exits by itself after answering, so ``close`` (kill and reap) finds it
+    gone; ``close`` kills one still waiting or working, and closing twice is
     harmless."""
 
     def __init__(self, fn, what: str):
@@ -622,7 +611,6 @@ class Worker:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self.requests.close()  # so that recv sees the end of the requests
         self._answers.close()
-        _leave_parent_cpu()
         with contextlib.suppress(EOFError):
             while True:
                 arg = requests.recv()

@@ -12,7 +12,7 @@ Positives are action sequences, scored only by the discriminator.
 
 The two halves of a step read nothing of each other's output. The
 generator updates read the discriminator as the step found it. The
-discriminator half (``train_discriminator``) reads the policy as the step
+discriminator half (``_KeptDiscriminator``) reads the policy as the step
 found it: its frozen encoding serves the epsilon-greedy negatives, whose
 best solution seeds the expert. So the discriminator half runs on an
 ``expert.Worker`` beside the generator updates, when the state has one;
@@ -330,37 +330,28 @@ def discriminator_update(disc: DiscParams, opt_disc: Adam, ctxs: list[DecodeCont
     return loss_val, float(F.value(neg_all).mean())
 
 
-def train_discriminator(policy: PolicyParams, disc: DiscParams, opt_disc: Adam,
-                        graphs: list[InstanceGraph], cfg: TrainConfig, seed: int,
-                        epoch: int) -> tuple[DiscParams, Adam, dict[str, float]]:
-    """The discriminator half of a step, a function of its inputs alone: the
-    policy's frozen encoding of each graph serves the negatives and the
-    expert's seed solution, and one ``discriminator_update`` trains a copy
-    of ``disc`` and ``opt_disc``. Returns the trained copies (arrays,
-    batch-norm state, Adam ``t``/``m``/``v``) and the record fields
-    ``disc_loss`` and ``mean_reward``."""
-    disc, opt_disc = copy.deepcopy((disc, opt_disc))
-    ctxs = [encode_graph(policy, g, training=True) for g in graphs]
-    loss, mean_reward = discriminator_update(disc, opt_disc, ctxs, cfg, seed, epoch)
-    return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
-
-
 class _KeptDiscriminator:
-    """A discriminator worker's ``fn``: ``train_discriminator`` of each
-    step's request ``(policy, graphs, cfg, seed, epoch)`` on the
-    ``(disc, opt_disc)`` it keeps, which are the pair it was forked with
-    until its first answer and the trained copies of its last answer after.
-    ``train_discriminator`` trains copies, so a half that raises leaves the
-    kept pair as it was."""
+    """The discriminator half of a step, on the ``(disc, opt_disc)`` it
+    keeps: the pair it was made with until its first call, and the trained
+    pair of its last call after. A call on a request ``(policy, graphs,
+    cfg, seed, epoch)`` encodes each graph with the policy, frozen, for the
+    negatives and the expert's seed solution, runs one
+    ``discriminator_update`` on a copy of the kept pair, keeps the trained
+    copy (arrays, batch-norm state, Adam ``t``/``m``/``v``) and returns it
+    with the record fields ``disc_loss`` and ``mean_reward``. A call that
+    raises leaves the kept pair as it was. A discriminator worker's ``fn``
+    is one, and a step without a worker calls a fresh one."""
 
     def __init__(self, disc: DiscParams, opt_disc: Adam):
         self.kept = disc, opt_disc
 
-    def __call__(self, request: tuple):
-        policy, *rest = request
-        answer = train_discriminator(policy, *self.kept, *rest)
-        self.kept = answer[:2]
-        return answer
+    def __call__(self, request: tuple) -> tuple[DiscParams, Adam, dict[str, float]]:
+        policy, graphs, cfg, seed, epoch = request
+        disc, opt_disc = copy.deepcopy(self.kept)
+        ctxs = [encode_graph(policy, g, training=True) for g in graphs]
+        loss, mean_reward = discriminator_update(disc, opt_disc, ctxs, cfg, seed, epoch)
+        self.kept = disc, opt_disc
+        return disc, opt_disc, {"disc_loss": loss, "mean_reward": mean_reward}
 
 
 def _worker_of(state: TrainState) -> Worker | None:
@@ -392,7 +383,7 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
                epoch: int = 0, step: int = 0) -> TrainState:
     """One adversarial round: ``update_ratio`` generator updates with the
     discriminator frozen, and one discriminator update with the generator
-    frozen (``train_discriminator``), both from the state the step found.
+    frozen (``_KeptDiscriminator``), both from the state the step found.
     The discriminator half runs on the state's worker, which is sent only
     the policy and the step's inputs, while this process runs the generator
     updates; without a worker it runs after them, here, on a copy of the
@@ -423,8 +414,7 @@ def train_step(state: TrainState, instances, cfg: TrainConfig,
         for u in range(cfg.update_ratio):
             tb = generator_update(state, graphs, disc_embs, cfg, derive_seed(base, 1000 + u))
         if worker is None:
-            state.disc, state.opt_disc, record = train_discriminator(policy, state.disc, state.opt_disc,
-                                                                     *request[1:])
+            state.disc, state.opt_disc, record = _KeptDiscriminator(state.disc, state.opt_disc)(request)
         else:
             state.disc, state.opt_disc, record = worker.recv()
             state._worker = (*state._worker[:2], (state.disc, state.opt_disc))

@@ -44,19 +44,17 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def one_cpu(monkeypatch):
-    """Really pins this process to one CPU for the test, and holds the pin:
-    ``os.sched_setaffinity`` is a no-op meanwhile, so neither the code under
-    test nor a child it forks can move off that CPU. With ``cpus(2)`` this is
-    a host that reports two CPUs while only one is free."""
-    set_affinity = os.sched_setaffinity
+def one_cpu():
+    """Really pins this process to one CPU for the test, then restores its
+    CPUs. The package sets no affinity, so a child it forks inherits the
+    pin. With ``cpus(2)`` this is a host that reports two CPUs while only
+    one is free."""
     saved = os.sched_getaffinity(0)
-    set_affinity(0, {min(saved)})
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+    os.sched_setaffinity(0, {min(saved)})
     try:
         yield
     finally:
-        set_affinity(0, saved)
+        os.sched_setaffinity(0, saved)
 
 
 @pytest.fixture

@@ -3,11 +3,16 @@ loader, the spec fields, and the results and sweep CSVs."""
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeflow import bench
-from routeflow.core import build_distance_matrix, check_feasible, exact_solve_small, knn_sparsify
+from routeflow.core import (
+    COST_REL_TOL, build_distance_matrix, check_feasible, exact_solve_small, knn_sparsify, solution_cost,
+)
 from routeflow.expert import HgsConfig, expert_refine, hgs_solve, initial_solution
 from routeflow.io import (
     AGGREGATE, RunRecord, generate_batch, generate_uniform, load_instance, read_results_csv,
@@ -16,6 +21,7 @@ from routeflow.io import (
 from routeflow.neural import GREEDY, Dims, encode, init_params, rollout, save_policy
 
 FAST = HgsConfig(max_iterations=15)
+TINY_POLICY = init_params(Dims(n_layers=1, n_heads=2, d_units=8), 4)  # for @given, which takes no fixtures
 
 
 @pytest.fixture
@@ -41,10 +47,15 @@ class TestSolve:
             assert bench.solve(method, inst, 7, policy, FAST, k_nn=3) == solution, method
 
     @pytest.mark.parametrize("method", ["hgs", "exact", "expert-refine-3", "neural-greedy", "neural-best-of-5"])
-    def test_feasible(self, method, policy):
-        inst = generate_uniform(7, 11)
-        solution = bench.solve(method, inst, 2, policy, FAST)
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 7), inst_seed=st.integers(0, 2**32 - 1), limited=st.booleans())
+    def test_feasible(self, method, n, inst_seed, limited):
+        # a fleet limit of n is always feasible and takes the fleet-limited Split
+        inst = dataclasses.replace(generate_uniform(n, inst_seed), fleet_limit=n if limited else None)
+        solution = bench.solve(method, inst, 2, TINY_POLICY, FAST)
         assert check_feasible(inst, solution).feasible
+        recomputed = solution_cost(build_distance_matrix(inst), solution.routes)
+        assert math.isclose(solution.total_cost, recomputed, rel_tol=COST_REL_TOL)
 
     def test_neural_method_needs_a_policy(self):
         with pytest.raises(bench.MissingArtifactError):

@@ -1108,22 +1108,6 @@ class TestHelper:
         assert educations == serial_educations - tours // 2 - cfg.max_iterations // 2
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-    def test_the_helper_leaves_the_parents_cpu(self, monkeypatch):
-        masks = []  # the helper's CPUs after each tour it educated
-        real = expert.Worker.recv
-
-        def recv(self):
-            out = real(self)
-            masks.append(os.sched_getaffinity(self.proc.pid))
-            return out
-
-        monkeypatch.setattr(expert.Worker, "recv", recv)
-        monkeypatch.setattr(expert, "_FORK_AFTER_S", 0.0)
-        hgs_solve(generate_uniform(30, 5), cfg=FAST)
-        mask = os.sched_getaffinity(0)
-        assert masks and all(m < mask and len(m) == len(mask) - 1 for m in masks)
-
     @pytest.mark.parametrize("where", ["helper", "parent"])
     def test_an_error_reaches_the_caller(self, where, cpus, monkeypatch):
         caller = os.getpid()
@@ -1267,6 +1251,14 @@ class TestWorker:
             worker.close()
         assert [x for x, _ in answers] == [0, 1, 2]
         assert {pid for _, pid in answers} == {worker.proc.pid} != {os.getpid()}
+
+    def test_a_worker_runs_on_the_callers_cpus(self):
+        worker = expert.Worker(lambda x: os.sched_getaffinity(0), "test worker")
+        try:
+            worker.send(None)
+            assert worker.recv() == os.sched_getaffinity(0)
+        finally:
+            worker.close()
 
     def test_an_error_reaches_the_caller_and_the_worker_goes_on(self):
         def fn(x):
